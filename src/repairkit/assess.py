@@ -35,7 +35,7 @@ from .errors import (
     SpliceError,
 )
 from .gen import CandidatePatch
-from .syntax import ast_equal, parse
+from .syntax import ast_key, parse
 
 PASS = "pass"
 FAIL = "fail"
@@ -83,11 +83,12 @@ def ast_match(
     The reference must parse (ParseError propagates); a candidate that does
     not parse yields a falsy ParseFailure instead of an exception.
     """
-    reference_tree = parse(reference, language)  # reference errors propagate
+    reference_key = ast_key(parse(reference, language))  # reference errors propagate
     try:
-        return ast_equal(candidate, reference, language)
+        candidate_key = ast_key(parse(candidate, language))
     except ParseError as exc:
         return ParseFailure(str(exc))
+    return candidate_key == reference_key
 
 
 # --------------------------------------------------------------------------
@@ -272,14 +273,6 @@ class PlausibilityPlan:
     spec: TestSpec
 
 
-def _parses(text: str, language: str) -> bool:
-    try:
-        parse(text, language)
-        return True
-    except ParseError:
-        return False
-
-
 def classify(
     bug_id: str,
     candidates: Sequence[CandidatePatch],
@@ -292,10 +285,14 @@ def classify(
     Exact matches skip test execution (plausible by fiat) and imply AST
     match. Other candidates run the tests when a plan is given; AST match
     is evaluated only for parsable candidates that did not fail the tests.
+    Each reconstructed candidate that is not an exact match is parsed once,
+    and the reference at most once per call, when a candidate first needs
+    an AST verdict.
     Candidates that failed reconstruction score negative on every tier.
     Semantic labels stay unlabeled here; they come from the rating store.
     """
     verdicts = []
+    reference_key = None  # parsed on first need, at most once per call
     for candidate in candidates:
         if candidate.reconstructed is None:
             verdicts.append(
@@ -313,12 +310,17 @@ def classify(
             plausible = PASS if run.outcome == PASS else FAIL
         else:
             plausible = NOT_RUN
-        parse_ok = _parses(text, language)
-        ast = bool(ast_match(text, reference, language)) if (
-            parse_ok and plausible != FAIL
-        ) else False
+        try:
+            key = ast_key(parse(text, language))
+        except ParseError:
+            key = None
+        ast = False
+        if key is not None and plausible != FAIL:
+            if reference_key is None:
+                reference_key = ast_key(parse(reference, language))
+            ast = key == reference_key
         verdicts.append(
-            AssessmentVerdict(bug_id, candidate.rank, parse_ok, plausible, False, ast)
+            AssessmentVerdict(bug_id, candidate.rank, key is not None, plausible, False, ast)
         )
     return verdicts
 

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from ..errors import ParseError, UnsupportedLanguage
 from .parser import parse_java
-from .tree import NormalizedNode, SyntaxNode, normalize
+from .tree import NormalizedNode, SyntaxNode, ast_key, normalize
 
 __all__ = [
     "SourceFile",
@@ -25,6 +25,7 @@ __all__ = [
     "parse",
     "extract_functions",
     "normalize",
+    "ast_key",
     "ast_equal",
     "ParseError",
     "UnsupportedLanguage",
@@ -85,7 +86,12 @@ class SourceFunction:
 
 @dataclass
 class LanguageFrontend:
-    """Hooks one grammar into the toolkit."""
+    """Hooks one grammar into the toolkit.
+
+    `parse` must keep every token as a leaf, and the tree without its comment
+    leaves must follow from the labels of the other leaves alone, as it does
+    for Java: AST match compares `ast_key`s.
+    """
 
     name: str
     parse: Callable[[str], SyntaxNode]
@@ -162,8 +168,9 @@ def _declared_name(node: SyntaxNode) -> str:
 def ast_equal(a: str, b: str, language: str = "java") -> bool:
     """True iff the two sources have equal trees modulo comments/formatting.
 
+    That is, iff their significant (non-comment) token sequences are equal.
     Token labels are compared verbatim (a renamed identifier or reformatted
     literal is unequal); exact textual equality always implies True.
     Raises ParseError when either input does not parse.
     """
-    return normalize(parse(a, language)) == normalize(parse(b, language))
+    return ast_key(parse(a, language)) == ast_key(parse(b, language))

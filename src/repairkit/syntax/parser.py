@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import ParseError
-from .tokens import IDENTIFIER, KEYWORD, SYMBOL, Token, tokenize
+from .tokens import COMMENT_KINDS, IDENTIFIER, KEYWORD, SYMBOL, Token, tokenize
 from .tree import COMPILATION_UNIT, SyntaxNode
 
 MODIFIER_WORDS = frozenset(
@@ -64,7 +64,7 @@ class _Parser:
         seen = 0
         while j < len(self.toks):
             tok = self.toks[j]
-            if not tok.kind.endswith("comment"):
+            if tok.kind not in COMMENT_KINDS:
                 if seen == ahead:
                     return tok
                 seen += 1
@@ -76,7 +76,7 @@ class _Parser:
         while self.i < len(self.toks):
             tok = self.toks[self.i]
             self.i += 1
-            if tok.kind.endswith("comment"):
+            if tok.kind in COMMENT_KINDS:
                 out.append(SyntaxNode.leaf(tok))
             else:
                 return tok
@@ -94,7 +94,7 @@ class _Parser:
         return self.take_leaf(out)
 
     def drain_comments(self, out: list[SyntaxNode]) -> None:
-        while self.i < len(self.toks) and self.toks[self.i].kind.endswith("comment"):
+        while self.i < len(self.toks) and self.toks[self.i].kind in COMMENT_KINDS:
             out.append(SyntaxNode.leaf(self.toks[self.i]))
             self.i += 1
 
@@ -450,7 +450,7 @@ class _Parser:
         depth = 0
         while j < len(self.toks):
             tok = self.toks[j]
-            if tok.kind.endswith("comment"):
+            if tok.kind in COMMENT_KINDS:
                 j += 1
                 continue
             if depth == 0 and tok.kind == SYMBOL and tok.text in "(=;{":
@@ -466,12 +466,12 @@ class _Parser:
 
     def _count_significant(self, upto: int) -> int:
         return sum(
-            1 for tok in self.toks[self.i : upto] if not tok.kind.endswith("comment")
+            1 for tok in self.toks[self.i : upto] if tok.kind not in COMMENT_KINDS
         )
 
     def _next_significant_index(self) -> int:
         j = self.i
-        while j < len(self.toks) and self.toks[j].kind.endswith("comment"):
+        while j < len(self.toks) and self.toks[j].kind in COMMENT_KINDS:
             j += 1
         return j
 

@@ -4,6 +4,24 @@ Produces a flat token stream with byte offsets and 1-based line/column
 positions. Comments are emitted as ordinary tokens so the parser can keep
 them in the syntax tree (normalization removes them later).
 
+The lexer is one loop over a single compiled master regex, `_TOKEN_RE`.
+Its alternatives are named groups, tried in order: whitespace, line
+comment, block comment, text block, string, char, number, identifier or
+keyword, and the symbols, longest first. Groups that match only the opening
+of an unterminated comment, text block, string or char, a word that starts
+with a non-ASCII character, and any other single character come after
+their well-formed counterparts; the loop turns them into a `ParseError` or,
+for a non-ASCII identifier, checks the first character. Lines and columns
+are tracked incrementally from the newlines inside the matches that can
+hold them: whitespace, block comments, text blocks, and strings or chars
+(where a backslash may escape a newline).
+
+Identifiers start with a character for which `str.isalpha` holds, or `_`
+or `$`, and continue with characters for which `str.isalnum` holds, which
+is exactly what the regex `\\w` matches, plus `$`. A character for which
+`str.isdigit` holds but that is not a Unicode decimal digit, such as `²`,
+starts a malformed number literal.
+
 One deliberate quirk: `>` is always lexed as a single-character token and
 never folded into `>>`, `>>>`, `>>=` or `>>>=`. Generic type closers may
 legally be written `>>` or `> >`, and folding would make token streams
@@ -35,15 +53,6 @@ _SYMBOLS = [
     "?", ":", ";", ",", ".", "(", ")", "{", "}", "[", "]", "@",
 ]
 
-_NUMBER_RE = re.compile(
-    r"""(?: 0[xX][0-9a-fA-F_]+(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?\d+)?
-          | 0[bB][01_]+
-          | (?:\d[\d_]*)?\.\d[\d_]*(?:[eE][+-]?\d+)?
-          | \d[\d_]*\.?(?:[eE][+-]?\d+)?
-        )[fFdDlL]?""",
-    re.VERBOSE,
-)
-
 IDENTIFIER = "identifier"
 KEYWORD = "keyword"
 NUMBER = "number_literal"
@@ -54,6 +63,48 @@ LINE_COMMENT = "line_comment"
 BLOCK_COMMENT = "block_comment"
 
 COMMENT_KINDS = frozenset({LINE_COMMENT, BLOCK_COMMENT})
+
+# A group named after a token kind produces that kind; `tokenize` handles
+# the private (underscored) groups itself. Each `_open_*` group matches only
+# where the complete form just before it did not, so it marks an
+# unterminated comment or literal.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<_space>[ \t\r\n\f\x0b]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*.*?\*/)
+    | (?P<_open_comment>/\*)
+    | (?P<_text_block>"{3}[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"{3})
+    | (?P<_open_text_block>"{3})
+    | (?P<string_literal>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
+    | (?P<_open_string>")
+    | (?P<char_literal>'[^'\\\n]*(?:\\.[^'\\\n]*)*')
+    | (?P<_open_char>')
+    | (?P<number_literal>
+        (?: 0[xX][0-9a-fA-F_]+(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?\d+)?
+          | 0[bB][01_]+
+          | (?:\d[\d_]*)?\.\d[\d_]*(?:[eE][+-]?\d+)?
+          | \d[\d_]*\.?(?:[eE][+-]?\d+)?
+        )[fFdDlL]?)
+    | (?P<_word>[A-Za-z_$][\w$]*)
+    | (?P<symbol>"""
+    + "|".join(re.escape(s) for s in _SYMBOLS)
+    + r""")
+    | (?P<_unicode_word>[\w$]+)
+    | (?P<_other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+# Token kinds whose text may span lines.
+_MULTILINE = frozenset({BLOCK_COMMENT, STRING, CHAR})
+
+_UNTERMINATED = {
+    "_open_comment": "unterminated block comment",
+    "_open_text_block": "unterminated text block",
+    "_open_string": "unterminated string literal",
+    "_open_char": "unterminated char literal",
+}
 
 
 @dataclass(frozen=True)
@@ -70,122 +121,47 @@ class Token:
         return self.line + self.text.count("\n")
 
 
-def _ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_$"
-
-
-def _ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$"
-
-
-class _Scanner:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
-
-    def _advance(self, n: int) -> None:
-        chunk = self.src[self.pos : self.pos + n]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = n - chunk.rfind("\n")
-        else:
-            self.col += n
-        self.pos += n
-
-    def _token(self, kind: str, length: int) -> Token:
-        tok = Token(
-            kind,
-            self.src[self.pos : self.pos + length],
-            self.pos,
-            self.pos + length,
-            self.line,
-            self.col,
-        )
-        self._advance(length)
-        return tok
-
-    def _scan_string(self, quote: str, kind: str) -> Token:
-        src, i = self.src, self.pos
-        if quote == '"' and src.startswith('"""', i):
-            # Text block: ends at the next unescaped triple quote.
-            j = i + 3
-            while j < len(src):
-                if src[j] == "\\":
-                    j += 2
-                    continue
-                if src.startswith('"""', j):
-                    return self._token(kind, j + 3 - i)
-                j += 1
-            raise self.error("unterminated text block")
-        j = i + 1
-        while j < len(src):
-            ch = src[j]
-            if ch == "\\":
-                j += 2
-                continue
-            if ch == quote:
-                return self._token(kind, j + 1 - i)
-            if ch == "\n":
-                break
-            j += 1
-        raise self.error(f"unterminated {kind.replace('_', ' ')}")
-
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        src = self.src
-        while self.pos < len(src):
-            ch = src[self.pos]
-            if ch in " \t\r\n\f\x0b":
-                self._advance(1)
-                continue
-            if src.startswith("//", self.pos):
-                end = src.find("\n", self.pos)
-                length = (end if end != -1 else len(src)) - self.pos
-                out.append(self._token(LINE_COMMENT, length))
-                continue
-            if src.startswith("/*", self.pos):
-                end = src.find("*/", self.pos + 2)
-                if end == -1:
-                    raise self.error("unterminated block comment")
-                out.append(self._token(BLOCK_COMMENT, end + 2 - self.pos))
-                continue
-            if ch == '"':
-                out.append(self._scan_string('"', STRING))
-                continue
-            if ch == "'":
-                out.append(self._scan_string("'", CHAR))
-                continue
-            if ch.isdigit() or (
-                ch == "." and self.pos + 1 < len(src) and src[self.pos + 1].isdigit()
-            ):
-                m = _NUMBER_RE.match(src, self.pos)
-                if m is None:  # pragma: no cover - digits always match
-                    raise self.error("malformed number literal")
-                out.append(self._token(NUMBER, m.end() - self.pos))
-                continue
-            if _ident_start(ch):
-                j = self.pos + 1
-                while j < len(src) and _ident_part(src[j]):
-                    j += 1
-                text = src[self.pos : j]
-                kind = KEYWORD if text in KEYWORDS else IDENTIFIER
-                out.append(self._token(kind, j - self.pos))
-                continue
-            for sym in _SYMBOLS:
-                if src.startswith(sym, self.pos):
-                    out.append(self._token(SYMBOL, len(sym)))
-                    break
-            else:
-                raise self.error(f"unexpected character {ch!r}")
-        return out
-
-
 def tokenize(source: str) -> list[Token]:
     """Tokenize Java source, raising ParseError on lexical problems."""
-    return _Scanner(source).tokens()
+    out: list[Token] = []
+    append = out.append
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        text = m.group()
+        start = m.start()
+        if kind == "_space":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rfind("\n") + 1
+            continue
+        if kind == "_word":
+            kind = KEYWORD if text in KEYWORDS else IDENTIFIER
+        elif kind[0] == "_":
+            kind = _private_kind(kind, text, start, out, line, start - line_start + 1)
+        append(Token(kind, text, start, m.end(), line, start - line_start + 1))
+        if kind in _MULTILINE and "\n" in text:
+            line += text.count("\n")
+            line_start = start + text.rfind("\n") + 1
+    return out
+
+
+def _private_kind(
+    group: str, text: str, start: int, out: list[Token], line: int, column: int
+) -> str:
+    """The token kind of a private group's match, or the ParseError it means."""
+    if group == "_text_block":
+        return STRING
+    if group in _UNTERMINATED:
+        raise ParseError(_UNTERMINATED[group], line, column)
+    first = text[0]
+    if group == "_unicode_word" and first.isalpha():
+        return IDENTIFIER
+    if first.isdigit():
+        # A digit outside Unicode Nd, such as `²`, starts a number literal
+        # that cannot match; a `.` right before it starts that literal.
+        if out and out[-1].text == "." and out[-1].end == start:
+            line, column = out[-1].line, out[-1].column
+        raise ParseError("malformed number literal", line, column)
+    raise ParseError(f"unexpected character {first!r}", line, column)

@@ -1,4 +1,4 @@
-"""Syntax tree node types and formatting-insensitive normalization."""
+"""Syntax tree node types, formatting-insensitive normalization and AST keys."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -102,3 +102,22 @@ def _normalize(node: "SyntaxNode | NormalizedNode") -> Optional[NormalizedNode]:
         return None
     kids = tuple(c for c in (_normalize(child) for child in node.children) if c)
     return NormalizedNode(node.kind, node.label, kids)
+
+
+def ast_key(node: SyntaxNode) -> tuple[str, ...]:
+    """The labels of the tree's non-comment leaves, in source order.
+
+    Two trees normalize equal exactly when their keys are equal: the
+    normalized tree's leaves, read in order, are this sequence, and the
+    parser never looks at comments when it chooses a node, so the rest of
+    the normalized tree follows from the same sequence.
+    """
+    labels: list[str] = []
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current.label is None:
+            stack.extend(reversed(current.children))
+        elif current.kind not in COMMENT_KINDS:
+            labels.append(current.label)
+    return tuple(labels)

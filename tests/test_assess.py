@@ -2,6 +2,7 @@
 import shlex
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -39,6 +40,7 @@ from repairkit.errors import (
     SpliceError,
 )
 from repairkit.gen import CandidatePatch
+from repairkit.syntax import parser
 
 PY = shlex.quote(sys.executable)
 
@@ -294,6 +296,60 @@ class TestClassify:
         first = classify("bug", candidates, GOOD, plan)
         second = classify("bug", candidates, GOOD, plan)
         assert first == second
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Every source the Java frontend parses, in order of parsing."""
+        seen = []
+        tokenize = parser.tokenize
+
+        def counting_tokenize(source):
+            seen.append(source)
+            return tokenize(source)
+
+        monkeypatch.setattr(parser, "tokenize", counting_tokenize)
+        return seen
+
+    def test_parses_each_source_once(self, parsed):
+        reformatted = "int f() { return a + b; }"
+        renamed = "int f() { return a + c; }"
+        commented = REFERENCE + " // done"
+        broken = "int f() { return"
+        candidates = [
+            self._candidate(REFERENCE, 0),
+            self._candidate(reformatted, 1),
+            self._candidate(renamed, 2),
+            self._candidate(commented, 3),
+            self._candidate(broken, 4),
+            CandidatePatch("bug", 5, "raw", reconstruct_error="MalformedOutput"),
+        ]
+        verdicts = classify("bug", candidates, REFERENCE, None)
+        assert [v.ast for v in verdicts] == [True, True, False, True, False, False]
+        assert [v.parse_ok for v in verdicts] == [True, True, True, True, False, False]
+        # One parse per reconstructed, non-exact candidate; one of the reference.
+        assert Counter(parsed) == Counter(
+            [REFERENCE, reformatted, renamed, commented, broken]
+        )
+
+    def test_reference_parsed_only_for_an_ast_verdict(self, parsed):
+        broken = "int f() { return"
+        candidates = [
+            self._candidate(REFERENCE, 0),
+            self._candidate(broken, 1),
+            CandidatePatch("bug", 2, "raw", reconstruct_error="MalformedOutput"),
+        ]
+        classify("bug", candidates, REFERENCE, None)
+        assert parsed == [broken]
+        parsed.clear()
+        classify("bug", [candidates[0], candidates[2]], REFERENCE, None)
+        assert parsed == []
+
+    def test_unparsable_reference_raises_once_needed(self):
+        unparsable = "int broken("
+        exact = self._candidate(unparsable, 0)
+        assert classify("bug", [exact], unparsable, None)[0].exact
+        with pytest.raises(ParseError):
+            classify("bug", [exact, self._candidate(REFERENCE, 1)], unparsable, None)
 
 
 class TestRatings:

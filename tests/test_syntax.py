@@ -1,9 +1,14 @@
-"""Parser, function extraction, normalization, and AST equivalence."""
+"""Lexer, parser, function extraction, normalization, and AST equivalence."""
 import random
 
 import pytest
+from hypothesis import Phase, assume, example, find, given, settings
+from hypothesis import strategies as st
 
+from reference_lexer import reference_tokenize
+from repairkit.assess import ast_match, classify
 from repairkit.errors import ParseError, UnsupportedLanguage
+from repairkit.gen import CandidatePatch
 from repairkit.syntax import (
     SourceFile,
     ast_equal,
@@ -11,7 +16,13 @@ from repairkit.syntax import (
     normalize,
     parse,
 )
-from repairkit.syntax.tokens import LINE_COMMENT, tokenize
+from repairkit.syntax.tokens import (
+    COMMENT_KINDS,
+    IDENTIFIER,
+    LINE_COMMENT,
+    NUMBER,
+    tokenize,
+)
 
 MINIMAL = "int f(){return 1;}"
 
@@ -275,3 +286,173 @@ def test_fuzzed_reformat_preserves_tree_equality():
         for _ in range(25):
             mutated = _reformat(source, rng)
             assert ast_equal(source, mutated), mutated
+
+
+# --------------------------------------------------------------------------
+# the regex lexer against the character-at-a-time reference scanner
+
+def _lex(lexer, source):
+    """The token list, or the ParseError text and position."""
+    try:
+        return lexer(source)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.column)
+
+
+BENCH_STYLE_CLASS = (
+    "package gen.p1;\n\nimport java.util.List;\n\n"
+    "/* Generated class C1, variant 4242. */\n"
+    "public class C1 {\n"
+    "    private int count = 3;\n\n"
+    "    public int m1(int a, int b) {\n"
+    "        int v1_1 = a + 17;\n"
+    "        if (v1_1 > 40) {\n"
+    "            v1_1 = v1_1 - 3; // clamp\n"
+    "        }\n"
+    "        String s = \"x\\\"y\" + 'c' + '\\n';\n"
+    "        return v1_1 >>> 2 >= b ? 0x1F : .5e3 > 1_000L ? 1 : 0;\n"
+    "    }\n"
+    "}\n"
+)
+
+_LEX_PIECES = [
+    # Java fragments
+    "int", "x", "_tmp$", "class", "return", "(", ")", "{", "}", "[", "]", ";",
+    ",", "=", "+", "-", "*", "/", "%", "<", ">", "!", "~", "&&", "||", "->",
+    "::", "...", "@", "?", ":", "<<=", ">>=", ">>>", ">>>=", "> >", "x.y",
+    "0", "42", ".5", "1.", "1e10", "3.0f", "0x1p3", "0xFF_FFL", "0b1010",
+    "1_000", '"str"', "'c'", "'\\''", '"a\\"b"', '"""\ntext\n"""',
+    '"""a\\"""b"""', "// line\n", "/* block */", "/* multi\nline */",
+    # non-ASCII letters and digits
+    "é", "xé", "éx", "²", "x²", "½", "x½", "٣", "x٣", "ß", "\u00a0", "€",
+    # unterminated constructs and escaped newlines
+    "/*", '"', "'", '"""', '"a\\\nb"', "'\\\n'", "\\",
+    # whitespace
+    " ", "  ", "\n", "\t", "\r\n", "\f", "\x0b",
+]
+
+
+@st.composite
+def _lexer_inputs(draw):
+    pieces = draw(st.lists(st.sampled_from(_LEX_PIECES), max_size=24))
+    glue = draw(st.lists(st.sampled_from(["", " ", "\n"]), min_size=len(pieces)))
+    return "".join(p + g for p, g in zip(pieces, glue))
+
+
+@st.composite
+def _mutated_classes(draw):
+    source = BENCH_STYLE_CLASS
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(source)))
+        cut = draw(st.integers(0, 3))
+        insert = draw(st.sampled_from(["", *_LEX_PIECES]))
+        source = source[:at] + insert + source[at + cut :]
+    return source
+
+
+class TestLexerMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(source=st.one_of(_lexer_inputs(), _mutated_classes()))
+    @example(source="abcé½ x²")  # an identifier running into non-ASCII
+    @example(source="a.²")  # `.` just before a non-decimal Unicode digit
+    @example(source="x .½ ..³")
+    @example(source=BENCH_STYLE_CLASS)
+    def test_same_tokens_or_error(self, source):
+        assert _lex(tokenize, source) == _lex(reference_tokenize, source)
+
+    @settings(max_examples=200, deadline=None)
+    @given(source=st.text(alphabet="ab1._ \n\"'/*\\\\>=x²½é", max_size=30))
+    def test_same_tokens_or_error_on_text(self, source):
+        assert _lex(tokenize, source) == _lex(reference_tokenize, source)
+
+    def test_shift_operators_are_never_folded(self):
+        texts = [t.text for t in tokenize("a >>>= b >> c >>= 1 << 2 <<= 3")]
+        assert texts == [
+            "a", ">", ">", ">=", "b", ">", ">", "c", ">", ">=", "1",
+            "<<", "2", "<<=", "3",
+        ]
+
+
+# --------------------------------------------------------------------------
+# AST match as significant-token equality, against tree normalization
+
+AST_BASES = [*REFORMAT_SOURCES, BENCH_STYLE_CLASS]
+
+_SWAPS = {
+    IDENTIFIER: ["a", "b", "v1_1", "tmp"],
+    NUMBER: ["0", "1", "17", "0x10"],
+    "+": ["+", "-", "*"],
+    "<": ["<", "<=", "=="],
+}
+
+
+def _swaps(token):
+    return _SWAPS.get(token.kind) or _SWAPS.get(token.text)
+
+
+@st.composite
+def _source_pairs(draw):
+    """Two reformatted copies of one source, the second with at most one
+    token edit: a token swapped for another of its kind, or an empty
+    statement or member added after a `;`."""
+    tokens = tokenize(draw(st.sampled_from(AST_BASES)))
+    editable = [i for i, t in enumerate(tokens) if _swaps(t) or t.text == ";"]
+    edit_at = draw(st.one_of(st.none(), st.sampled_from(editable)))
+    return draw(_variant(tokens, None)), draw(_variant(tokens, edit_at))
+
+
+_SEPARATORS = [" ", "\n", "\t ", " /* note */ ", " // note\n", "\r\n"]
+
+
+@st.composite
+def _variant(draw, tokens, edit_at):
+    """The tokens rejoined: each token's roll decides whether a comment is
+    dropped and which separator follows."""
+    rolls = draw(st.lists(st.integers(0, 99), min_size=len(tokens), max_size=len(tokens)))
+    parts = []
+    for i, (token, roll) in enumerate(zip(tokens, rolls)):
+        if token.kind in COMMENT_KINDS and roll % 2:
+            continue
+        text = token.text
+        if i == edit_at:
+            text = draw(st.sampled_from(_swaps(token) or [text + " ;"]))
+        parts.append(text)
+        parts.append("\n" if token.kind == LINE_COMMENT else _SEPARATORS[roll % len(_SEPARATORS)])
+    return "".join(parts)
+
+
+def _parsable(source):
+    try:
+        parse(source)
+    except ParseError:
+        return False
+    return True
+
+
+class TestAstKeyMatchesNormalizedTrees:
+    @settings(max_examples=150, deadline=None)
+    @given(pair=_source_pairs())
+    def test_verdicts_agree(self, pair):
+        a, b = pair
+        assume(_parsable(a) and _parsable(b))
+        expected = normalize(parse(a)) == normalize(parse(b))
+        assert ast_equal(a, b) == expected
+        assert ast_match(a, b) is expected
+        [verdict] = classify("bug", [CandidatePatch("bug", 0, a, reconstructed=a)], b)
+        assert verdict.ast == expected
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_pairs_cover_both_verdicts(self, equal):
+        def wanted(pair):
+            a, b = pair
+            return (
+                _parsable(a)
+                and _parsable(b)
+                and (normalize(parse(a)) == normalize(parse(b))) is equal
+            )
+
+        find(
+            _source_pairs(),
+            wanted,
+            settings=settings(database=None, phases=[Phase.generate], max_examples=200),
+        )

@@ -21,7 +21,6 @@ from .assess import (
     classify,
     cohen_kappa,
     exact_match,
-    record_rating,
     resolve_semantic,
 )
 from .bench import (
@@ -56,7 +55,6 @@ from .gen import (
     GenerationConfig,
     MockBackend,
     build_chat_prompt,
-    build_infill_prompt,
     request_candidates,
 )
 from .representations import (

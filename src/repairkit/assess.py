@@ -109,7 +109,6 @@ class TestSpec:
     timeout: float = DEFAULT_TEST_TIMEOUT
     build_command: Optional[str | Sequence[str]] = None
     env_denylist: tuple[str, ...] = ()
-    verify_tree: bool = True
     retries: int = 0  # re-runs of a failing test command (flaky suites)
     isolation: str = "clone"  # "clone" runs in a discarded copy; "in-place" splices and restores
 
@@ -211,8 +210,8 @@ def check_plausible(
     of the project, so build artifacts never touch the original tree. With
     "in-place" isolation the target file is rewritten and byte-restored
     afterwards. Either way the project tree ends bit-identical to its
-    pre-call state; spec.verify_tree checks that by hashing it before and
-    after. Raises SpliceError when the recorded line range is stale.
+    pre-call state, checked by hashing it before and after. Raises
+    SpliceError when the recorded line range is stale or the tree changed.
     """
     project_root = Path(project_root)
     target = project_root / location.file
@@ -221,7 +220,7 @@ def check_plausible(
     original = target.read_bytes()
     spliced = _splice(original.decode("utf-8"), location, candidate)
     env = {k: v for k, v in os.environ.items() if k not in spec.env_denylist}
-    before_hash = hash_tree(project_root) if spec.verify_tree else None
+    before_hash = hash_tree(project_root)
     if spec.isolation == "clone":
         with tempfile.TemporaryDirectory(prefix="repairkit-plausible-") as tmp:
             workdir = Path(tmp) / project_root.name
@@ -235,7 +234,7 @@ def check_plausible(
             outcome, output = _execute(spec, workdir, env)
         finally:
             target.write_bytes(original)
-    if before_hash is not None and hash_tree(project_root) != before_hash:
+    if hash_tree(project_root) != before_hash:
         raise SpliceError(f"project tree not restored under {project_root}")
     return TestRun(str(spec.command), str(workdir), spec.timeout, outcome, output)
 
@@ -345,16 +344,22 @@ class SemanticRating:
 
 
 class RatingStore:
-    """Append-only store of semantic ratings, optionally file-backed."""
+    """Append-only store of semantic ratings, optionally file-backed, kept
+    in insertion order and indexed by candidate `(bug_id, rank)`."""
 
     def __init__(self, path: Optional[Path | str] = None):
         self.path = Path(path) if path is not None else None
         self._ratings: list[SemanticRating] = []
+        self._by_item: dict[tuple[str, int], list[SemanticRating]] = {}
         if self.path is not None and self.path.exists():
             with open(self.path, encoding="utf-8") as fh:
                 for line in fh:
                     if line.strip():
-                        self._ratings.append(SemanticRating(**json.loads(line)))
+                        self._index(SemanticRating(**json.loads(line)))
+
+    def _index(self, rating: SemanticRating) -> None:
+        self._ratings.append(rating)
+        self._by_item.setdefault((rating.bug_id, rating.rank), []).append(rating)
 
     def __len__(self) -> int:
         return len(self._ratings)
@@ -362,64 +367,34 @@ class RatingStore:
     def __iter__(self):
         return iter(self._ratings)
 
+    def _round(self, bug_id: str, rank: int, stage: str) -> list[SemanticRating]:
+        return [r for r in self._by_item.get((bug_id, rank), ()) if r.round == stage]
+
     def first_round(self, bug_id: str, rank: int) -> list[SemanticRating]:
-        return [
-            r
-            for r in self._ratings
-            if r.bug_id == bug_id and r.rank == rank and r.round == FIRST
-        ]
+        return self._round(bug_id, rank, FIRST)
 
     def tiebreaks(self, bug_id: str, rank: int) -> list[SemanticRating]:
-        return [
-            r
-            for r in self._ratings
-            if r.bug_id == bug_id and r.rank == rank and r.round == TIEBREAK
-        ]
+        return self._round(bug_id, rank, TIEBREAK)
 
     def add(self, rating: SemanticRating) -> None:
-        for existing in self._ratings:
-            if (
-                existing.bug_id == rating.bug_id
-                and existing.rank == rating.rank
-                and existing.rater == rating.rater
-                and existing.round == rating.round
-            ):
-                raise DuplicateRating(
-                    f"{rating.rater} already rated {rating.bug_id}#{rating.rank} "
-                    f"({rating.round} round)"
-                )
+        same_round = self._round(rating.bug_id, rating.rank, rating.round)
+        if any(r.rater == rating.rater for r in same_round):
+            raise DuplicateRating(
+                f"{rating.rater} already rated {rating.bug_id}#{rating.rank} "
+                f"({rating.round} round)"
+            )
         if rating.round == TIEBREAK:
-            first = self.first_round(rating.bug_id, rating.rank)
-            labels = {r.label for r in first}
+            labels = {r.label for r in self.first_round(rating.bug_id, rating.rank)}
             if len(labels) < 2:
                 raise InvalidRating(
                     "tiebreak ratings only exist where first-round raters disagree"
                 )
         if rating.timestamp == 0.0:
             rating = replace(rating, timestamp=time.time())
-        self._ratings.append(rating)
+        self._index(rating)
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "bug_id": rating.bug_id,
-                            "rank": rating.rank,
-                            "rater": rating.rater,
-                            "label": rating.label,
-                            "round": rating.round,
-                            "timestamp": rating.timestamp,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-
-
-def record_rating(store: RatingStore, rating: SemanticRating) -> RatingStore:
-    """Append a rating; duplicates and invalid tiebreaks are rejected."""
-    store.add(rating)
-    return store
+                fh.write(json.dumps(vars(rating), sort_keys=True) + "\n")
 
 
 PENDING = "pending"

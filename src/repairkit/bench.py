@@ -20,7 +20,10 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .assess import (
+    CORRECT,
     DEFAULT_TEST_TIMEOUT,
+    PASS,
+    UNLABELED,
     AssessmentVerdict,
     FunctionLocation,
     PlausibilityPlan,
@@ -41,12 +44,7 @@ from .errors import (
     ManifestError,
     RepairKitError,
 )
-from .gen import (
-    CandidatePatch,
-    GenerationConfig,
-    persist_raw_outputs,
-    request_candidates,
-)
+from .gen import CandidatePatch, GenerationConfig, request_candidates
 from .representations import (
     DEFAULT_MARKERS,
     Markers,
@@ -60,23 +58,12 @@ from .syntax import SourceFile, SourceFunction
 
 log = logging.getLogger(__name__)
 
-PASS = "pass"
-UNLABELED = "unlabeled"
-CORRECT = "correct"
 
-
-@dataclass(frozen=True)
-class Profile:
-    name: str
-    denylist: tuple[str, ...] = ()
-    nominal_universe: Optional[int] = None
-
-
-# Benchmark profiles: single-function Defects4J (leakage denylist applied)
-# and HumanEval-Java. Benchmark data itself is not bundled.
-PROFILES = {
-    "defects4j-sf": Profile("defects4j-sf", DEFAULT_LEAKAGE_BUGS, 488),
-    "humaneval-java": Profile("humaneval-java", (), 162),
+# Benchmark profiles and the bugs each one drops: single-function Defects4J
+# (leakage denylist applied) and HumanEval-Java. Benchmark data is not bundled.
+PROFILES: dict[str, tuple[str, ...]] = {
+    "defects4j-sf": DEFAULT_LEAKAGE_BUGS,
+    "humaneval-java": (),
 }
 
 
@@ -112,7 +99,7 @@ def load_manifest(
         raise ManifestError(str(path), "manifest must be a JSON list")
     if profile is not None and profile not in PROFILES:
         raise ManifestError(str(path), f"unknown profile: {profile}")
-    denylist = frozenset(PROFILES[profile].denylist) if profile else frozenset()
+    denylist = frozenset(PROFILES[profile]) if profile else frozenset()
     entries: list[BugManifestEntry] = []
     seen: set[str] = set()
     for index, item in enumerate(raw):
@@ -180,91 +167,80 @@ class RunRecord:
             raise ValueError("one verdict per candidate required")
 
 
+def _row(item: CandidatePatch | AssessmentVerdict) -> dict:
+    return {k: v for k, v in vars(item).items() if k != "bug_id"}  # stored once per record
+
+
 def _record_to_json(record: RunRecord) -> dict:
+    # vars(), not asdict(): asdict deep-copies every value, 8x slower per record
     return {
-        "bug_id": record.bug_id,
-        "pair": record.pair,
-        "prompt": record.prompt,
-        "candidates": [
-            {
-                "rank": c.rank,
-                "raw_output": c.raw_output,
-                "reconstructed": c.reconstructed,
-                "reconstruct_error": c.reconstruct_error,
-            }
-            for c in record.candidates
-        ],
-        "verdicts": [
-            {
-                "rank": v.rank,
-                "parse_ok": v.parse_ok,
-                "plausible": v.plausible,
-                "exact": v.exact,
-                "ast": v.ast,
-                "semantic": v.semantic,
-            }
-            for v in record.verdicts
-        ],
-        "timings": record.timings,
-        "error": record.error,
+        **vars(record),
+        "candidates": [_row(c) for c in record.candidates],
+        "verdicts": [_row(v) for v in record.verdicts],
     }
 
 
 def _record_from_json(data: dict) -> RunRecord:
     bug_id = data["bug_id"]
-    return RunRecord(
-        bug_id=bug_id,
-        pair=data["pair"],
-        prompt=data["prompt"],
-        candidates=[
-            CandidatePatch(
-                bug_id=bug_id,
-                rank=c["rank"],
-                raw_output=c["raw_output"],
-                reconstructed=c["reconstructed"],
-                reconstruct_error=c["reconstruct_error"],
-            )
-            for c in data["candidates"]
-        ],
-        verdicts=[
-            AssessmentVerdict(
-                bug_id=bug_id,
-                rank=v["rank"],
-                parse_ok=v["parse_ok"],
-                plausible=v["plausible"],
-                exact=v["exact"],
-                ast=v["ast"],
-                semantic=v["semantic"],
-            )
-            for v in data["verdicts"]
-        ],
-        timings=data.get("timings", {}),
-        error=data.get("error"),
-    )
+    data["candidates"] = [CandidatePatch(bug_id=bug_id, **row) for row in data["candidates"]]
+    data["verdicts"] = [AssessmentVerdict(bug_id=bug_id, **row) for row in data["verdicts"]]
+    return RunRecord(**data)
 
 
 class RecordStore:
-    """Append-only JSONL store of run records; safe for threaded appends."""
+    """Append-only JSONL store of run records; safe for threaded appends.
+
+    A crash mid-append can leave an unterminated last line: `load` skips it
+    with a warning and the first `append` cuts it off, so a fragment is
+    never followed by another line.
+    """
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._tail_checked = False
 
     def load(self) -> dict[str, RunRecord]:
         records: dict[str, RunRecord] = {}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
+            with open(self.path, "rb") as fh:
                 for line in fh:
-                    if line.strip():
-                        record = _record_from_json(json.loads(line))
-                        records[record.bug_id] = record
+                    if not line.strip():
+                        continue
+                    try:
+                        data = json.loads(line.decode("utf-8"))  # a torn character raises too
+                    except ValueError:
+                        if line.endswith(b"\n"):
+                            raise
+                        log.warning("%s: skipping torn last line %.60r", self.path, line)
+                        continue
+                    record = _record_from_json(data)
+                    records[record.bug_id] = record
         return records
 
     def append(self, record: RunRecord) -> None:
         line = json.dumps(_record_to_json(record), sort_keys=True, ensure_ascii=False)
         with self._lock:
+            if not self._tail_checked:
+                self._mend_tail()
+                self._tail_checked = True
             with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
                 fh.write(line + "\n")
+
+    def _mend_tail(self) -> None:
+        """Cut a torn last line, or end it with a newline if it is a whole record."""
+        data = self.path.read_bytes() if self.path.exists() else b""
+        if not data or data.endswith(b"\n"):
+            return
+        cut = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[cut:])
+        except ValueError:
+            with open(self.path, "r+b") as fh:
+                fh.truncate(cut)
+        else:
+            with open(self.path, "ab") as fh:
+                fh.write(b"\n")
 
 
 # --------------------------------------------------------------------------
@@ -274,10 +250,18 @@ _RECONSTRUCT_ERRORS = (MalformedOutput, HunkApplyFailure, InvalidRegion)
 
 
 def load_function(entry: BugManifestEntry) -> SourceFunction:
+    """The bug's function; ManifestError if its span runs past the end of the file."""
     source = SourceFile(
         entry.file,
         (Path(entry.project_root) / entry.file).read_text(encoding="utf-8"),
     )
+    line_count = len(source.lines)
+    if entry.function_end > line_count:
+        raise ManifestError(
+            entry.bug_id,
+            f"function span {entry.function_start}..{entry.function_end} runs past "
+            f"the end of {entry.file} ({line_count} lines)",
+        )
     text = source.slice_lines(entry.function_start, entry.function_end)
     return SourceFunction(
         name=entry.bug_id,
@@ -300,20 +284,18 @@ def run_bug(
     markers: Markers = DEFAULT_MARKERS,
     language: str = "java",
     run_tests: bool = True,
-    raw_store: Optional[Path | str] = None,
 ) -> RunRecord:
     """Generate, reconstruct, and classify candidates for one bug.
 
-    Failures (unreachable backend, missing project, malformed outputs) are
-    captured in the record, never raised. With `raw_store`, raw outputs
-    are persisted before reconstruction is attempted, so failed
-    reconstructions can be replayed offline.
+    Failures (unreachable backend, missing or unreadable project file,
+    malformed outputs) are captured in the record, never raised. Every raw
+    output is kept in the record, failed reconstructions included.
     """
     started = time.monotonic()
     try:
         _ensure_checkout(entry)
         fn = load_function(entry)
-    except (OSError, subprocess.SubprocessError) as exc:
+    except (OSError, UnicodeDecodeError, ManifestError, subprocess.SubprocessError) as exc:
         return RunRecord(
             entry.bug_id, str(pair), "", [], [], error=f"project setup failed: {exc}"
         )
@@ -325,8 +307,6 @@ def run_bug(
             entry.bug_id, str(pair), prompt, [], [], error=f"{type(exc).__name__}: {exc}"
         )
     generated = time.monotonic()
-    if raw_store is not None:
-        persist_raw_outputs(raw_store, entry.bug_id, outputs)
     candidates = []
     for rank, raw in enumerate(outputs):
         try:
@@ -386,7 +366,6 @@ def run_benchmark(
     language: str = "java",
     workers: int = 1,
     run_tests: bool = True,
-    raw_store: Optional[Path | str] = None,
 ) -> list[RunRecord]:
     """Run every bug, resuming from the record store when one is given.
 
@@ -401,7 +380,7 @@ def run_benchmark(
     todo = [e for e in manifest if e.bug_id not in records]
 
     def _one(entry: BugManifestEntry) -> RunRecord:
-        record = run_bug(entry, pair, gen_config, markers, language, run_tests, raw_store)
+        record = run_bug(entry, pair, gen_config, markers, language, run_tests)
         if store is not None:
             store.append(record)
         return record
@@ -429,22 +408,18 @@ class AggregateRow:
     semantic: int
     pending: int
 
-    def check(self) -> None:
+    @property
+    def monotonic(self) -> bool:
         ordered = self.exact <= self.ast <= self.semantic <= self.universe
-        if not ordered or self.plausible > self.universe:
+        return ordered and self.plausible <= self.universe
+
+    def check(self) -> None:
+        if not self.monotonic:
             raise AggregateInvariantError(
                 f"{self.label}: exact={self.exact} ast={self.ast} "
                 f"semantic={self.semantic} plausible={self.plausible} "
                 f"universe={self.universe}"
             )
-
-    @property
-    def monotonic(self) -> bool:
-        try:
-            self.check()
-            return True
-        except AggregateInvariantError:
-            return False
 
 
 @dataclass(frozen=True)
@@ -559,22 +534,14 @@ def report(table: AggregateTable, fmt: str = "plain") -> str:
     if fmt == "delimited":
         lines = [",".join(_HEADERS)] + [",".join(row) for row in cells]
         return banner + "\n".join(lines) + "\n"
-    if fmt == "markdown-table":
-        widths = [
-            max(len(_HEADERS[i]), *(len(r[i]) for r in cells)) if cells else len(_HEADERS[i])
-            for i in range(len(_HEADERS))
-        ]
-        head = "| " + " | ".join(h.ljust(w) for h, w in zip(_HEADERS, widths)) + " |"
-        rule = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
-        body = [
-            "| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |"
-            for row in cells
-        ]
-        return banner + "\n".join([head, rule, *body]) + "\n"
     widths = [
-        max(len(_HEADERS[i]), *(len(r[i]) for r in cells)) if cells else len(_HEADERS[i])
-        for i in range(len(_HEADERS))
+        max([len(header)] + [len(row[i]) for row in cells])
+        for i, header in enumerate(_HEADERS)
     ]
-    head = "  ".join(h.ljust(w) for h, w in zip(_HEADERS, widths))
-    body = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
-    return banner + "\n".join([head, *body]) + "\n"
+    padded = [[c.ljust(w) for c, w in zip(row, widths)] for row in [_HEADERS, *cells]]
+    if fmt == "markdown-table":
+        lines = ["| " + " | ".join(row) + " |" for row in padded]
+        lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
+    else:
+        lines = ["  ".join(row) for row in padded]
+    return banner + "\n".join(lines) + "\n"

@@ -17,9 +17,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .assess import RatingStore, SemanticRating, cohen_kappa, record_rating
+from .assess import RatingStore, SemanticRating, cohen_kappa
 from .bench import (
     PROFILES,
+    REPORT_FORMATS,
     RecordStore,
     aggregate,
     load_manifest,
@@ -67,6 +68,16 @@ def _pair_argument(value: str) -> ReprPair:
     return pair
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a positive integer")
+    return number
+
+
 def _region_argument(value: str) -> Region:
     try:
         start, end = value.split(":")
@@ -111,17 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True, type=_pair_argument)
     p.add_argument("--backend", help="backend endpoint URL")
     p.add_argument("--store", help="record store path (enables resume)")
-    p.add_argument("--raw-store", help="persist raw outputs before reconstruction")
     p.add_argument("--profile", choices=sorted(PROFILES), help="benchmark profile preset")
-    p.add_argument("--workers", type=int, help="bug-level parallelism cap")
-    p.add_argument("--num-candidates", type=int, help="candidates requested per bug")
+    p.add_argument("--workers", type=_positive_int, help="bug-level parallelism cap")
+    p.add_argument("--num-candidates", type=_positive_int, help="candidates requested per bug")
     p.add_argument("--no-tests", action="store_true", help="skip plausibility test runs")
-    p.add_argument("--format", default="plain", help="report format: plain, delimited, markdown-table")
+    p.add_argument("--format", default="plain", choices=REPORT_FORMATS, help="report format")
     p.add_argument("--ratings", help="rating store consulted for semantic labels")
 
     p = sub.add_parser("report", help="aggregate a record store and print the table")
     p.add_argument("--store", required=True)
-    p.add_argument("--format", default="plain", help="plain, delimited, or markdown-table")
+    p.add_argument("--format", default="plain", choices=REPORT_FORMATS, help="report format")
     p.add_argument("--ratings", help="rating store consulted for semantic labels")
     p.add_argument("--universe", type=int, help="bug universe size override")
     p.add_argument(
@@ -174,13 +184,20 @@ def _cmd_dataset(args, config) -> int:
     return 0
 
 
+def _function_named(path: str, name: str):
+    """The first function called `name` in the file; None after printing an error."""
+    source = SourceFile(path, Path(path).read_text(encoding="utf-8"))
+    for fn in extract_functions(source):
+        if fn.name == name:
+            return fn
+    print(f"error: no function named {name!r} in {path}", file=sys.stderr)
+    return None
+
+
 def _cmd_show(args, config) -> int:
-    source = SourceFile(args.file, Path(args.file).read_text(encoding="utf-8"))
-    functions = [f for f in extract_functions(source) if f.name == args.function]
-    if not functions:
-        print(f"error: no function named {args.function!r} in {args.file}", file=sys.stderr)
+    fn = _function_named(args.file, args.function)
+    if fn is None:
         return 1
-    fn = functions[0]
     region = args.region if args.region is not None else Region(1, fn.line_count)
     kind = args.kind.upper()
     if kind in InputKind.__members__:
@@ -190,17 +207,10 @@ def _cmd_show(args, config) -> int:
         if not args.fixed_file:
             print("error: --fixed-file is required for OR kinds", file=sys.stderr)
             return 1
-        fixed_source = SourceFile(
-            args.fixed_file, Path(args.fixed_file).read_text(encoding="utf-8")
-        )
-        fixed = [f for f in extract_functions(fixed_source) if f.name == args.function]
-        if not fixed:
-            print(
-                f"error: no function named {args.function!r} in {args.fixed_file}",
-                file=sys.stderr,
-            )
+        fixed = _function_named(args.fixed_file, args.function)
+        if fixed is None:
             return 1
-        print(build_output(fn, fixed[0], region, OutputKind(kind)))
+        print(build_output(fn, fixed, region, OutputKind(kind)))
         return 0
     print(f"error: unknown representation kind {args.kind!r}", file=sys.stderr)
     return 1
@@ -223,7 +233,6 @@ def _cmd_repair(args, config) -> int:
         markers=config.markers,
         workers=workers,
         run_tests=not args.no_tests,
-        raw_store=args.raw_store,
     )
     failures = [r for r in records if r.error]
     for record in failures:
@@ -247,16 +256,8 @@ def _cmd_report(args, config) -> int:
 
 
 def _cmd_rate(args, config) -> int:
-    store = RatingStore(args.store)
-    record_rating(
-        store,
-        SemanticRating(
-            bug_id=args.bug,
-            rank=args.rank,
-            rater=args.rater,
-            label=args.label,
-            round=args.round,
-        ),
+    RatingStore(args.store).add(
+        SemanticRating(args.bug, args.rank, args.rater, args.label, args.round)
     )
     print(f"recorded {args.label} for {args.bug}#{args.rank} by {args.rater} ({args.round})")
     return 0
@@ -295,10 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_tool_config(args.config)
         return _COMMANDS[args.command](args, config)
-    except RepairKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RepairKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,8 +27,6 @@ class ToolConfig:
     filter: CorpusFilterConfig = field(default_factory=CorpusFilterConfig)
     generation: GenerationConfig = field(default_factory=GenerationConfig)
     parallelism: int = os.cpu_count() or 1
-    workdir: str = "."
-    record_store: str = "records.jsonl"
 
 
 def _build(section_cls, data: Mapping) -> object:
@@ -68,8 +66,6 @@ def load_tool_config(
             filter=_build(CorpusFilterConfig, data.get("filter", {})),
             generation=_build(GenerationConfig, data.get("generation", {})),
             parallelism=int(data.get("parallelism", os.cpu_count() or 1)),
-            workdir=str(data.get("workdir", ".")),
-            record_store=str(data.get("record_store", "records.jsonl")),
         )
     except TypeError as exc:
         raise ConfigError(f"bad config value: {exc}")

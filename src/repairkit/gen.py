@@ -17,8 +17,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence, Union
+from typing import Callable, Mapping, Optional, Protocol, Sequence, Union
 
 from .errors import (
     BackendError,
@@ -73,20 +72,6 @@ class CandidatePatch:
             raise ValueError(
                 "exactly one of reconstructed / reconstruct_error must be set"
             )
-
-
-def build_infill_prompt(
-    fn: SourceFunction,
-    region: Region,
-    kind: InputKind = InputKind.IR4,
-    markers: Markers = DEFAULT_MARKERS,
-) -> str:
-    """The bare input representation, with no instruction text added.
-
-    Infilling backends complete at the fill token, so IR3/IR4 are the
-    natural kinds here; IR1/IR2 work for plain completion backends.
-    """
-    return build_input(fn, region, kind, markers)
 
 
 # A reconstruction of the zero-shot instruction style used with chat models;
@@ -261,47 +246,3 @@ class MockBackend:
             self._server.server_close()
             self._server = None
 
-
-# --------------------------------------------------------------------------
-# raw-candidate persistence
-
-_persist_lock = threading.Lock()  # raw stores are appended from worker threads
-
-
-def _append_records(path: Path | str, records: list[dict]) -> int:
-    with _persist_lock:
-        with open(path, "a", encoding="utf-8", newline="\n") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-    return len(records)
-
-
-def persist_raw_outputs(path: Path | str, bug_id: str, outputs: Sequence[str]) -> int:
-    """Append one {bug_id, rank, raw_output} record per output as JSONL.
-
-    Written before reconstruction is attempted, so failed reconstructions
-    can be replayed offline.
-    """
-    return _append_records(
-        path,
-        [
-            {"bug_id": bug_id, "rank": rank, "raw_output": raw}
-            for rank, raw in enumerate(outputs)
-        ],
-    )
-
-
-def persist_candidates(path: Path | str, candidates: Iterable[CandidatePatch]) -> int:
-    """Append raw candidates as JSONL, one {bug_id, rank, raw_output} each."""
-    return _append_records(
-        path,
-        [
-            {"bug_id": c.bug_id, "rank": c.rank, "raw_output": c.raw_output}
-            for c in candidates
-        ],
-    )
-
-
-def load_raw_candidates(path: Path | str) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

@@ -28,7 +28,6 @@ from repairkit.assess import (
     cohen_kappa,
     exact_match,
     hash_tree,
-    record_rating,
     resolve_semantic,
 )
 from repairkit.errors import (
@@ -355,9 +354,9 @@ class TestClassify:
 class TestRatings:
     def test_record_and_resolve_agreement(self):
         store = RatingStore()
-        record_rating(store, SemanticRating("b", 0, "alice", CORRECT))
+        store.add(SemanticRating("b", 0, "alice", CORRECT))
         assert resolve_semantic(store, "b", 0) == PENDING  # one rating only
-        record_rating(store, SemanticRating("b", 0, "bob", CORRECT))
+        store.add(SemanticRating("b", 0, "bob", CORRECT))
         assert resolve_semantic(store, "b", 0) == CORRECT
 
     def test_disagreement_needs_tiebreak(self):

@@ -1,5 +1,7 @@
 """Manifest loading, the end-to-end harness, aggregation, and reports."""
 import json
+import logging
+from pathlib import Path
 
 import pytest
 
@@ -166,17 +168,44 @@ class TestRunBenchmark:
         assert mock.calls == len(manifest)  # only the six new bugs queried
         assert len(records) == len(manifest)
 
-    def test_raw_store_written_before_reconstruction(self, bench_fixture, tmp_path):
-        from repairkit.gen import load_raw_candidates
-
+    def test_record_store_keeps_every_raw_output(self, bench_fixture, tmp_path):
         manifest_path, mock, chunks = bench_fixture
         manifest = load_manifest(manifest_path)
-        raw_store = tmp_path / "raw.jsonl"
-        run_benchmark(manifest, PAIR, GenerationConfig(backend=mock), raw_store=raw_store)
-        rows = load_raw_candidates(raw_store)
-        assert len(rows) == len(manifest)  # one candidate per bug in this fixture
-        by_bug = {row["bug_id"]: row["raw_output"] for row in rows}
-        assert by_bug == chunks  # garbage outputs are persisted too
+        # Under IR1xOR3 no chunk is a diff, so every reconstruction fails.
+        for pair, failures in (("IR4xOR2", 0), ("IR1xOR3", len(manifest))):
+            store = RecordStore(tmp_path / f"records-{pair}.jsonl")
+            run_benchmark(
+                manifest, ReprPair.parse(pair), GenerationConfig(backend=mock),
+                store=store, run_tests=False,
+            )
+            loaded = RecordStore(store.path).load()
+            by_bug = {
+                bug_id: [c.raw_output for c in record.candidates]
+                for bug_id, record in loaded.items()
+            }
+            assert by_bug == {bug_id: [chunk] for bug_id, chunk in chunks.items()}
+            failed = [c for r in loaded.values() for c in r.candidates if c.reconstruct_error]
+            assert len(failed) == failures
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_project_files_are_recorded_not_raised(self, bench_fixture, workers):
+        manifest_path, mock, _ = bench_fixture
+        entries = json.loads(manifest_path.read_text())[:3]
+        good, not_utf8, past_eof = entries
+        (Path(not_utf8["project_root"]) / "Lib.java").write_bytes(b"class Lib {\xff\xfe}\n")
+        past_eof.update(function_span=[2, 9], region=[1, 6])  # Lib.java has 5 lines
+        three = manifest_path.parent / "three.json"
+        three.write_text(json.dumps(entries))
+        records = run_benchmark(
+            load_manifest(three), PAIR, GenerationConfig(backend=mock),
+            workers=workers, run_tests=False,
+        )
+        assert [r.bug_id for r in records] == [e["bug_id"] for e in entries]
+        assert records[0].error is None and records[0].verdicts[0].exact
+        assert records[1].error.startswith("project setup failed: 'utf-8' codec")
+        assert records[2].error.startswith("project setup failed: ")
+        assert "past the end of Lib.java" in records[2].error
+        assert mock.calls == 1  # only the good bug reached the backend
 
     def test_rank_curve_counts_first_hits(self, bench_fixture):
         manifest_path, mock, _ = bench_fixture
@@ -189,6 +218,51 @@ class TestRunBenchmark:
         assert curve == [1, 2, 2]
         with pytest.raises(ValueError):
             rank_curve(records, "semantic")
+
+
+class TestRecordStoreTornTail:
+    def test_crash_torn_store_resumes(self, bench_fixture, tmp_path, caplog):
+        manifest_path, mock, _ = bench_fixture
+        manifest = load_manifest(manifest_path)[:2]
+        store = RecordStore(tmp_path / "records.jsonl")
+        run_benchmark(manifest[:1], PAIR, GenerationConfig(backend=mock), store=store)
+        with open(store.path, "a", encoding="utf-8") as fh:
+            fh.write('{"bug_id": "e2e-01", "pair": "IR4')  # a crash mid-append
+        with caplog.at_level(logging.WARNING, logger="repairkit.bench"):
+            resumed = RecordStore(store.path)
+            records = run_benchmark(manifest, PAIR, GenerationConfig(backend=mock), store=resumed)
+        assert "torn last line" in caplog.text
+        assert mock.calls == 2  # e2e-00 once, then only e2e-01
+        assert [r.bug_id for r in records] == ["e2e-00", "e2e-01"]
+        lines = store.path.read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == "" and len(lines) == 3  # one line per record, no fragment
+        assert list(RecordStore(store.path).load()) == ["e2e-00", "e2e-01"]
+
+    def test_torn_multibyte_character_is_skipped(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'{"bug_id": "b1", "prompt": "na\xc3')
+        assert RecordStore(path).load() == {}
+
+    def test_whole_record_missing_its_newline_is_kept(self, bench_fixture, tmp_path):
+        manifest_path, mock, _ = bench_fixture
+        manifest = load_manifest(manifest_path)[:2]
+        store = RecordStore(tmp_path / "records.jsonl")
+        run_benchmark(manifest[:1], PAIR, GenerationConfig(backend=mock), store=store)
+        store.path.write_bytes(store.path.read_bytes().rstrip(b"\n"))
+        resumed = RecordStore(store.path)
+        run_benchmark(manifest, PAIR, GenerationConfig(backend=mock), store=resumed)
+        assert mock.calls == 2
+        assert list(RecordStore(store.path).load()) == ["e2e-00", "e2e-01"]
+
+    def test_bad_line_mid_file_still_raises(self, bench_fixture, tmp_path):
+        manifest_path, mock, _ = bench_fixture
+        manifest = load_manifest(manifest_path)[:1]
+        store = RecordStore(tmp_path / "records.jsonl")
+        run_benchmark(manifest, PAIR, GenerationConfig(backend=mock), store=store)
+        text = store.path.read_text(encoding="utf-8")
+        store.path.write_text('{"bug_id": "b0", "pair\n' + text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            RecordStore(store.path).load()
 
 
 class TestEndToEndMix:

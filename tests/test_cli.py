@@ -241,6 +241,39 @@ class TestRepairCommand:
         assert "10=6" in out
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--format", "md"],
+            ["--num-candidates", "-1"],
+            ["--num-candidates", "0"],
+            ["--workers", "0"],
+            ["--workers", "-2"],
+            ["--workers", "two"],
+        ],
+    )
+    def test_bad_repair_values_exit_2_before_any_backend_call(
+        self, bench_fixture, flags, capsys
+    ):
+        manifest_path, mock, _ = bench_fixture
+        url = mock.serve()
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["repair", "--manifest", str(manifest_path), "--pair", "IR4xOR2",
+                      "--backend", url, *flags])
+        finally:
+            mock.close()
+        assert exit_info.value.code == 2
+        assert mock.calls == 0
+        assert f"argument {flags[0]}:" in capsys.readouterr().err
+
+    def test_bad_report_format_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--store", str(tmp_path / "records.jsonl"), "--format", "md"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'md'" in capsys.readouterr().err
+
+
 class TestRateAndKappa:
     def test_agreeing_raters_kappa_one(self, tmp_path, capsys):
         store = str(tmp_path / "ratings.jsonl")

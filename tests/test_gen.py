@@ -13,9 +13,6 @@ from repairkit.gen import (
     GenerationConfig,
     MockBackend,
     build_chat_prompt,
-    build_infill_prompt,
-    load_raw_candidates,
-    persist_candidates,
     request_candidates,
 )
 from repairkit.representations import (
@@ -35,27 +32,21 @@ REGION = Region(3, 3)
 
 
 class TestPrompts:
-    def test_infill_prompt_equals_input_rendering(self):
-        for kind in InputKind:
-            assert build_infill_prompt(FN, REGION, kind) == build_input(
-                FN, REGION, kind, DEFAULT_MARKERS
-            )
-
     def test_ir3_prompt_has_one_fill_token(self):
-        prompt = build_infill_prompt(FN, REGION, InputKind.IR3)
+        prompt = build_input(FN, REGION, InputKind.IR3)
         assert prompt.count(DEFAULT_MARKERS.fill_token) == 1
 
     def test_ir1_prompt_is_bare_function(self):
-        assert build_infill_prompt(FN, REGION, InputKind.IR1) == FN.text
+        assert build_input(FN, REGION, InputKind.IR1) == FN.text
 
     def test_invalid_region_raises(self):
         with pytest.raises(InvalidRegion):
-            build_infill_prompt(FN, Region(1, 99), InputKind.IR3)
+            build_input(FN, Region(1, 99), InputKind.IR3)
 
     def test_prompts_never_contain_stop_tokens(self, roundtrip_triples):
         for triple in roundtrip_triples:
             for kind in (InputKind.IR3, InputKind.IR4):
-                prompt = build_infill_prompt(triple.buggy, triple.region, kind)
+                prompt = build_input(triple.buggy, triple.region, kind)
                 assert not any(tok in prompt for tok in DEFAULT_STOP_TOKENS)
 
     def test_chat_prompt_concatenation(self):
@@ -174,14 +165,3 @@ class TestCandidatePatch:
             CandidatePatch("b", 0, "raw")
         with pytest.raises(ValueError):
             CandidatePatch("b", 0, "raw", reconstructed="x", reconstruct_error="y")
-
-    def test_persistence_round_trip(self, tmp_path):
-        path = tmp_path / "raw.jsonl"
-        candidates = [
-            CandidatePatch("b", rank, f"output {rank}", reconstructed="t")
-            for rank in range(3)
-        ]
-        assert persist_candidates(path, candidates) == 3
-        rows = load_raw_candidates(path)
-        assert [r["rank"] for r in rows] == [0, 1, 2]
-        assert rows[1]["raw_output"] == "output 1"

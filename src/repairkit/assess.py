@@ -35,6 +35,7 @@ from .errors import (
     SpliceError,
 )
 from .gen import CandidatePatch
+from .jsonl import mend_tail, read_rows
 from .syntax import ast_key, parse
 
 PASS = "pass"
@@ -345,17 +346,20 @@ class SemanticRating:
 
 class RatingStore:
     """Append-only store of semantic ratings, optionally file-backed, kept
-    in insertion order and indexed by candidate `(bug_id, rank)`."""
+    in insertion order and indexed by candidate `(bug_id, rank)`.
+
+    A crash mid-append can leave an unterminated last line: loading skips
+    it with a warning and the first `add` cuts it off.
+    """
 
     def __init__(self, path: Optional[Path | str] = None):
         self.path = Path(path) if path is not None else None
         self._ratings: list[SemanticRating] = []
         self._by_item: dict[tuple[str, int], list[SemanticRating]] = {}
+        self._tail_checked = False
         if self.path is not None and self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        self._index(SemanticRating(**json.loads(line)))
+            for row in read_rows(self.path):
+                self._index(SemanticRating(**row))
 
     def _index(self, rating: SemanticRating) -> None:
         self._ratings.append(rating)
@@ -393,6 +397,9 @@ class RatingStore:
             rating = replace(rating, timestamp=time.time())
         self._index(rating)
         if self.path is not None:
+            if not self._tail_checked:
+                mend_tail(self.path)
+                self._tail_checked = True
             with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
                 fh.write(json.dumps(vars(rating), sort_keys=True) + "\n")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import subprocess
 import threading
 import time
@@ -45,6 +46,7 @@ from .errors import (
     RepairKitError,
 )
 from .gen import CandidatePatch, GenerationConfig, request_candidates
+from .jsonl import mend_tail, read_rows
 from .representations import (
     DEFAULT_MARKERS,
     Markers,
@@ -120,6 +122,7 @@ def _parse_entry(index: int, item: dict) -> BugManifestEntry:
     try:
         span = item["function_span"]
         region = item["region"]
+        timeout = item.get("timeout")
         entry = BugManifestEntry(
             bug_id=item["bug_id"],
             project_root=item["project_root"],
@@ -130,11 +133,13 @@ def _parse_entry(index: int, item: dict) -> BugManifestEntry:
             reference=item["reference"],
             test_command=item["test_command"],
             checkout=item.get("checkout"),
-            timeout=item.get("timeout"),
+            timeout=None if timeout is None else float(timeout),
             tags=tuple(item.get("tags", ())),
         )
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ManifestError(index, f"malformed entry: {exc}")
+    if entry.timeout is not None and not 0 < entry.timeout < math.inf:
+        raise ManifestError(index, f"timeout must be positive and finite: {timeout!r}")
     if not 1 <= entry.function_start <= entry.function_end:
         raise ManifestError(index, "bad function span")
     span_lines = entry.function_end - entry.function_start + 1
@@ -203,44 +208,19 @@ class RecordStore:
     def load(self) -> dict[str, RunRecord]:
         records: dict[str, RunRecord] = {}
         if self.path.exists():
-            with open(self.path, "rb") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    try:
-                        data = json.loads(line.decode("utf-8"))  # a torn character raises too
-                    except ValueError:
-                        if line.endswith(b"\n"):
-                            raise
-                        log.warning("%s: skipping torn last line %.60r", self.path, line)
-                        continue
-                    record = _record_from_json(data)
-                    records[record.bug_id] = record
+            for data in read_rows(self.path):
+                record = _record_from_json(data)
+                records[record.bug_id] = record
         return records
 
     def append(self, record: RunRecord) -> None:
         line = json.dumps(_record_to_json(record), sort_keys=True, ensure_ascii=False)
         with self._lock:
             if not self._tail_checked:
-                self._mend_tail()
+                mend_tail(self.path)
                 self._tail_checked = True
             with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
                 fh.write(line + "\n")
-
-    def _mend_tail(self) -> None:
-        """Cut a torn last line, or end it with a newline if it is a whole record."""
-        data = self.path.read_bytes() if self.path.exists() else b""
-        if not data or data.endswith(b"\n"):
-            return
-        cut = data.rfind(b"\n") + 1
-        try:
-            json.loads(data[cut:])
-        except ValueError:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(cut)
-        else:
-            with open(self.path, "ab") as fh:
-                fh.write(b"\n")
 
 
 # --------------------------------------------------------------------------

@@ -179,7 +179,10 @@ def _cmd_dataset(args, config) -> int:
     print(
         f"ingested={stats.ingested} deduped={stats.ingested - stats.duplicates} "
         f"excluded={stats.excluded} dropped_over_length={stats.over_length} "
-        f"emitted={stats.emitted}"
+        f"emitted={stats.emitted} units={stats.units} "
+        f"parse_failures={stats.parse_failures} "
+        f"not_single_function={stats.not_single_function} "
+        f"region_mismatch={stats.region_mismatch}"
     )
     return 0
 

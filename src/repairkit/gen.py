@@ -106,6 +106,9 @@ def build_chat_prompt(
 
 _sleep = time.sleep  # patchable in tests
 
+# Client errors that no retry can cure.
+_PERMANENT_STATUSES = frozenset(range(400, 500)) - {408, 429}
+
 
 def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     """Ask the backend for up to num_candidates ranked outputs.
@@ -114,7 +117,8 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     preferred candidate); fewer outputs than requested is allowed. Errors
     are retried with exponential backoff up to config.retries extra
     attempts, then surface as BackendUnreachable / BackendError /
-    BackendTimeout.
+    BackendTimeout. A 4xx status other than 408 (timeout) or 429 (too many
+    requests) is permanent and raises at once.
     """
     backend = config.backend
     if backend is None:
@@ -132,7 +136,11 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
             else:
                 outputs = _http_complete(str(backend), config, prompt)
             return list(outputs)[: config.num_candidates]
-        except (BackendUnreachable, BackendError, BackendTimeout) as exc:
+        except BackendError as exc:
+            if exc.status in _PERMANENT_STATUSES:
+                raise
+            last = exc
+        except (BackendUnreachable, BackendTimeout) as exc:
             last = exc
     assert last is not None
     raise last

@@ -61,9 +61,12 @@ class _Parser:
     def peek(self, ahead: int = 0) -> Optional[Token]:
         """The ahead-th significant (non-comment) token, not consumed."""
         j = self.i
+        toks = self.toks
+        if not ahead and j < len(toks) and toks[j].kind not in COMMENT_KINDS:
+            return toks[j]
         seen = 0
-        while j < len(self.toks):
-            tok = self.toks[j]
+        while j < len(toks):
+            tok = toks[j]
             if tok.kind not in COMMENT_KINDS:
                 if seen == ahead:
                     return tok
@@ -71,21 +74,18 @@ class _Parser:
             j += 1
         return None
 
-    def take(self, out: list[SyntaxNode]) -> Token:
-        """Consume the next significant token, emitting skipped comments."""
-        while self.i < len(self.toks):
-            tok = self.toks[self.i]
-            self.i += 1
-            if tok.kind in COMMENT_KINDS:
-                out.append(SyntaxNode.leaf(tok))
-            else:
-                return tok
-        raise self._eof_error("unexpected end of input")
-
     def take_leaf(self, out: list[SyntaxNode]) -> SyntaxNode:
-        leaf = SyntaxNode.leaf(self.take(out))
-        out.append(leaf)
-        return leaf
+        """Consume the next significant token as a leaf in `out`, after the
+        leaves of the comments before it."""
+        toks = self.toks
+        while self.i < len(toks):
+            tok = toks[self.i]
+            self.i += 1
+            leaf = SyntaxNode.leaf(tok)
+            out.append(leaf)
+            if tok.kind not in COMMENT_KINDS:
+                return leaf
+        raise self._eof_error("unexpected end of input")
 
     def expect(self, text: str, out: list[SyntaxNode]) -> SyntaxNode:
         tok = self.peek()

@@ -4,17 +4,25 @@ Produces a flat token stream with byte offsets and 1-based line/column
 positions. Comments are emitted as ordinary tokens so the parser can keep
 them in the syntax tree (normalization removes them later).
 
-The lexer is one loop over a single compiled master regex, `_TOKEN_RE`.
-Its alternatives are named groups, tried in order: whitespace, line
-comment, block comment, text block, string, char, number, identifier or
-keyword, and the symbols, longest first. Groups that match only the opening
-of an unterminated comment, text block, string or char, a word that starts
-with a non-ASCII character, and any other single character come after
-their well-formed counterparts; the loop turns them into a `ParseError` or,
-for a non-ASCII identifier, checks the first character. Lines and columns
-are tracked incrementally from the newlines inside the matches that can
-hold them: whitespace, block comments, text blocks, and strings or chars
-(where a backslash may escape a newline).
+A `Token` is a `typing.NamedTuple` of six fields, so it is immutable and
+hashable and cheap to build; it also compares equal to a plain tuple of
+the same values.
+
+The lexer is one loop over a single compiled master regex, `_TOKEN_RE`,
+with one match per token. Each match first skips the whitespace before
+the token with a possessive `[ \\t\\r\\n\\f\\x0b]*+`, then tries named
+groups in order: line comment, block comment, text block, string, char,
+number, identifier or keyword, and the symbols, longest first. Groups that
+match only the opening of an unterminated comment, text block, string or
+char, a word that starts with a non-ASCII character, and any other single
+character come after their well-formed counterparts; the loop turns them
+into a `ParseError` or, for a non-ASCII identifier, checks the first
+character. A last, empty `_end` group matches the end of the input after
+trailing whitespace, so the search stops there instead of retrying that
+whitespace from each of its positions. Lines and columns are tracked
+incrementally from the newlines in the skipped whitespace and inside the
+tokens that can hold them: block comments, text blocks, and strings or
+chars (where a backslash may escape a newline).
 
 Identifiers start with a character for which `str.isalpha` holds, or `_`
 or `$`, and continue with characters for which `str.isalnum` holds, which
@@ -32,7 +40,7 @@ in valid Java.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -67,11 +75,13 @@ COMMENT_KINDS = frozenset({LINE_COMMENT, BLOCK_COMMENT})
 # A group named after a token kind produces that kind; `tokenize` handles
 # the private (underscored) groups itself. Each `_open_*` group matches only
 # where the complete form just before it did not, so it marks an
-# unterminated comment or literal.
+# unterminated comment or literal. The whitespace prefix must stay
+# possessive: with a plain `*`, trailing whitespace backtracks into `_other`.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<_space>[ \t\r\n\f\x0b]+)
-    | (?P<line_comment>//[^\n]*)
+    [ \t\r\n\f\x0b]*+
+    (?:
+      (?P<line_comment>//[^\n]*)
     | (?P<block_comment>/\*.*?\*/)
     | (?P<_open_comment>/\*)
     | (?P<_text_block>"{3}[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"{3})
@@ -92,6 +102,8 @@ _TOKEN_RE = re.compile(
     + r""")
     | (?P<_unicode_word>[\w$]+)
     | (?P<_other>.)
+    | (?P<_end>\Z)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -107,8 +119,7 @@ _UNTERMINATED = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     start: int
@@ -125,22 +136,24 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize Java source, raising ParseError on lexical problems."""
     out: list[Token] = []
     append = out.append
+    count = source.count
     line = 1
     line_start = 0  # offset of the current line's first character
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
-        start = m.start()
-        if kind == "_space":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = start + text.rfind("\n") + 1
-            continue
+        start, end = m.span(kind)
+        newlines = count("\n", m.start(), start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", 0, start) + 1
+        text = source[start:end]
         if kind == "_word":
             kind = KEYWORD if text in KEYWORDS else IDENTIFIER
         elif kind[0] == "_":
+            if kind == "_end":
+                break
             kind = _private_kind(kind, text, start, out, line, start - line_start + 1)
-        append(Token(kind, text, start, m.end(), line, start - line_start + 1))
+        append(Token(kind, text, start, end, line, start - line_start + 1))
         if kind in _MULTILINE and "\n" in text:
             line += text.count("\n")
             line_start = start + text.rfind("\n") + 1

@@ -4,12 +4,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .tokens import COMMENT_KINDS, Token
+from .tokens import _MULTILINE, COMMENT_KINDS, Token
 
 COMPILATION_UNIT = "compilation_unit"
 
 
-@dataclass
+@dataclass(slots=True)
 class SyntaxNode:
     """A node of the concrete syntax tree.
 
@@ -28,14 +28,9 @@ class SyntaxNode:
 
     @classmethod
     def leaf(cls, token: Token) -> "SyntaxNode":
-        return cls(
-            kind=token.kind,
-            label=token.text,
-            start=token.start,
-            end=token.end,
-            start_line=token.line,
-            end_line=token.end_line,
-        )
+        kind, text, start, end, line, _ = token
+        end_line = line + text.count("\n") if kind in _MULTILINE else line
+        return cls(kind, [], text, start, end, line, end_line)
 
     @property
     def is_leaf(self) -> bool:

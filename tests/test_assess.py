@@ -1,4 +1,5 @@
 """Match oracles, plausibility execution, ratings, kappa, and classify."""
+import logging
 import shlex
 import sys
 import time
@@ -388,6 +389,27 @@ class TestRatings:
         reloaded = RatingStore(path)
         assert len(reloaded) == 2
         assert resolve_semantic(reloaded, "b", 0) == PENDING
+
+    def test_torn_last_line_is_skipped_then_cut(self, tmp_path, caplog):
+        path = tmp_path / "ratings.jsonl"
+        RatingStore(path).add(SemanticRating("b", 0, "alice", CORRECT))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"bug_id": "b", "rank": 0, "ra')  # a crash mid-append
+        with caplog.at_level(logging.WARNING, logger="repairkit.jsonl"):
+            store = RatingStore(path)
+        assert "torn last line" in caplog.text
+        assert [r.rater for r in store] == ["alice"]
+        store.add(SemanticRating("b", 0, "bob", CORRECT))
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == "" and len(lines) == 3  # one line per rating, no fragment
+        assert resolve_semantic(RatingStore(path), "b", 0) == CORRECT
+
+    def test_bad_line_mid_file_still_raises(self, tmp_path):
+        path = tmp_path / "ratings.jsonl"
+        RatingStore(path).add(SemanticRating("b", 0, "alice", CORRECT))
+        path.write_text('{"bug_id": "b", "ra\n' + path.read_text(encoding="utf-8"))
+        with pytest.raises(ValueError):
+            RatingStore(path)
 
     def test_apply_ratings_fills_resolved_labels(self):
         store = RatingStore()

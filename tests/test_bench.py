@@ -68,6 +68,20 @@ class TestLoadManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("timeout, expected", [("60", 60.0), (None, None), (2.5, 2.5)])
+    def test_timeout_is_read_as_seconds(self, tmp_path, timeout, expected):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([_entry(timeout=timeout)]))
+        [entry] = load_manifest(path)
+        assert entry.timeout == expected
+
+    @pytest.mark.parametrize("timeout", [-1, 0, "soon", "inf", float("nan"), [60]])
+    def test_bad_timeout_rejected(self, tmp_path, timeout):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([_entry(timeout=timeout)]))
+        with pytest.raises(ManifestError):
+            load_manifest(path)
+
     def test_defects4j_profile_applies_leakage_denylist(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(
@@ -228,7 +242,7 @@ class TestRecordStoreTornTail:
         run_benchmark(manifest[:1], PAIR, GenerationConfig(backend=mock), store=store)
         with open(store.path, "a", encoding="utf-8") as fh:
             fh.write('{"bug_id": "e2e-01", "pair": "IR4')  # a crash mid-append
-        with caplog.at_level(logging.WARNING, logger="repairkit.bench"):
+        with caplog.at_level(logging.WARNING, logger="repairkit.jsonl"):
             resumed = RecordStore(store.path)
             records = run_benchmark(manifest, PAIR, GenerationConfig(backend=mock), store=resumed)
         assert "torn last line" in caplog.text

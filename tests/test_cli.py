@@ -44,7 +44,11 @@ class TestDatasetCommand:
             f"deduped={CORPUS_EXPECTED['deduped']} "
             f"excluded=0 "
             f"dropped_over_length={CORPUS_EXPECTED['dropped_over_length']} "
-            f"emitted={CORPUS_EXPECTED['emitted']}"
+            f"emitted={CORPUS_EXPECTED['emitted']} "
+            f"units={CORPUS_EXPECTED['units']} "
+            f"parse_failures={CORPUS_EXPECTED['parse_failures']} "
+            f"not_single_function={CORPUS_EXPECTED['not_single_function']} "
+            f"region_mismatch=0"
         )
         assert capsys.readouterr().out.strip() == expected
         assert len(out.read_text().splitlines()) == CORPUS_EXPECTED["emitted"]

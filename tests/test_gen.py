@@ -148,6 +148,22 @@ class TestRequestCandidates:
             request_candidates(GenerationConfig(backend=Failing(), retries=1), "p")
         assert err.value.status == 503
 
+    @pytest.mark.parametrize("status, calls", [(404, 1), (429, 3), (503, 3)])
+    def test_only_transient_statuses_are_retried(self, monkeypatch, status, calls):
+        monkeypatch.setattr(gen, "_sleep", lambda s: None)
+
+        class Failing:
+            calls = 0
+
+            def complete(self, prompt, n, max_new_tokens, stop):
+                self.calls += 1
+                raise BackendError(status, "no")
+
+        backend = Failing()
+        with pytest.raises(BackendError):
+            request_candidates(GenerationConfig(backend=backend, retries=2), "p")
+        assert backend.calls == calls
+
     def test_no_backend_configured(self):
         with pytest.raises(BackendUnreachable):
             request_candidates(GenerationConfig(), "p")

@@ -12,12 +12,14 @@ from typing import Callable, Optional
 
 from ..errors import ParseError, UnsupportedLanguage
 from .parser import parse_java
-from .tree import NormalizedNode, SyntaxNode, ast_key, normalize
+from .tokens import Token
+from .tree import Node, NormalizedNode, SyntaxNode, ast_key, normalize
 
 __all__ = [
     "SourceFile",
     "SourceFunction",
     "SyntaxNode",
+    "Token",
     "NormalizedNode",
     "LanguageFrontend",
     "register_language",
@@ -88,13 +90,15 @@ class SourceFunction:
 class LanguageFrontend:
     """Hooks one grammar into the toolkit.
 
-    `parse` must keep every token as a leaf, and the tree without its comment
-    leaves must follow from the labels of the other leaves alone, as it does
+    `parse` returns a tree whose leaves are `Token`s and whose interior
+    nodes are `SyntaxNode`s; a source of one token may parse to that token
+    alone. Every token must be a leaf, and the tree without its comment
+    leaves must follow from the texts of the other leaves alone, as it does
     for Java: AST match compares `ast_key`s.
     """
 
     name: str
-    parse: Callable[[str], SyntaxNode]
+    parse: Callable[[str], Node]
 
 
 _FRONTENDS: dict[str, LanguageFrontend] = {}
@@ -111,7 +115,7 @@ def supported_languages() -> list[str]:
 register_language(LanguageFrontend(name="java", parse=parse_java))
 
 
-def parse(source: str, language: str = "java") -> SyntaxNode:
+def parse(source: str, language: str = "java") -> Node:
     """Parse source text into a syntax tree.
 
     Accepts whole files and bare fragments (a single function parses with a
@@ -147,7 +151,7 @@ def extract_functions(file: SourceFile) -> list[SourceFunction]:
     return out
 
 
-def _function_nodes(node: SyntaxNode):
+def _function_nodes(node: Node):
     if node.kind in FUNCTION_KINDS:
         yield node
         return  # local declarations stay with their enclosing function

@@ -20,7 +20,7 @@ from typing import Optional
 
 from ..errors import ParseError
 from .tokens import COMMENT_KINDS, IDENTIFIER, KEYWORD, SYMBOL, Token, tokenize
-from .tree import COMPILATION_UNIT, SyntaxNode
+from .tree import COMPILATION_UNIT, Node, SyntaxNode
 
 MODIFIER_WORDS = frozenset(
     """public protected private static final abstract native synchronized
@@ -74,34 +74,33 @@ class _Parser:
             j += 1
         return None
 
-    def take_leaf(self, out: list[SyntaxNode]) -> SyntaxNode:
+    def take_leaf(self, out: list[Node]) -> Token:
         """Consume the next significant token as a leaf in `out`, after the
-        leaves of the comments before it."""
+        comment tokens before it."""
         toks = self.toks
         while self.i < len(toks):
             tok = toks[self.i]
             self.i += 1
-            leaf = SyntaxNode.leaf(tok)
-            out.append(leaf)
+            out.append(tok)
             if tok.kind not in COMMENT_KINDS:
-                return leaf
+                return tok
         raise self._eof_error("unexpected end of input")
 
-    def expect(self, text: str, out: list[SyntaxNode]) -> SyntaxNode:
+    def expect(self, text: str, out: list[Node]) -> Token:
         tok = self.peek()
         if tok is None or tok.text != text:
             raise self.error(f"expected {text!r}")
         return self.take_leaf(out)
 
-    def drain_comments(self, out: list[SyntaxNode]) -> None:
+    def drain_comments(self, out: list[Node]) -> None:
         while self.i < len(self.toks) and self.toks[self.i].kind in COMMENT_KINDS:
-            out.append(SyntaxNode.leaf(self.toks[self.i]))
+            out.append(self.toks[self.i])
             self.i += 1
 
     # ---- delimiter groups ---------------------------------------------
 
     def parse_group(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         opener = self.peek()
         assert opener is not None and opener.text in _GROUP_KINDS
         self.take_leaf(kids)
@@ -123,7 +122,7 @@ class _Parser:
     # ---- statements ----------------------------------------------------
 
     def parse_block(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         self.expect("{", kids)
         while True:
             tok = self.peek()
@@ -143,7 +142,7 @@ class _Parser:
         if text == "{":
             return self.parse_block()
         if text == ";":
-            kids: list[SyntaxNode] = []
+            kids: list[Node] = []
             self.take_leaf(kids)
             return SyntaxNode("empty_statement", kids).seal()
         if tok.kind == KEYWORD:
@@ -192,15 +191,19 @@ class _Parser:
                 continue
             return tok.text in ("class", "interface", "enum")
 
-    def _finish_simple(self, kind: str, kids: list[SyntaxNode]) -> SyntaxNode:
+    def _finish_simple(self, kind: str, kids: list[Node]) -> SyntaxNode:
         """Consume a run of tokens and groups up to and including ';'."""
+        self._take_through_semicolon(kids)
+        return SyntaxNode(kind, kids).seal()
+
+    def _take_through_semicolon(self, kids: list[Node]) -> None:
         while True:
             tok = self.peek()
             if tok is None:
                 raise self._eof_error("expected ';'")
             if tok.text == ";":
                 self.take_leaf(kids)
-                return SyntaxNode(kind, kids).seal()
+                return
             if tok.text in _GROUP_KINDS:
                 kids.append(self.parse_group())
             elif tok.text in ")]}":
@@ -208,14 +211,14 @@ class _Parser:
             else:
                 self.take_leaf(kids)
 
-    def _parse_paren(self, kids: list[SyntaxNode]) -> None:
+    def _parse_paren(self, kids: list[Node]) -> None:
         tok = self.peek()
         if tok is None or tok.text != "(":
             raise self.error("expected '('")
         kids.append(self.parse_group())
 
     def _parse_if(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         self.take_leaf(kids)
         self._parse_paren(kids)
         kids.append(self.parse_statement())
@@ -226,14 +229,14 @@ class _Parser:
         return SyntaxNode("if_statement", kids).seal()
 
     def _parse_while(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         self.take_leaf(kids)
         self._parse_paren(kids)
         kids.append(self.parse_statement())
         return SyntaxNode("while_statement", kids).seal()
 
     def _parse_do(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         self.take_leaf(kids)
         kids.append(self.parse_statement())
         tok = self.peek()
@@ -245,14 +248,14 @@ class _Parser:
         return SyntaxNode("do_statement", kids).seal()
 
     def _parse_for(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         self.take_leaf(kids)
         self._parse_paren(kids)
         kids.append(self.parse_statement())
         return SyntaxNode("for_statement", kids).seal()
 
     def _parse_switch(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         self.take_leaf(kids)
         self._parse_paren(kids)
         tok = self.peek()
@@ -262,7 +265,7 @@ class _Parser:
         return SyntaxNode("switch_statement", kids).seal()
 
     def _parse_try(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         self.take_leaf(kids)
         tok = self.peek()
         if tok is not None and tok.text == "(":
@@ -271,7 +274,7 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok is not None and tok.text == "catch":
-                ckids: list[SyntaxNode] = []
+                ckids: list[Node] = []
                 self.take_leaf(ckids)
                 self._parse_paren(ckids)
                 ckids.append(self.parse_block())
@@ -280,14 +283,14 @@ class _Parser:
             break
         tok = self.peek()
         if tok is not None and tok.text == "finally":
-            fkids: list[SyntaxNode] = []
+            fkids: list[Node] = []
             self.take_leaf(fkids)
             fkids.append(self.parse_block())
             kids.append(SyntaxNode("finally_clause", fkids).seal())
         return SyntaxNode("try_statement", kids).seal()
 
     def _parse_synchronized(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         self.take_leaf(kids)
         self._parse_paren(kids)
         kids.append(self.parse_block())
@@ -296,7 +299,7 @@ class _Parser:
     # ---- declarations --------------------------------------------------
 
     def parse_declaration(self, fragment: bool = False) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         if fragment:
             tok = self.peek()
             if tok is not None and tok.kind == KEYWORD and tok.text in STATEMENT_KEYWORDS:
@@ -319,7 +322,7 @@ class _Parser:
             return SyntaxNode("initializer_block", kids).seal()
         return self._parse_member(kids)
 
-    def _parse_annotations_and_modifiers(self, kids: list[SyntaxNode]) -> None:
+    def _parse_annotations_and_modifiers(self, kids: list[Node]) -> None:
         while True:
             tok = self.peek()
             if tok is None:
@@ -336,7 +339,7 @@ class _Parser:
             return
 
     def _parse_annotation(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         self.expect("@", kids)
         tok = self.peek()
         if tok is None or tok.kind not in (IDENTIFIER, KEYWORD):
@@ -367,7 +370,7 @@ class _Parser:
             and after.text in ("<", "(")
         )
 
-    def _parse_type_declaration(self, kids: list[SyntaxNode], flavor: str) -> SyntaxNode:
+    def _parse_type_declaration(self, kids: list[Node], flavor: str) -> SyntaxNode:
         if flavor == "annotation":
             self.expect("@", kids)
             self.expect("interface", kids)
@@ -397,7 +400,7 @@ class _Parser:
         return SyntaxNode(kind, kids).seal()
 
     def _parse_class_body(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         self.expect("{", kids)
         while True:
             self.drain_comments(kids)
@@ -413,7 +416,7 @@ class _Parser:
             kids.append(self.parse_declaration())
 
     def _parse_enum_body(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         self.expect("{", kids)
         while True:
             tok = self.peek()
@@ -475,7 +478,7 @@ class _Parser:
             j += 1
         return j
 
-    def _parse_member(self, kids: list[SyntaxNode]) -> SyntaxNode:
+    def _parse_member(self, kids: list[Node]) -> SyntaxNode:
         if self.peek() is not None and self.peek().text == "<":
             kids.append(self._parse_angle_run())
         shape, at = self._member_shape()
@@ -495,10 +498,15 @@ class _Parser:
             return SyntaxNode(kind, kids).seal()
         if shape in ("=", ";"):
             return self._finish_simple("field_declaration", kids)
+        if shape == "{" and self._count_significant(at) == 1 and self.peek().kind == IDENTIFIER:
+            # A record's compact canonical constructor: its name, then its body.
+            self.take_leaf(kids)
+            kids.append(self.parse_block())
+            return SyntaxNode("constructor_declaration", kids).seal()
         raise self.error("expected declaration")
 
     def _parse_angle_run(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+        kids: list[Node] = []
         depth = 0
         while True:
             tok = self.peek()
@@ -519,7 +527,7 @@ class _Parser:
             else:
                 self.take_leaf(kids)
 
-    def _finish_method_tail(self, kids: list[SyntaxNode]) -> None:
+    def _finish_method_tail(self, kids: list[Node]) -> None:
         while True:
             tok = self.peek()
             if tok is None:
@@ -530,6 +538,12 @@ class _Parser:
             if tok.text == ";":
                 self.take_leaf(kids)
                 return
+            if tok.text == "default":
+                # An annotation element's default value; braces there hold
+                # an array of values, not a body.
+                self.take_leaf(kids)
+                self._take_through_semicolon(kids)
+                return
             if tok.text in ("(", "["):
                 kids.append(self.parse_group())
             elif tok.text in ")]}":
@@ -539,19 +553,19 @@ class _Parser:
 
     # ---- entry ----------------------------------------------------------
 
-    def parse_compilation_unit(self) -> SyntaxNode:
-        kids: list[SyntaxNode] = []
+    def parse_compilation_unit(self) -> Node:
+        kids: list[Node] = []
         while True:
             self.drain_comments(kids)
             tok = self.peek()
             if tok is None:
                 break
             if tok.text == "package":
-                pk: list[SyntaxNode] = []
+                pk: list[Node] = []
                 self.take_leaf(pk)
                 kids.append(self._finish_simple("package_declaration", pk))
             elif tok.text == "import":
-                ik: list[SyntaxNode] = []
+                ik: list[Node] = []
                 self.take_leaf(ik)
                 kids.append(self._finish_simple("import_declaration", ik))
             elif tok.text == ";":
@@ -564,6 +578,9 @@ class _Parser:
         return root
 
 
-def parse_java(source: str) -> SyntaxNode:
-    """Parse a Java compilation unit or fragment into a syntax tree."""
+def parse_java(source: str) -> Node:
+    """Parse a Java compilation unit or fragment into a syntax tree.
+
+    The root is a lone token when the source holds one token and nothing else.
+    """
     return _Parser(tokenize(source), source).parse_compilation_unit()

@@ -6,7 +6,11 @@ them in the syntax tree (normalization removes them later).
 
 A `Token` is a `typing.NamedTuple` of six fields, so it is immutable and
 hashable and cheap to build; it also compares equal to a plain tuple of
-the same values.
+the same values. A token is also a leaf of the syntax tree: the parser
+appends the lexer's own tokens to its interior nodes, so a parse builds
+one object per token. For that, `Token` has the leaf side of the tree
+interface: `label` (the text), `start_line` and `end_line`, empty
+`children`, `is_leaf`, `is_comment`, `walk()` and `leaves()`.
 
 The lexer is one loop over a single compiled master regex, `_TOKEN_RE`,
 with one match per token. Each match first skips the whitespace before
@@ -22,7 +26,9 @@ trailing whitespace, so the search stops there instead of retrying that
 whitespace from each of its positions. Lines and columns are tracked
 incrementally from the newlines in the skipped whitespace and inside the
 tokens that can hold them: block comments, text blocks, and strings or
-chars (where a backslash may escape a newline).
+chars (where a backslash may escape a newline). Most tokens follow the
+previous one with no whitespace between, so the newlines are counted, and
+the last one searched for, only inside a non-empty skipped run.
 
 Identifiers start with a character for which `str.isalpha` holds, or `_`
 or `$`, and continue with characters for which `str.isalnum` holds, which
@@ -40,7 +46,8 @@ in valid Java.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 from ..errors import ParseError
 
@@ -127,9 +134,25 @@ class Token(NamedTuple):
     line: int
     column: int
 
+    # The leaf side of the syntax tree interface (see `tree.SyntaxNode`).
+    children = ()
+    is_leaf = True
+    label = property(itemgetter(1), doc="The token text, as a leaf label.")
+    start_line = property(itemgetter(4), doc="The token's first line.")
+
     @property
     def end_line(self) -> int:
         return self.line + self.text.count("\n")
+
+    @property
+    def is_comment(self) -> bool:
+        return self.kind in COMMENT_KINDS
+
+    def walk(self) -> Iterator["Token"]:
+        yield self
+
+    def leaves(self) -> Iterator["Token"]:
+        yield self
 
 
 def tokenize(source: str) -> list[Token]:
@@ -137,15 +160,18 @@ def tokenize(source: str) -> list[Token]:
     out: list[Token] = []
     append = out.append
     count = source.count
+    new_token = tuple.__new__
     line = 1
     line_start = 0  # offset of the current line's first character
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
         start, end = m.span(kind)
-        newlines = count("\n", m.start(), start)
-        if newlines:
-            line += newlines
-            line_start = source.rfind("\n", 0, start) + 1
+        skipped = m.start()
+        if skipped != start:
+            newlines = count("\n", skipped, start)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", skipped, start) + 1
         text = source[start:end]
         if kind == "_word":
             kind = KEYWORD if text in KEYWORDS else IDENTIFIER
@@ -153,7 +179,8 @@ def tokenize(source: str) -> list[Token]:
             if kind == "_end":
                 break
             kind = _private_kind(kind, text, start, out, line, start - line_start + 1)
-        append(Token(kind, text, start, end, line, start - line_start + 1))
+        # `tuple.__new__` skips the NamedTuple's Python-level `__new__`.
+        append(new_token(Token, (kind, text, start, end, line, start - line_start + 1)))
         if kind in _MULTILINE and "\n" in text:
             line += text.count("\n")
             line_start = start + text.rfind("\n") + 1

@@ -1,47 +1,47 @@
-"""Syntax tree node types, formatting-insensitive normalization and AST keys."""
+"""Syntax tree node types, formatting-insensitive normalization and AST keys.
+
+A syntax tree's leaves are the lexer's `Token`s themselves, comments
+included, and its interior nodes are `SyntaxNode`s. Both answer the same
+tree interface: `kind`, `label`, `children`, `start`, `end`,
+`start_line`, `end_line`, `is_leaf`, `is_comment`, `walk()` and
+`leaves()`.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
-from .tokens import _MULTILINE, COMMENT_KINDS, Token
+from .tokens import COMMENT_KINDS, Token
 
 COMPILATION_UNIT = "compilation_unit"
 
 
 @dataclass(slots=True)
 class SyntaxNode:
-    """A node of the concrete syntax tree.
+    """An interior node of the concrete syntax tree.
 
-    Leaves are tokens and carry a label (the token text). Interior nodes
-    carry a kind tag only. Spans are byte offsets into the parsed source;
-    children are ordered, non-overlapping, and contained in the parent span.
+    It carries a kind tag and its children: tokens (the leaves) and other
+    interior nodes. Spans are byte offsets into the parsed source; children
+    are ordered, non-overlapping, and contained in the parent span.
     """
 
     kind: str
-    children: list["SyntaxNode"] = field(default_factory=list)
-    label: Optional[str] = None
+    children: list[Node] = field(default_factory=list)
     start: int = 0
     end: int = 0
     start_line: int = 0
     end_line: int = 0
 
-    @classmethod
-    def leaf(cls, token: Token) -> "SyntaxNode":
-        kind, text, start, end, line, _ = token
-        end_line = line + text.count("\n") if kind in _MULTILINE else line
-        return cls(kind, [], text, start, end, line, end_line)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.label is not None
+    # Only leaves (tokens) carry a label.
+    label = None
+    is_leaf = False
 
     @property
     def is_comment(self) -> bool:
         return self.kind in COMMENT_KINDS
 
     def seal(self) -> "SyntaxNode":
-        """Set this node's span from its children. No-op for leaves."""
+        """Set this node's span from its children. No-op without children."""
         if self.children:
             self.start = self.children[0].start
             self.end = self.children[-1].end
@@ -49,15 +49,19 @@ class SyntaxNode:
             self.end_line = self.children[-1].end_line
         return self
 
-    def walk(self) -> Iterator["SyntaxNode"]:
+    def walk(self) -> Iterator[Node]:
         yield self
         for child in self.children:
             yield from child.walk()
 
-    def leaves(self) -> Iterator["SyntaxNode"]:
+    def leaves(self) -> Iterator[Token]:
         for node in self.walk():
             if node.is_leaf:
                 yield node
+
+
+# A node of a syntax tree: an interior node or a leaf.
+Node = Union[SyntaxNode, Token]
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ class NormalizedNode:
             yield from child.walk()
 
 
-def normalize(node: "SyntaxNode | NormalizedNode") -> NormalizedNode:
+def normalize(node: "Node | NormalizedNode") -> NormalizedNode:
     """Drop comment nodes and positional data; idempotent.
 
     A compilation unit left with a single child collapses to that child so
@@ -92,27 +96,29 @@ def normalize(node: "SyntaxNode | NormalizedNode") -> NormalizedNode:
     return normalized
 
 
-def _normalize(node: "SyntaxNode | NormalizedNode") -> Optional[NormalizedNode]:
+def _normalize(node: "Node | NormalizedNode") -> Optional[NormalizedNode]:
     if node.kind in COMMENT_KINDS:
         return None
     kids = tuple(c for c in (_normalize(child) for child in node.children) if c)
     return NormalizedNode(node.kind, node.label, kids)
 
 
-def ast_key(node: SyntaxNode) -> tuple[str, ...]:
-    """The labels of the tree's non-comment leaves, in source order.
+def ast_key(node: Node) -> tuple[str, ...]:
+    """The texts of the tree's non-comment leaves, in source order.
 
     Two trees normalize equal exactly when their keys are equal: the
     normalized tree's leaves, read in order, are this sequence, and the
     parser never looks at comments when it chooses a node, so the rest of
     the normalized tree follows from the same sequence.
     """
-    labels: list[str] = []
+    texts: list[str] = []
     stack = [node]
     while stack:
         current = stack.pop()
-        if current.label is None:
+        # Leaves are tokens; reading their fields skips the label property.
+        if type(current) is Token:
+            if current.kind not in COMMENT_KINDS:
+                texts.append(current.text)
+        else:
             stack.extend(reversed(current.children))
-        elif current.kind not in COMMENT_KINDS:
-            labels.append(current.label)
-    return tuple(labels)
+    return tuple(texts)

@@ -1,5 +1,6 @@
 """Lexer, parser, function extraction, normalization, and AST equivalence."""
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
@@ -10,12 +11,16 @@ from repairkit.assess import ast_match, classify
 from repairkit.errors import ParseError, UnsupportedLanguage
 from repairkit.gen import CandidatePatch
 from repairkit.syntax import (
+    NormalizedNode,
     SourceFile,
+    Token,
     ast_equal,
+    ast_key,
     extract_functions,
     normalize,
     parse,
 )
+from repairkit.syntax import parser as java_parser
 from repairkit.syntax.tokens import (
     COMMENT_KINDS,
     IDENTIFIER,
@@ -23,6 +28,7 @@ from repairkit.syntax.tokens import (
     NUMBER,
     tokenize,
 )
+from test_parse_golden import SOURCES as GOLDEN_SOURCES
 
 MINIMAL = "int f(){return 1;}"
 
@@ -96,6 +102,21 @@ class TestParse:
         if_nodes = [n for n in tree.walk() if n.kind == "if_statement"]
         assert len(if_nodes) == expected == 2
 
+    @pytest.mark.parametrize(
+        "value,tail",
+        [
+            ("{1, 2}", ["brace_group", ";"]),
+            ("{}", ["brace_group", ";"]),
+            ("@A(1)", ["@", "A", "paren_group", ";"]),
+        ],
+    )
+    def test_annotation_element_default_is_a_value(self, value, tail):
+        source = f"@interface M {{ int[] n() default {value}; }}"
+        [element] = [n for n in parse(source).walk() if n.kind == "method_declaration"]
+        labels = [child.label or child.kind for child in element.children]
+        assert labels[labels.index("default") + 1 :] == tail
+        assert ast_key(parse(source)) == tuple(t.text for t in tokenize(source))
+
     def test_statement_fragments_parse(self):
         assert parse("return a+b;").kind == "return_statement"
         assert parse("if (x) { y(); }").kind == "if_statement"
@@ -158,6 +179,28 @@ class TestExtractFunctions:
         )
         fns = extract_functions(src)
         assert [f.name for f in fns] == ["F"]
+
+    @pytest.mark.parametrize("value", ["{1, 2}", "{}", "@A(1)"])
+    def test_annotation_element_with_default_is_extracted(self, value):
+        src = SourceFile("M.java", f"@interface M {{\n    int[] n() default {value};\n}}\n")
+        assert [(f.name, f.start_line, f.end_line) for f in extract_functions(src)] == [
+            ("n", 2, 2)
+        ]
+
+    @pytest.mark.parametrize("modifier", ["", "public "])
+    def test_record_compact_constructor_extracted(self, modifier):
+        src = SourceFile(
+            "P.java",
+            "record P(int x) {\n"
+            f"    {modifier}P {{\n        assert x >= 0;\n    }}\n\n"
+            "    int twice() { return 2 * x; }\n}\n",
+        )
+        fns = extract_functions(src)
+        assert [(f.name, f.start_line, f.end_line) for f in fns] == [
+            ("P", 2, 4),
+            ("twice", 6, 6),
+        ]
+        assert fns[0].text == f"    {modifier}P {{\n        assert x >= 0;\n    }}"
 
     def test_empty_file(self):
         assert extract_functions(SourceFile("G.java", "")) == []
@@ -456,3 +499,69 @@ class TestAstKeyMatchesNormalizedTrees:
             wanted,
             settings=settings(database=None, phases=[Phase.generate], max_examples=200),
         )
+
+
+# --------------------------------------------------------------------------
+# the tree's leaves are the lexer's own tokens
+
+def _parse_with_tokens(source):
+    """The tree of `source` and the token list its parser read."""
+    read = []
+
+    def recording_tokenize(text):
+        read.append(tokenize(text))
+        return read[-1]
+
+    with mock.patch.object(java_parser, "tokenize", recording_tokenize):
+        tree = parse(source)
+    [tokens] = read
+    return tree, tokens
+
+
+def _assert_leaves_are_tokens(source):
+    tree, tokens = _parse_with_tokens(source)
+    leaves = list(tree.leaves())
+    assert len(leaves) == len(tokens)
+    assert all(leaf is token for leaf, token in zip(leaves, tokens))
+    assert list(parse(source).leaves()) == tokenize(source)
+
+
+class TestLeavesAreTokens:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SOURCES))
+    def test_golden_sources(self, name):
+        _assert_leaves_are_tokens(GOLDEN_SOURCES[name])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        source=st.one_of(
+            _mutated_classes(),
+            _source_pairs().map(lambda pair: pair[1]),
+            st.lists(st.sampled_from(_LEX_PIECES), max_size=3).map("".join),
+        )
+    )
+    def test_token_soups_that_parse(self, source):
+        assume(_parsable(source))
+        _assert_leaves_are_tokens(source)
+
+    @pytest.mark.parametrize(
+        "source,kind,label,key",
+        [(";", "symbol", ";", (";",)), ("// c", LINE_COMMENT, "// c", ())],
+    )
+    def test_lone_token_root(self, source, kind, label, key):
+        root = parse(source)
+        assert isinstance(root, Token)
+        assert (root.kind, root.label, root.children) == (kind, label, ())
+        assert (root.start_line, root.end_line, root.is_leaf) == (1, 1, True)
+        assert list(root.walk()) == list(root.leaves()) == [root]
+        assert ast_key(root) == key
+        expected = normalize(parse("")) if root.is_comment else NormalizedNode(kind, label, ())
+        assert normalize(root) == expected
+
+    def test_empty_root(self):
+        root = parse("")
+        assert (root.kind, root.label, root.children) == ("compilation_unit", None, [])
+        assert (root.start_line, root.end_line, root.is_leaf) == (0, 0, False)
+        assert list(root.walk()) == [root]
+        assert list(root.leaves()) == []
+        assert ast_key(root) == ()
+        assert normalize(root) == NormalizedNode("compilation_unit", None, ())

@@ -34,7 +34,7 @@ from .representations import (
     build_output,
     valid_pair,
 )
-from .syntax import SourceFile, SourceFunction, extract_functions
+from .syntax import SourceFile, SourceFunction, extract_functions_of_edit
 
 log = logging.getLogger(__name__)
 
@@ -131,25 +131,47 @@ def derive_region(buggy: SourceFunction, fixed: SourceFunction) -> Region:
 
 @dataclass(frozen=True)
 class _Unit:
-    """One provenance unit: a diff identifier plus its file pairs."""
+    """One provenance unit: a diff identifier plus its file pairs.
+
+    A side is None where the diff adds or deletes the file (`/dev/null`).
+    """
 
     provenance: str
-    files: tuple[tuple[str, Path, Path], ...]  # (relpath, before, after)
+    files: tuple[tuple[str, Optional[Path], Optional[Path]], ...]  # (relpath, before, after)
 
 
 _DIFF_PATH_RE = re.compile(r"^(?:---|\+\+\+) (?:[ab]/)?(\S+)")
+_DEV_NULL = "/dev/null"
 
 
 def _diff_layout_units(root: Path) -> list[_Unit]:
     units = []
     for diff_file in sorted(root.glob("*.diff")) + sorted(root.glob("*.patch")):
-        paths: list[str] = []
+        sides: dict[str, tuple[bool, bool]] = {}  # relpath -> (in before, in after)
+        old = None  # the path of the last `---` header
         for line in diff_file.read_text(encoding="utf-8", errors="replace").splitlines():
             m = _DIFF_PATH_RE.match(line)
-            if m and m.group(1) not in ("/dev/null",) and m.group(1) not in paths:
-                paths.append(m.group(1))
+            if m is None:
+                continue
+            path = m.group(1)
+            if line[0] == "-":
+                old = path
+                if path != _DEV_NULL:
+                    sides.setdefault(path, (True, True))
+            elif path == _DEV_NULL:
+                if old not in (None, _DEV_NULL):
+                    sides[old] = (True, False)  # deleted
+            elif old == _DEV_NULL:
+                sides[path] = (False, True)  # added
+            else:
+                sides.setdefault(path, (True, True))
         files = tuple(
-            (rel, root / "before" / rel, root / "after" / rel) for rel in paths
+            (
+                rel,
+                root / "before" / rel if in_before else None,
+                root / "after" / rel if in_after else None,
+            )
+            for rel, (in_before, in_after) in sides.items()
         )
         units.append(_Unit(diff_file.stem, files))
     return units
@@ -202,8 +224,7 @@ def function_pairs_from_files(
     """
     if before.content == after.content:
         return []
-    before_fns = extract_functions(before)
-    after_fns = extract_functions(after)
+    before_fns, after_fns = extract_functions_of_edit(before, after)
     if len(before_fns) != len(after_fns):
         return []
     changed = [
@@ -249,6 +270,11 @@ def ingest_diff_corpus(
             pairs: list[FunctionPair] = []
             tainted = False
             for rel, before_path, after_path in unit.files:
+                if before_path is None or after_path is None:
+                    # An added or deleted file is a change outside any
+                    # function; its missing side is never read.
+                    tainted = True
+                    continue
                 before = SourceFile(rel, before_path.read_text(encoding="utf-8"))
                 after = SourceFile(rel, after_path.read_text(encoding="utf-8"))
                 file_pairs = function_pairs_from_files(before, after, unit.provenance)

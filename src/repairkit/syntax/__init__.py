@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from ..errors import ParseError, UnsupportedLanguage
 from .parser import parse_java
-from .tokens import Token
+from .tokens import Token, tokenize
 from .tree import Node, NormalizedNode, SyntaxNode, ast_key, normalize
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "supported_languages",
     "parse",
     "extract_functions",
+    "extract_functions_of_edit",
     "normalize",
     "ast_key",
     "ast_equal",
@@ -136,19 +137,100 @@ def extract_functions(file: SourceFile) -> list[SourceFunction]:
     lambdas) belong to their enclosing declaration and are not listed.
     """
     tree = parse(file.content, file.language)
-    out: list[SourceFunction] = []
-    for node in _function_nodes(tree):
-        name = _declared_name(node)
-        out.append(
-            SourceFunction(
-                name=name,
-                start_line=node.start_line,
-                end_line=node.end_line,
-                text=file.slice_lines(node.start_line, node.end_line),
-                file=file,
-            )
-        )
-    return out
+    lines = file.lines
+    return [_source_function(node, lines, file) for node in _function_nodes(tree)]
+
+
+def extract_functions_of_edit(
+    before: SourceFile, after: SourceFile
+) -> tuple[list[SourceFunction], list[SourceFunction]]:
+    """`extract_functions` of both versions of an edited file.
+
+    The after version is parsed only where it changed when that is exact:
+    the changed lines lie inside one before function F, F's lines hold F's
+    tokens and nothing else, and the after lines in F's place parse on
+    their own to one function F'. Then no token spans a line boundary at
+    either end of F, a member's parse never looks past its own tokens, and
+    the after file's functions are the before file's with F replaced by F'
+    and the later ones shifted. Otherwise the after file is parsed whole.
+    """
+    tree = parse(before.content, before.language)
+    old = before.lines
+    nodes = list(_function_nodes(tree))
+    before_fns = [_source_function(node, old, before) for node in nodes]
+    after_fns = None
+    if before.language == after.language == "java":  # the checks use the Java lexer
+        after_fns = _edited_functions(nodes, before_fns, old, after)
+    if after_fns is None:
+        after_fns = extract_functions(after)
+    return before_fns, after_fns
+
+
+def _edited_functions(
+    nodes: list[SyntaxNode],
+    before_fns: list[SourceFunction],
+    old: list[str],
+    after: SourceFile,
+) -> Optional[list[SourceFunction]]:
+    """The after file's functions from one re-parsed function, or None."""
+    new = after.lines
+    common = min(len(old), len(new))
+    prefix = 0
+    while prefix < common and old[prefix] == new[prefix]:
+        prefix += 1
+    suffix = 0
+    while suffix < common - prefix and old[-1 - suffix] == new[-1 - suffix]:
+        suffix += 1
+    # The changed before lines are first..last. A pure insertion has
+    # last == first - 1, and F must then hold both lines around it.
+    first, last = prefix + 1, len(old) - suffix
+    low, high = min(first, last), max(first, last)
+    for k, fn in enumerate(before_fns):
+        if fn.start_line <= low and high <= fn.end_line:
+            break
+    else:
+        return None
+    leaves = list(nodes[k].leaves())
+    base = leaves[0].start - leaves[0].column + 1  # offset of F's first line
+    shift = fn.start_line - 1
+    own = [
+        (t.kind, t.text, t.start - base, t.end - base, t.line - shift, t.column)
+        for t in leaves
+    ]
+    delta = len(new) - len(old)
+    end = fn.end_line + delta
+    text = "\n".join(new[fn.start_line - 1 : end])
+    try:
+        if tokenize(fn.text) != own:
+            return None
+        root = parse(text, after.language)
+    except ParseError:
+        return None
+    if (
+        root.kind not in FUNCTION_KINDS
+        or root.start_line != 1
+        or root.end_line != end - shift
+    ):
+        return None
+    fixed = SourceFunction(_declared_name(root), fn.start_line, end, text, after)
+    return (
+        [SourceFunction(f.name, f.start_line, f.end_line, f.text, after) for f in before_fns[:k]]
+        + [fixed]
+        + [
+            SourceFunction(f.name, f.start_line + delta, f.end_line + delta, f.text, after)
+            for f in before_fns[k + 1 :]
+        ]
+    )
+
+
+def _source_function(node: SyntaxNode, lines: list[str], file: SourceFile) -> SourceFunction:
+    return SourceFunction(
+        name=_declared_name(node),
+        start_line=node.start_line,
+        end_line=node.end_line,
+        text="\n".join(lines[node.start_line - 1 : node.end_line]),
+        file=file,
+    )
 
 
 def _function_nodes(node: Node):

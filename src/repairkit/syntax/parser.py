@@ -32,6 +32,9 @@ STATEMENT_KEYWORDS = frozenset(
     assert new this super""".split()
 )
 
+# What may follow a `sealed` or `non-sealed` modifier, besides a modifier.
+_SEALED_FOLLOWERS = frozenset({"class", "interface", "@", "sealed", "non"})
+
 _GROUP_KINDS = {"(": "paren_group", "[": "bracket_group", "{": "brace_group"}
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 
@@ -171,6 +174,8 @@ class _Parser:
                     return self.parse_declaration()
                 return self._finish_simple("statement", [])
         if tok.kind == IDENTIFIER:
+            if text == "record" and self._looks_like_record():
+                return self.parse_declaration()  # a local record
             colon = self.peek(1)
             if colon is not None and colon.text == ":":
                 kids = []
@@ -189,7 +194,9 @@ class _Parser:
             if tok.text in MODIFIER_WORDS:
                 ahead += 1
                 continue
-            return tok.text in ("class", "interface", "enum")
+            return tok.text in ("class", "interface", "enum") or (
+                tok.text == "record" and self._looks_like_record(ahead)
+            )
 
     def _finish_simple(self, kind: str, kids: list[Node]) -> SyntaxNode:
         """Consume a run of tokens and groups up to and including ';'."""
@@ -336,7 +343,39 @@ class _Parser:
             if tok.text in MODIFIER_WORDS:
                 self.take_leaf(kids)
                 continue
+            width = self._sealed_width()
+            if width:
+                for _ in range(width):
+                    self.take_leaf(kids)
+                continue
             return
+
+    def _sealed_width(self) -> int:
+        """Tokens in a `sealed` or `non-sealed` modifier here, else 0.
+
+        Both are contextual: `non-sealed` lexes as `non`, `-`, `sealed`
+        with nothing between, and either counts as a modifier only before
+        another modifier, an annotation, `class` or `interface`, so a
+        member named `sealed` keeps its meaning.
+        """
+        tok = self.peek()
+        width = 1
+        if tok.text == "non":
+            dash, word = self.peek(1), self.peek(2)
+            if not (
+                dash is not None and dash.text == "-" and dash.start == tok.end
+                and word is not None and word.text == "sealed" and word.start == dash.end
+            ):
+                return 0
+            width = 3
+        elif tok.text != "sealed":
+            return 0
+        nxt = self.peek(width)
+        if nxt is not None and (
+            nxt.text in _SEALED_FOLLOWERS or nxt.text in MODIFIER_WORDS
+        ):
+            return width
+        return 0
 
     def _parse_annotation(self) -> SyntaxNode:
         kids: list[Node] = []
@@ -360,9 +399,9 @@ class _Parser:
             kids.append(self.parse_group())
         return SyntaxNode("annotation", kids).seal()
 
-    def _looks_like_record(self) -> bool:
-        name = self.peek(1)
-        after = self.peek(2)
+    def _looks_like_record(self, ahead: int = 0) -> bool:
+        name = self.peek(ahead + 1)
+        after = self.peek(ahead + 2)
         return (
             name is not None
             and name.kind == IDENTIFIER

@@ -1,9 +1,11 @@
 """Match oracles, plausibility execution, ratings, kappa, and classify."""
 import logging
+import os
 import shlex
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +84,20 @@ class TestAstMatch:
             ast_match(REFERENCE, "int broken(")
 
 
+def _running(pid: int) -> bool:
+    """True while the process exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    # A killed child whose parent is gone stays a zombie until reaped.
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:  # gone in between
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def _project(tmp_path, expression="a - b"):
     project = tmp_path / "proj"
     project.mkdir()
@@ -140,6 +156,29 @@ class TestCheckPlausible:
         run = check_plausible(project, location, GOOD, spec)
         assert run.outcome == "timeout"
         assert time.monotonic() - started < 30
+
+    def test_timeout_kills_the_commands_children(self, tmp_path):
+        # The shell waits on a child that would outlive the timeout; killing
+        # only the shell would leave that child running.
+        project, location, _ = _project(tmp_path)
+        pid_file = tmp_path / "child.pid"
+        command = (
+            f"{PY} -c 'import time; time.sleep(30)' & "
+            f"echo $! > {shlex.quote(str(pid_file))}; wait"
+        )
+        run = check_plausible(project, location, GOOD, TestSpec(command=command, timeout=1.0))
+        assert run.outcome == "timeout"
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 5
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid)
+
+    def test_timeout_output_is_text(self, tmp_path):
+        project, location, _ = _project(tmp_path)
+        spec = TestSpec(command="echo started; sleep 30", timeout=1.0)
+        run = check_plausible(project, location, GOOD, spec)
+        assert (run.outcome, run.output) == ("timeout", "started\n")
 
     def test_default_timeout_is_300s(self):
         assert TestSpec(command="x").timeout == 300.0

@@ -1,10 +1,15 @@
 """Corpus ingestion, dedup, leakage exclusion, and dataset emission."""
 import json
+import logging
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from repairkit import corpus, syntax
 
 from repairkit.corpus import (
     CorpusFilterConfig,
@@ -23,11 +28,12 @@ from repairkit.corpus import (
     register_tokenizer,
     render_training_config,
 )
-from repairkit.errors import CorpusLayoutError, MixedPairDataset, UnknownTokenizer
+from repairkit.errors import CorpusLayoutError, MixedPairDataset, ParseError, UnknownTokenizer
 from repairkit.representations import Region, ReprPair, reconstruct
-from repairkit.syntax import SourceFile, SourceFunction
+from repairkit.syntax import SourceFile, SourceFunction, extract_functions
 
 from conftest import CORPUS_EXPECTED
+from test_parse_golden import SOURCES as GOLDEN_SOURCES
 
 
 def _fn(text: str) -> SourceFunction:
@@ -137,6 +143,49 @@ class TestIngest:
         )
         assert len(list(ingest_diff_corpus(root))) == 1
 
+    @pytest.mark.parametrize(
+        "header,before,after",
+        [
+            ("--- /dev/null\n+++ b/N.java\n", None, "class N {}\n"),
+            ("--- a/N.java\n+++ /dev/null\n", "class N {}\n", None),
+        ],
+        ids=["added", "deleted"],
+    )
+    def test_added_or_deleted_file_is_not_single_function(
+        self, tmp_path, caplog, header, before, after
+    ):
+        root = tmp_path / "mega"
+        (root / "before").mkdir(parents=True)
+        (root / "after").mkdir()
+        fn_before = "class A {\n    int f() {\n        return 1;\n    }\n}\n"
+        (root / "before" / "A.java").write_text(fn_before)
+        (root / "after" / "A.java").write_text(fn_before.replace("return 1", "return 2"))
+        if before is not None:
+            (root / "before" / "N.java").write_text(before)
+        if after is not None:
+            (root / "after" / "N.java").write_text(after)
+        (root / "u1.diff").write_text(
+            "--- a/A.java\n+++ b/A.java\n@@ -3,1 +3,1 @@\n-        return 1;\n+        return 2;\n"
+            + header
+        )
+        stats = PipelineStats()
+        with caplog.at_level(logging.WARNING, logger="repairkit.corpus"):
+            assert list(ingest_diff_corpus(root, stats)) == []
+        assert (stats.units, stats.parse_failures, stats.not_single_function) == (1, 0, 1)
+        assert caplog.records == []
+
+    def test_named_missing_file_is_an_io_failure(self, tmp_path, caplog):
+        root = tmp_path / "mega"
+        (root / "before").mkdir(parents=True)
+        (root / "after").mkdir()
+        (root / "before" / "M.java").write_text("class M {}\n")
+        (root / "u1.diff").write_text("--- a/M.java\n+++ b/M.java\n")
+        stats = PipelineStats()
+        with caplog.at_level(logging.WARNING, logger="repairkit.corpus"):
+            assert list(ingest_diff_corpus(root, stats)) == []
+        assert (stats.parse_failures, stats.not_single_function) == (1, 0)
+        assert "No such file" in caplog.text
+
     def test_suffix_pair_layout(self, tmp_path):
         root = tmp_path / "pairs"
         root.mkdir()
@@ -149,6 +198,215 @@ class TestIngest:
         (tmp_path / "README.txt").write_text("nothing here")
         with pytest.raises(CorpusLayoutError):
             list(ingest_diff_corpus(tmp_path))
+
+
+# --------------------------------------------------------------------------
+# parsing the after file only where it changed, against parsing it whole
+
+def _outcome(call):
+    """The comparable result of a call: its pairs, or the error it raised."""
+    try:
+        pairs = call()
+    except Exception as exc:  # compared by type and message
+        return (type(exc), str(exc))
+    return [(p.id, p.buggy, p.fixed, p.region) for p in pairs]
+
+
+def _whole(before: SourceFile, after: SourceFile):
+    return extract_functions(before), extract_functions(after)
+
+
+def _both_paths(before_text: str, after_text: str):
+    """(path taken, result, result with the after file parsed whole).
+
+    The path is "fast" when the after file was parsed only where it
+    changed, "fallback" when it was parsed whole, and "none" when neither
+    (equal texts, or a before file that does not parse).
+    """
+    before, after = SourceFile("X.java", before_text), SourceFile("X.java", after_text)
+    with mock.patch.object(syntax, "extract_functions", wraps=extract_functions) as whole:
+        result = _outcome(lambda: function_pairs_from_files(before, after, "p"))
+    with mock.patch.object(corpus, "extract_functions_of_edit", _whole):
+        reference = _outcome(lambda: function_pairs_from_files(before, after, "p"))
+    if whole.call_count:
+        path = "fallback"
+    elif isinstance(result, list) and before_text != after_text:
+        path = "fast"
+    else:
+        path = "none"
+    return path, result, reference
+
+
+_BASE = (
+    "class X {\n"
+    "    int f(int a) {\n"
+    "        return a + 1;\n"
+    "    }\n"
+    "\n"
+    "    int g(int b) {\n"
+    "        return b * 2;\n"
+    "    }\n"
+    "}\n"
+)
+
+# (before, after, path): each pins one side of the fast path's boundary.
+_BOUNDARY = {
+    "body_edit": (_BASE, _BASE.replace("a + 1", "a + 2"), "fast"),
+    "signature_edit": (_BASE, _BASE.replace("int f(int a)", "long f(long a)"), "fast"),
+    "insertion_inside": (
+        _BASE,
+        _BASE.replace("        return a + 1;\n", "        a++;\n        return a + 1;\n"),
+        "fast",
+    ),
+    "deletion_inside": (
+        _BASE.replace("        return b * 2;\n", "        b++;\n        return b * 2;\n"),
+        _BASE,
+        "fast",
+    ),
+    "annotated_method": (
+        _BASE.replace("    int f(", "    @Override\n    @SuppressWarnings(\"x\")\n    int f("),
+        _BASE.replace("    int f(", "    @Override\n    @SuppressWarnings(\"x\")\n    int f(").replace(
+            "a + 1", "a - 1"
+        ),
+        "fast",
+    ),
+    "two_functions": (_BASE, _BASE.replace("a + 1", "a + 2").replace("b * 2", "b * 3"), "fallback"),
+    "comment_between_functions": (
+        _BASE.replace("\n\n", "\n    // between\n"),
+        _BASE.replace("\n\n", "\n    // changed\n"),
+        "fallback",
+    ),
+    "block_comment_closing_on_first_line": (
+        _BASE.replace("    int f(", "    /* note\n     */ int f("),
+        _BASE.replace("    int f(", "    /* note\n     */ int f(").replace("a + 1", "a + 2"),
+        "fallback",
+    ),
+    "trailing_comment_on_last_line": (
+        _BASE.replace("    }\n\n", "    } // end\n\n"),
+        _BASE.replace("    }\n\n", "    } // end\n\n").replace("a + 1", "a + 2"),
+        "fallback",
+    ),
+    "synchronized_method": (
+        _BASE.replace("    int f(", "    synchronized int f("),
+        _BASE.replace("    int f(", "    synchronized int f(").replace("a + 1", "a + 2"),
+        "fallback",
+    ),
+    "insertion_before_function": (
+        _BASE,
+        _BASE.replace("    int f(", "    @Deprecated\n    int f("),
+        "fallback",
+    ),
+    "insertion_after_function": (
+        _BASE,
+        _BASE.replace("    }\n\n", "    }\n\n    int h() { return 0; }\n\n"),
+        "fallback",
+    ),
+    "blank_line_between_functions": (_BASE, _BASE.replace("\n\n", "\n\n\n"), "fallback"),
+    "unbalanced_braces": (_BASE, _BASE.replace("return a + 1;", "if (a > 0) {"), "fallback"),
+}
+
+
+class TestAfterFileParsedWhereChanged:
+    @pytest.mark.parametrize("name", sorted(_BOUNDARY))
+    def test_boundary_case_matches_full_parse(self, name):
+        before, after, expected_path = _BOUNDARY[name]
+        path, result, reference = _both_paths(before, after)
+        assert result == reference
+        assert path == expected_path
+
+    def test_fast_path_pair(self):
+        _, result, _ = _both_paths(*_BOUNDARY["body_edit"][:2])
+        [(pair_id, buggy, fixed, region)] = result
+        assert pair_id == "p:f"
+        assert (fixed.start_line, fixed.end_line) == (2, 4)
+        assert fixed.text == "    int f(int a) {\n        return a + 2;\n    }"
+        assert region == Region(2, 2)
+
+    def test_unbalanced_after_file_is_a_parse_failure(self, tmp_path):
+        before, after, _ = _BOUNDARY["unbalanced_braces"]
+        _, result, _ = _both_paths(before, after)
+        assert result[0] is ParseError
+        root = tmp_path / "trees"
+        (root / "before").mkdir(parents=True)
+        (root / "after").mkdir()
+        (root / "before" / "X.java").write_text(before)
+        (root / "after" / "X.java").write_text(after)
+        stats = PipelineStats()
+        assert list(ingest_diff_corpus(root, stats)) == []
+        assert (stats.parse_failures, stats.not_single_function) == (1, 0)
+
+    def test_property_matches_full_parse(self):
+        taken: Counter = Counter()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(_edited_pairs())
+        def check(pair):
+            path, result, reference = _both_paths(*pair)
+            assert result == reference
+            taken[path] += 1
+
+        check()
+        assert taken["fast"] and taken["fallback"]
+
+
+_METHODS = [
+    "    int f{n}(int a) {{\n        return a + {n};\n    }}",
+    "    @Override\n    public String s{n}() {{\n        return \"{n}\";\n    }}",
+    "    synchronized void t{n}() {{\n        count += {n};\n    }}",
+    "    /** Doc {n}. */\n    <T> T g{n}(T x) {{\n        if (x == null) {{\n"
+    "            return null;\n        }}\n        return x;\n    }}",
+    "    X() {{ this({n}); }} // constructor",
+    "    void c{n}() {{\n        /* block\n           comment */ run({n});\n    }}",
+    "    static final int K{n} = {n};",
+    '    String b{n}() {{\n        return """\n            text {n}\n            """;\n    }}',
+    "    void a{n}() {{ }} void z{n}() {{ }}",
+    "    class In{n} {{\n        void i{n}() {{\n            go({n});\n        }}\n    }}",
+]
+
+# Lines an edit may insert, besides lines of the source itself.
+_EDIT_LINES = [
+    "", "}", "{", "    }", "        return 0;", "        x++; // note", "    /* open", "    */",
+    '        String s = """', '        """;', "    synchronized void s() {", "    @Override",
+    "    int h() { return 1; }", '        int y = "//".length();', "    void v() {",
+    "        // }", "        if (x) {", "package p;", "    ;",
+]
+
+# In-line rewrites that mostly keep a line's structure.
+_REWRITES = [("+", "-"), ("1", "2"), ("return ", "return -"), ("(", "(1, "), (";", "; y();"), ("a", "b")]
+
+
+@st.composite
+def _generated_class(draw):
+    picks = draw(st.lists(st.integers(0, len(_METHODS) - 1), min_size=1, max_size=5))
+    members = [_METHODS[k].format(n=n) for n, k in enumerate(picks)]
+    return "class X {\n" + "\n\n".join(members) + "\n}\n"
+
+
+@st.composite
+def _edited_pairs(draw):
+    """(before, after) from one or two random line edits, in either direction.
+
+    An edit rewrites text inside a line, or replaces, inserts or deletes up
+    to three lines.
+    """
+    source = draw(st.one_of(st.sampled_from(sorted(GOLDEN_SOURCES.values())), _generated_class()))
+    lines = source.split("\n")
+    for _ in range(draw(st.integers(1, 2))):
+        lines = lines or [""]  # the same text, with a line to edit
+        at = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["rewrite", "rewrite", "replace", "insert", "delete"]))
+        if kind == "rewrite":
+            fits = [pair for pair in _REWRITES if pair[0] in lines[at]]
+            old, new = draw(st.sampled_from(fits)) if fits else (lines[at], "        y();")
+            lines[at] = lines[at].replace(old, new, 1)
+            continue
+        stop = at if kind == "insert" else draw(st.integers(at + 1, min(len(lines), at + 3)))
+        added = [] if kind == "delete" else draw(
+            st.lists(st.sampled_from(lines + _EDIT_LINES), min_size=1, max_size=3)
+        )
+        lines = lines[:at] + added + lines[stop:]
+    edited = "\n".join(lines)
+    return (source, edited) if draw(st.booleans()) else (edited, source)
 
 
 class TestDedupe:

@@ -121,6 +121,45 @@ class TestParse:
         assert parse("return a+b;").kind == "return_statement"
         assert parse("if (x) { y(); }").kind == "if_statement"
 
+    @pytest.mark.parametrize(
+        "source,kind",
+        [
+            ("sealed interface S permits A, B {}", "interface_declaration"),
+            ("public sealed abstract class S permits A {}", "class_declaration"),
+            ("class C { non-sealed class D extends C {} }", "class_declaration"),
+            ("non-sealed @Deprecated interface I extends S {}", "interface_declaration"),
+        ],
+    )
+    def test_sealed_hierarchies_parse(self, source, kind):
+        tree = parse(source)
+        assert tree.kind == kind
+        assert ast_key(tree) == tuple(t.text for t in tokenize(source))
+
+    def test_non_sealed_needs_adjacent_tokens(self):
+        with pytest.raises(ParseError, match="expected declaration"):
+            parse("class C { non - sealed class D {} }")
+
+    def test_member_named_sealed_keeps_its_meaning(self):
+        source = "class K { int sealed = 1; int sealed() { return sealed; } }"
+        body = parse(source).children[-1]
+        kinds = [child.kind for child in body.children if not child.is_leaf]
+        assert kinds == ["field_declaration", "method_declaration"]
+
+    @pytest.mark.parametrize("modifier", ["", "final "])
+    def test_local_record_is_a_declaration(self, modifier):
+        source = f"void m() {{ {modifier}record P(int x) {{}} int y = 1; }}"
+        block = parse(source).children[-1]
+        assert [child.kind for child in block.children] == [
+            "symbol",
+            "record_declaration",
+            "statement",
+            "symbol",
+        ]
+        assert [leaf.text for leaf in block.children[2].leaves()] == ["int", "y", "=", "1", ";"]
+
+    def test_local_record_as_last_statement(self):
+        assert parse("void m() { record P(int x) {} }").kind == "method_declaration"
+
 
 class TestExtractFunctions:
     def test_two_methods_disjoint_ranges(self):
@@ -201,6 +240,47 @@ class TestExtractFunctions:
             ("twice", 6, 6),
         ]
         assert fns[0].text == f"    {modifier}P {{\n        assert x >= 0;\n    }}"
+
+    def test_sealed_hierarchy_functions(self):
+        src = SourceFile(
+            "S.java",
+            "public sealed interface Shape permits Circle, Square {\n"
+            "    double area();\n"
+            "}\n"
+            "final class Circle implements Shape {\n"
+            "    public double area() { return 3.14; }\n"
+            "}\n"
+            "non-sealed class Square implements Shape {\n"
+            "    Square() {}\n"
+            "    public double area() {\n"
+            "        return 1;\n"
+            "    }\n"
+            "}\n",
+        )
+        assert [(f.name, f.start_line, f.end_line) for f in extract_functions(src)] == [
+            ("area", 2, 2),
+            ("area", 5, 5),
+            ("Square", 8, 8),
+            ("area", 9, 11),
+        ]
+
+    def test_local_record_stays_with_enclosing_method(self):
+        src = SourceFile(
+            "R.java",
+            "class R {\n"
+            "    int m() {\n"
+            "        record P(int x) {\n"
+            "            P { assert x > 0; }\n"
+            "        }\n"
+            "        return new P(1).x();\n"
+            "    }\n"
+            "    void n() {}\n"
+            "}\n",
+        )
+        assert [(f.name, f.start_line, f.end_line) for f in extract_functions(src)] == [
+            ("m", 2, 7),
+            ("n", 8, 8),
+        ]
 
     def test_empty_file(self):
         assert extract_functions(SourceFile("G.java", "")) == []

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .gen import CandidatePatch
 from .jsonl import mend_tail, read_rows
-from .syntax import ast_key, parse
+from .syntax import Token, ast_key, parse, token_key, tokenize, tokenize_edit
 
 PASS = "pass"
 FAIL = "fail"
@@ -77,17 +77,15 @@ class ParseFailure:
         return f"ParseFailure({self.message!r})"
 
 
-def ast_match(
-    candidate: str, reference: str, language: str = "java"
-) -> "bool | ParseFailure":
+def ast_match(candidate: str, reference: str) -> "bool | ParseFailure":
     """Tree equivalence against the reference, comments/formatting ignored.
 
     The reference must parse (ParseError propagates); a candidate that does
     not parse yields a falsy ParseFailure instead of an exception.
     """
-    reference_key = ast_key(parse(reference, language))  # reference errors propagate
+    reference_key = ast_key(parse(reference))  # reference errors propagate
     try:
-        candidate_key = ast_key(parse(candidate, language))
+        candidate_key = ast_key(parse(candidate))
     except ParseError as exc:
         return ParseFailure(str(exc))
     return candidate_key == reference_key
@@ -297,26 +295,73 @@ class PlausibilityPlan:
     spec: TestSpec
 
 
+class _Reference:
+    """The reference fix of one `classify` call: lexed at most once and
+    parsed at most once, each on first need."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self._lexed = False
+        self._parsed = False
+        self.tokens: Optional[list[Token]] = None  # None when it does not lex
+        self.key: Optional[tuple[str, ...]] = None
+        self.error: Optional[ParseError] = None
+
+    def lex(self) -> Optional[list[Token]]:
+        """The reference's tokens, or None when it does not lex."""
+        if not self._lexed:
+            self._lexed = True
+            try:
+                self.tokens = tokenize(self.text)
+            except ParseError as exc:
+                self.error = exc
+            else:
+                self.key = token_key(self.tokens)
+        return self.tokens
+
+    def parse_error(self) -> Optional[ParseError]:
+        """The reference's ParseError, from its lexer or its parser, or None."""
+        if not self._parsed:
+            self._parsed = True
+            if self.lex() is not None:
+                try:
+                    parse(self.text, self.tokens)
+                except ParseError as exc:
+                    self.error = exc
+        return self.error
+
+
 def classify(
     bug_id: str,
     candidates: Sequence[CandidatePatch],
     reference: str,
     plan: Optional[PlausibilityPlan] = None,
-    language: str = "java",
 ) -> list[AssessmentVerdict]:
     """Score each candidate on the assessment tiers, cheapest check first.
 
     Exact matches skip test execution (plausible by fiat) and imply AST
     match. Other candidates run the tests when a plan is given; AST match
-    is evaluated only for parsable candidates that did not fail the tests.
-    Each reconstructed candidate that is not an exact match is parsed once,
-    and the reference at most once per call, when a candidate first needs
-    an AST verdict.
+    is evaluated only for parsable candidates that did not fail the tests,
+    and then the reference must parse (its ParseError propagates).
     Candidates that failed reconstruction score negative on every tier.
     Semantic labels stay unlabeled here; they come from the rating store.
+
+    The reference is lexed at most once and parsed at most once per call.
+    Each other reconstructed candidate is lexed once, before its test run,
+    by `tokenize_edit` against the reference, so only the lines where it
+    differs are lexed. Its key, the texts of its non-comment tokens,
+    decides the rest:
+    - A candidate whose key equals that of a candidate tested earlier in
+      the call shares that candidate's test verdict and is not tested.
+      This assumes a suite's outcome ignores comments and whitespace.
+    - A candidate whose key equals the reference's is parsable exactly
+      when the reference is, since the parser reads token texts only, and
+      is not parsed itself.
+    - Any other candidate that lexes is parsed once, from its tokens.
     """
     verdicts = []
-    reference_key = None  # parsed on first need, at most once per call
+    ref = _Reference(reference)
+    tested: dict[tuple[str, ...], str] = {}  # key -> plausible verdict
     for candidate in candidates:
         if candidate.reconstructed is None:
             verdicts.append(
@@ -329,22 +374,39 @@ def classify(
                 AssessmentVerdict(bug_id, candidate.rank, True, PASS, True, True)
             )
             continue
-        if plan is not None:
-            run = check_plausible(plan.project_root, plan.location, text, plan.spec)
-            plausible = PASS if run.outcome == PASS else FAIL
-        else:
-            plausible = NOT_RUN
+        base = ref.lex()
         try:
-            key = ast_key(parse(text, language))
+            tokens = tokenize(text) if base is None else tokenize_edit(reference, base, text)
+            key = token_key(tokens)
         except ParseError:
             key = None
+        if plan is None:
+            plausible = NOT_RUN
+        elif key in tested:
+            plausible = tested[key]
+        else:
+            run = check_plausible(plan.project_root, plan.location, text, plan.spec)
+            plausible = PASS if run.outcome == PASS else FAIL
+            if key is not None:
+                tested[key] = plausible
+        if key is None:
+            parse_ok = False
+        elif key == ref.key:
+            parse_ok = ref.parse_error() is None
+        else:
+            try:
+                parse(text, tokens)
+                parse_ok = True
+            except ParseError:
+                parse_ok = False
         ast = False
-        if key is not None and plausible != FAIL:
-            if reference_key is None:
-                reference_key = ast_key(parse(reference, language))
-            ast = key == reference_key
+        if parse_ok and plausible != FAIL:
+            error = ref.parse_error()
+            if error is not None:
+                raise error
+            ast = key == ref.key
         verdicts.append(
-            AssessmentVerdict(bug_id, candidate.rank, key is not None, plausible, False, ast)
+            AssessmentVerdict(bug_id, candidate.rank, parse_ok, plausible, False, ast)
         )
     return verdicts
 

@@ -262,7 +262,6 @@ def run_bug(
     pair: ReprPair,
     gen_config: GenerationConfig,
     markers: Markers = DEFAULT_MARKERS,
-    language: str = "java",
     run_tests: bool = True,
 ) -> RunRecord:
     """Generate, reconstruct, and classify candidates for one bug.
@@ -314,7 +313,7 @@ def run_bug(
             ),
         )
     try:
-        verdicts = classify(entry.bug_id, candidates, entry.reference, plan, language)
+        verdicts = classify(entry.bug_id, candidates, entry.reference, plan)
         error = None
     except RepairKitError as exc:
         verdicts = [
@@ -343,7 +342,6 @@ def run_benchmark(
     gen_config: GenerationConfig,
     store: Optional[RecordStore] = None,
     markers: Markers = DEFAULT_MARKERS,
-    language: str = "java",
     workers: int = 1,
     run_tests: bool = True,
 ) -> list[RunRecord]:
@@ -360,7 +358,7 @@ def run_benchmark(
     todo = [e for e in manifest if e.bug_id not in records]
 
     def _one(entry: BugManifestEntry) -> RunRecord:
-        record = run_bug(entry, pair, gen_config, markers, language, run_tests)
+        record = run_bug(entry, pair, gen_config, markers, run_tests)
         if store is not None:
             store.append(record)
         return record

@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="corpus root directory")
     p.add_argument("--pair", required=True, type=_pair_argument, help="representation pair, e.g. IR4xOR2")
     p.add_argument("--out", required=True, help="output dataset file (JSONL)")
-    p.add_argument("--max-length", type=int, help="token cap on input+output")
+    p.add_argument("--max-length", type=_positive_int, help="token cap on input+output")
     p.add_argument("--tokenizer", help="tokenizer id (default: approximate)")
     p.add_argument("--denylist", help="JSON file mapping bug ids to patched function text")
 

@@ -9,12 +9,6 @@ class RepairKitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class UnsupportedLanguage(RepairKitError):
-    def __init__(self, language: str):
-        super().__init__(f"unsupported language: {language!r}")
-        self.language = language
-
-
 class ParseError(RepairKitError):
     """Source text is not syntactically valid."""
 

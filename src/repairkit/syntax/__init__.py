@@ -1,18 +1,18 @@
-"""Source-language frontend: function extraction, parsing, AST equivalence.
+"""The Java frontend: function extraction, parsing, AST equivalence.
 
-The frontend is pluggable per language tag. The built-in frontend covers
-Java; registering another `LanguageFrontend` makes `parse`, `ast_equal`,
-and `extract_functions` work for additional languages without touching the
-callers.
+A tree's leaves are the lexer's `Token`s, comments included, and its
+interior nodes are `SyntaxNode`s; a source of one token parses to that
+token alone. The tree without its comment leaves follows from the texts of
+the other leaves alone: AST match compares `ast_key`s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from ..errors import ParseError, UnsupportedLanguage
-from .parser import parse_java
-from .tokens import Token, tokenize
+from ..errors import ParseError
+from .parser import parse
+from .tokens import Token, token_key, tokenize, tokenize_edit
 from .tree import Node, NormalizedNode, SyntaxNode, ast_key, normalize
 
 __all__ = [
@@ -21,17 +21,16 @@ __all__ = [
     "SyntaxNode",
     "Token",
     "NormalizedNode",
-    "LanguageFrontend",
-    "register_language",
-    "supported_languages",
     "parse",
+    "tokenize",
+    "tokenize_edit",
+    "token_key",
     "extract_functions",
     "extract_functions_of_edit",
     "normalize",
     "ast_key",
     "ast_equal",
     "ParseError",
-    "UnsupportedLanguage",
 ]
 
 FUNCTION_KINDS = frozenset({"method_declaration", "constructor_declaration"})
@@ -43,7 +42,6 @@ class SourceFile:
 
     path: str
     content: str
-    language: str = "java"
 
     @property
     def lines(self) -> list[str]:
@@ -87,48 +85,6 @@ class SourceFunction:
         return len(self.lines)
 
 
-@dataclass
-class LanguageFrontend:
-    """Hooks one grammar into the toolkit.
-
-    `parse` returns a tree whose leaves are `Token`s and whose interior
-    nodes are `SyntaxNode`s; a source of one token may parse to that token
-    alone. Every token must be a leaf, and the tree without its comment
-    leaves must follow from the texts of the other leaves alone, as it does
-    for Java: AST match compares `ast_key`s.
-    """
-
-    name: str
-    parse: Callable[[str], Node]
-
-
-_FRONTENDS: dict[str, LanguageFrontend] = {}
-
-
-def register_language(frontend: LanguageFrontend) -> None:
-    _FRONTENDS[frontend.name] = frontend
-
-
-def supported_languages() -> list[str]:
-    return sorted(_FRONTENDS)
-
-
-register_language(LanguageFrontend(name="java", parse=parse_java))
-
-
-def parse(source: str, language: str = "java") -> Node:
-    """Parse source text into a syntax tree.
-
-    Accepts whole files and bare fragments (a single function parses with a
-    method-declaration root). Raises UnsupportedLanguage for unknown tags
-    and ParseError for invalid source.
-    """
-    frontend = _FRONTENDS.get(language)
-    if frontend is None:
-        raise UnsupportedLanguage(language)
-    return frontend.parse(source)
-
-
 def extract_functions(file: SourceFile) -> list[SourceFunction]:
     """All method and constructor declarations of a file, in source order.
 
@@ -136,7 +92,7 @@ def extract_functions(file: SourceFile) -> list[SourceFunction]:
     Bodies nested inside another function (local classes, anonymous classes,
     lambdas) belong to their enclosing declaration and are not listed.
     """
-    tree = parse(file.content, file.language)
+    tree = parse(file.content)
     lines = file.lines
     return [_source_function(node, lines, file) for node in _function_nodes(tree)]
 
@@ -154,13 +110,11 @@ def extract_functions_of_edit(
     the after file's functions are the before file's with F replaced by F'
     and the later ones shifted. Otherwise the after file is parsed whole.
     """
-    tree = parse(before.content, before.language)
+    tree = parse(before.content)
     old = before.lines
     nodes = list(_function_nodes(tree))
     before_fns = [_source_function(node, old, before) for node in nodes]
-    after_fns = None
-    if before.language == after.language == "java":  # the checks use the Java lexer
-        after_fns = _edited_functions(nodes, before_fns, old, after)
+    after_fns = _edited_functions(nodes, before_fns, old, after)
     if after_fns is None:
         after_fns = extract_functions(after)
     return before_fns, after_fns
@@ -203,7 +157,7 @@ def _edited_functions(
     try:
         if tokenize(fn.text) != own:
             return None
-        root = parse(text, after.language)
+        root = parse(text)
     except ParseError:
         return None
     if (
@@ -251,7 +205,7 @@ def _declared_name(node: SyntaxNode) -> str:
     return name
 
 
-def ast_equal(a: str, b: str, language: str = "java") -> bool:
+def ast_equal(a: str, b: str) -> bool:
     """True iff the two sources have equal trees modulo comments/formatting.
 
     That is, iff their significant (non-comment) token sequences are equal.
@@ -259,4 +213,4 @@ def ast_equal(a: str, b: str, language: str = "java") -> bool:
     literal is unequal); exact textual equality always implies True.
     Raises ParseError when either input does not parse.
     """
-    return ast_key(parse(a, language)) == ast_key(parse(b, language))
+    return ast_key(parse(a)) == ast_key(parse(b))

@@ -13,6 +13,10 @@ produce standalone method nodes.
 
 The parser accepts fragments, not just compilation units: a lone method,
 statement, or field parses with the corresponding root node.
+
+Every choice the parser makes reads the texts of the significant tokens
+and nothing else: no offset, line or comment. So whether a source parses,
+and its tree without comments, follow from its `token_key`.
 """
 from __future__ import annotations
 
@@ -40,10 +44,9 @@ _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str):
+    def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
-        self.source = source
 
     # ---- token cursor -------------------------------------------------
 
@@ -353,18 +356,20 @@ class _Parser:
     def _sealed_width(self) -> int:
         """Tokens in a `sealed` or `non-sealed` modifier here, else 0.
 
-        Both are contextual: `non-sealed` lexes as `non`, `-`, `sealed`
-        with nothing between, and either counts as a modifier only before
-        another modifier, an annotation, `class` or `interface`, so a
-        member named `sealed` keeps its meaning.
+        Both are contextual: `non-sealed` lexes as `non`, `-`, `sealed`,
+        and either counts as a modifier only before another modifier, an
+        annotation, `class` or `interface`, so a member named `sealed`
+        keeps its meaning. Like every choice here, this reads token texts
+        only, so spacing and comments between the three tokens (which javac
+        rejects) never change the tree.
         """
         tok = self.peek()
         width = 1
         if tok.text == "non":
             dash, word = self.peek(1), self.peek(2)
             if not (
-                dash is not None and dash.text == "-" and dash.start == tok.end
-                and word is not None and word.text == "sealed" and word.start == dash.end
+                dash is not None and dash.text == "-"
+                and word is not None and word.text == "sealed"
             ):
                 return 0
             width = 3
@@ -617,9 +622,15 @@ class _Parser:
         return root
 
 
-def parse_java(source: str) -> Node:
-    """Parse a Java compilation unit or fragment into a syntax tree.
+def parse(source: str, tokens: Optional[list[Token]] = None) -> Node:
+    """Parse Java source text into a syntax tree.
 
-    The root is a lone token when the source holds one token and nothing else.
+    Accepts whole files and bare fragments (a single function parses with a
+    method-declaration root); the root is a lone token when the source
+    holds one token and nothing else. `tokens`, when given, must be
+    `tokenize(source)`, and the source is not lexed again. Raises
+    ParseError for invalid source.
     """
-    return _Parser(tokenize(source), source).parse_compilation_unit()
+    if tokens is None:
+        tokens = tokenize(source)
+    return _Parser(tokens).parse_compilation_unit()

@@ -36,6 +36,18 @@ is exactly what the regex `\\w` matches, plus `$`. A character for which
 `str.isdigit` holds but that is not a Unicode decimal digit, such as `²`,
 starts a malformed number literal.
 
+`tokenize_edit(base, base_tokens, text)` gives `tokenize(text)` for a text
+that shares most lines with an already lexed `base`, such as a candidate
+patch and its reference fix. It lexes only the lines between the longest
+common line prefix and suffix of the two. Before them it reuses
+`base_tokens` as they are, and after them shifted. Only a block comment, a
+text block, or a string or char escaping a newline can reach past the end
+of a line. Such a token either crosses an edge of the changed lines in
+`base`, or does not close within them in `text`. So `tokenize_edit` falls
+back to `tokenize(text)` when a base token crosses either edge, and when
+the changed lines raise `ParseError` lexed on their own; any lexical error
+of `text` lies in those lines, since the rest of it lexed in `base`.
+
 One deliberate quirk: `>` is always lexed as a single-character token and
 never folded into `>>`, `>>>`, `>>=` or `>>>=`. Generic type closers may
 legally be written `>>` or `> >`, and folding would make token streams
@@ -46,8 +58,9 @@ in valid Java.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import ParseError
 
@@ -155,15 +168,71 @@ class Token(NamedTuple):
         yield self
 
 
+_START = itemgetter(2)  # a token's start offset
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize Java source, raising ParseError on lexical problems."""
+    return _lex(source, 0, len(source), 1)
+
+
+def tokenize_edit(base: str, base_tokens: list[Token], text: str) -> list[Token]:
+    """`tokenize(text)`, lexing only the lines where `text` differs from `base`.
+
+    `base_tokens` must be `tokenize(base)`. Tokens after the changed lines
+    keep their columns, since those lines start at a line start. See the
+    module docstring for why this is exact, and when it falls back.
+    """
+    old, new = base.split("\n"), text.split("\n")
+    common = min(len(old), len(new))
+    prefix = 0
+    while prefix < common and old[prefix] == new[prefix]:
+        prefix += 1
+    suffix = 0
+    while suffix < common - prefix and old[-1 - suffix] == new[-1 - suffix]:
+        suffix += 1
+    start = sum(map(len, old[:prefix])) + prefix
+    tail = sum(map(len, old[len(old) - suffix :])) + suffix - 1 if suffix else 0
+    base_end, end = len(base) - tail, len(text) - tail
+    first = bisect_left(base_tokens, start, key=_START)
+    last = bisect_left(base_tokens, base_end, lo=first, key=_START)
+    if (first and base_tokens[first - 1].end > start) or (
+        last and base_tokens[last - 1].end > base_end
+    ):
+        return tokenize(text)
+    try:
+        window = _lex(text, start, end, prefix + 1)
+    except ParseError:
+        return tokenize(text)
+    after = base_tokens[last:]
+    shift, lines = end - base_end, len(new) - len(old)
+    if shift or lines:
+        new_token = tuple.__new__
+        after = [
+            new_token(Token, (kind, word, begin + shift, finish + shift, row + lines, column))
+            for kind, word, begin, finish, row, column in after
+        ]
+    return base_tokens[:first] + window + after
+
+
+def token_key(tokens: Iterable[Token]) -> tuple[str, ...]:
+    """The texts of the non-comment tokens, in order: `ast_key` of the
+    tree whose leaves they are."""
+    return tuple([t.text for t in tokens if t.kind not in COMMENT_KINDS])
+
+
+def _lex(source: str, pos: int, endpos: int, line: int) -> list[Token]:
+    """The tokens of `source[pos:endpos]`, as if `pos` starts line `line`.
+
+    Offsets, lines and columns are those of the whole source, provided
+    `pos` is the start of a line there.
+    """
     out: list[Token] = []
     append = out.append
     count = source.count
     new_token = tuple.__new__
-    line = 1
-    line_start = 0  # offset of the current line's first character
-    for m in _TOKEN_RE.finditer(source):
+    line_start = pos  # offset of the current line's first character
+    for m in _TOKEN_RE.finditer(source, pos, endpos):
         kind = m.lastgroup
         start, end = m.span(kind)
         skipped = m.start()

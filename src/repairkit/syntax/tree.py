@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .tokens import COMMENT_KINDS, Token
+from .tokens import COMMENT_KINDS, Token, token_key
 
 COMPILATION_UNIT = "compilation_unit"
 
@@ -108,17 +108,7 @@ def ast_key(node: Node) -> tuple[str, ...]:
 
     Two trees normalize equal exactly when their keys are equal: the
     normalized tree's leaves, read in order, are this sequence, and the
-    parser never looks at comments when it chooses a node, so the rest of
-    the normalized tree follows from the same sequence.
+    parser reads nothing but these texts when it chooses a node, so the
+    rest of the normalized tree follows from the same sequence.
     """
-    texts: list[str] = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        # Leaves are tokens; reading their fields skips the label property.
-        if type(current) is Token:
-            if current.kind not in COMMENT_KINDS:
-                texts.append(current.text)
-        else:
-            stack.extend(reversed(current.children))
-    return tuple(texts)
+    return token_key(node.leaves())

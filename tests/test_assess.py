@@ -4,11 +4,18 @@ import os
 import shlex
 import sys
 import time
+import zlib
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from classify_oracle import oracle_classify
+from repairkit import assess
 from repairkit.assess import (
     CORRECT,
     FAIL,
@@ -23,6 +30,7 @@ from repairkit.assess import (
     PlausibilityPlan,
     RatingStore,
     SemanticRating,
+    TestRun,
     TestSpec,
     apply_ratings,
     ast_match,
@@ -39,10 +47,11 @@ from repairkit.errors import (
     InvalidRating,
     NoOverlap,
     ParseError,
+    RepairKitError,
     SpliceError,
 )
 from repairkit.gen import CandidatePatch
-from repairkit.syntax import parser
+from repairkit.syntax import parser, token_key, tokenize
 
 PY = shlex.quote(sys.executable)
 
@@ -337,40 +346,56 @@ class TestClassify:
         assert first == second
 
     @pytest.fixture
-    def parsed(self, monkeypatch):
-        """Every source the Java frontend parses, in order of parsing."""
-        seen = []
-        tokenize = parser.tokenize
+    def work(self, monkeypatch):
+        """The texts classify lexes in full, those it lexes against the
+        reference, and the sources it parses, in order.
 
-        def counting_tokenize(source):
-            seen.append(source)
-            return tokenize(source)
+        A parse that lexes its source again would show in `lexed` too.
+        """
+        work = SimpleNamespace(lexed=[], edited=[], parsed=[])
 
-        monkeypatch.setattr(parser, "tokenize", counting_tokenize)
-        return seen
+        def logged(fn, log, position):
+            def wrapper(*args):
+                log.append(args[position])
+                return fn(*args)
 
-    def test_parses_each_source_once(self, parsed):
+            return wrapper
+
+        monkeypatch.setattr(assess, "tokenize", logged(assess.tokenize, work.lexed, 0))
+        monkeypatch.setattr(
+            assess, "tokenize_edit", logged(assess.tokenize_edit, work.edited, 2)
+        )
+        monkeypatch.setattr(parser, "tokenize", logged(parser.tokenize, work.lexed, 0))
+        monkeypatch.setattr(assess, "parse", logged(assess.parse, work.parsed, 0))
+        return work
+
+    def test_parses_each_source_once(self, work):
         reformatted = "int f() { return a + b; }"
         renamed = "int f() { return a + c; }"
         commented = REFERENCE + " // done"
         broken = "int f() { return"
+        unlexable = 'int f() { return "a + b; }'
         candidates = [
             self._candidate(REFERENCE, 0),
             self._candidate(reformatted, 1),
             self._candidate(renamed, 2),
             self._candidate(commented, 3),
             self._candidate(broken, 4),
-            CandidatePatch("bug", 5, "raw", reconstruct_error="MalformedOutput"),
+            self._candidate(unlexable, 5),
+            CandidatePatch("bug", 6, "raw", reconstruct_error="MalformedOutput"),
         ]
         verdicts = classify("bug", candidates, REFERENCE, None)
-        assert [v.ast for v in verdicts] == [True, True, False, True, False, False]
-        assert [v.parse_ok for v in verdicts] == [True, True, True, True, False, False]
-        # One parse per reconstructed, non-exact candidate; one of the reference.
-        assert Counter(parsed) == Counter(
-            [REFERENCE, reformatted, renamed, commented, broken]
-        )
+        assert [v.ast for v in verdicts] == [True, True, False, True, False, False, False]
+        assert [v.parse_ok for v in verdicts] == [True, True, True, True, False, False, False]
+        # Each source is lexed once: the reference in full, the others
+        # against it.
+        assert work.lexed == [REFERENCE]
+        assert work.edited == [reformatted, renamed, commented, broken, unlexable]
+        # The reference once; of the candidates only those whose tokens
+        # differ from the reference's, and never one that does not lex.
+        assert Counter(work.parsed) == Counter([REFERENCE, renamed, broken])
 
-    def test_reference_parsed_only_for_an_ast_verdict(self, parsed):
+    def test_reference_parsed_only_for_an_ast_verdict(self, work):
         broken = "int f() { return"
         candidates = [
             self._candidate(REFERENCE, 0),
@@ -378,10 +403,39 @@ class TestClassify:
             CandidatePatch("bug", 2, "raw", reconstruct_error="MalformedOutput"),
         ]
         classify("bug", candidates, REFERENCE, None)
-        assert parsed == [broken]
-        parsed.clear()
+        assert (work.lexed, work.edited, work.parsed) == ([REFERENCE], [broken], [broken])
+        work.lexed.clear()
+        work.edited.clear()
+        work.parsed.clear()
         classify("bug", [candidates[0], candidates[2]], REFERENCE, None)
-        assert parsed == []
+        assert work.lexed == work.edited == work.parsed == []
+
+    def test_token_equal_candidates_are_tested_once(self, tmp_path, monkeypatch):
+        project, location, spec = _project(tmp_path)
+        plan = PlausibilityPlan(str(project), location, spec)
+        tested = []
+        check = assess.check_plausible
+
+        def counting_check(project_root, location, candidate, spec):
+            tested.append(candidate)
+            return check(project_root, location, candidate, spec)
+
+        monkeypatch.setattr(assess, "check_plausible", counting_check)
+        reformatted = "    static int combine(int a, int b) { return a + b; }"
+        unlexable = "    static int combine(int a, int b) {\n        return a + b; /*\n    }"
+        candidates = [
+            self._candidate(reformatted, 0),
+            self._candidate(reformatted + " // same tokens", 1),
+            self._candidate(BAD, 2),
+            self._candidate(BAD.replace("a * b", "a*b"), 3),
+            self._candidate(unlexable, 4),
+            self._candidate(unlexable, 5),  # tested on its own: it does not lex
+            self._candidate(GOOD, 6),  # exact: not tested
+        ]
+        verdicts = classify("bug", candidates, GOOD, plan)
+        assert tested == [reformatted, BAD, unlexable, unlexable]
+        assert [v.plausible for v in verdicts] == [PASS, PASS, FAIL, FAIL, PASS, PASS, PASS]
+        assert [v.ast for v in verdicts] == [True, True, False, False, False, False, True]
 
     def test_unparsable_reference_raises_once_needed(self):
         unparsable = "int broken("
@@ -389,6 +443,102 @@ class TestClassify:
         assert classify("bug", [exact], unparsable, None)[0].exact
         with pytest.raises(ParseError):
             classify("bug", [exact, self._candidate(REFERENCE, 1)], unparsable, None)
+
+
+# --------------------------------------------------------------------------
+# classify against the implementation that lexed and parsed every candidate
+
+ORACLE_REFERENCES = [
+    REFERENCE,
+    GOOD,
+    "class K {\n    /* note */\n    int g(String s) {\n        return s.length();\n    }\n}",
+    "int f() {\n    String t = \"\"\"\n        block\n        \"\"\";\n    return t.length();\n}",
+    "int broken(",  # lexes, does not parse
+    "int f() {\n    return a + b;\n}}",
+    'int f() {\n    return "a + b;\n}',  # does not lex
+    "int f() {\n    /* open\n}",
+]
+
+_EDIT_PIECES = [
+    "", "return a - b;", "return a + b;", "}", "{", "/*", "*/", "// c", '"', "'",
+    '"""', "\\", "\r", " ", "\t", "é", "int c = 0;", "if (a) b();", "a + c",
+]
+
+
+@st.composite
+def _candidate_text(draw, reference):
+    """An exact, CRLF, re-spaced, commented or line-edited copy of the
+    reference, or another reference."""
+    kind = draw(st.sampled_from(["exact", "crlf", "respaced", "comment", "edit", "other"]))
+    if kind == "exact":
+        return reference
+    if kind == "crlf":
+        return reference.replace("\n", "\r\n")
+    if kind == "respaced":
+        return reference.replace(" ", draw(st.sampled_from(["  ", "\n", "\t"])))
+    if kind == "comment":
+        return reference + draw(st.sampled_from([" // c", "\n/* c */", " "]))
+    if kind == "other":
+        return draw(st.sampled_from(ORACLE_REFERENCES))
+    lines = reference.split("\n")
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        piece = "".join(draw(st.lists(st.sampled_from(_EDIT_PIECES), max_size=2)))
+        action = draw(st.sampled_from(["insert", "delete", "replace", "splice"]))
+        if action == "insert":
+            lines.insert(at, piece)
+        elif action == "delete" and len(lines) > 1:
+            del lines[at]
+        elif action == "replace":
+            lines[at] = piece
+        else:
+            column = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:column] + piece + lines[at][column:]
+    return "\n".join(lines)
+
+
+@st.composite
+def _classify_inputs(draw):
+    reference = draw(st.sampled_from(ORACLE_REFERENCES))
+    texts = draw(st.lists(st.one_of(st.none(), _candidate_text(reference)), max_size=8))
+    candidates = [
+        CandidatePatch("bug", rank, "raw", reconstructed=text)
+        if text is not None
+        else CandidatePatch("bug", rank, "raw", reconstruct_error="MalformedOutput")
+        for rank, text in enumerate(texts)
+    ]
+    plan = None
+    if draw(st.booleans()):
+        plan = PlausibilityPlan("proj", FunctionLocation("Lib.java", 1, 1), TestSpec("true"))
+    return candidates, reference, plan
+
+
+def _fake_check(project_root, location, candidate, spec):
+    """A suite whose outcome, or SpliceError, follows from the candidate's
+    token texts when it lexes, else from its text."""
+    try:
+        basis = "\0".join(token_key(tokenize(candidate)))
+    except ParseError:
+        basis = candidate
+    digest = zlib.crc32(basis.encode())
+    if digest % 13 == 0:
+        raise SpliceError(f"stale line range ({digest})")
+    return TestRun("true", "proj", 1.0, PASS if digest % 3 else FAIL, "")
+
+
+def _classified(classify_fn, candidates, reference, plan):
+    try:
+        return classify_fn("bug", candidates, reference, plan)
+    except RepairKitError as exc:
+        return type(exc), str(exc)
+
+
+class TestClassifyMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_classify_inputs())
+    def test_same_verdicts_or_error(self, inputs):
+        with mock.patch.object(assess, "check_plausible", _fake_check):
+            assert _classified(classify, *inputs) == _classified(oracle_classify, *inputs)
 
 
 class TestRatings:

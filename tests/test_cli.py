@@ -60,6 +60,16 @@ class TestDatasetCommand:
         err = capsys.readouterr().err
         assert "IR1xOR1" in err and "IR4xOR2" in err  # cites the pairing matrix
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_length_must_be_positive(self, diff_corpus, tmp_path, value, capsys):
+        out = tmp_path / "data.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dataset", "--corpus", str(diff_corpus), "--pair", "IR4xOR2",
+                  "--out", str(out), "--max-length", value])
+        assert exit_info.value.code == 2
+        assert "argument --max-length:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_corpus_emits_zero_and_exits_zero(self, tmp_path, capsys):
         root = tmp_path / "empty"
         (root / "before").mkdir(parents=True)

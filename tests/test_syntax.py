@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from reference_lexer import reference_tokenize
 from repairkit.assess import ast_match, classify
-from repairkit.errors import ParseError, UnsupportedLanguage
+from repairkit.errors import ParseError
 from repairkit.gen import CandidatePatch
 from repairkit.syntax import (
     NormalizedNode,
@@ -21,16 +21,25 @@ from repairkit.syntax import (
     parse,
 )
 from repairkit.syntax import parser as java_parser
+from repairkit.syntax import tokens as token_module
 from repairkit.syntax.tokens import (
     COMMENT_KINDS,
     IDENTIFIER,
     LINE_COMMENT,
     NUMBER,
     tokenize,
+    tokenize_edit,
 )
 from test_parse_golden import SOURCES as GOLDEN_SOURCES
 
 MINIMAL = "int f(){return 1;}"
+
+SEALED_CASES = [
+    ("sealed interface S permits A, B {}", "interface_declaration"),
+    ("public sealed abstract class S permits A {}", "class_declaration"),
+    ("class C { non-sealed class D extends C {} }", "class_declaration"),
+    ("non-sealed @Deprecated interface I extends S {}", "interface_declaration"),
+]
 
 
 class TestParse:
@@ -58,9 +67,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse('int f(){ String s = "oops; }')
 
-    def test_unknown_language(self):
-        with pytest.raises(UnsupportedLanguage):
-            parse(MINIMAL, language="cobol")
+    def test_given_tokens_are_the_leaves(self):
+        tokens = tokenize(MINIMAL)
+        with mock.patch.object(java_parser, "tokenize", side_effect=AssertionError("lexed")):
+            tree = parse(MINIMAL, tokens)
+        assert all(leaf is token for leaf, token in zip(tree.leaves(), tokens, strict=True))
 
     def test_empty_source_is_empty_unit(self):
         tree = parse("")
@@ -121,23 +132,17 @@ class TestParse:
         assert parse("return a+b;").kind == "return_statement"
         assert parse("if (x) { y(); }").kind == "if_statement"
 
-    @pytest.mark.parametrize(
-        "source,kind",
-        [
-            ("sealed interface S permits A, B {}", "interface_declaration"),
-            ("public sealed abstract class S permits A {}", "class_declaration"),
-            ("class C { non-sealed class D extends C {} }", "class_declaration"),
-            ("non-sealed @Deprecated interface I extends S {}", "interface_declaration"),
-        ],
-    )
+    @pytest.mark.parametrize("source,kind", SEALED_CASES)
     def test_sealed_hierarchies_parse(self, source, kind):
         tree = parse(source)
         assert tree.kind == kind
         assert ast_key(tree) == tuple(t.text for t in tokenize(source))
 
-    def test_non_sealed_needs_adjacent_tokens(self):
-        with pytest.raises(ParseError, match="expected declaration"):
-            parse("class C { non - sealed class D {} }")
+    def test_non_sealed_may_be_spaced(self):
+        # javac wants the three tokens adjacent; the parser reads texts only.
+        adjacent = "class C { non-sealed class D {} }"
+        spaced = "class C { non - sealed class D {} }"
+        assert normalize(parse(spaced)) == normalize(parse(adjacent))
 
     def test_member_named_sealed_keeps_its_meaning(self):
         source = "class K { int sealed = 1; int sealed() { return sealed; } }"
@@ -645,3 +650,167 @@ class TestLeavesAreTokens:
         assert list(root.leaves()) == []
         assert ast_key(root) == ()
         assert normalize(root) == NormalizedNode("compilation_unit", None, ())
+
+
+# --------------------------------------------------------------------------
+# the parser reads token texts only
+
+RESPACE_SOURCES = [
+    *(source for _, source in sorted(GOLDEN_SOURCES.items())),
+    *(source for source, _ in SEALED_CASES),
+    "class C { non - sealed class D {} }",
+    "class K { int sealed = 1; int sealed() { return sealed; } }",
+    "void m() { record P(int x) {} int y = 1; }",
+    "void m() { final record P(int x) {} }",
+    "void m() { record P(int x) {} }",
+    "class R { int m() { record P(int x) { P { assert x > 0; } } return 1; } }",
+    # and some that do not parse
+    "int f() { return 1 }",
+    "class C { non - sealed }",
+    "void m() { record P(int x) {} int y = 1 }",
+    "class D { sealed sealed x; } }",
+]
+
+# Each separator starts and ends with whitespace, so no two tokens merge.
+_RESPACINGS = [" ", "\n", "\t", "\r\n", "  \n\n  ", " /* c */ ", " /**/\n", " // c\n"]
+
+
+def _lexes(source):
+    try:
+        tokenize(source)
+    except ParseError:
+        return False
+    return True
+
+
+@st.composite
+def _respaced(draw):
+    """A source, and its tokens rejoined with other spacing and comments."""
+    source = draw(st.sampled_from(RESPACE_SOURCES))
+    tokens = tokenize(source)
+    picks = draw(st.lists(st.sampled_from(_RESPACINGS), min_size=len(tokens), max_size=len(tokens)))
+    parts = []
+    for token, separator in zip(tokens, picks):
+        parts.append(token.text)
+        parts.append(separator if token.kind != LINE_COMMENT or "\n" in separator else "\n")
+    return source, "".join(parts)
+
+
+def _key_or_failure(source):
+    try:
+        return ast_key(parse(source))
+    except ParseError:
+        return None
+
+
+class TestParserReadsTextsOnly:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=_respaced())
+    def test_respacing_keeps_parse_and_key(self, pair):
+        source, respaced = pair
+        assert _key_or_failure(respaced) == _key_or_failure(source)
+
+    def test_sources_cover_both_outcomes(self):
+        outcomes = {_key_or_failure(s) is None for s in RESPACE_SOURCES}
+        assert outcomes == {True, False}
+
+
+# --------------------------------------------------------------------------
+# tokenize_edit against tokenize
+
+EDIT_BASES = [*RESPACE_SOURCES, BENCH_STYLE_CLASS, *REFORMAT_SOURCES]
+
+_EDIT_PIECES = [
+    *_LEX_PIECES,
+    "*/", "\r", " \t", "日本", "/* open", "close */", "// tail",
+    'String s = "', "char c = '", "return a + b;",
+]
+
+
+def _edit_lines(draw, source, edits):
+    """`source` with that many lines replaced, inserted, deleted or edited in place."""
+    lines = source.split("\n")
+    for _ in range(edits):
+        at = draw(st.integers(0, len(lines)))
+        piece = "".join(draw(st.lists(st.sampled_from(_EDIT_PIECES), max_size=3)))
+        action = draw(st.sampled_from(["insert", "delete", "replace", "splice"]))
+        if action == "insert" or at == len(lines):
+            lines.insert(at, piece)
+        elif action == "delete":
+            del lines[at]
+        elif action == "replace":
+            lines[at] = piece
+        else:
+            column = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:column] + piece + lines[at][column:]
+    return "\n".join(lines)
+
+
+@st.composite
+def _line_edits(draw):
+    """A base source that lexes, its tokens, and a copy with one to three
+    line edits. The base is itself a known source with up to two edits, so
+    stray closers such as `*/` or `"` can sit outside the edited lines."""
+    base = _edit_lines(draw, draw(st.sampled_from(EDIT_BASES)), draw(st.integers(0, 2)))
+    assume(_lexes(base))
+    return base, tokenize(base), _edit_lines(draw, base, draw(st.integers(1, 3)))
+
+
+def _edit_path(base, base_tokens, text):
+    """Whether `tokenize_edit` lexed a window or fell back to `tokenize`."""
+    with mock.patch.object(token_module, "tokenize", wraps=tokenize) as full:
+        _lex(lambda t: tokenize_edit(base, base_tokens, t), text)
+    return "fallback" if full.called else "window"
+
+
+class TestTokenizeEditMatchesTokenize:
+    @settings(max_examples=400, deadline=None)
+    @given(edit=_line_edits())
+    def test_same_tokens_or_error(self, edit):
+        base, base_tokens, text = edit
+        assert _lex(lambda t: tokenize_edit(base, base_tokens, t), text) == _lex(tokenize, text)
+
+    @pytest.mark.parametrize(
+        "base,text,path",
+        [
+            ("a\nb", "a\nx\nb", "window"),
+            ("a\nb", "a", "window"),
+            ("b", "a\nb", "window"),
+            ("a\r\nb", "a\r\n/* c\r\n*/ b", "window"),
+            ("a\nb", "a\nb ²", "fallback"),  # a lexical error
+            # a base comment across the first changed line's start
+            ("int a; /* one\ntwo */ int b;", "int a; /* one\nTWO */ int b;", "fallback"),
+            # a base comment, then a string, across the last changed line's end
+            ("int a; /* one\ntwo */ int b;", "int A;\ntwo */ int b;", "fallback"),
+            ('String s = "a\\\nb";', 'int x;\nb";', "fallback"),
+            # a comment opened in the changed lines closes after them
+            ("int f() {\n    return a;\n    y = 2 */ 3;\n}", "int f() {\n    /* a;\n    y = 2 */ 3;\n}", "fallback"),
+        ],
+    )
+    def test_edges_of_the_changed_lines(self, base, text, path):
+        base_tokens = tokenize(base)
+        assert _lex(lambda t: tokenize_edit(base, base_tokens, t), text) == _lex(tokenize, text)
+        assert _edit_path(base, base_tokens, text) == path
+
+    @pytest.mark.parametrize("path", ["window", "fallback"])
+    def test_edits_take_both_paths(self, path):
+        find(
+            _line_edits(),
+            lambda edit: _edit_path(*edit) == path,
+            settings=settings(database=None, phases=[Phase.generate], max_examples=200),
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "int f() {\n    return a - b;\n}",  # one line changed
+            "int f() {\n    int c = 0;\n    return a + b;\n}",  # a line inserted
+            "int f() {\n    return a + b;\n}\n",  # a line appended
+        ],
+    )
+    def test_unchanged_lines_keep_their_tokens(self, text):
+        base = "int f() {\n    return a + b;\n}"
+        base_tokens = tokenize(base)
+        tokens = tokenize_edit(base, base_tokens, text)
+        assert tokens == tokenize(text)
+        assert tokens[0] is base_tokens[0]

@@ -24,6 +24,7 @@ import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -37,7 +38,9 @@ from .errors import (
 )
 from .gen import CandidatePatch
 from .jsonl import mend_tail, read_rows
-from .syntax import Token, ast_key, parse, token_key, tokenize, tokenize_edit
+from .syntax import Token, ast_key, lex_edit, parse, parses_edit, token_key, tokenize
+from .syntax.tokens import COMMENT_KINDS
+from .syntax.tree import Node
 
 PASS = "pass"
 FAIL = "fail"
@@ -305,6 +308,8 @@ class _Reference:
         self._parsed = False
         self.tokens: Optional[list[Token]] = None  # None when it does not lex
         self.key: Optional[tuple[str, ...]] = None
+        self.keyed: list[int] = []  # keyed[i]: key length of tokens[:i]
+        self.tree: Optional[Node] = None  # None when it does not parse
         self.error: Optional[ParseError] = None
 
     def lex(self) -> Optional[list[Token]]:
@@ -317,18 +322,20 @@ class _Reference:
                 self.error = exc
             else:
                 self.key = token_key(self.tokens)
+                significant = (t.kind not in COMMENT_KINDS for t in self.tokens)
+                self.keyed = list(accumulate(significant, initial=0))
         return self.tokens
 
-    def parse_error(self) -> Optional[ParseError]:
-        """The reference's ParseError, from its lexer or its parser, or None."""
+    def parse(self) -> Optional[Node]:
+        """The reference's tree, or None when it does not lex or parse."""
         if not self._parsed:
             self._parsed = True
             if self.lex() is not None:
                 try:
-                    parse(self.text, self.tokens)
+                    self.tree = parse(self.text, self.tokens)
                 except ParseError as exc:
                     self.error = exc
-        return self.error
+        return self.tree
 
 
 def classify(
@@ -346,18 +353,23 @@ def classify(
     Candidates that failed reconstruction score negative on every tier.
     Semantic labels stay unlabeled here; they come from the rating store.
 
-    The reference is lexed at most once and parsed at most once per call.
-    Each other reconstructed candidate is lexed once, before its test run,
-    by `tokenize_edit` against the reference, so only the lines where it
-    differs are lexed. Its key, the texts of its non-comment tokens,
-    decides the rest:
+    Each candidate is assessed as an edit of the reference. The reference
+    is lexed at most once per call, parsed at most once, and keeps its
+    tree. Each other reconstructed candidate is lexed once, before its test
+    run, by `lex_edit` against the reference, so only the lines where it
+    differs are lexed. Its key, the texts of its non-comment tokens, is the
+    reference's key with the edited tokens' part replaced. The key decides
+    the rest:
     - A candidate whose key equals that of a candidate tested earlier in
       the call shares that candidate's test verdict and is not tested.
       This assumes a suite's outcome ignores comments and whitespace.
     - A candidate whose key equals the reference's is parsable exactly
       when the reference is, since the parser reads token texts only, and
       is not parsed itself.
-    - Any other candidate that lexes is parsed once, from its tokens.
+    - Any other candidate that lexes is parsable as `parses_edit` decides
+      by re-parsing the statements it changed in the reference's tree, or,
+      when that cannot decide or the reference does not parse, as a whole
+      parse of its tokens finds.
     """
     verdicts = []
     ref = _Reference(reference)
@@ -376,8 +388,13 @@ def classify(
             continue
         base = ref.lex()
         try:
-            tokens = tokenize(text) if base is None else tokenize_edit(reference, base, text)
-            key = token_key(tokens)
+            if base is None:
+                tokens = tokenize(text)
+                key = token_key(tokens)
+            else:
+                first, last, window = lex_edit(reference, base, text)
+                keyed = ref.keyed
+                key = ref.key[: keyed[first]] + token_key(window) + ref.key[keyed[last] :]
         except ParseError:
             key = None
         if plan is None:
@@ -392,18 +409,23 @@ def classify(
         if key is None:
             parse_ok = False
         elif key == ref.key:
-            parse_ok = ref.parse_error() is None
+            parse_ok = ref.parse() is not None
         else:
-            try:
-                parse(text, tokens)
-                parse_ok = True
-            except ParseError:
-                parse_ok = False
+            parse_ok = None
+            if base is not None:
+                tokens = base[:first] + window + base[last:]
+                if ref.parse() is not None:
+                    parse_ok = parses_edit(ref.tree, base, first, last, tokens)
+            if parse_ok is None:
+                try:
+                    parse(text, tokens)
+                    parse_ok = True
+                except ParseError:
+                    parse_ok = False
         ast = False
         if parse_ok and plausible != FAIL:
-            error = ref.parse_error()
-            if error is not None:
-                raise error
+            if ref.parse() is None:
+                raise ref.error
             ast = key == ref.key
         verdicts.append(
             AssessmentVerdict(bug_id, candidate.rank, parse_ok, plausible, False, ast)

@@ -235,7 +235,7 @@ def load_function(entry: BugManifestEntry) -> SourceFunction:
         entry.file,
         (Path(entry.project_root) / entry.file).read_text(encoding="utf-8"),
     )
-    line_count = len(source.lines)
+    line_count = source.content.count("\n") + 1
     if entry.function_end > line_count:
         raise ManifestError(
             entry.bug_id,

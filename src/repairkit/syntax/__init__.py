@@ -7,12 +7,13 @@ the other leaves alone: AST match compares `ast_key`s.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ParseError
-from .parser import parse
-from .tokens import Token, token_key, tokenize, tokenize_edit
+from .parser import parse, parses_edit
+from .tokens import _START, Token, lex_edit, token_key, tokenize
 from .tree import Node, NormalizedNode, SyntaxNode, ast_key, normalize
 
 __all__ = [
@@ -22,8 +23,9 @@ __all__ = [
     "Token",
     "NormalizedNode",
     "parse",
+    "parses_edit",
     "tokenize",
-    "tokenize_edit",
+    "lex_edit",
     "token_key",
     "extract_functions",
     "extract_functions_of_edit",
@@ -49,7 +51,7 @@ class SourceFile:
 
     def slice_lines(self, start_line: int, end_line: int) -> str:
         """The verbatim text of lines start_line..end_line (1-based, inclusive)."""
-        return "\n".join(self.lines[start_line - 1 : end_line])
+        return "\n".join(self.content.split("\n", end_line)[start_line - 1 : end_line])
 
 
 @dataclass(frozen=True)
@@ -104,17 +106,19 @@ def extract_functions_of_edit(
 
     The after version is parsed only where it changed when that is exact:
     the changed lines lie inside one before function F, F's lines hold F's
-    tokens and nothing else, and the after lines in F's place parse on
+    tokens and nothing else (the file's tokens just before and after F lie
+    on other lines), and the after lines in F's place parse on
     their own to one function F'. Then no token spans a line boundary at
     either end of F, a member's parse never looks past its own tokens, and
     the after file's functions are the before file's with F replaced by F'
     and the later ones shifted. Otherwise the after file is parsed whole.
     """
-    tree = parse(before.content)
+    tokens = tokenize(before.content)
+    tree = parse(before.content, tokens)
     old = before.lines
     nodes = list(_function_nodes(tree))
     before_fns = [_source_function(node, old, before) for node in nodes]
-    after_fns = _edited_functions(nodes, before_fns, old, after)
+    after_fns = _edited_functions(nodes, before_fns, old, after, tokens)
     if after_fns is None:
         after_fns = extract_functions(after)
     return before_fns, after_fns
@@ -125,8 +129,12 @@ def _edited_functions(
     before_fns: list[SourceFunction],
     old: list[str],
     after: SourceFile,
+    tokens: list[Token],
 ) -> Optional[list[SourceFunction]]:
-    """The after file's functions from one re-parsed function, or None."""
+    """The after file's functions from one re-parsed function, or None.
+
+    `tokens` are the before file's tokens, the leaves of `nodes`.
+    """
     new = after.lines
     common = min(len(old), len(new))
     prefix = 0
@@ -144,22 +152,21 @@ def _edited_functions(
             break
     else:
         return None
-    leaves = list(nodes[k].leaves())
-    base = leaves[0].start - leaves[0].column + 1  # offset of F's first line
-    shift = fn.start_line - 1
-    own = [
-        (t.kind, t.text, t.start - base, t.end - base, t.line - shift, t.column)
-        for t in leaves
-    ]
+    # No token of the file outside F may share F's lines.
+    at = bisect_left(tokens, nodes[k].start, key=_START)
+    past = bisect_left(tokens, nodes[k].end, lo=at, key=_START)
+    if (at and tokens[at - 1].end_line >= fn.start_line) or (
+        past < len(tokens) and tokens[past].line <= fn.end_line
+    ):
+        return None
     delta = len(new) - len(old)
     end = fn.end_line + delta
     text = "\n".join(new[fn.start_line - 1 : end])
     try:
-        if tokenize(fn.text) != own:
-            return None
         root = parse(text)
     except ParseError:
         return None
+    shift = fn.start_line - 1
     if (
         root.kind not in FUNCTION_KINDS
         or root.start_line != 1

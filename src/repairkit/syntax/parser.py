@@ -17,13 +17,41 @@ statement, or field parses with the corresponding root node.
 Every choice the parser makes reads the texts of the significant tokens
 and nothing else: no offset, line or comment. So whether a source parses,
 and its tree without comments, follow from its `token_key`.
+
+`parses_edit(tree, base_tokens, first, last, tokens)` decides whether an
+edit of a parsed source parses, re-parsing only the statements the edit
+changed. `tokens` is `base_tokens` with `base_tokens[first:last]`
+replaced, as `lex_edit` splices them; since only texts are read, the
+positions of the tokens after the edit need not be shifted. It takes the
+innermost `block` of `tree` whose `{` and `}` both lie outside
+`[first, last)`, and runs that block's statement loop on `tokens` from the
+latest statement start with at least 3 unchanged significant tokens before
+`first`, or from just after the `{`. When the loop reaches, at a statement
+boundary, the token that followed the edited statements in the base,
+shifted by the change in length, the edit parses; a `ParseError` on the way
+means it does not. This is exact, because a whole parse of `tokens` takes
+the same steps:
+- Up to the restart point it reads the same tokens as the base's parse,
+  and so stands in the same block with the same enclosing constructs. No
+  lookahead reaches past a `{` into its block, and none reads more than 2
+  significant tokens ahead (`_looks_like_record`: `record` starts a
+  declaration only with a name and `(` or `<` after it). So the parse of
+  the statements before a boundary reads at most the first token after
+  it, for example when it checks for `else`, `catch`, `finally` or
+  `while`; the 3 unchanged tokens leave a margin.
+- From the restart point on, the loop runs the same statement parses.
+- At the boundary where it stops, the rest of the tokens are the base's
+  rest, and the base's parse went on from that boundary without error.
+When the loop meets a `}` first, or passes that token inside a statement,
+or no such block exists, it returns None and the caller parses whole.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from ..errors import ParseError
-from .tokens import COMMENT_KINDS, IDENTIFIER, KEYWORD, SYMBOL, Token, tokenize
+from .tokens import _START, COMMENT_KINDS, IDENTIFIER, KEYWORD, SYMBOL, Token, tokenize
 from .tree import COMPILATION_UNIT, Node, SyntaxNode
 
 MODIFIER_WORDS = frozenset(
@@ -627,10 +655,83 @@ def parse(source: str, tokens: Optional[list[Token]] = None) -> Node:
 
     Accepts whole files and bare fragments (a single function parses with a
     method-declaration root); the root is a lone token when the source
-    holds one token and nothing else. `tokens`, when given, must be
-    `tokenize(source)`, and the source is not lexed again. Raises
-    ParseError for invalid source.
+    holds one token and nothing else. `tokens`, when given, must have the
+    texts and kinds of `tokenize(source)`, and the source is not lexed
+    again; their positions show only in the tree and in a ParseError.
+    Raises ParseError for invalid source.
     """
     if tokens is None:
         tokens = tokenize(source)
     return _Parser(tokens).parse_compilation_unit()
+
+
+def parses_edit(
+    tree: Node, base_tokens: list[Token], first: int, last: int, tokens: list[Token]
+) -> Optional[bool]:
+    """Whether `tokens` parses, decided from the statements an edit changed.
+
+    `tree` must be the parse of `base_tokens`, and `tokens` must be
+    `base_tokens[:first] + window + base_tokens[last:]` for some window.
+    Returns None when the edit's statements cannot be re-parsed alone; see
+    the module docstring for when that is and why the verdict is exact.
+    """
+    if not 0 < first <= last < len(base_tokens):
+        return None
+    block = _enclosing_block(tree, base_tokens[first - 1].start, base_tokens[last].start)
+    if block is None:
+        return None
+    # The restart point: the latest statement start with 3 significant
+    # tokens before `first`, else just after the block's `{`.
+    j, seen = first, 0
+    while seen < 3 and j > 0:
+        j -= 1
+        seen += base_tokens[j].kind not in COMMENT_KINDS
+    restart = _index(base_tokens, _opener(block)) + 1
+    stop = block.children[-1]  # the block's `}`, unless a statement follows
+    for statement in block.children:
+        if statement.is_leaf:
+            continue
+        if seen == 3 and statement.start <= base_tokens[j].start:
+            restart = _index(base_tokens, statement)
+        elif statement.start >= base_tokens[last].start:
+            stop = next(t for t in statement.leaves() if t.kind not in COMMENT_KINDS)
+            break
+    target = _index(base_tokens, stop) + len(tokens) - len(base_tokens)
+    parser = _Parser(tokens)
+    parser.i = restart
+    try:
+        while True:
+            at = parser._next_significant_index()
+            if at == target:
+                return True
+            if at > target or tokens[at].text == "}":
+                return None
+            parser.parse_statement()
+    except ParseError:
+        return False
+
+
+def _index(tokens: list[Token], node: Node) -> int:
+    """The index in `tokens` of `node`'s first leaf."""
+    return bisect_left(tokens, node.start, key=_START)
+
+
+def _opener(block: SyntaxNode) -> Token:
+    """A block's `{`, after any comments before it."""
+    return next(kid for kid in block.children if kid.kind not in COMMENT_KINDS)
+
+
+def _enclosing_block(tree: Node, before: int, after: int) -> Optional[SyntaxNode]:
+    """The innermost block holding the tokens that start at offsets
+    `before` and `after`, with its `{` no later than `before`."""
+    found = None
+    node = tree
+    while True:
+        for kid in node.children:
+            if kid.start <= before and after < kid.end:
+                break
+        else:
+            return found
+        node = kid
+        if node.kind == "block" and _opener(node).start <= before:
+            found = node

@@ -36,17 +36,28 @@ is exactly what the regex `\\w` matches, plus `$`. A character for which
 `str.isdigit` holds but that is not a Unicode decimal digit, such as `²`,
 starts a malformed number literal.
 
-`tokenize_edit(base, base_tokens, text)` gives `tokenize(text)` for a text
-that shares most lines with an already lexed `base`, such as a candidate
-patch and its reference fix. It lexes only the lines between the longest
-common line prefix and suffix of the two. Before them it reuses
-`base_tokens` as they are, and after them shifted. Only a block comment, a
-text block, or a string or char escaping a newline can reach past the end
-of a line. Such a token either crosses an edge of the changed lines in
-`base`, or does not close within them in `text`. So `tokenize_edit` falls
-back to `tokenize(text)` when a base token crosses either edge, and when
-the changed lines raise `ParseError` lexed on their own; any lexical error
-of `text` lies in those lines, since the rest of it lexed in `base`.
+`lex_edit(base, base_tokens, text)` lexes a text that shares most lines
+with an already lexed `base`, such as a candidate patch and its reference
+fix, only where the two differ. It returns `(first, last, window)` such
+that `tokenize(text)` has exactly the texts and kinds of
+`base_tokens[:first] + window + base_tokens[last:]`. The window tokens
+carry their positions in `text`; the base tokens keep their positions in
+`base`, so no token is rebuilt. The window starts at a line start: the
+first line that differs. Only a block comment, a text block, or a string
+or char escaping a newline can reach past the end of a line, so a token of
+`text` crosses an edge of the changed lines only if the base token there
+does, or if it does not close within them. `lex_edit` takes one of three
+paths:
+- the window: the changed lines lex on their own and no base token
+  crosses either edge; `window` holds their tokens;
+- lex to the end: a base token crosses the end of the changed lines, or
+  they do not lex on their own; `window` holds the tokens from the first
+  changed line to the end of `text`, and `last = len(base_tokens)`. This is
+  exact, since no token crosses the window start, and a `ParseError` it
+  raises is the one `tokenize(text)` raises, with the same line and
+  column: the lines before lexed in `base`;
+- full: a base token crosses the start of the changed lines; `window` is
+  `tokenize(text)`, with `first = 0` and `last = len(base_tokens)`.
 
 One deliberate quirk: `>` is always lexed as a single-character token and
 never folded into `>>`, `>>>`, `>>=` or `>>>=`. Generic type closers may
@@ -176,12 +187,15 @@ def tokenize(source: str) -> list[Token]:
     return _lex(source, 0, len(source), 1)
 
 
-def tokenize_edit(base: str, base_tokens: list[Token], text: str) -> list[Token]:
-    """`tokenize(text)`, lexing only the lines where `text` differs from `base`.
+def lex_edit(
+    base: str, base_tokens: list[Token], text: str
+) -> tuple[int, int, list[Token]]:
+    """`(first, last, window)` with `tokenize(text)` equal in texts and
+    kinds to `base_tokens[:first] + window + base_tokens[last:]`.
 
-    `base_tokens` must be `tokenize(base)`. Tokens after the changed lines
-    keep their columns, since those lines start at a line start. See the
-    module docstring for why this is exact, and when it falls back.
+    `base_tokens` must be `tokenize(base)`. Only the lines where `text`
+    differs from `base` are lexed, when that is exact; see the module
+    docstring for the three paths. Raises `tokenize(text)`'s ParseError.
     """
     old, new = base.split("\n"), text.split("\n")
     common = min(len(old), len(new))
@@ -192,27 +206,18 @@ def tokenize_edit(base: str, base_tokens: list[Token], text: str) -> list[Token]
     while suffix < common - prefix and old[-1 - suffix] == new[-1 - suffix]:
         suffix += 1
     start = sum(map(len, old[:prefix])) + prefix
-    tail = sum(map(len, old[len(old) - suffix :])) + suffix - 1 if suffix else 0
-    base_end, end = len(base) - tail, len(text) - tail
     first = bisect_left(base_tokens, start, key=_START)
+    if first and base_tokens[first - 1].end > start:
+        return 0, len(base_tokens), tokenize(text)
+    tail = sum(map(len, old[len(old) - suffix :])) + suffix - 1 if suffix else 0
+    base_end = len(base) - tail
     last = bisect_left(base_tokens, base_end, lo=first, key=_START)
-    if (first and base_tokens[first - 1].end > start) or (
-        last and base_tokens[last - 1].end > base_end
-    ):
-        return tokenize(text)
-    try:
-        window = _lex(text, start, end, prefix + 1)
-    except ParseError:
-        return tokenize(text)
-    after = base_tokens[last:]
-    shift, lines = end - base_end, len(new) - len(old)
-    if shift or lines:
-        new_token = tuple.__new__
-        after = [
-            new_token(Token, (kind, word, begin + shift, finish + shift, row + lines, column))
-            for kind, word, begin, finish, row, column in after
-        ]
-    return base_tokens[:first] + window + after
+    if not (last and base_tokens[last - 1].end > base_end):
+        try:
+            return first, last, _lex(text, start, len(text) - tail, prefix + 1)
+        except ParseError:
+            pass
+    return first, len(base_tokens), _lex(text, start, len(text), prefix + 1)
 
 
 def token_key(tokens: Iterable[Token]) -> tuple[str, ...]:

@@ -5,7 +5,6 @@ import shlex
 import sys
 import time
 import zlib
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -51,7 +50,7 @@ from repairkit.errors import (
     SpliceError,
 )
 from repairkit.gen import CandidatePatch
-from repairkit.syntax import parser, token_key, tokenize
+from repairkit.syntax import parser, parses_edit, token_key, tokenize
 
 PY = shlex.quote(sys.executable)
 
@@ -348,11 +347,12 @@ class TestClassify:
     @pytest.fixture
     def work(self, monkeypatch):
         """The texts classify lexes in full, those it lexes against the
-        reference, and the sources it parses, in order.
+        reference, the sources it parses whole, and the verdicts of
+        `parses_edit`, in order.
 
         A parse that lexes its source again would show in `lexed` too.
         """
-        work = SimpleNamespace(lexed=[], edited=[], parsed=[])
+        work = SimpleNamespace(lexed=[], edited=[], parsed=[], decided=[])
 
         def logged(fn, log, position):
             def wrapper(*args):
@@ -361,49 +361,56 @@ class TestClassify:
 
             return wrapper
 
+        def deciding(*args):
+            work.decided.append(parses_edit(*args))
+            return work.decided[-1]
+
         monkeypatch.setattr(assess, "tokenize", logged(assess.tokenize, work.lexed, 0))
-        monkeypatch.setattr(
-            assess, "tokenize_edit", logged(assess.tokenize_edit, work.edited, 2)
-        )
+        monkeypatch.setattr(assess, "lex_edit", logged(assess.lex_edit, work.edited, 2))
         monkeypatch.setattr(parser, "tokenize", logged(parser.tokenize, work.lexed, 0))
         monkeypatch.setattr(assess, "parse", logged(assess.parse, work.parsed, 0))
+        monkeypatch.setattr(assess, "parses_edit", deciding)
         return work
 
     def test_parses_each_source_once(self, work):
         reformatted = "int f() { return a + b; }"
-        renamed = "int f() { return a + c; }"
+        renamed = "int f() {\n    return a + c;\n}"
+        unbalanced = "int f() {\n    return a + b);\n}"
         commented = REFERENCE + " // done"
-        broken = "int f() { return"
-        unlexable = 'int f() { return "a + b; }'
+        truncated = "int f() {\n    return a + b;"
+        unlexable = 'int f() {\n    return "a + b;\n}'
         candidates = [
             self._candidate(REFERENCE, 0),
             self._candidate(reformatted, 1),
             self._candidate(renamed, 2),
-            self._candidate(commented, 3),
-            self._candidate(broken, 4),
-            self._candidate(unlexable, 5),
-            CandidatePatch("bug", 6, "raw", reconstruct_error="MalformedOutput"),
+            self._candidate(unbalanced, 3),
+            self._candidate(commented, 4),
+            self._candidate(truncated, 5),
+            self._candidate(unlexable, 6),
+            CandidatePatch("bug", 7, "raw", reconstruct_error="MalformedOutput"),
         ]
         verdicts = classify("bug", candidates, REFERENCE, None)
-        assert [v.ast for v in verdicts] == [True, True, False, True, False, False, False]
-        assert [v.parse_ok for v in verdicts] == [True, True, True, True, False, False, False]
-        # Each source is lexed once: the reference in full, the others
-        # against it.
+        assert [v.ast for v in verdicts] == [True, True, False, False, True, False, False, False]
+        assert [v.parse_ok for v in verdicts] == [True, True, True, False, True, False, False, False]
+        # The reference is lexed in full once, each candidate once against it.
         assert work.lexed == [REFERENCE]
-        assert work.edited == [reformatted, renamed, commented, broken, unlexable]
-        # The reference once; of the candidates only those whose tokens
-        # differ from the reference's, and never one that does not lex.
-        assert Counter(work.parsed) == Counter([REFERENCE, renamed, broken])
+        assert work.edited == [reformatted, renamed, unbalanced, commented, truncated, unlexable]
+        # The reference is parsed whole once. Of the candidates whose tokens
+        # differ from the reference's, only the one whose edit cannot be
+        # re-parsed alone is parsed whole; one that does not lex never is.
+        assert work.parsed == [REFERENCE, truncated]
+        assert work.decided == [True, False, None]
 
-    def test_reference_parsed_only_for_an_ast_verdict(self, work):
-        broken = "int f() { return"
+    def test_reference_parsed_only_when_needed(self, work):
+        renamed = "int f() {\n    return a + c;\n}"
         candidates = [
             self._candidate(REFERENCE, 0),
-            self._candidate(broken, 1),
+            self._candidate(renamed, 1),
             CandidatePatch("bug", 2, "raw", reconstruct_error="MalformedOutput"),
         ]
         classify("bug", candidates, REFERENCE, None)
-        assert (work.lexed, work.edited, work.parsed) == ([REFERENCE], [broken], [broken])
+        assert (work.lexed, work.edited, work.parsed) == ([REFERENCE], [renamed], [REFERENCE])
+        assert work.decided == [True]
         work.lexed.clear()
         work.edited.clear()
         work.parsed.clear()

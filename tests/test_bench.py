@@ -204,14 +204,19 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_project_files_are_recorded_not_raised(self, bench_fixture, workers):
         manifest_path, mock, _ = bench_fixture
-        entries = json.loads(manifest_path.read_text())[:3]
-        good, not_utf8, past_eof = entries
+        entries = json.loads(manifest_path.read_text())[:5]
+        good, not_utf8, past_eof, past_newline, past_crlf = entries
         (Path(not_utf8["project_root"]) / "Lib.java").write_bytes(b"class Lib {\xff\xfe}\n")
         past_eof.update(function_span=[2, 9], region=[1, 6])  # Lib.java has 5 lines
-        three = manifest_path.parent / "three.json"
-        three.write_text(json.dumps(entries))
+        # The newline ending line 5 starts a sixth, empty line.
+        past_newline.update(function_span=[2, 7], region=[2, 2])
+        crlf = Path(past_crlf["project_root"]) / "Lib.java"
+        crlf.write_bytes(crlf.read_bytes().replace(b"\n", b"\r\n"))
+        past_crlf.update(function_span=[2, 7], region=[2, 2])
+        subset = manifest_path.parent / "subset.json"
+        subset.write_text(json.dumps(entries))
         records = run_benchmark(
-            load_manifest(three), PAIR, GenerationConfig(backend=mock),
+            load_manifest(subset), PAIR, GenerationConfig(backend=mock),
             workers=workers, run_tests=False,
         )
         assert [r.bug_id for r in records] == [e["bug_id"] for e in entries]
@@ -219,6 +224,11 @@ class TestRunBenchmark:
         assert records[1].error.startswith("project setup failed: 'utf-8' codec")
         assert records[2].error.startswith("project setup failed: ")
         assert "past the end of Lib.java" in records[2].error
+        for record in records[3:]:
+            assert record.error == (
+                f"project setup failed: manifest entry {record.bug_id}: "
+                "function span 2..7 runs past the end of Lib.java (6 lines)"
+            )
         assert mock.calls == 1  # only the good bug reached the backend
 
     def test_rank_curve_counts_first_hits(self, bench_fixture):

@@ -286,6 +286,11 @@ _BOUNDARY = {
         _BASE.replace("    }\n\n", "    } // end\n\n").replace("a + 1", "a + 2"),
         "fallback",
     ),
+    "next_function_on_last_line": (
+        _BASE.replace("    }\n\n    int g(", "    } int g("),
+        _BASE.replace("    }\n\n    int g(int b) {\n", "    }\n"),
+        "fallback",
+    ),
     "synchronized_method": (
         _BASE.replace("    int f(", "    synchronized int f("),
         _BASE.replace("    int f(", "    synchronized int f(").replace("a + 1", "a + 2"),

@@ -1,4 +1,5 @@
 """Lexer, parser, function extraction, normalization, and AST equivalence."""
+import os
 import random
 from unittest import mock
 
@@ -17,8 +18,10 @@ from repairkit.syntax import (
     ast_equal,
     ast_key,
     extract_functions,
+    lex_edit,
     normalize,
     parse,
+    parses_edit,
 )
 from repairkit.syntax import parser as java_parser
 from repairkit.syntax import tokens as token_module
@@ -28,7 +31,6 @@ from repairkit.syntax.tokens import (
     LINE_COMMENT,
     NUMBER,
     tokenize,
-    tokenize_edit,
 )
 from test_parse_golden import SOURCES as GOLDEN_SOURCES
 
@@ -716,9 +718,17 @@ class TestParserReadsTextsOnly:
 
 
 # --------------------------------------------------------------------------
-# tokenize_edit against tokenize
+# lex_edit against tokenize
 
-EDIT_BASES = [*RESPACE_SOURCES, BENCH_STYLE_CLASS, *REFORMAT_SOURCES]
+# A source whose tokens span lines, so that edits inside them are common.
+SPANNING_TOKENS = (
+    "/**\n * Doc.\n *\n * More.\n */\nclass T {\n"
+    '    String t = """\n        one\n        two\n        """;\n'
+    '    String s = "a\\\n    b";\n'
+    "    /* x\n       y\n       z */ int f() { return 1; }\n}\n"
+)
+
+EDIT_BASES = [*RESPACE_SOURCES, BENCH_STYLE_CLASS, *REFORMAT_SOURCES, SPANNING_TOKENS]
 
 _EDIT_PIECES = [
     *_LEX_PIECES,
@@ -727,12 +737,12 @@ _EDIT_PIECES = [
 ]
 
 
-def _edit_lines(draw, source, edits):
+def _edit_lines(draw, source, edits, pieces=_EDIT_PIECES):
     """`source` with that many lines replaced, inserted, deleted or edited in place."""
     lines = source.split("\n")
     for _ in range(edits):
         at = draw(st.integers(0, len(lines)))
-        piece = "".join(draw(st.lists(st.sampled_from(_EDIT_PIECES), max_size=3)))
+        piece = "".join(draw(st.lists(st.sampled_from(pieces), max_size=3)))
         action = draw(st.sampled_from(["insert", "delete", "replace", "splice"]))
         if action == "insert" or at == len(lines):
             lines.insert(at, piece)
@@ -747,28 +757,58 @@ def _edit_lines(draw, source, edits):
 
 
 @st.composite
-def _line_edits(draw):
+def _line_edits(draw, bases=EDIT_BASES):
     """A base source that lexes, its tokens, and a copy with one to three
     line edits. The base is itself a known source with up to two edits, so
     stray closers such as `*/` or `"` can sit outside the edited lines."""
-    base = _edit_lines(draw, draw(st.sampled_from(EDIT_BASES)), draw(st.integers(0, 2)))
+    base = _edit_lines(draw, draw(st.sampled_from(bases)), draw(st.integers(0, 2)))
     assume(_lexes(base))
     return base, tokenize(base), _edit_lines(draw, base, draw(st.integers(1, 3)))
 
 
+def _spliced(base, base_tokens, text):
+    """`lex_edit`'s splice, with the tokens after the window moved to
+    their place in `text`."""
+    first, last, window = lex_edit(base, base_tokens, text)
+    shift, lines = len(text) - len(base), text.count("\n") - base.count("\n")
+    tail = [
+        t._replace(start=t.start + shift, end=t.end + shift, line=t.line + lines)
+        for t in base_tokens[last:]
+    ]
+    return base_tokens[:first] + window + tail
+
+
+def _window_end(base, text):
+    """The offset in `text` where its longest common line suffix with
+    `base` starts, not overlapping the common line prefix."""
+    old, new = base.split("\n"), text.split("\n")
+    prefix = len(os.path.commonprefix([old, new]))
+    suffix = len(os.path.commonprefix([old[prefix:][::-1], new[prefix:][::-1]]))
+    return len(text) - len("\n".join(new[len(new) - suffix :])) if suffix else len(text)
+
+
 def _edit_path(base, base_tokens, text):
-    """Whether `tokenize_edit` lexed a window or fell back to `tokenize`."""
+    """Which way `lex_edit` lexed `text`: its changed lines alone
+    ("window"), from their start to the end of `text` ("fallback"), or
+    whole ("full")."""
     with mock.patch.object(token_module, "tokenize", wraps=tokenize) as full:
-        _lex(lambda t: tokenize_edit(base, base_tokens, t), text)
-    return "fallback" if full.called else "window"
+        with mock.patch.object(token_module, "_lex", wraps=token_module._lex) as lex:
+            _lex(lambda t: lex_edit(base, base_tokens, t), text)
+    if full.called:
+        return "full"
+    if lex.call_count == 1 and lex.call_args.args[2] == _window_end(base, text):
+        return "window"
+    return "fallback"
 
 
 class TestTokenizeEditMatchesTokenize:
+    """`lex_edit`'s splice against `tokenize`."""
+
     @settings(max_examples=400, deadline=None)
     @given(edit=_line_edits())
     def test_same_tokens_or_error(self, edit):
         base, base_tokens, text = edit
-        assert _lex(lambda t: tokenize_edit(base, base_tokens, t), text) == _lex(tokenize, text)
+        assert _lex(lambda t: _spliced(base, base_tokens, t), text) == _lex(tokenize, text)
 
     @pytest.mark.parametrize(
         "base,text,path",
@@ -779,38 +819,157 @@ class TestTokenizeEditMatchesTokenize:
             ("a\r\nb", "a\r\n/* c\r\n*/ b", "window"),
             ("a\nb", "a\nb ²", "fallback"),  # a lexical error
             # a base comment across the first changed line's start
-            ("int a; /* one\ntwo */ int b;", "int a; /* one\nTWO */ int b;", "fallback"),
+            ("int a; /* one\ntwo */ int b;", "int a; /* one\nTWO */ int b;", "full"),
             # a base comment, then a string, across the last changed line's end
             ("int a; /* one\ntwo */ int b;", "int A;\ntwo */ int b;", "fallback"),
             ('String s = "a\\\nb";', 'int x;\nb";', "fallback"),
             # a comment opened in the changed lines closes after them
             ("int f() {\n    return a;\n    y = 2 */ 3;\n}", "int f() {\n    /* a;\n    y = 2 */ 3;\n}", "fallback"),
+            # an error after the changed lines, where the full lex finds it
+            ("int f() {\n    return a;\n    y = 2 */ 3;\n}", "int f() {\n    /* a;\n    y = 2 */ '3;\n}", "fallback"),
         ],
     )
     def test_edges_of_the_changed_lines(self, base, text, path):
         base_tokens = tokenize(base)
-        assert _lex(lambda t: tokenize_edit(base, base_tokens, t), text) == _lex(tokenize, text)
+        assert _lex(lambda t: _spliced(base, base_tokens, t), text) == _lex(tokenize, text)
         assert _edit_path(base, base_tokens, text) == path
 
-    @pytest.mark.parametrize("path", ["window", "fallback"])
-    def test_edits_take_both_paths(self, path):
+    @pytest.mark.parametrize("path", ["window", "fallback", "full"])
+    def test_edits_take_each_path(self, path):
         find(
-            _line_edits(),
+            _line_edits([SPANNING_TOKENS]),
             lambda edit: _edit_path(*edit) == path,
-            settings=settings(database=None, phases=[Phase.generate], max_examples=200),
+            settings=settings(database=None, phases=[Phase.generate], max_examples=300),
         )
 
     @pytest.mark.parametrize(
-        "text",
+        "text,lexed",
         [
-            "int f() {\n    return a - b;\n}",  # one line changed
-            "int f() {\n    int c = 0;\n    return a + b;\n}",  # a line inserted
-            "int f() {\n    return a + b;\n}\n",  # a line appended
+            ("int f() {\n    return a - b;\n}", "return a - b ;"),  # one line changed
+            ("int f() {\n    int c = 0;\n    return a + b;\n}", "int c = 0 ;"),  # a line inserted
+            ("int f() {\n    return a + b;\n}\n", ""),  # a line appended
         ],
     )
-    def test_unchanged_lines_keep_their_tokens(self, text):
+    def test_unchanged_lines_keep_their_tokens(self, text, lexed):
         base = "int f() {\n    return a + b;\n}"
         base_tokens = tokenize(base)
-        tokens = tokenize_edit(base, base_tokens, text)
-        assert tokens == tokenize(text)
-        assert tokens[0] is base_tokens[0]
+        first, last, window = lex_edit(base, base_tokens, text)
+        assert " ".join(t.text for t in window) == lexed
+        assert _spliced(base, base_tokens, text) == tokenize(text)
+
+
+# --------------------------------------------------------------------------
+# parses_edit against a whole parse
+
+METHOD_PARTS = [
+    ["int v = a + 17;"],
+    ["if (v > 40) {", "    v = v - 3;", "}"],
+    ["if (a < b) {", "    a = b;", "} else {", "    b = a;", "}"],
+    ["for (int i = 0; i < b; i++) {", "    a += i; // step", "}"],
+    ["try {", "    a = b / v;", "} catch (ArithmeticException e) {", "    a = 0;", "} finally {", "    v++;", "}"],
+    ["while (a > b) { a--; }"],
+    ['String s = "x" + a + \'c\';'],
+    ["/* a note", "   over two lines */"],
+    ["outer:", "for (;;) { break outer; }"],
+    ["record P(int x) {}"],
+    ["Runnable r = () -> { go(); };"],
+    ["switch (a) {", "    case 1: b = 2; break;", "    default: b = 0;", "}"],
+    ["do {", "    a--;", "} while (a > 0);"],
+]
+
+# Whole statements and their pieces: openers and closers of blocks,
+# clauses that attach to the statement before them, labels, local
+# declarations, comments, and string and comment openers.
+_STATEMENT_PIECES = [
+    "int x = 1;", "return x;", "x++;", "if (a > 0) {", "if (a) b();", "} else {",
+    "else", "else b();", "{", "}", "lbl:", "lbl: while (x) {", "try {",
+    "} catch (Exception e) {", "} finally {", "catch (E e) {}", "finally {}",
+    "record P(int x) {}", "record", "record R(", "final record Q(int y) {}",
+    "class Q { int f() { return 1; } }", "enum E { A, B }", "static {",
+    "synchronized (this) {", "do {", "} while (x);", "switch (x) { case 1: break; }",
+    "new Runnable() { public void run() {} };", "x -> {", "});", "int y = (a",
+    ") + 1;", "@Ann int z;", "// c", "/* c", "*/", "/* c */", '"', "'", ";", "",
+]
+
+
+@st.composite
+def _long_methods(draw):
+    """A method of 10 to 40 statements built from whole parts."""
+    parts = draw(st.lists(st.sampled_from(METHOD_PARTS), min_size=10, max_size=40))
+    body = [f"        {line}" for part in parts for line in part]
+    return "\n".join(["    public int m(int a, int b) {", *body, "        return a;", "    }"])
+
+
+_PARSED_BASES = [s for s in EDIT_BASES if _key_or_failure(s) is not None]
+
+
+@st.composite
+def _statement_edits(draw):
+    """A source that parses and a copy with one to three statement-level
+    line edits."""
+    base = draw(st.one_of(st.sampled_from(_PARSED_BASES), _long_methods()))
+    text = _edit_lines(draw, base, draw(st.integers(1, 3)), _STATEMENT_PIECES)
+    return base, text
+
+
+def _verdicts(base, text):
+    """`parses_edit`'s verdict on `text` as an edit of `base`, and whether
+    `text` parses whole; None when `text` does not lex."""
+    base_tokens = tokenize(base)
+    tree = parse(base, base_tokens)
+    try:
+        first, last, window = lex_edit(base, base_tokens, text)
+    except ParseError:
+        return None
+    tokens = base_tokens[:first] + window + base_tokens[last:]
+    return parses_edit(tree, base_tokens, first, last, tokens), _parsable(text)
+
+
+class TestParsesEditMatchesParse:
+    @settings(max_examples=500, deadline=None)
+    @given(edit=_statement_edits())
+    def test_decided_verdicts_match_a_whole_parse(self, edit):
+        verdicts = _verdicts(*edit)
+        assume(verdicts is not None)
+        decided, whole = verdicts
+        assert decided is None or decided == whole
+
+    @pytest.mark.parametrize("outcome", [True, False, None])
+    def test_edits_take_each_outcome(self, outcome):
+        find(
+            _statement_edits(),
+            lambda edit: (_verdicts(*edit) or ("no lex",))[0] is outcome,
+            settings=settings(database=None, phases=[Phase.generate], max_examples=300),
+        )
+
+    @pytest.mark.parametrize(
+        "before,after,verdict",
+        [
+            # Clauses that attach to the statement before the edit: the
+            # re-parse starts at that statement.
+            ("if (a) { b(); }\n    c();", "if (a) { b(); }\n    else { c(); }", True),
+            ("try { x(); } catch (E e) {}\n    y();", "try { x(); } catch (E e) {}\n    finally {}", True),
+            ("do { x(); }\n    while (a);", "do { x(); }\n    while (a && b);", True),
+            ("lbl:\n    y();", "lbl:\n    while (a) { y(); }", True),
+            ("record\n    P(int x) {}", "record\n    = 1;", True),
+            ("y();\n    z();", "y();\n    z(];", False),
+            ("y();\n    z();", "y();\n    z();)", False),
+            # The edit opens or closes a block: undecided.
+            ("y();\n    z();", "y();\n    if (a) {\n    z();", None),
+            ("y();\n    z();", "y();\n    }\n    z();", None),
+            # The edit changes a block's `{`, with a comment before it
+            # inside that block's node: the enclosing block is re-parsed.
+            ("if (a) // c\n    {\n    y();\n    }", "if (a) // c\n    () {\n    y();\n    }", None),
+        ],
+    )
+    def test_fixed_edits(self, before, after, verdict):
+        def method(body):
+            return f"void m() {{\n    int v = 0;\n    {body}\n    v++;\n}}"
+
+        assert _verdicts(method(before), method(after)) == (
+            verdict, _parsable(method(after)) if verdict is None else verdict
+        )
+
+    def test_edit_outside_any_block_is_undecided(self):
+        base = "class C {\n    int x = 1;\n    int y = 2;\n}"
+        assert _verdicts(base, "class C {\n    int x = 1;\n    int y = ;\n}") == (None, True)

@@ -138,6 +138,10 @@ def _parse_entry(index: int, item: dict) -> BugManifestEntry:
         )
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ManifestError(index, f"malformed entry: {exc}")
+    for name in ("bug_id", "project_root", "file", "reference", "test_command", "checkout"):
+        value = getattr(entry, name)
+        if not (isinstance(value, str) or (value is None and name == "checkout")):
+            raise ManifestError(index, f"{name} must be a string, not {value!r}")
     if entry.timeout is not None and not 0 < entry.timeout < math.inf:
         raise ManifestError(index, f"timeout must be positive and finite: {timeout!r}")
     if not 1 <= entry.function_start <= entry.function_end:

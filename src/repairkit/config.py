@@ -67,7 +67,7 @@ def load_tool_config(
             generation=_build(GenerationConfig, data.get("generation", {})),
             parallelism=int(data.get("parallelism", os.cpu_count() or 1)),
         )
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}")
     backend_url = env.get(ENV_BACKEND_URL)
     if backend_url:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Iterator
 
 from .errors import HunkApplyFailure, MalformedOutput
 
@@ -151,35 +150,6 @@ def _check_ordering(hunks: list[Hunk]) -> None:
         prev_end = begin + hunk.old_len
 
 
-def _grouped_opcodes(
-    opcodes: list[tuple[str, int, int, int, int]], context: int
-) -> Iterator[list[tuple[str, int, int, int, int]]]:
-    """Group change opcodes, clipping equal runs to the context width.
-
-    Adjacent changes merge into one group when the equal run between them
-    is at most twice the context width.
-    """
-    codes = [op for op in opcodes]
-    if not codes:
-        return
-    if codes[0][0] == "equal":
-        tag, i1, i2, j1, j2 = codes[0]
-        codes[0] = (tag, max(i1, i2 - context), i2, max(j1, j2 - context), j2)
-    if codes[-1][0] == "equal":
-        tag, i1, i2, j1, j2 = codes[-1]
-        codes[-1] = (tag, i1, min(i2, i1 + context), j1, min(j2, j1 + context))
-    group: list[tuple[str, int, int, int, int]] = []
-    for tag, i1, i2, j1, j2 in codes:
-        if tag == "equal" and i2 - i1 > 2 * context:
-            group.append((tag, i1, min(i2, i1 + context), j1, min(j2, j1 + context)))
-            yield group
-            group = [(tag, max(i1, i2 - context), i2, max(j1, j2 - context), j2)]
-            continue
-        group.append((tag, i1, i2, j1, j2))
-    if group and not (len(group) == 1 and group[0][0] == "equal"):
-        yield group
-
-
 def _line(tag: str, element: str) -> DiffLine:
     if element.endswith("\n"):
         return DiffLine(tag, element[:-1])
@@ -193,7 +163,7 @@ def make_unified_diff(a: str, b: str, context: int = 3) -> UnifiedDiff:
     al, bl = split_lines(a), split_lines(b)
     matcher = SequenceMatcher(None, al, bl, autojunk=False)
     hunks: list[Hunk] = []
-    for group in _grouped_opcodes(matcher.get_opcodes(), context):
+    for group in matcher.get_grouped_opcodes(context):
         body: list[DiffLine] = []
         for tag, i1, i2, j1, j2 in group:
             if tag == "equal":

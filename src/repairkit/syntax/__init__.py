@@ -7,13 +7,12 @@ the other leaves alone: AST match compares `ast_key`s.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ParseError
 from .parser import parse, parses_edit
-from .tokens import _START, Token, lex_edit, token_key, tokenize
+from .tokens import Token, lex_edit, token_key, tokenize
 from .tree import Node, NormalizedNode, SyntaxNode, ast_key, normalize
 
 __all__ = [
@@ -104,82 +103,55 @@ def extract_functions_of_edit(
 ) -> tuple[list[SourceFunction], list[SourceFunction]]:
     """`extract_functions` of both versions of an edited file.
 
-    The after version is parsed only where it changed when that is exact:
-    the changed lines lie inside one before function F, F's lines hold F's
-    tokens and nothing else (the file's tokens just before and after F lie
-    on other lines), and the after lines in F's place parse on
-    their own to one function F'. Then no token spans a line boundary at
-    either end of F, a member's parse never looks past its own tokens, and
-    the after file's functions are the before file's with F replaced by F'
-    and the later ones shifted. Otherwise the after file is parsed whole.
+    The before file is lexed and parsed once, and the after file is lexed
+    against it only where it changed (`lex_edit`). When the changed tokens
+    lie inside one before function F and `parses_edit`, given F's subtree,
+    finds that the statements they change still parse, the after file's
+    tree is the before file's with those statements replaced inside a
+    block of F. Its functions are then the before file's, with F's end and
+    every later function moved by the change in line count. Searching
+    inside F, not the whole file, is what makes that hold: the block
+    re-parsed is F's body or a block nested in it, where no listed
+    function can appear, vanish or be renamed. Any other edit, a signature
+    edit included, parses the after file whole. Raises the before file's
+    ParseError, or the one `extract_functions(after)` raises.
     """
     tokens = tokenize(before.content)
     tree = parse(before.content, tokens)
     old = before.lines
     nodes = list(_function_nodes(tree))
     before_fns = [_source_function(node, old, before) for node in nodes]
-    after_fns = _edited_functions(nodes, before_fns, old, after, tokens)
-    if after_fns is None:
-        after_fns = extract_functions(after)
-    return before_fns, after_fns
+    first, last, window = lex_edit(before.content, tokens, after.content)
+    if 0 < first <= last < len(tokens):
+        left, right = tokens[first - 1].start, tokens[last].start
+        for k, node in enumerate(nodes):
+            if node.start <= left and right < node.end:
+                edited = tokens[:first] + window + tokens[last:]
+                if parses_edit(node, tokens, first, last, edited):
+                    return before_fns, _moved(before_fns, k, before, after)
+                break
+    return before_fns, extract_functions(after)
 
 
-def _edited_functions(
-    nodes: list[SyntaxNode],
-    before_fns: list[SourceFunction],
-    old: list[str],
-    after: SourceFile,
-    tokens: list[Token],
-) -> Optional[list[SourceFunction]]:
-    """The after file's functions from one re-parsed function, or None.
-
-    `tokens` are the before file's tokens, the leaves of `nodes`.
-    """
-    new = after.lines
-    common = min(len(old), len(new))
-    prefix = 0
-    while prefix < common and old[prefix] == new[prefix]:
-        prefix += 1
-    suffix = 0
-    while suffix < common - prefix and old[-1 - suffix] == new[-1 - suffix]:
-        suffix += 1
-    # The changed before lines are first..last. A pure insertion has
-    # last == first - 1, and F must then hold both lines around it.
-    first, last = prefix + 1, len(old) - suffix
-    low, high = min(first, last), max(first, last)
-    for k, fn in enumerate(before_fns):
-        if fn.start_line <= low and high <= fn.end_line:
-            break
-    else:
-        return None
-    # No token of the file outside F may share F's lines.
-    at = bisect_left(tokens, nodes[k].start, key=_START)
-    past = bisect_left(tokens, nodes[k].end, lo=at, key=_START)
-    if (at and tokens[at - 1].end_line >= fn.start_line) or (
-        past < len(tokens) and tokens[past].line <= fn.end_line
-    ):
-        return None
-    delta = len(new) - len(old)
-    end = fn.end_line + delta
-    text = "\n".join(new[fn.start_line - 1 : end])
-    try:
-        root = parse(text)
-    except ParseError:
-        return None
-    shift = fn.start_line - 1
-    if (
-        root.kind not in FUNCTION_KINDS
-        or root.start_line != 1
-        or root.end_line != end - shift
-    ):
-        return None
-    fixed = SourceFunction(_declared_name(root), fn.start_line, end, text, after)
+def _moved(
+    fns: list[SourceFunction], k: int, before: SourceFile, after: SourceFile
+) -> list[SourceFunction]:
+    """`fns` of `before` as functions of `after`, where only the lines
+    inside `fns[k]` changed."""
+    delta = after.content.count("\n") - before.content.count("\n")
+    edited = fns[k]
+    end = edited.end_line + delta
     return (
-        [SourceFunction(f.name, f.start_line, f.end_line, f.text, after) for f in before_fns[:k]]
-        + [fixed]
+        [SourceFunction(f.name, f.start_line, f.end_line, f.text, after) for f in fns[:k]]
+        + [
+            SourceFunction(
+                edited.name, edited.start_line, end,
+                after.slice_lines(edited.start_line, end), after,
+            )
+        ]
         + [
             SourceFunction(f.name, f.start_line + delta, f.end_line + delta, f.text, after)
-            for f in before_fns[k + 1 :]
+            for f in fns[k + 1 :]
         ]
     )
 

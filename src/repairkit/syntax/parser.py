@@ -22,15 +22,16 @@ and its tree without comments, follow from its `token_key`.
 edit of a parsed source parses, re-parsing only the statements the edit
 changed. `tokens` is `base_tokens` with `base_tokens[first:last]`
 replaced, as `lex_edit` splices them; since only texts are read, the
-positions of the tokens after the edit need not be shifted. It takes the
-innermost `block` of `tree` whose `{` and `}` both lie outside
-`[first, last)`, and runs that block's statement loop on `tokens` from the
-latest statement start with at least 3 unchanged significant tokens before
-`first`, or from just after the `{`. When the loop reaches, at a statement
-boundary, the token that followed the edited statements in the base,
-shifted by the change in length, the edit parses; a `ParseError` on the way
-means it does not. This is exact, because a whole parse of `tokens` takes
-the same steps:
+positions of the tokens after the edit need not be shifted. `tree` is the
+base's parse or any subtree of it, such as one function, and the block is
+searched inside it: the innermost `block` of `tree` whose `{` and `}` both
+lie outside `[first, last)`. It runs that block's statement loop on
+`tokens` from the latest statement start with at least 3 unchanged
+significant tokens before `first`, or from just after the `{`. When the
+loop reaches, at a statement boundary, the token that followed the edited
+statements in the base, shifted by the change in length, the edit parses;
+a `ParseError` on the way means it does not. This is exact, because a
+whole parse of `tokens` takes the same steps:
 - Up to the restart point it reads the same tokens as the base's parse,
   and so stands in the same block with the same enclosing constructs. No
   lookahead reaches past a `{` into its block, and none reads more than 2
@@ -44,6 +45,14 @@ the same steps:
   rest, and the base's parse went on from that boundary without error.
 When the loop meets a `}` first, or passes that token inside a statement,
 or no such block exists, it returns None and the caller parses whole.
+Given a subtree, a True verdict also says where the whole parse's tree
+changes: only among that block's statements, so inside the subtree.
+
+The parser recurses once per nesting level, so a source nested past
+Python's recursion limit raises ParseError ("nesting too deep") in
+`parse`, and `parses_edit` leaves it to a whole parse. Where that limit
+falls depends on the caller's stack, so it is the one verdict that does
+not follow from the token texts alone.
 """
 from __future__ import annotations
 
@@ -658,11 +667,16 @@ def parse(source: str, tokens: Optional[list[Token]] = None) -> Node:
     holds one token and nothing else. `tokens`, when given, must have the
     texts and kinds of `tokenize(source)`, and the source is not lexed
     again; their positions show only in the tree and in a ParseError.
-    Raises ParseError for invalid source.
+    Raises ParseError for invalid source, and for source nested too deeply
+    for Python's recursion limit.
     """
     if tokens is None:
         tokens = tokenize(source)
-    return _Parser(tokens).parse_compilation_unit()
+    parser = _Parser(tokens)
+    try:
+        return parser.parse_compilation_unit()
+    except RecursionError:
+        raise parser.error("nesting too deep") from None
 
 
 def parses_edit(
@@ -670,10 +684,12 @@ def parses_edit(
 ) -> Optional[bool]:
     """Whether `tokens` parses, decided from the statements an edit changed.
 
-    `tree` must be the parse of `base_tokens`, and `tokens` must be
-    `base_tokens[:first] + window + base_tokens[last:]` for some window.
-    Returns None when the edit's statements cannot be re-parsed alone; see
-    the module docstring for when that is and why the verdict is exact.
+    `tree` must be the parse of `base_tokens` or a subtree of it, and
+    `tokens` must be `base_tokens[:first] + window + base_tokens[last:]`
+    for some window. The re-parsed block is searched inside `tree` only.
+    Returns None when the edit's statements cannot be re-parsed alone
+    there, or nest too deeply; see the module docstring for when that is
+    and why the verdict is exact.
     """
     if not 0 < first <= last < len(base_tokens):
         return None
@@ -709,6 +725,8 @@ def parses_edit(
             parser.parse_statement()
     except ParseError:
         return False
+    except RecursionError:
+        return None
 
 
 def _index(tokens: list[Token], node: Node) -> int:

@@ -330,6 +330,14 @@ class TestClassify:
         assert not verdict.parse_ok
         assert not verdict.ast
 
+    def test_deep_nesting_is_a_parse_failure(self):
+        # The parser recurses once per nesting level.
+        deep = REFERENCE.replace("a + b", "(" * 5000 + "a - b" + ")" * 5000)
+        other = REFERENCE.replace("a + b", "b + a")
+        verdicts = classify("bug", [self._candidate(deep), self._candidate(other, 1)], REFERENCE)
+        assert [v.parse_ok for v in verdicts] == [False, True]
+        assert [v.ast for v in verdicts] == [False, False]
+
     def test_no_plan_leaves_plausibility_not_run(self):
         reformatted = "int f() { return a + b; }"
         [verdict] = classify("bug", [self._candidate(reformatted)], REFERENCE, None)

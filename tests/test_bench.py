@@ -62,6 +62,19 @@ class TestLoadManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bug_id", 7), ("project_root", ["/tmp"]), ("file", None), ("reference", 5),
+            ("test_command", {"run": "true"}), ("checkout", 1.5),
+        ],
+    )
+    def test_non_string_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([_entry(**{field: value})]))
+        with pytest.raises(ManifestError, match=f"{field} must be a string"):
+            load_manifest(path)
+
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
@@ -230,6 +243,16 @@ class TestRunBenchmark:
                 "function span 2..7 runs past the end of Lib.java (6 lines)"
             )
         assert mock.calls == 1  # only the good bug reached the backend
+
+    def test_deeply_nested_candidate_is_scored(self, bench_fixture):
+        manifest_path, mock, _ = bench_fixture
+        manifest = load_manifest(manifest_path)[:2]
+        deep = "        return " + "(" * 5000 + "a + b" + ")" * 5000 + ";"
+        mock.fixture_map["e2e-00"] = [deep, "        return a + b;"]
+        records = run_benchmark(manifest, PAIR, GenerationConfig(backend=mock), run_tests=False)
+        assert [r.error for r in records] == [None, None]
+        assert [v.parse_ok for v in records[0].verdicts] == [False, True]
+        assert records[0].verdicts[1].exact and records[1].verdicts[0].exact
 
     def test_rank_curve_counts_first_hits(self, bench_fixture):
         manifest_path, mock, _ = bench_fixture

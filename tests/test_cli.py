@@ -361,6 +361,17 @@ class TestToolConfig:
         with pytest.raises(ConfigError):
             load_tool_config(str(path), env={})
 
+    @pytest.mark.parametrize(
+        "data",
+        [{"parallelism": "many"}, {"generation": {"num_candidates": 0}}],
+        ids=["parallelism", "num_candidates"],
+    )
+    def test_bad_values_rejected(self, tmp_path, data):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="^bad config value: "):
+            load_tool_config(str(path), env={})
+
     def test_missing_explicit_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_tool_config(str(tmp_path / "absent.json"), env={})

@@ -186,6 +186,22 @@ class TestIngest:
         assert (stats.parse_failures, stats.not_single_function) == (1, 0)
         assert "No such file" in caplog.text
 
+    def test_deeply_nested_file_is_a_parse_failure(self, tmp_path, caplog):
+        root = tmp_path / "trees"
+        (root / "before").mkdir(parents=True)
+        (root / "after").mkdir()
+        good = "class A {\n    int f() {\n        return 1;\n    }\n}\n"
+        deep = good.replace("1;", "(" * 5000 + "1" + ")" * 5000 + ";")
+        for name, text in (("A.java", good), ("D.java", deep)):
+            (root / "before" / name).write_text(text)
+            (root / "after" / name).write_text(text.replace("1", "2"))
+        stats = PipelineStats()
+        with caplog.at_level(logging.WARNING, logger="repairkit.corpus"):
+            pairs = list(ingest_diff_corpus(root, stats))
+        assert [p.id for p in pairs] == ["A.java:f"]
+        assert (stats.units, stats.parse_failures) == (2, 1)
+        assert "nesting too deep" in caplog.text
+
     def test_suffix_pair_layout(self, tmp_path):
         root = tmp_path / "pairs"
         root.mkdir()
@@ -252,7 +268,7 @@ _BASE = (
 # (before, after, path): each pins one side of the fast path's boundary.
 _BOUNDARY = {
     "body_edit": (_BASE, _BASE.replace("a + 1", "a + 2"), "fast"),
-    "signature_edit": (_BASE, _BASE.replace("int f(int a)", "long f(long a)"), "fast"),
+    "signature_edit": (_BASE, _BASE.replace("int f(int a)", "long f(long a)"), "fallback"),
     "insertion_inside": (
         _BASE,
         _BASE.replace("        return a + 1;\n", "        a++;\n        return a + 1;\n"),
@@ -279,12 +295,12 @@ _BOUNDARY = {
     "block_comment_closing_on_first_line": (
         _BASE.replace("    int f(", "    /* note\n     */ int f("),
         _BASE.replace("    int f(", "    /* note\n     */ int f(").replace("a + 1", "a + 2"),
-        "fallback",
+        "fast",
     ),
     "trailing_comment_on_last_line": (
         _BASE.replace("    }\n\n", "    } // end\n\n"),
         _BASE.replace("    }\n\n", "    } // end\n\n").replace("a + 1", "a + 2"),
-        "fallback",
+        "fast",
     ),
     "next_function_on_last_line": (
         _BASE.replace("    }\n\n    int g(", "    } int g("),
@@ -294,7 +310,7 @@ _BOUNDARY = {
     "synchronized_method": (
         _BASE.replace("    int f(", "    synchronized int f("),
         _BASE.replace("    int f(", "    synchronized int f(").replace("a + 1", "a + 2"),
-        "fallback",
+        "fast",
     ),
     "insertion_before_function": (
         _BASE,
@@ -309,6 +325,50 @@ _BOUNDARY = {
     "blank_line_between_functions": (_BASE, _BASE.replace("\n\n", "\n\n\n"), "fallback"),
     "unbalanced_braces": (_BASE, _BASE.replace("return a + 1;", "if (a > 0) {"), "fallback"),
 }
+
+
+# A method of a local class in a static initializer is a listed function,
+# and the initializer's block holds it: only a search inside the method
+# itself keeps a rename or a split of it off the fast path.
+_LOCAL = (
+    "class X {\n"
+    "    static {\n"
+    "        class L {\n"
+    "            @Override\n"
+    "            public String m() {\n"
+    "                return \"a\";\n"
+    "            }\n"
+    "        }\n"
+    "    }\n"
+    "\n"
+    "    int g(int b) {\n"
+    "        return b * 2;\n"
+    "    }\n"
+    "}\n"
+)
+_BOUNDARY.update(
+    {
+        "local_class_method_renamed": (
+            _LOCAL,
+            _LOCAL.replace("String m()", "String n()"),
+            "fallback",
+        ),
+        "local_class_method_split": (
+            _LOCAL,
+            _LOCAL.replace(
+                "            public String m",
+                "            public String k() {\n"
+                '                return "k";\n'
+                "            }\n"
+                "\n"
+                "            @Override\n"
+                "            public String m",
+            ),
+            "fallback",
+        ),
+        "local_class_method_body_edit": (_LOCAL, _LOCAL.replace('"a"', '"b"'), "fast"),
+    }
+)
 
 
 class TestAfterFileParsedWhereChanged:
@@ -366,6 +426,14 @@ _METHODS = [
     '    String b{n}() {{\n        return """\n            text {n}\n            """;\n    }}',
     "    void a{n}() {{ }} void z{n}() {{ }}",
     "    class In{n} {{\n        void i{n}() {{\n            go({n});\n        }}\n    }}",
+    "    static {{\n        class L{n} {{\n            @Override\n"
+    "            public String name{n}() {{\n                return \"{n}\";\n"
+    "            }}\n        }}\n    }}",
+    "    {{\n        count = {n};\n    }}",
+    "    Runnable r{n}() {{\n        return () -> {{\n            run({n});\n        }};\n    }}",
+    "    Object o{n}() {{\n        return new Object() {{\n            public int hashCode() {{\n"
+    "                return {n};\n            }}\n        }};\n    }}",
+    "    void k{n}()\n    {{\n        k({n});\n    }}",
 ]
 
 # Lines an edit may insert, besides lines of the source itself.

@@ -51,15 +51,23 @@ class TestMake:
         assert len(make_unified_diff(TEN, b, 3).hunks) == 1
 
     def test_rendered_body_matches_reference(self):
-        b = TEN.replace("line 5", "LINE 5")
-        ours = make_unified_diff(TEN, b, 3).render().splitlines()
-        reference = [
-            line.rstrip("\n")
-            for line in difflib.unified_diff(
-                TEN.splitlines(keepends=True), b.splitlines(keepends=True), n=3
-            )
-        ][2:]  # drop the ---/+++ file headers
-        assert ours == reference
+        edits = [
+            TEN.replace("line 5", "LINE 5"),
+            TEN.replace("line 1\n", "LINE 1\n").replace("line 9", "LINE 9"),  # two hunks
+            TEN.replace("line 4\n", "line 4\nnew a\nnew b\n"),  # insertion only
+            TEN.replace("line 6\nline 7\n", ""),  # deletion only
+        ]
+        for b in edits:
+            for context in (0, 1, 3):
+                diff = make_unified_diff(TEN, b, context)
+                reference = [
+                    line.rstrip("\n")
+                    for line in difflib.unified_diff(
+                        TEN.splitlines(keepends=True), b.splitlines(keepends=True), n=context
+                    )
+                ][2:]  # drop the ---/+++ file headers
+                assert diff.render().splitlines() == reference
+                assert len(diff.hunks) == sum(line.startswith("@@") for line in reference)
 
     def test_negative_context_rejected(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,10 @@ class TestParse:
             tree = parse(MINIMAL, tokens)
         assert all(leaf is token for leaf, token in zip(tree.leaves(), tokens, strict=True))
 
+    def test_deep_nesting_raises(self):
+        with pytest.raises(ParseError, match=r"^1:\d+: nesting too deep \(found '\('\)$"):
+            parse("int f() { return " + "(" * 5000 + "1" + ")" * 5000 + "; }")
+
     def test_empty_source_is_empty_unit(self):
         tree = parse("")
         assert tree.kind == "compilation_unit"
@@ -969,6 +973,13 @@ class TestParsesEditMatchesParse:
         assert _verdicts(method(before), method(after)) == (
             verdict, _parsable(method(after)) if verdict is None else verdict
         )
+
+    def test_deep_nesting_is_undecided(self):
+        # Nested past Python's recursion limit, the edit is left to a
+        # whole parse, which rejects it.
+        deep = "(" * 5000 + "a" + ")" * 5000
+        body = "void m() {\n    int v = 0;\n    %s;\n    v++;\n}"
+        assert _verdicts(body % "y()", body % deep) == (None, False)
 
     def test_edit_outside_any_block_is_undecided(self):
         base = "class C {\n    int x = 1;\n    int y = 2;\n}"

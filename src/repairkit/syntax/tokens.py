@@ -15,20 +15,32 @@ interface: `label` (the text), `start_line` and `end_line`, empty
 The lexer is one loop over a single compiled master regex, `_TOKEN_RE`,
 with one match per token. Each match first skips the whitespace before
 the token with a possessive `[ \\t\\r\\n\\f\\x0b]*+`, then tries named
-groups in order: line comment, block comment, text block, string, char,
-number, identifier or keyword, and the symbols, longest first. Groups that
-match only the opening of an unterminated comment, text block, string or
-char, a word that starts with a non-ASCII character, and any other single
-character come after their well-formed counterparts; the loop turns them
-into a `ParseError` or, for a non-ASCII identifier, checks the first
-character. A last, empty `_end` group matches the end of the input after
-trailing whitespace, so the search stops there instead of retrying that
-whitespace from each of its positions. Lines and columns are tracked
-incrementally from the newlines in the skipped whitespace and inside the
-tokens that can hold them: block comments, text blocks, and strings or
-chars (where a backslash may escape a newline). Most tokens follow the
-previous one with no whitespace between, so the newlines are counted, and
-the last one searched for, only inside a non-empty skipped run.
+groups in order: identifier or keyword, the symbols (longest first),
+line comment, block comment, text block, string, char and number. The
+two commonest groups come first so that most tokens are found by the
+first or second alternative, and the loop dispatches on `m.lastindex`,
+the number of the group that matched, with a branch of its own for each
+of those two. That order finds the same token at every position as the
+order comments, literals, number, word, symbols: a word starts with a
+letter, `_` or `$`, and no comment, literal or number does; a symbol
+starts neither a string nor a char, so only `/` (a comment opener) and
+`.` (a number such as `.5`) start both a symbol and a group that used to
+come before it. The symbol group's guard `(?!//|/\\*|\\.\\d)` refuses
+exactly those positions, where `\\d` is the same class the number group
+starts with. Groups that match only the opening of an unterminated
+comment, text block, string or char, a word that starts with a non-ASCII
+character, and any other single character come after their well-formed
+counterparts; the loop turns them into a `ParseError` or, for a
+non-ASCII identifier, checks the first character. A last, empty `_end`
+group matches the end of the input after trailing whitespace, so the
+search stops there instead of retrying that whitespace from each of its
+positions. Lines and columns are tracked incrementally from the newlines
+in the skipped whitespace, which runs from the previous match's end to
+the token's start, and inside the tokens that can hold them: block
+comments, text blocks, and strings or chars (where a backslash may
+escape a newline). Most tokens follow the previous one with no
+whitespace between, so the newlines are counted, and the last one
+searched for, only inside a non-empty skipped run.
 
 Identifiers start with a character for which `str.isalpha` holds, or `_`
 or `$`, and continue with characters for which `str.isalnum` holds, which
@@ -103,16 +115,23 @@ BLOCK_COMMENT = "block_comment"
 
 COMMENT_KINDS = frozenset({LINE_COMMENT, BLOCK_COMMENT})
 
-# A group named after a token kind produces that kind; `tokenize` handles
-# the private (underscored) groups itself. Each `_open_*` group matches only
+# A group named after a token kind produces that kind; `_lex` handles the
+# private (underscored) groups itself. Each `_open_*` group matches only
 # where the complete form just before it did not, so it marks an
 # unterminated comment or literal. The whitespace prefix must stay
 # possessive: with a plain `*`, trailing whitespace backtracks into `_other`.
+# The two commonest groups come first; see the module docstring for why
+# that order, with the symbol group's guard, matches what the order
+# comments, literals, words, symbols would.
 _TOKEN_RE = re.compile(
     r"""
     [ \t\r\n\f\x0b]*+
     (?:
-      (?P<line_comment>//[^\n]*)
+      (?P<_word>[A-Za-z_$][\w$]*)
+    | (?!//|/\*|\.\d)(?P<symbol>"""
+    + "|".join(re.escape(s) for s in _SYMBOLS)
+    + r""")
+    | (?P<line_comment>//[^\n]*)
     | (?P<block_comment>/\*.*?\*/)
     | (?P<_open_comment>/\*)
     | (?P<_text_block>"{3}[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"{3})
@@ -127,10 +146,6 @@ _TOKEN_RE = re.compile(
           | (?:\d[\d_]*)?\.\d[\d_]*(?:[eE][+-]?\d+)?
           | \d[\d_]*\.?(?:[eE][+-]?\d+)?
         )[fFdDlL]?)
-    | (?P<_word>[A-Za-z_$][\w$]*)
-    | (?P<symbol>"""
-    + "|".join(re.escape(s) for s in _SYMBOLS)
-    + r""")
     | (?P<_unicode_word>[\w$]+)
     | (?P<_other>.)
     | (?P<_end>\Z)
@@ -138,6 +153,13 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+# `m.lastindex` of a match, for the groups `_lex` tests by number, and
+# the group name of every index.
+_WORD_GROUP = _TOKEN_RE.groupindex["_word"]
+_SYMBOL_GROUP = _TOKEN_RE.groupindex["symbol"]
+_END_GROUP = _TOKEN_RE.groupindex["_end"]
+_GROUP_NAMES = {index: name for name, index in _TOKEN_RE.groupindex.items()}
 
 # Token kinds whose text may span lines.
 _MULTILINE = frozenset({BLOCK_COMMENT, STRING, CHAR})
@@ -235,29 +257,35 @@ def _lex(source: str, pos: int, endpos: int, line: int) -> list[Token]:
     out: list[Token] = []
     append = out.append
     count = source.count
-    new_token = tuple.__new__
+    new_token = tuple.__new__  # skips the NamedTuple's Python-level `__new__`
     line_start = pos  # offset of the current line's first character
+    skipped = pos  # where the previous match ended: whitespace starts there
     for m in _TOKEN_RE.finditer(source, pos, endpos):
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        skipped = m.start()
+        group = m.lastindex
+        start, end = m.span(group)
         if skipped != start:
             newlines = count("\n", skipped, start)
             if newlines:
                 line += newlines
                 line_start = source.rfind("\n", skipped, start) + 1
+        skipped = end
         text = source[start:end]
-        if kind == "_word":
+        column = start - line_start + 1
+        if group == _WORD_GROUP:
             kind = KEYWORD if text in KEYWORDS else IDENTIFIER
-        elif kind[0] == "_":
-            if kind == "_end":
-                break
-            kind = _private_kind(kind, text, start, out, line, start - line_start + 1)
-        # `tuple.__new__` skips the NamedTuple's Python-level `__new__`.
-        append(new_token(Token, (kind, text, start, end, line, start - line_start + 1)))
-        if kind in _MULTILINE and "\n" in text:
-            line += text.count("\n")
-            line_start = start + text.rfind("\n") + 1
+            append(new_token(Token, (kind, text, start, end, line, column)))
+        elif group == _SYMBOL_GROUP:
+            append(new_token(Token, (SYMBOL, text, start, end, line, column)))
+        else:
+            kind = _GROUP_NAMES[group]
+            if kind[0] == "_":
+                if group == _END_GROUP:
+                    break
+                kind = _private_kind(kind, text, start, out, line, column)
+            append(new_token(Token, (kind, text, start, end, line, column)))
+            if kind in _MULTILINE and "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rfind("\n") + 1
     return out
 
 

@@ -42,11 +42,13 @@ class SyntaxNode:
 
     def seal(self) -> "SyntaxNode":
         """Set this node's span from its children. No-op without children."""
-        if self.children:
-            self.start = self.children[0].start
-            self.end = self.children[-1].end
-            self.start_line = self.children[0].start_line
-            self.end_line = self.children[-1].end_line
+        children = self.children
+        if children:
+            first, last = children[0], children[-1]
+            self.start = first.start
+            self.end = last.end
+            self.start_line = first.start_line
+            self.end_line = last.end_line
         return self
 
     def walk(self) -> Iterator[Node]:
@@ -97,10 +99,25 @@ def normalize(node: "Node | NormalizedNode") -> NormalizedNode:
 
 
 def _normalize(node: "Node | NormalizedNode") -> Optional[NormalizedNode]:
+    """The normalized tree of `node`, None for a comment. Iterative, so
+    that no nesting depth the parser accepts exhausts the stack."""
     if node.kind in COMMENT_KINDS:
         return None
-    kids = tuple(c for c in (_normalize(child) for child in node.children) if c)
-    return NormalizedNode(node.kind, node.label, kids)
+    # One entry per open node: the node, its children still to visit, and
+    # its normalized children so far.
+    stack = [(node, iter(node.children), [])]
+    while True:
+        node, pending, kids = stack[-1]
+        for child in pending:
+            if child.kind not in COMMENT_KINDS:
+                stack.append((child, iter(child.children), []))
+                break
+        else:
+            stack.pop()
+            normalized = NormalizedNode(node.kind, node.label, tuple(kids))
+            if not stack:
+                return normalized
+            stack[-1][2].append(normalized)
 
 
 def ast_key(node: Node) -> tuple[str, ...]:

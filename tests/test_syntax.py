@@ -8,6 +8,7 @@ from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from reference_lexer import reference_tokenize
+from reference_parser import reference_parse
 from repairkit.assess import ast_match, classify
 from repairkit.errors import ParseError
 from repairkit.gen import CandidatePatch
@@ -24,6 +25,7 @@ from repairkit.syntax import (
     parses_edit,
 )
 from repairkit.syntax import parser as java_parser
+from repairkit.syntax import tree as tree_module
 from repairkit.syntax import tokens as token_module
 from repairkit.syntax.tokens import (
     COMMENT_KINDS,
@@ -334,6 +336,63 @@ class TestNormalize:
         normalized = normalize(tree)
         assert all("comment" not in n.kind for n in normalized.walk())
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SOURCES))
+    def test_same_tree_as_the_recursive_normalization(self, name):
+        tree = parse(GOLDEN_SOURCES[name])
+        assert tree_module._normalize(tree) == _recursive_normalize(tree)
+
+    def test_same_tree_as_the_recursive_normalization_when_nested(self):
+        tree = parse(_nested(200))
+        assert tree_module._normalize(tree) == _recursive_normalize(tree)
+
+    def test_400_levels(self):
+        tree = parse(_nested(400))
+        assert _preorder(normalize(tree)) == _preorder(tree)
+
+    def test_deepest_nesting_that_parses(self):
+        depth, tree = _deepest_nesting()
+        assert depth > 400
+        assert _preorder(normalize(tree)) == _preorder(tree)
+
+
+def _recursive_normalize(node):
+    """`tree._normalize` as it was: a generator per level, which exhausts
+    the stack at about 400 levels."""
+    if node.kind in COMMENT_KINDS:
+        return None
+    kids = tuple(c for c in (_recursive_normalize(child) for child in node.children) if c)
+    return NormalizedNode(node.kind, node.label, kids)
+
+
+def _nested(depth):
+    """A method that returns `depth` nested parentheses, with a comment
+    after each `(`."""
+    return "int f() { return " + "( /* c */ " * depth + "1" + ")" * depth + "; }"
+
+
+def _deepest_nesting():
+    """The deepest `_nested` source that parses here, and its tree."""
+    low, high, tree = 0, 5000, parse(_nested(0))  # _nested(5000) does not parse
+    while high - low > 1:
+        middle = (low + high) // 2
+        try:
+            low, tree = middle, parse(_nested(middle))
+        except ParseError:
+            high = middle
+    return low, tree
+
+
+def _preorder(node):
+    """The (kind, label, child count) of each node in pre-order, comments
+    left out, read with an explicit stack."""
+    rows, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        kids = [kid for kid in node.children if kid.kind not in COMMENT_KINDS]
+        rows.append((node.kind, node.label, len(kids)))
+        stack.extend(reversed(kids))
+    return rows
+
 
 class TestAstEqual:
     CASES_EQUAL = [
@@ -461,6 +520,9 @@ _LEX_PIECES = [
     "é", "xé", "éx", "²", "x²", "½", "x½", "٣", "x٣", "ß", "\u00a0", "€",
     # unterminated constructs and escaped newlines
     "/*", '"', "'", '"""', '"a\\\nb"', "'\\\n'", "\\",
+    # pieces at the edges of the word and symbol groups, which the lexer
+    # tries first: comment openers, `.` before and after digits, `$`
+    "/=", "// end", "/**/", "/*/", "..", "1..2", ".e1", "a.5", "$x",
     # whitespace
     " ", "  ", "\n", "\t", "\r\n", "\f", "\x0b",
 ]
@@ -491,6 +553,7 @@ class TestLexerMatchesReference:
     @example(source="a.²")  # `.` just before a non-decimal Unicode digit
     @example(source="x .½ ..³")
     @example(source=BENCH_STYLE_CLASS)
+    @example(source="x /= 2; // end")  # a line comment that ends the input
     def test_same_tokens_or_error(self, source):
         assert _lex(tokenize, source) == _lex(reference_tokenize, source)
 
@@ -984,3 +1047,65 @@ class TestParsesEditMatchesParse:
     def test_edit_outside_any_block_is_undecided(self):
         base = "class C {\n    int x = 1;\n    int y = 2;\n}"
         assert _verdicts(base, "class C {\n    int x = 1;\n    int y = ;\n}") == (None, True)
+
+
+# --------------------------------------------------------------------------
+# parse against the parser that read one token per call
+
+def _tree_or_error(parser, source):
+    """The pre-order (kind, label, start, end, start_line, end_line) rows
+    of the tree, or the ParseError text and position."""
+    try:
+        tree = parser(source)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.column)
+    return [(n.kind, n.label, n.start, n.end, n.start_line, n.end_line) for n in tree.walk()]
+
+
+_COMMENTS = [" /* c */ ", "// c\n", "/**/", "/* two\n lines */"]
+
+
+@st.composite
+def _commented_openers(draw):
+    """A known source, the golden ones included, with comments just before
+    some of its tokens, most often before a `(`, `[` or `{`, and maybe cut
+    short after a token."""
+    source = draw(st.sampled_from(EDIT_BASES))
+    tokens = tokenize(source)
+    rolls = draw(st.lists(st.integers(0, 99), min_size=len(tokens), max_size=len(tokens)))
+    parts, at = [], 0
+    for token, roll in zip(tokens, rolls):
+        if roll < (50 if token.text in ("(", "[", "{") else 5):
+            parts += [source[at : token.start], _COMMENTS[roll % len(_COMMENTS)]]
+            at = token.start
+    parts.append(source[at:])
+    commented = "".join(parts)
+    if draw(st.booleans()) or not _lexes(commented):
+        return commented
+    cut = draw(st.sampled_from(tokenize(commented) or [None]))
+    return commented[: cut.end] if cut else commented
+
+
+def _comment_opens_a_group(source):
+    """Whether a comment is the first leaf of a delimiter group."""
+    try:
+        tree = parse(source)
+    except ParseError:
+        return False
+    return any(
+        node.kind.endswith("_group") and node.children[0].is_comment for node in tree.walk()
+    )
+
+
+class TestParseMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(source=st.one_of(_lexer_inputs(), _mutated_classes(), _commented_openers()))
+    def test_same_tree_or_error(self, source):
+        assert _tree_or_error(parse, source) == _tree_or_error(reference_parse, source)
+
+    def test_comments_before_openers_are_generated(self):
+        find(
+            _commented_openers(),
+            _comment_opens_a_group,
+            settings=settings(database=None, phases=[Phase.generate], max_examples=300),
+        )

@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from pathlib import Path
 from typing import Iterator
 
 log = logging.getLogger(__name__)
-
-# How many bytes `mend_tail` reads at a time, back from the end of a file.
-_TAIL_CHUNK = 1 << 16
 
 
 def read_rows(path: Path) -> Iterator[dict]:
@@ -37,32 +33,13 @@ def read_rows(path: Path) -> Iterator[dict]:
 
 
 def mend_tail(path: Path) -> None:
-    """Cut a torn last line, or end it with a newline if it is a whole row.
-
-    Reads only the last line: back from the end of the file, in chunks,
-    up to the newline before it.
-    """
-    if not path.exists():
+    """Cut a torn last line, or end it with a newline if it is a whole row."""
+    data = path.read_bytes() if path.exists() else b""
+    if not data or data.endswith(b"\n"):
         return
-    chunks = []  # the last line's bytes, from its end backwards
-    with open(path, "rb") as fh:
-        cut = fh.seek(0, os.SEEK_END)
-        while cut:
-            step = min(_TAIL_CHUNK, cut)
-            cut -= step
-            fh.seek(cut)
-            chunk = fh.read(step)
-            newline = chunk.rfind(b"\n")
-            if newline >= 0:
-                cut += newline + 1
-                chunks.append(chunk[newline + 1 :])
-                break
-            chunks.append(chunk)
-    tail = b"".join(reversed(chunks))
-    if not tail:  # an empty file, or one that ends with a newline
-        return
+    cut = data.rfind(b"\n") + 1
     try:
-        json.loads(tail)
+        json.loads(data[cut:])
     except ValueError:
         with open(path, "r+b") as fh:
             fh.truncate(cut)

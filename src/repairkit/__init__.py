@@ -16,7 +16,6 @@ from .assess import (
     SemanticRating,
     TestRun,
     TestSpec,
-    ast_match,
     check_plausible,
     classify,
     cohen_kappa,
@@ -76,6 +75,5 @@ from .syntax import (
     SourceFunction,
     ast_equal,
     extract_functions,
-    normalize,
     parse,
 )

@@ -24,7 +24,6 @@ import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -38,9 +37,7 @@ from .errors import (
 )
 from .gen import CandidatePatch
 from .jsonl import mend_tail, read_rows
-from .syntax import Token, ast_key, lex_edit, parse, parses_edit, token_key, tokenize
-from .syntax.tokens import COMMENT_KINDS
-from .syntax.tree import Node
+from .syntax import Node, Tokens, lex_edit, parse, parses_edit, token_key, tokenize
 
 PASS = "pass"
 FAIL = "fail"
@@ -64,34 +61,6 @@ def exact_match(candidate: str, reference: str) -> bool:
 
 def _normalize_eol(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-class ParseFailure:
-    """Returned by ast_match for unparsable candidates; falsy, so it scores
-    as a non-match wherever a boolean is expected."""
-
-    def __init__(self, message: str):
-        self.message = message
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return f"ParseFailure({self.message!r})"
-
-
-def ast_match(candidate: str, reference: str) -> "bool | ParseFailure":
-    """Tree equivalence against the reference, comments/formatting ignored.
-
-    The reference must parse (ParseError propagates); a candidate that does
-    not parse yields a falsy ParseFailure instead of an exception.
-    """
-    reference_key = ast_key(parse(reference))  # reference errors propagate
-    try:
-        candidate_key = ast_key(parse(candidate))
-    except ParseError as exc:
-        return ParseFailure(str(exc))
-    return candidate_key == reference_key
 
 
 # --------------------------------------------------------------------------
@@ -167,6 +136,7 @@ def _run(command, workdir: Path, timeout: float, env: dict) -> tuple[str, str]:
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        errors="replace",  # a suite may print bytes its locale cannot decode
         start_new_session=True,
     ) as proc:
         try:
@@ -306,13 +276,12 @@ class _Reference:
         self.text = text
         self._lexed = False
         self._parsed = False
-        self.tokens: Optional[list[Token]] = None  # None when it does not lex
+        self.tokens: Optional[Tokens] = None  # None when it does not lex
         self.key: Optional[tuple[str, ...]] = None
-        self.keyed: list[int] = []  # keyed[i]: key length of tokens[:i]
         self.tree: Optional[Node] = None  # None when it does not parse
         self.error: Optional[ParseError] = None
 
-    def lex(self) -> Optional[list[Token]]:
+    def lex(self) -> Optional[Tokens]:
         """The reference's tokens, or None when it does not lex."""
         if not self._lexed:
             self._lexed = True
@@ -322,8 +291,6 @@ class _Reference:
                 self.error = exc
             else:
                 self.key = token_key(self.tokens)
-                significant = (t.kind not in COMMENT_KINDS for t in self.tokens)
-                self.keyed = list(accumulate(significant, initial=0))
         return self.tokens
 
     def parse(self) -> Optional[Node]:
@@ -393,8 +360,11 @@ def classify(
                 key = token_key(tokens)
             else:
                 first, last, window = lex_edit(reference, base, text)
-                keyed = ref.keyed
-                key = ref.key[: keyed[first]] + token_key(window) + ref.key[keyed[last] :]
+                key = (
+                    ref.key[: base.significant(first)]
+                    + token_key(window)
+                    + ref.key[base.significant(last) :]
+                )
         except ParseError:
             key = None
         if plan is None:
@@ -413,7 +383,7 @@ def classify(
         else:
             parse_ok = None
             if base is not None:
-                tokens = base[:first] + window + base[last:]
+                tokens = base.splice(first, last, window)
                 if ref.parse() is not None:
                     parse_ok = parses_edit(ref.tree, base, first, last, tokens)
             if parse_ok is None:

@@ -1,9 +1,12 @@
 """The Java frontend: function extraction, parsing, AST equivalence.
 
-A tree's leaves are the lexer's `Token`s, comments included, and its
-interior nodes are `SyntaxNode`s; a source of one token parses to that
-token alone. The tree without its comment leaves follows from the texts of
-the other leaves alone: AST match compares `ast_key`s.
+`tokenize` lexes a source into a `Tokens`, parallel lists of token texts
+and offsets, and the parser reads its texts. A tree's interior nodes are
+`SyntaxNode`s, and its leaves are token indices, comments included, for
+which `children`, `walk()` and `leaves()` build `Token`s on demand; a
+source of one token parses to that token alone. The tree without its
+comment leaves follows from the texts of the other leaves alone: AST
+match compares `ast_key`s.
 """
 from __future__ import annotations
 
@@ -12,15 +15,15 @@ from typing import Optional
 
 from ..errors import ParseError
 from .parser import parse, parses_edit
-from .tokens import Token, lex_edit, token_key, tokenize
-from .tree import Node, NormalizedNode, SyntaxNode, ast_key, normalize
+from .tokens import IDENTIFIER, Token, Tokens, _kind, lex_edit, token_key, tokenize
+from .tree import Node, SyntaxNode, ast_key
 
 __all__ = [
     "SourceFile",
     "SourceFunction",
     "SyntaxNode",
     "Token",
-    "NormalizedNode",
+    "Tokens",
     "parse",
     "parses_edit",
     "tokenize",
@@ -28,7 +31,6 @@ __all__ = [
     "token_key",
     "extract_functions",
     "extract_functions_of_edit",
-    "normalize",
     "ast_key",
     "ast_equal",
     "ParseError",
@@ -123,10 +125,9 @@ def extract_functions_of_edit(
     before_fns = [_source_function(node, old, before) for node in nodes]
     first, last, window = lex_edit(before.content, tokens, after.content)
     if 0 < first <= last < len(tokens):
-        left, right = tokens[first - 1].start, tokens[last].start
         for k, node in enumerate(nodes):
-            if node.start <= left and right < node.end:
-                edited = tokens[:first] + window + tokens[last:]
+            if node.first < first and last <= node.last:
+                edited = tokens.splice(first, last, window)
                 if parses_edit(node, tokens, first, last, edited):
                     return before_fns, _moved(before_fns, k, before, after)
                 break
@@ -167,20 +168,26 @@ def _source_function(node: SyntaxNode, lines: list[str], file: SourceFile) -> So
 
 
 def _function_nodes(node: Node):
+    if not isinstance(node, SyntaxNode):
+        return  # a lone token
     if node.kind in FUNCTION_KINDS:
         yield node
         return  # local declarations stay with their enclosing function
-    for child in node.children:
-        yield from _function_nodes(child)
+    for kid in node.kids:
+        if type(kid) is not int:
+            yield from _function_nodes(kid)
 
 
 def _declared_name(node: SyntaxNode) -> str:
+    """The last identifier leaf before the parameter list."""
     name = "<anonymous>"
-    for child in node.children:
-        if child.kind == "paren_group":
+    texts = node.tokens.texts
+    for kid in node.kids:
+        if type(kid) is int:
+            if _kind(texts[kid]) == IDENTIFIER:
+                name = texts[kid]
+        elif kid.kind == "paren_group":
             break
-        if child.is_leaf and child.kind == "identifier":
-            name = child.label or name
     return name
 
 

@@ -14,29 +14,37 @@ produce standalone method nodes.
 The parser accepts fragments, not just compilation units: a lone method,
 statement, or field parses with the corresponding root node.
 
+The parser reads two parallel sequences of a `Tokens`: `texts`, and
+`mask`, which marks the comments. Its cursor is a token index, `peek()`
+returns the text of a significant token ahead, and a leaf is appended to
+its node as that token's index; no `Token` is built unless a `ParseError`
+needs a position or the source is a lone token. A node's span and lines are read from the token lists
+when asked (see `tree.SyntaxNode`).
+
 Most tokens sit in flat runs: the leaves of a delimiter group, or of a
 simple statement up to its `;`. `_take_run`, which `parse_group` and
 `_take_through_semicolon` share, walks such a run with a local index,
 tests each token's text only against the delimiters that end the run, and
-appends the run's leaves to the node in one slice; a comment just before a
-nested group's opener goes into that group, as its first leaf. It returns
-at the delimiter, and the caller parses a nested group by a recursive
-call, never with a stack of its own, so the parser still takes one frame
-per nesting level.
+appends the run's leaves to the node as one range; a comment just before
+a nested group's opener goes into that group, as its first leaf. It
+returns at the delimiter, and the caller parses a nested group by a
+recursive call, never with a stack of its own, so the parser still takes
+one frame per nesting level.
 
 Every choice the parser makes reads the texts of the significant tokens
 and nothing else: no offset, line or comment. So whether a source parses,
-and its tree without comments, follow from its `token_key`.
+and its tree without comments, follow from its `token_key`. Where the
+grammar needs a token's kind, such as an identifier, the kind follows
+from the text.
 
 `parses_edit(tree, base_tokens, first, last, tokens)` decides whether an
 edit of a parsed source parses, re-parsing only the statements the edit
 changed. `tokens` is `base_tokens` with `base_tokens[first:last]`
-replaced, as `lex_edit` splices them; since only texts are read, the
-positions of the tokens after the edit need not be shifted. `tree` is the
-base's parse or any subtree of it, such as one function, and the block is
-searched inside it: the innermost `block` of `tree` whose `{` and `}` both
-lie outside `[first, last)`. It runs that block's statement loop on
-`tokens` from the latest statement start with at least 3 unchanged
+replaced, as `Tokens.splice` joins them with `lex_edit`'s window. `tree`
+is the base's parse or any subtree of it, such as one function, and the
+block is searched inside it: the innermost `block` of `tree` whose `{`
+and `}` both lie outside `[first, last)`. It runs that block's statement
+loop on `tokens` from the latest statement start with at least 3 unchanged
 significant tokens before `first`, or from just after the `{`. When the
 loop reaches, at a statement boundary, the token that followed the edited
 statements in the base, shifted by the change in length, the edit parses;
@@ -66,11 +74,10 @@ not follow from the token texts alone.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Optional
 
 from ..errors import ParseError
-from .tokens import _START, COMMENT_KINDS, IDENTIFIER, KEYWORD, SYMBOL, Token, tokenize
+from .tokens import IDENTIFIER, KEYWORD, KEYWORDS, Tokens, _kind, tokenize
 from .tree import COMPILATION_UNIT, Node, SyntaxNode
 
 MODIFIER_WORDS = frozenset(
@@ -92,67 +99,79 @@ _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 # and for a statement also `;`. No comment has one of these texts.
 _DELIMITERS = frozenset("()[]{}")
 _STATEMENT_STOPS = _DELIMITERS | {";"}
+_CLOSING = frozenset(")]}")
+_CLOSING_OR_SEMICOLON = _CLOSING | {";"}
+# The texts that end a member's header at delimiter depth 0.
+_MEMBER_STOPS = frozenset("(=;{")
+_SIMPLE_STATEMENTS = frozenset({"return", "throw", "break", "continue", "assert"})
+_TYPE_WORDS = frozenset({"class", "interface", "enum"})
+_WORD_KINDS = (IDENTIFIER, KEYWORD)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    def __init__(self, tokens: Tokens):
+        self.tokens = tokens
+        self.texts = tokens.texts
+        self.mask = tokens.mask
+        self.n = len(tokens)
         self.i = 0
 
     # ---- token cursor -------------------------------------------------
 
     def _eof_error(self, message: str) -> ParseError:
-        if self.toks:
-            last = self.toks[-1]
+        if self.texts:
+            last = self.tokens[-1]
             tail = last.text.split("\n")[-1]
             col = len(tail) + (last.column if "\n" not in last.text else 1)
             return ParseError(message, last.end_line, col)
         return ParseError(message, 1, 1)
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
+        j = self._next_significant_index()
+        if j == self.n:
             return self._eof_error(message)
+        tok = self.tokens[j]
         return ParseError(f"{message} (found {tok.text!r})", tok.line, tok.column)
 
-    def peek(self, ahead: int = 0) -> Optional[Token]:
-        """The ahead-th significant (non-comment) token, not consumed."""
-        j = self.i
-        toks = self.toks
-        if not ahead and j < len(toks) and toks[j].kind not in COMMENT_KINDS:
-            return toks[j]
+    def peek(self, ahead: int = 0) -> Optional[str]:
+        """The text of the ahead-th significant (non-comment) token, not
+        consumed."""
+        j, n, mask = self.i, self.n, self.mask
+        if not ahead and j < n and not mask[j]:
+            return self.texts[j]
         seen = 0
-        while j < len(toks):
-            tok = toks[j]
-            if tok.kind not in COMMENT_KINDS:
+        while j < n:
+            if not mask[j]:
                 if seen == ahead:
-                    return tok
+                    return self.texts[j]
                 seen += 1
             j += 1
         return None
 
-    def take_leaf(self, out: list[Node]) -> Token:
+    def take_leaf(self, out: list) -> None:
         """Consume the next significant token as a leaf in `out`, after the
         comment tokens before it."""
-        toks = self.toks
-        while self.i < len(toks):
-            tok = toks[self.i]
-            self.i += 1
-            out.append(tok)
-            if tok.kind not in COMMENT_KINDS:
-                return tok
+        i, n, mask = self.i, self.n, self.mask
+        while i < n:
+            out.append(i)
+            i += 1
+            if not mask[i - 1]:
+                self.i = i
+                return
+        self.i = i
         raise self._eof_error("unexpected end of input")
 
-    def expect(self, text: str, out: list[Node]) -> Token:
-        tok = self.peek()
-        if tok is None or tok.text != text:
+    def expect(self, text: str, out: list) -> None:
+        if self.peek() != text:
             raise self.error(f"expected {text!r}")
-        return self.take_leaf(out)
+        self.take_leaf(out)
 
-    def drain_comments(self, out: list[Node]) -> None:
-        while self.i < len(self.toks) and self.toks[self.i].kind in COMMENT_KINDS:
-            out.append(self.toks[self.i])
-            self.i += 1
+    def drain_comments(self, out: list) -> None:
+        i, n, mask = self.i, self.n, self.mask
+        while i < n and mask[i]:
+            out.append(i)
+            i += 1
+        self.i = i
 
     # ---- delimiter groups ---------------------------------------------
 
@@ -162,268 +181,244 @@ class _Parser:
         The comments before its opener are its first leaves. A nested group
         is parsed by a recursive call, so each nesting level takes one frame.
         """
-        toks = self.toks
+        texts, mask = self.texts, self.mask
         j = self.i
-        while toks[j].kind in COMMENT_KINDS:
+        while mask[j]:
             j += 1
-        opener = toks[j].text
+        opener = texts[j]
         closer = _CLOSERS[opener]
-        kids: list[Node] = toks[self.i : j + 1]
+        kids = list(range(self.i, j + 1))
         self.i = j + 1
         while True:
             stop = self._take_run(kids, _DELIMITERS)
-            if stop == len(toks):
+            if stop == self.n:
                 raise self._eof_error(f"unbalanced {opener!r}")
-            text = toks[stop].text
+            text = texts[stop]
             if text == closer:
-                kids.append(toks[stop])
+                kids.append(stop)
                 self.i = stop + 1
-                return SyntaxNode(_GROUP_KINDS[opener], kids).seal()
+                return SyntaxNode(_GROUP_KINDS[opener], kids, self.tokens)
             if text not in _GROUP_KINDS:
                 raise self.error(f"mismatched {text!r}")
             kids.append(self.parse_group())
 
-    def _take_run(self, kids: list[Node], stops: frozenset[str]) -> int:
+    def _take_run(self, kids: list, stops: frozenset[str]) -> int:
         """Append the leaves before the next token whose text is in `stops`
-        to `kids`, and return that token's index, or `len(self.toks)`.
+        to `kids`, and return that token's index, or the token count.
 
         The cursor is left at the stop, or, when the stop opens a group, at
         the comments just before it, which go into that group. The caller
         takes the stop, so a nested group is parsed in the caller's frame.
         """
-        toks = self.toks
-        start = j = self.i
-        end = len(toks)
-        while j < end and toks[j].text not in stops:
-            j += 1
-        stop = j
-        if j < end and toks[j].text in _GROUP_KINDS:
-            while j > start and toks[j - 1].kind in COMMENT_KINDS:
+        texts, n = self.texts, self.n
+        start = self.i
+        for stop in range(start, n):
+            if texts[stop] in stops:
+                break
+        else:
+            stop = n
+        j = stop
+        if j < n and texts[j] in _GROUP_KINDS:
+            mask = self.mask
+            while j > start and mask[j - 1]:
                 j -= 1
-        kids.extend(toks[start:j])
+        kids += range(start, j)
         self.i = j
         return stop
 
     # ---- statements ----------------------------------------------------
 
     def parse_block(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         self.expect("{", kids)
         while True:
-            tok = self.peek()
-            if tok is None:
+            text = self.peek()
+            if text is None:
                 raise self._eof_error("expected '}'")
-            if tok.text == "}":
+            if text == "}":
                 self.drain_comments(kids)
                 self.take_leaf(kids)
-                return SyntaxNode("block", kids).seal()
+                return SyntaxNode("block", kids, self.tokens)
             kids.append(self.parse_statement())
 
     def parse_statement(self) -> SyntaxNode:
-        tok = self.peek()
-        if tok is None:
+        text = self.peek()
+        if text is None:
             raise self._eof_error("expected statement")
-        text = tok.text
         if text == "{":
             return self.parse_block()
         if text == ";":
-            kids: list[Node] = []
+            kids: list = []
             self.take_leaf(kids)
-            return SyntaxNode("empty_statement", kids).seal()
-        if tok.kind == KEYWORD:
-            if text == "if":
-                return self._parse_if()
-            if text == "while":
-                return self._parse_while()
-            if text == "do":
-                return self._parse_do()
-            if text == "for":
-                return self._parse_for()
-            if text == "switch":
-                return self._parse_switch()
-            if text == "try":
-                return self._parse_try()
-            if text == "synchronized":
-                return self._parse_synchronized()
-            if text in ("return", "throw", "break", "continue", "assert"):
+            return SyntaxNode("empty_statement", kids, self.tokens)
+        if text in KEYWORDS:
+            compound = _COMPOUND_STATEMENTS.get(text)
+            if compound is not None:
+                return compound(self)
+            if text in _SIMPLE_STATEMENTS:
                 kids = []
                 self.take_leaf(kids)
                 return self._finish_simple(f"{text}_statement", kids)
-            if text in ("class", "interface", "enum"):
+            if text in _TYPE_WORDS:
                 return self.parse_declaration()
             if text in ("final", "abstract", "static"):
                 if self._modifier_run_opens_type():
                     return self.parse_declaration()
                 return self._finish_simple("statement", [])
-        if tok.kind == IDENTIFIER:
+        elif _kind(text) == IDENTIFIER:
             if text == "record" and self._looks_like_record():
                 return self.parse_declaration()  # a local record
-            colon = self.peek(1)
-            if colon is not None and colon.text == ":":
+            if self.peek(1) == ":":
                 kids = []
                 self.take_leaf(kids)  # label
                 self.take_leaf(kids)  # ':'
                 kids.append(self.parse_statement())
-                return SyntaxNode("labeled_statement", kids).seal()
+                return SyntaxNode("labeled_statement", kids, self.tokens)
         return self._finish_simple("statement", [])
 
     def _modifier_run_opens_type(self) -> bool:
         ahead = 0
         while True:
-            tok = self.peek(ahead)
-            if tok is None:
+            text = self.peek(ahead)
+            if text is None:
                 return False
-            if tok.text in MODIFIER_WORDS:
+            if text in MODIFIER_WORDS:
                 ahead += 1
                 continue
-            return tok.text in ("class", "interface", "enum") or (
-                tok.text == "record" and self._looks_like_record(ahead)
+            return text in _TYPE_WORDS or (
+                text == "record" and self._looks_like_record(ahead)
             )
 
-    def _finish_simple(self, kind: str, kids: list[Node]) -> SyntaxNode:
+    def _finish_simple(self, kind: str, kids: list) -> SyntaxNode:
         """Consume a run of tokens and groups up to and including ';'."""
         self._take_through_semicolon(kids)
-        return SyntaxNode(kind, kids).seal()
+        return SyntaxNode(kind, kids, self.tokens)
 
-    def _take_through_semicolon(self, kids: list[Node]) -> None:
+    def _take_through_semicolon(self, kids: list) -> None:
         """Append leaves and groups to `kids` up to and including ';'."""
-        toks = self.toks
+        texts = self.texts
         while True:
             stop = self._take_run(kids, _STATEMENT_STOPS)
-            if stop == len(toks):
+            if stop == self.n:
                 raise self._eof_error("expected ';'")
-            text = toks[stop].text
+            text = texts[stop]
             if text == ";":
-                kids.append(toks[stop])
+                kids.append(stop)
                 self.i = stop + 1
                 return
             if text not in _GROUP_KINDS:
                 raise self.error("expected ';'")
             kids.append(self.parse_group())
 
-    def _parse_paren(self, kids: list[Node]) -> None:
-        tok = self.peek()
-        if tok is None or tok.text != "(":
+    def _parse_paren(self, kids: list) -> None:
+        if self.peek() != "(":
             raise self.error("expected '('")
         kids.append(self.parse_group())
 
     def _parse_if(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         self.take_leaf(kids)
         self._parse_paren(kids)
         kids.append(self.parse_statement())
-        tok = self.peek()
-        if tok is not None and tok.text == "else":
+        if self.peek() == "else":
             self.take_leaf(kids)
             kids.append(self.parse_statement())
-        return SyntaxNode("if_statement", kids).seal()
+        return SyntaxNode("if_statement", kids, self.tokens)
 
     def _parse_while(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         self.take_leaf(kids)
         self._parse_paren(kids)
         kids.append(self.parse_statement())
-        return SyntaxNode("while_statement", kids).seal()
+        return SyntaxNode("while_statement", kids, self.tokens)
 
     def _parse_do(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         self.take_leaf(kids)
         kids.append(self.parse_statement())
-        tok = self.peek()
-        if tok is None or tok.text != "while":
+        if self.peek() != "while":
             raise self.error("expected 'while'")
         self.take_leaf(kids)
         self._parse_paren(kids)
         self.expect(";", kids)
-        return SyntaxNode("do_statement", kids).seal()
+        return SyntaxNode("do_statement", kids, self.tokens)
 
     def _parse_for(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         self.take_leaf(kids)
         self._parse_paren(kids)
         kids.append(self.parse_statement())
-        return SyntaxNode("for_statement", kids).seal()
+        return SyntaxNode("for_statement", kids, self.tokens)
 
     def _parse_switch(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         self.take_leaf(kids)
         self._parse_paren(kids)
-        tok = self.peek()
-        if tok is None or tok.text != "{":
+        if self.peek() != "{":
             raise self.error("expected '{'")
         kids.append(self.parse_group())
-        return SyntaxNode("switch_statement", kids).seal()
+        return SyntaxNode("switch_statement", kids, self.tokens)
 
     def _parse_try(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         self.take_leaf(kids)
-        tok = self.peek()
-        if tok is not None and tok.text == "(":
+        if self.peek() == "(":
             kids.append(self.parse_group())
         kids.append(self.parse_block())
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.text == "catch":
-                ckids: list[Node] = []
-                self.take_leaf(ckids)
-                self._parse_paren(ckids)
-                ckids.append(self.parse_block())
-                kids.append(SyntaxNode("catch_clause", ckids).seal())
-                continue
-            break
-        tok = self.peek()
-        if tok is not None and tok.text == "finally":
-            fkids: list[Node] = []
+        while self.peek() == "catch":
+            ckids: list = []
+            self.take_leaf(ckids)
+            self._parse_paren(ckids)
+            ckids.append(self.parse_block())
+            kids.append(SyntaxNode("catch_clause", ckids, self.tokens))
+        if self.peek() == "finally":
+            fkids: list = []
             self.take_leaf(fkids)
             fkids.append(self.parse_block())
-            kids.append(SyntaxNode("finally_clause", fkids).seal())
-        return SyntaxNode("try_statement", kids).seal()
+            kids.append(SyntaxNode("finally_clause", fkids, self.tokens))
+        return SyntaxNode("try_statement", kids, self.tokens)
 
     def _parse_synchronized(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         self.take_leaf(kids)
         self._parse_paren(kids)
         kids.append(self.parse_block())
-        return SyntaxNode("synchronized_statement", kids).seal()
+        return SyntaxNode("synchronized_statement", kids, self.tokens)
 
     # ---- declarations --------------------------------------------------
 
     def parse_declaration(self, fragment: bool = False) -> SyntaxNode:
-        kids: list[Node] = []
-        if fragment:
-            tok = self.peek()
-            if tok is not None and tok.kind == KEYWORD and tok.text in STATEMENT_KEYWORDS:
-                return self.parse_statement()
+        kids: list = []
+        if fragment and self.peek() in STATEMENT_KEYWORDS:
+            return self.parse_statement()
         self._parse_annotations_and_modifiers(kids)
-        tok = self.peek()
-        if tok is None:
+        text = self.peek()
+        if text is None:
             raise self._eof_error("expected declaration")
-        if tok.text in ("class", "interface", "enum"):
-            return self._parse_type_declaration(kids, tok.text)
-        if tok.text == "@":
-            nxt = self.peek(1)
-            if nxt is not None and nxt.text == "interface":
+        if text in _TYPE_WORDS:
+            return self._parse_type_declaration(kids, text)
+        if text == "@":
+            if self.peek(1) == "interface":
                 return self._parse_type_declaration(kids, "annotation")
             raise self.error("expected annotation or declaration")
-        if tok.text == "record" and self._looks_like_record():
+        if text == "record" and self._looks_like_record():
             return self._parse_type_declaration(kids, "record")
-        if tok.text == "{":
+        if text == "{":
             kids.append(self.parse_block())
-            return SyntaxNode("initializer_block", kids).seal()
+            return SyntaxNode("initializer_block", kids, self.tokens)
         return self._parse_member(kids)
 
-    def _parse_annotations_and_modifiers(self, kids: list[Node]) -> None:
+    def _parse_annotations_and_modifiers(self, kids: list) -> None:
         while True:
-            tok = self.peek()
-            if tok is None:
+            text = self.peek()
+            if text is None:
                 return
-            if tok.text == "@":
-                nxt = self.peek(1)
-                if nxt is not None and nxt.text == "interface":
+            if text == "@":
+                if self.peek(1) == "interface":
                     return
                 kids.append(self._parse_annotation())
                 continue
-            if tok.text in MODIFIER_WORDS:
+            if text in MODIFIER_WORDS:
                 self.take_leaf(kids)
                 continue
             width = self._sealed_width()
@@ -443,76 +438,63 @@ class _Parser:
         only, so spacing and comments between the three tokens (which javac
         rejects) never change the tree.
         """
-        tok = self.peek()
+        text = self.peek()
         width = 1
-        if tok.text == "non":
-            dash, word = self.peek(1), self.peek(2)
-            if not (
-                dash is not None and dash.text == "-"
-                and word is not None and word.text == "sealed"
-            ):
+        if text == "non":
+            if not (self.peek(1) == "-" and self.peek(2) == "sealed"):
                 return 0
             width = 3
-        elif tok.text != "sealed":
+        elif text != "sealed":
             return 0
         nxt = self.peek(width)
-        if nxt is not None and (
-            nxt.text in _SEALED_FOLLOWERS or nxt.text in MODIFIER_WORDS
-        ):
+        if nxt is not None and (nxt in _SEALED_FOLLOWERS or nxt in MODIFIER_WORDS):
             return width
         return 0
 
     def _parse_annotation(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         self.expect("@", kids)
-        tok = self.peek()
-        if tok is None or tok.kind not in (IDENTIFIER, KEYWORD):
+        text = self.peek()
+        if text is None or _kind(text) not in _WORD_KINDS:
             raise self.error("expected annotation name")
         self.take_leaf(kids)
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.text == ".":
-                self.take_leaf(kids)
-                nxt = self.peek()
-                if nxt is None or nxt.kind != IDENTIFIER:
-                    raise self.error("expected annotation name")
-                self.take_leaf(kids)
-                continue
-            break
-        tok = self.peek()
-        if tok is not None and tok.text == "(":
+        while self.peek() == ".":
+            self.take_leaf(kids)
+            text = self.peek()
+            if text is None or _kind(text) != IDENTIFIER:
+                raise self.error("expected annotation name")
+            self.take_leaf(kids)
+        if self.peek() == "(":
             kids.append(self.parse_group())
-        return SyntaxNode("annotation", kids).seal()
+        return SyntaxNode("annotation", kids, self.tokens)
 
     def _looks_like_record(self, ahead: int = 0) -> bool:
         name = self.peek(ahead + 1)
-        after = self.peek(ahead + 2)
         return (
             name is not None
-            and name.kind == IDENTIFIER
-            and after is not None
-            and after.text in ("<", "(")
+            and _kind(name) == IDENTIFIER
+            and self.peek(ahead + 2) in ("<", "(")
         )
 
-    def _parse_type_declaration(self, kids: list[Node], flavor: str) -> SyntaxNode:
+    def _parse_type_declaration(self, kids: list, flavor: str) -> SyntaxNode:
         if flavor == "annotation":
             self.expect("@", kids)
             self.expect("interface", kids)
         else:
             self.take_leaf(kids)  # class / interface / enum / record
-        tok = self.peek()
-        if tok is None or tok.kind not in (IDENTIFIER, KEYWORD):
+        text = self.peek()
+        if text is None or _kind(text) not in _WORD_KINDS:
             raise self.error("expected type name")
         self.take_leaf(kids)
         while True:
-            tok = self.peek()
-            if tok is None:
+            text = self.peek()
+            if text is None:
                 raise self._eof_error("expected '{'")
-            if tok.text == "{":
+            if text == "{":
                 break
-            if tok.text in ("(", "["):
+            if text in ("(", "["):
                 kids.append(self.parse_group())
-            elif tok.text in ")]};":
+            elif text in _CLOSING_OR_SEMICOLON:
                 raise self.error("expected '{'")
             else:
                 self.take_leaf(kids)
@@ -521,51 +503,51 @@ class _Parser:
         else:
             kids.append(self._parse_class_body())
         kind = "annotation_declaration" if flavor == "annotation" else f"{flavor}_declaration"
-        return SyntaxNode(kind, kids).seal()
+        return SyntaxNode(kind, kids, self.tokens)
 
     def _parse_class_body(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         self.expect("{", kids)
         while True:
             self.drain_comments(kids)
-            tok = self.peek()
-            if tok is None:
+            text = self.peek()
+            if text is None:
                 raise self._eof_error("expected '}'")
-            if tok.text == "}":
+            if text == "}":
                 self.take_leaf(kids)
-                return SyntaxNode("class_body", kids).seal()
-            if tok.text == ";":
+                return SyntaxNode("class_body", kids, self.tokens)
+            if text == ";":
                 self.take_leaf(kids)
                 continue
             kids.append(self.parse_declaration())
 
     def _parse_enum_body(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         self.expect("{", kids)
         while True:
-            tok = self.peek()
-            if tok is None:
+            text = self.peek()
+            if text is None:
                 raise self._eof_error("expected '}'")
-            if tok.text == "}":
+            if text == "}":
                 self.drain_comments(kids)
                 self.take_leaf(kids)
-                return SyntaxNode("enum_body", kids).seal()
-            if tok.text == ";":
+                return SyntaxNode("enum_body", kids, self.tokens)
+            if text == ";":
                 self.take_leaf(kids)
                 break
-            if tok.text in _GROUP_KINDS:
+            if text in _GROUP_KINDS:
                 kids.append(self.parse_group())
             else:
                 self.take_leaf(kids)
         while True:
             self.drain_comments(kids)
-            tok = self.peek()
-            if tok is None:
+            text = self.peek()
+            if text is None:
                 raise self._eof_error("expected '}'")
-            if tok.text == "}":
+            if text == "}":
                 self.take_leaf(kids)
-                return SyntaxNode("enum_body", kids).seal()
-            if tok.text == ";":
+                return SyntaxNode("enum_body", kids, self.tokens)
+            if text == ";":
                 self.take_leaf(kids)
                 continue
             kids.append(self.parse_declaration())
@@ -573,37 +555,33 @@ class _Parser:
     # -- member classification: find the first structural token at
     #    delimiter depth 0 after the current position.
     def _member_shape(self) -> tuple[str, int]:
-        j = self.i
+        texts, mask = self.texts, self.mask
         depth = 0
-        while j < len(self.toks):
-            tok = self.toks[j]
-            if tok.kind in COMMENT_KINDS:
-                j += 1
+        for j in range(self.i, self.n):
+            if mask[j]:
                 continue
-            if depth == 0 and tok.kind == SYMBOL and tok.text in "(=;{":
-                return tok.text, j
-            if tok.text in _GROUP_KINDS:
+            text = texts[j]
+            if depth == 0 and text in _MEMBER_STOPS:
+                return text, j
+            if text in _GROUP_KINDS:
                 depth += 1
-            elif tok.text in ")]}":
+            elif text in _CLOSING:
                 if depth == 0:
                     return "close", j
                 depth -= 1
-            j += 1
-        return "eof", j
+        return "eof", self.n
 
     def _count_significant(self, upto: int) -> int:
-        return sum(
-            1 for tok in self.toks[self.i : upto] if tok.kind not in COMMENT_KINDS
-        )
+        return upto - self.i - sum(self.mask[self.i : upto])
 
     def _next_significant_index(self) -> int:
-        j = self.i
-        while j < len(self.toks) and self.toks[j].kind in COMMENT_KINDS:
+        j, n, mask = self.i, self.n, self.mask
+        while j < n and mask[j]:
             j += 1
         return j
 
-    def _parse_member(self, kids: list[Node]) -> SyntaxNode:
-        if self.peek() is not None and self.peek().text == "<":
+    def _parse_member(self, kids: list) -> SyntaxNode:
+        if self.peek() == "<":
             kids.append(self._parse_angle_run())
         shape, at = self._member_shape()
         if shape == "(":
@@ -611,66 +589,65 @@ class _Parser:
             # list; a method carries return-type tokens in front of it.
             is_ctor = self._count_significant(at) == 1
             while self._next_significant_index() < at:
-                tok = self.peek()
-                if tok.text in _GROUP_KINDS:
+                if self.peek() in _GROUP_KINDS:
                     kids.append(self.parse_group())
                 else:
                     self.take_leaf(kids)
             kids.append(self.parse_group())  # parameter list
             self._finish_method_tail(kids)
             kind = "constructor_declaration" if is_ctor else "method_declaration"
-            return SyntaxNode(kind, kids).seal()
+            return SyntaxNode(kind, kids, self.tokens)
         if shape in ("=", ";"):
             return self._finish_simple("field_declaration", kids)
-        if shape == "{" and self._count_significant(at) == 1 and self.peek().kind == IDENTIFIER:
+        if shape == "{" and self._count_significant(at) == 1 and _kind(self.peek()) == IDENTIFIER:
             # A record's compact canonical constructor: its name, then its body.
             self.take_leaf(kids)
             kids.append(self.parse_block())
-            return SyntaxNode("constructor_declaration", kids).seal()
+            return SyntaxNode("constructor_declaration", kids, self.tokens)
         raise self.error("expected declaration")
 
     def _parse_angle_run(self) -> SyntaxNode:
-        kids: list[Node] = []
+        kids: list = []
         depth = 0
         while True:
-            tok = self.peek()
-            if tok is None:
+            text = self.peek()
+            if text is None:
                 raise self._eof_error("unbalanced '<'")
-            if tok.text == "<":
+            if text == "<":
                 depth += 1
                 self.take_leaf(kids)
-            elif tok.text == ">":
+            elif text == ">":
                 depth -= 1
                 self.take_leaf(kids)
                 if depth == 0:
-                    return SyntaxNode("type_parameters", kids).seal()
-            elif tok.text in _GROUP_KINDS:
+                    return SyntaxNode("type_parameters", kids, self.tokens)
+            elif text in _GROUP_KINDS:
                 kids.append(self.parse_group())
-            elif tok.text in ")]};":
+            elif text in _CLOSING_OR_SEMICOLON:
                 raise self.error("unbalanced '<'")
             else:
                 self.take_leaf(kids)
 
-    def _finish_method_tail(self, kids: list[Node]) -> None:
+    def _finish_method_tail(self, kids: list) -> None:
         while True:
-            tok = self.peek()
-            if tok is None:
+            text = self.peek()
+            if text is None:
                 raise self._eof_error("expected method body or ';'")
-            if tok.text == "{":
+            if text == "{":
                 kids.append(self.parse_block())
                 return
-            if tok.text == ";":
+            if text == ";":
                 self.take_leaf(kids)
                 return
-            if tok.text == "default":
+            if text == "default":
                 # An annotation element's default value; braces there hold
                 # an array of values, not a body.
                 self.take_leaf(kids)
                 self._take_through_semicolon(kids)
                 return
-            if tok.text in ("(", "["):
+            if text in ("(", "["):
                 kids.append(self.parse_group())
-            elif tok.text in ")]}":
+            elif text in _CLOSING:
                 raise self.error("expected method body or ';'")
             else:
                 self.take_leaf(kids)
@@ -678,40 +655,52 @@ class _Parser:
     # ---- entry ----------------------------------------------------------
 
     def parse_compilation_unit(self) -> Node:
-        kids: list[Node] = []
+        kids: list = []
         while True:
             self.drain_comments(kids)
-            tok = self.peek()
-            if tok is None:
+            text = self.peek()
+            if text is None:
                 break
-            if tok.text == "package":
-                pk: list[Node] = []
+            if text == "package":
+                pk: list = []
                 self.take_leaf(pk)
                 kids.append(self._finish_simple("package_declaration", pk))
-            elif tok.text == "import":
-                ik: list[Node] = []
+            elif text == "import":
+                ik: list = []
                 self.take_leaf(ik)
                 kids.append(self._finish_simple("import_declaration", ik))
-            elif tok.text == ";":
+            elif text == ";":
                 self.take_leaf(kids)
             else:
                 kids.append(self.parse_declaration(fragment=True))
-        root = SyntaxNode(COMPILATION_UNIT, kids).seal()
         if len(kids) == 1:
-            return kids[0]
-        return root
+            kid = kids[0]
+            return self.tokens[kid] if type(kid) is int else kid
+        return SyntaxNode(COMPILATION_UNIT, kids, self.tokens)
 
 
-def parse(source: str, tokens: Optional[list[Token]] = None) -> Node:
+# The statements that start with a keyword and have a parser of their own.
+_COMPOUND_STATEMENTS = {
+    "if": _Parser._parse_if,
+    "while": _Parser._parse_while,
+    "do": _Parser._parse_do,
+    "for": _Parser._parse_for,
+    "switch": _Parser._parse_switch,
+    "try": _Parser._parse_try,
+    "synchronized": _Parser._parse_synchronized,
+}
+
+
+def parse(source: str, tokens: Optional[Tokens] = None) -> Node:
     """Parse Java source text into a syntax tree.
 
     Accepts whole files and bare fragments (a single function parses with a
     method-declaration root); the root is a lone token when the source
-    holds one token and nothing else. `tokens`, when given, must have the
-    texts and kinds of `tokenize(source)`, and the source is not lexed
-    again; their positions show only in the tree and in a ParseError.
-    Raises ParseError for invalid source, and for source nested too deeply
-    for Python's recursion limit.
+    holds one token and nothing else. `tokens`, when given, must be
+    `tokenize(source)`, or equal to it in texts and comments, and the
+    source is not lexed again; their positions show only in the tree and in
+    a ParseError. Raises ParseError for invalid source, and for source
+    nested too deeply for Python's recursion limit.
     """
     if tokens is None:
         tokens = tokenize(source)
@@ -723,20 +712,21 @@ def parse(source: str, tokens: Optional[list[Token]] = None) -> Node:
 
 
 def parses_edit(
-    tree: Node, base_tokens: list[Token], first: int, last: int, tokens: list[Token]
+    tree: Node, base_tokens: Tokens, first: int, last: int, tokens: Tokens
 ) -> Optional[bool]:
     """Whether `tokens` parses, decided from the statements an edit changed.
 
     `tree` must be the parse of `base_tokens` or a subtree of it, and
-    `tokens` must be `base_tokens[:first] + window + base_tokens[last:]`
-    for some window. The re-parsed block is searched inside `tree` only.
+    `tokens` must be `base_tokens.splice(first, last, window)` for some
+    window. The re-parsed block is searched inside `tree` only.
     Returns None when the edit's statements cannot be re-parsed alone
     there, or nest too deeply; see the module docstring for when that is
     and why the verdict is exact.
     """
-    if not 0 < first <= last < len(base_tokens):
+    if not 0 < first <= last < len(base_tokens) or not isinstance(tree, SyntaxNode):
         return None
-    block = _enclosing_block(tree, base_tokens[first - 1].start, base_tokens[last].start)
+    mask = base_tokens.mask
+    block = _enclosing_block(tree, first - 1, last, mask)
     if block is None:
         return None
     # The restart point: the latest statement start with 3 significant
@@ -744,18 +734,20 @@ def parses_edit(
     j, seen = first, 0
     while seen < 3 and j > 0:
         j -= 1
-        seen += base_tokens[j].kind not in COMMENT_KINDS
-    restart = _index(base_tokens, _opener(block)) + 1
-    stop = block.children[-1]  # the block's `}`, unless a statement follows
-    for statement in block.children:
-        if statement.is_leaf:
+        seen += not mask[j]
+    restart = _opener(block, mask) + 1
+    stop = block.kids[-1]  # the block's `}`, unless a statement follows
+    for statement in block.kids:
+        if type(statement) is int:
             continue
-        if seen == 3 and statement.start <= base_tokens[j].start:
-            restart = _index(base_tokens, statement)
-        elif statement.start >= base_tokens[last].start:
-            stop = next(t for t in statement.leaves() if t.kind not in COMMENT_KINDS)
+        if seen == 3 and statement.first <= j:
+            restart = statement.first
+        elif statement.first >= last:
+            stop = statement.first
+            while mask[stop]:
+                stop += 1
             break
-    target = _index(base_tokens, stop) + len(tokens) - len(base_tokens)
+    target = stop + len(tokens) - len(base_tokens)
     parser = _Parser(tokens)
     parser.i = restart
     try:
@@ -763,7 +755,7 @@ def parses_edit(
             at = parser._next_significant_index()
             if at == target:
                 return True
-            if at > target or tokens[at].text == "}":
+            if at > target or tokens.texts[at] == "}":
                 return None
             parser.parse_statement()
     except ParseError:
@@ -772,27 +764,24 @@ def parses_edit(
         return None
 
 
-def _index(tokens: list[Token], node: Node) -> int:
-    """The index in `tokens` of `node`'s first leaf."""
-    return bisect_left(tokens, node.start, key=_START)
+def _opener(block: SyntaxNode, mask: bytearray) -> int:
+    """The index of a block's `{`, after any comments before it."""
+    return next(kid for kid in block.kids if not mask[kid])
 
 
-def _opener(block: SyntaxNode) -> Token:
-    """A block's `{`, after any comments before it."""
-    return next(kid for kid in block.children if kid.kind not in COMMENT_KINDS)
-
-
-def _enclosing_block(tree: Node, before: int, after: int) -> Optional[SyntaxNode]:
-    """The innermost block holding the tokens that start at offsets
-    `before` and `after`, with its `{` no later than `before`."""
+def _enclosing_block(
+    tree: SyntaxNode, before: int, after: int, mask: bytearray
+) -> Optional[SyntaxNode]:
+    """The innermost block holding the tokens `before` and `after`, with
+    its `{` no later than `before`."""
     found = None
     node = tree
     while True:
-        for kid in node.children:
-            if kid.start <= before and after < kid.end:
+        for kid in node.kids:
+            if type(kid) is not int and kid.first <= before and after <= kid.last:
                 break
         else:
             return found
         node = kid
-        if node.kind == "block" and _opener(node).start <= before:
+        if node.kind == "block" and _opener(node, mask) <= before:
             found = node

@@ -1,46 +1,49 @@
 """Tokenizer for Java source text.
 
-Produces a flat token stream with byte offsets and 1-based line/column
-positions. Comments are emitted as ordinary tokens so the parser can keep
-them in the syntax tree (normalization removes them later).
+`tokenize(source)` returns a `Tokens`: the source's tokens as parallel
+lists, `texts`, `starts` and `ends` (offsets into the source), and
+`comments`, the indices of the comment tokens. Comments are tokens like
+any other, so the parser keeps them in the syntax tree. `len()` is the
+token count, and indexing or iterating a `Tokens` builds a `Token` on
+demand: a `typing.NamedTuple` of six fields (kind, text, start, end, line,
+column), immutable and hashable, which compares equal to a plain tuple of
+the same values. A token's kind follows from its text and is found when
+its `Token` is built; the newline offsets that lines and columns are
+found from by bisect, and a comment mask for the parser, are each built on
+first use. So a source that is lexed and parsed gets no object per token.
+A `Token` also answers the leaf side of the tree interface: `label` (the
+text), `start_line` and `end_line`, empty `children`, `is_leaf`,
+`is_comment`, `walk()` and `leaves()`.
 
-A `Token` is a `typing.NamedTuple` of six fields, so it is immutable and
-hashable and cheap to build; it also compares equal to a plain tuple of
-the same values. A token is also a leaf of the syntax tree: the parser
-appends the lexer's own tokens to its interior nodes, so a parse builds
-one object per token. For that, `Token` has the leaf side of the tree
-interface: `label` (the text), `start_line` and `end_line`, empty
-`children`, `is_leaf`, `is_comment`, `walk()` and `leaves()`.
+The lexer is one `findall` of a single compiled master regex, `_TOKEN_RE`,
+whose matches are a token and the whitespace before it. The whitespace is
+a possessive `[ \\t\\r\\n\\f\\x0b]*+`; the token is the first of these
+alternatives that matches: identifier or keyword, the symbols (longest
+first), line comment, block comment, text block, string, char and number.
+The two commonest alternatives come first, which finds the same token at
+every position as the order comments, literals, number, word, symbols: a
+word starts with a letter, `_` or `$`, and no comment, literal or number
+does; a symbol starts neither a string nor a char, so only `/` (a comment
+opener) and `.` (a number such as `.5`) start both a symbol and an
+alternative that used to come before it. The symbol alternative's guard
+`(?!//|/\\*|\\.\\d)` refuses exactly those positions, where `\\d` is the
+same class the number alternative starts with. Alternatives that match
+only the opening of an unterminated comment, text block, string or char,
+a word that starts with a non-ASCII character, and any other single
+character come after their well-formed counterparts, so every character
+of the input lands in a match. Whitespace that ends the input is a match
+of its own, so the search stops there instead of retrying that whitespace
+from each of its positions.
 
-The lexer is one loop over a single compiled master regex, `_TOKEN_RE`,
-with one match per token. Each match first skips the whitespace before
-the token with a possessive `[ \\t\\r\\n\\f\\x0b]*+`, then tries named
-groups in order: identifier or keyword, the symbols (longest first),
-line comment, block comment, text block, string, char and number. The
-two commonest groups come first so that most tokens are found by the
-first or second alternative, and the loop dispatches on `m.lastindex`,
-the number of the group that matched, with a branch of its own for each
-of those two. That order finds the same token at every position as the
-order comments, literals, number, word, symbols: a word starts with a
-letter, `_` or `$`, and no comment, literal or number does; a symbol
-starts neither a string nor a char, so only `/` (a comment opener) and
-`.` (a number such as `.5`) start both a symbol and a group that used to
-come before it. The symbol group's guard `(?!//|/\\*|\\.\\d)` refuses
-exactly those positions, where `\\d` is the same class the number group
-starts with. Groups that match only the opening of an unterminated
-comment, text block, string or char, a word that starts with a non-ASCII
-character, and any other single character come after their well-formed
-counterparts; the loop turns them into a `ParseError` or, for a
-non-ASCII identifier, checks the first character. A last, empty `_end`
-group matches the end of the input after trailing whitespace, so the
-search stops there instead of retrying that whitespace from each of its
-positions. Lines and columns are tracked incrementally from the newlines
-in the skipped whitespace, which runs from the previous match's end to
-the token's start, and inside the tokens that can hold them: block
-comments, text blocks, and strings or chars (where a backslash may
-escape a newline). Most tokens follow the previous one with no
-whitespace between, so the newlines are counted, and the last one
-searched for, only inside a non-empty skipped run.
+The offsets follow from the lengths of the matches; the texts are the
+matches without their leading whitespace. A lexical error is a token that
+only the error alternatives produce. In an ASCII source those are a few
+texts (`/*`, `\"\"\"`, `"`, `'` and the characters no token may start
+with), which one set test against the texts finds; a source with
+non-ASCII characters also has each token that starts with one checked:
+it must start with a letter or a decimal digit. The first such token gives
+the `ParseError`, with the same message, line and column as a scanner that
+stops there.
 
 Identifiers start with a character for which `str.isalpha` holds, or `_`
 or `$`, and continue with characters for which `str.isalnum` holds, which
@@ -51,15 +54,14 @@ starts a malformed number literal.
 `lex_edit(base, base_tokens, text)` lexes a text that shares most lines
 with an already lexed `base`, such as a candidate patch and its reference
 fix, only where the two differ. It returns `(first, last, window)` such
-that `tokenize(text)` has exactly the texts and kinds of
-`base_tokens[:first] + window + base_tokens[last:]`. The window tokens
-carry their positions in `text`; the base tokens keep their positions in
-`base`, so no token is rebuilt. The window starts at a line start: the
-first line that differs. Only a block comment, a text block, or a string
-or char escaping a newline can reach past the end of a line, so a token of
-`text` crosses an edge of the changed lines only if the base token there
-does, or if it does not close within them. `lex_edit` takes one of three
-paths:
+that `base_tokens.splice(first, last, window)` is `tokenize(text)`. The
+window holds tokens of `text` with their offsets there; the base tokens
+after it move by the change in length. The window starts at a line start:
+the first line that differs. Only a block comment, a text block, or a
+string or char escaping a newline can reach past the end of a line, so a
+token of `text` crosses an edge of the changed lines only if the base
+token there does, or if it does not close within them. `lex_edit` takes
+one of three paths:
 - the window: the changed lines lex on their own and no base token
   crosses either edge; `window` holds their tokens;
 - lex to the end: a base token crosses the end of the changed lines, or
@@ -82,8 +84,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from itertools import accumulate, count, repeat
+from operator import add, itemgetter, sub
+from typing import Iterator, NamedTuple, Optional
 
 from ..errors import ParseError
 
@@ -115,61 +118,75 @@ BLOCK_COMMENT = "block_comment"
 
 COMMENT_KINDS = frozenset({LINE_COMMENT, BLOCK_COMMENT})
 
-# A group named after a token kind produces that kind; `_lex` handles the
-# private (underscored) groups itself. Each `_open_*` group matches only
-# where the complete form just before it did not, so it marks an
-# unterminated comment or literal. The whitespace prefix must stay
-# possessive: with a plain `*`, trailing whitespace backtracks into `_other`.
-# The two commonest groups come first; see the module docstring for why
-# that order, with the symbol group's guard, matches what the order
-# comments, literals, words, symbols would.
+_WHITESPACE = " \t\r\n\f\x0b"
+
+# One match per token, with the whitespace before it. The whitespace
+# prefix must stay possessive: with a plain `*`, whitespace backtracks
+# into the last alternative. The symbols are written as one alternative
+# per first character, each trying its longer forms first, which matches
+# what `_SYMBOLS` in longest-first order would. Each bare opener right
+# after a comment or literal, and the two alternatives after the number,
+# match only where a lexical error is; see the module docstring.
 _TOKEN_RE = re.compile(
     r"""
     [ \t\r\n\f\x0b]*+
-    (?:
-      (?P<_word>[A-Za-z_$][\w$]*)
-    | (?!//|/\*|\.\d)(?P<symbol>"""
-    + "|".join(re.escape(s) for s in _SYMBOLS)
-    + r""")
-    | (?P<line_comment>//[^\n]*)
-    | (?P<block_comment>/\*.*?\*/)
-    | (?P<_open_comment>/\*)
-    | (?P<_text_block>"{3}[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"{3})
-    | (?P<_open_text_block>"{3})
-    | (?P<string_literal>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
-    | (?P<_open_string>")
-    | (?P<char_literal>'[^'\\\n]*(?:\\.[^'\\\n]*)*')
-    | (?P<_open_char>')
-    | (?P<number_literal>
-        (?: 0[xX][0-9a-fA-F_]+(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?\d+)?
+    (?: [A-Za-z_$][\w$]*
+      | (?!//|/\*|\.\d)
+        (?: [(){}\[\];,@?~] | ::? | \.(?:\.\.)? | -[>=-]? | \+[+=]? | <<?=?
+          | >=? | ==? | !=? | &[&=]? | \|[|=]? | \^=? | %=? | \*=? | /=? )
+      | //[^\n]*
+      | /\*.*?\*/ | /\*
+      | "{3}[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"{3} | "{3}
+      | "[^"\\\n]*(?:\\.[^"\\\n]*)*" | "
+      | '[^'\\\n]*(?:\\.[^'\\\n]*)*' | '
+      | (?: 0[xX][0-9a-fA-F_]+(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?\d+)?
           | 0[bB][01_]+
           | (?:\d[\d_]*)?\.\d[\d_]*(?:[eE][+-]?\d+)?
           | \d[\d_]*\.?(?:[eE][+-]?\d+)?
-        )[fFdDlL]?)
-    | (?P<_unicode_word>[\w$]+)
-    | (?P<_other>.)
-    | (?P<_end>\Z)
+        )[fFdDlL]?
+      | [\w$]+
+      | .
     )
+    | [ \t\r\n\f\x0b]++\Z
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-# `m.lastindex` of a match, for the groups `_lex` tests by number, and
-# the group name of every index.
-_WORD_GROUP = _TOKEN_RE.groupindex["_word"]
-_SYMBOL_GROUP = _TOKEN_RE.groupindex["symbol"]
-_END_GROUP = _TOKEN_RE.groupindex["_end"]
-_GROUP_NAMES = {index: name for name, index in _TOKEN_RE.groupindex.items()}
-
-# Token kinds whose text may span lines.
-_MULTILINE = frozenset({BLOCK_COMMENT, STRING, CHAR})
-
 _UNTERMINATED = {
-    "_open_comment": "unterminated block comment",
-    "_open_text_block": "unterminated text block",
-    "_open_string": "unterminated string literal",
-    "_open_char": "unterminated char literal",
+    "/*": "unterminated block comment",
+    '"""': "unterminated text block",
+    '"': "unterminated string literal",
+    "'": "unterminated char literal",
 }
+
+# The texts of the tokens that only a lexical error gives in an ASCII
+# source: an unterminated opener, or a character that starts no token.
+_ASCII_ERRORS = frozenset(
+    [*_UNTERMINATED, "#", "\\", "`", *map(chr, [*range(9), *range(14, 32), 127])]
+)
+
+_KINDS = {**dict.fromkeys(_SYMBOLS, SYMBOL), **dict.fromkeys(KEYWORDS, KEYWORD)}
+
+# Where a comment may start: a `/` before a `/` or `*`. The lookahead
+# finds both of two openers in a row, as in `/**//**/`.
+_COMMENT_OPENER_RE = re.compile(r"/(?=[/*])")
+
+
+def _kind(text: str) -> str:
+    """The kind of a token that lexed without error, from its text."""
+    kind = _KINDS.get(text)
+    if kind is not None:
+        return kind
+    first = text[0]
+    if first == "/":
+        return LINE_COMMENT if text[1] == "/" else BLOCK_COMMENT
+    if first == '"':
+        return STRING
+    if first == "'":
+        return CHAR
+    if first == "." or first.isdecimal():
+        return NUMBER
+    return IDENTIFIER
 
 
 class Token(NamedTuple):
@@ -201,19 +218,111 @@ class Token(NamedTuple):
         yield self
 
 
-_START = itemgetter(2)  # a token's start offset
+class Tokens:
+    """The tokens of `source` as parallel lists: `texts`, `starts`, `ends`,
+    and `comments`, the sorted indices of the comment tokens.
+
+    `len()` is the token count; `tokens[i]` (an int, negative allowed) and
+    iteration build `Token`s. `mask` and `newlines` are built on first use.
+    """
+
+    __slots__ = ("source", "texts", "starts", "ends", "comments", "_mask", "_newlines")
+
+    def __init__(
+        self, source: str, texts: list[str], starts: list[int], ends: list[int],
+        comments: list[int],
+    ):
+        self.source = source
+        self.texts = texts
+        self.starts = starts
+        self.ends = ends
+        self.comments = comments
+        self._mask: Optional[bytearray] = None
+        self._newlines: Optional[list[int]] = None
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, i: int) -> Token:
+        text = self.texts[i]
+        start = self.starts[i]
+        line, column = self.position(start)
+        return Token(_kind(text), text, start, self.ends[i], line, column)
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(self.__getitem__, range(len(self.texts)))
+
+    @property
+    def mask(self) -> bytearray:
+        """1 at each comment token, 0 elsewhere."""
+        if self._mask is None:
+            self._mask = bytearray(len(self.texts))
+            for i in self.comments:
+                self._mask[i] = 1
+        return self._mask
+
+    @property
+    def newlines(self) -> list[int]:
+        """The offsets of the source's newlines, in order."""
+        if self._newlines is None:
+            lengths = map(len, self.source.split("\n")[:-1])
+            self._newlines = list(map(add, accumulate(lengths), count()))
+        return self._newlines
+
+    def line(self, offset: int) -> int:
+        """The 1-based line of the character at `offset`."""
+        return bisect_left(self.newlines, offset) + 1
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """The 1-based line and column of the character at `offset`."""
+        newlines = self.newlines
+        before = bisect_left(newlines, offset)
+        return before + 1, offset - (newlines[before - 1] + 1 if before else 0) + 1
+
+    def key(self, lo: int = 0, hi: Optional[int] = None) -> tuple[str, ...]:
+        """The texts of the non-comment tokens among `texts[lo:hi]`."""
+        texts, comments = self.texts, self.comments
+        if hi is None:
+            hi = len(texts)
+        out: list[str] = []
+        for c in comments[bisect_left(comments, lo) : bisect_left(comments, hi)]:
+            out += texts[lo:c]
+            lo = c + 1
+        out += texts[lo:hi]
+        return tuple(out)
+
+    def significant(self, i: int) -> int:
+        """The number of non-comment tokens before token `i`."""
+        return i - bisect_left(self.comments, i)
+
+    def splice(self, first: int, last: int, window: "Tokens") -> "Tokens":
+        """These tokens with `[first:last)` replaced by `window`'s, as tokens
+        of `window.source`: the tokens after the window move by the change
+        in length. With `lex_edit`'s result, that is `tokenize(text)`."""
+        shift = len(window.source) - len(self.source)
+        moved = last - first - len(window)
+        comments = self.comments
+        split = bisect_left(comments, first)
+        rest = bisect_left(comments, last)
+        return Tokens(
+            window.source,
+            self.texts[:first] + window.texts + self.texts[last:],
+            self.starts[:first] + window.starts + list(map(add, self.starts[last:], repeat(shift))),
+            self.ends[:first] + window.ends + list(map(add, self.ends[last:], repeat(shift))),
+            comments[:split]
+            + [c + first for c in window.comments]
+            + [c - moved for c in comments[rest:]],
+        )
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str) -> Tokens:
     """Tokenize Java source, raising ParseError on lexical problems."""
-    return _lex(source, 0, len(source), 1)
+    return _lex(source, 0, len(source))
 
 
-def lex_edit(
-    base: str, base_tokens: list[Token], text: str
-) -> tuple[int, int, list[Token]]:
-    """`(first, last, window)` with `tokenize(text)` equal in texts and
-    kinds to `base_tokens[:first] + window + base_tokens[last:]`.
+def lex_edit(base: str, base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
+    """`(first, last, window)` with `base_tokens.splice(first, last, window)`
+    equal to `tokenize(text)`.
 
     `base_tokens` must be `tokenize(base)`. Only the lines where `text`
     differs from `base` are lexed, when that is exact; see the module
@@ -227,83 +336,69 @@ def lex_edit(
     suffix = 0
     while suffix < common - prefix and old[-1 - suffix] == new[-1 - suffix]:
         suffix += 1
+    starts, ends = base_tokens.starts, base_tokens.ends
     start = sum(map(len, old[:prefix])) + prefix
-    first = bisect_left(base_tokens, start, key=_START)
-    if first and base_tokens[first - 1].end > start:
+    first = bisect_left(starts, start)
+    if first and ends[first - 1] > start:
         return 0, len(base_tokens), tokenize(text)
     tail = sum(map(len, old[len(old) - suffix :])) + suffix - 1 if suffix else 0
     base_end = len(base) - tail
-    last = bisect_left(base_tokens, base_end, lo=first, key=_START)
-    if not (last and base_tokens[last - 1].end > base_end):
+    last = bisect_left(starts, base_end, lo=first)
+    if not (last and ends[last - 1] > base_end):
         try:
-            return first, last, _lex(text, start, len(text) - tail, prefix + 1)
+            return first, last, _lex(text, start, len(text) - tail)
         except ParseError:
             pass
-    return first, len(base_tokens), _lex(text, start, len(text), prefix + 1)
+    return first, len(base_tokens), _lex(text, start, len(text))
 
 
-def token_key(tokens: Iterable[Token]) -> tuple[str, ...]:
+def token_key(tokens: Tokens) -> tuple[str, ...]:
     """The texts of the non-comment tokens, in order: `ast_key` of the
     tree whose leaves they are."""
-    return tuple([t.text for t in tokens if t.kind not in COMMENT_KINDS])
+    return tokens.key()
 
 
-def _lex(source: str, pos: int, endpos: int, line: int) -> list[Token]:
-    """The tokens of `source[pos:endpos]`, as if `pos` starts line `line`.
-
-    Offsets, lines and columns are those of the whole source, provided
-    `pos` is the start of a line there.
-    """
-    out: list[Token] = []
-    append = out.append
-    count = source.count
-    new_token = tuple.__new__  # skips the NamedTuple's Python-level `__new__`
-    line_start = pos  # offset of the current line's first character
-    skipped = pos  # where the previous match ended: whitespace starts there
-    for m in _TOKEN_RE.finditer(source, pos, endpos):
-        group = m.lastindex
-        start, end = m.span(group)
-        if skipped != start:
-            newlines = count("\n", skipped, start)
-            if newlines:
-                line += newlines
-                line_start = source.rfind("\n", skipped, start) + 1
-        skipped = end
-        text = source[start:end]
-        column = start - line_start + 1
-        if group == _WORD_GROUP:
-            kind = KEYWORD if text in KEYWORDS else IDENTIFIER
-            append(new_token(Token, (kind, text, start, end, line, column)))
-        elif group == _SYMBOL_GROUP:
-            append(new_token(Token, (SYMBOL, text, start, end, line, column)))
-        else:
-            kind = _GROUP_NAMES[group]
-            if kind[0] == "_":
-                if group == _END_GROUP:
-                    break
-                kind = _private_kind(kind, text, start, out, line, column)
-            append(new_token(Token, (kind, text, start, end, line, column)))
-            if kind in _MULTILINE and "\n" in text:
-                line += text.count("\n")
-                line_start = start + text.rfind("\n") + 1
-    return out
+def _lex(source: str, pos: int, endpos: int) -> Tokens:
+    """The tokens of `source[pos:endpos]`, with offsets, lines and columns
+    in the whole source, provided `pos` is the start of a line there."""
+    matches = _TOKEN_RE.findall(source, pos, endpos)
+    ends = list(accumulate(map(len, matches), initial=pos))
+    del ends[0]
+    texts = list(map(str.lstrip, matches, repeat(_WHITESPACE)))
+    if texts and not texts[-1]:  # the whitespace that ends the input
+        texts.pop()
+        ends.pop()
+    starts = list(map(sub, ends, map(len, texts)))
+    tokens = Tokens(source, texts, starts, ends, [])
+    if not (_ASCII_ERRORS.isdisjoint(texts) and source.isascii()):
+        _check(tokens)
+    n = len(texts)
+    for m in _COMMENT_OPENER_RE.finditer(source, pos, endpos):
+        i = bisect_left(starts, m.start())
+        if i < n and starts[i] == m.start():
+            tokens.comments.append(i)
+    return tokens
 
 
-def _private_kind(
-    group: str, text: str, start: int, out: list[Token], line: int, column: int
-) -> str:
-    """The token kind of a private group's match, or the ParseError it means."""
-    if group == "_text_block":
-        return STRING
-    if group in _UNTERMINATED:
-        raise ParseError(_UNTERMINATED[group], line, column)
-    first = text[0]
-    if group == "_unicode_word" and first.isalpha():
-        return IDENTIFIER
-    if first.isdigit():
-        # A digit outside Unicode Nd, such as `²`, starts a number literal
-        # that cannot match; a `.` right before it starts that literal.
-        if out and out[-1].text == "." and out[-1].end == start:
-            line, column = out[-1].line, out[-1].column
-        raise ParseError("malformed number literal", line, column)
-    raise ParseError(f"unexpected character {first!r}", line, column)
+def _check(tokens: Tokens) -> None:
+    """Raise the ParseError of the first token that only a lexical error
+    gives, if there is one."""
+    texts, starts, ends = tokens.texts, tokens.starts, tokens.ends
+    for i, text in enumerate(texts):
+        first = text[0]
+        if first.isascii():
+            if text not in _ASCII_ERRORS:
+                continue
+            if text in _UNTERMINATED:
+                raise ParseError(_UNTERMINATED[text], *tokens.position(starts[i]))
+        elif first.isalpha() or first.isdecimal():
+            continue
+        at = starts[i]
+        if first.isdigit():
+            # A digit outside Unicode Nd, such as `²`, starts a number
+            # literal that cannot match; a `.` right before it starts that
+            # literal.
+            if i and texts[i - 1] == "." and ends[i - 1] == at:
+                at = starts[i - 1]
+            raise ParseError("malformed number literal", *tokens.position(at))
+        raise ParseError(f"unexpected character {first!r}", *tokens.position(at))

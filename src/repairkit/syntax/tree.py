@@ -1,131 +1,102 @@
-"""Syntax tree node types, formatting-insensitive normalization and AST keys.
+"""Syntax tree nodes and AST keys.
 
-A syntax tree's leaves are the lexer's `Token`s themselves, comments
-included, and its interior nodes are `SyntaxNode`s. Both answer the same
-tree interface: `kind`, `label`, `children`, `start`, `end`,
-`start_line`, `end_line`, `is_leaf`, `is_comment`, `walk()` and
-`leaves()`.
+A tree's interior nodes are `SyntaxNode`s, and its leaves are tokens,
+comments included. A node holds its children as `kids`: a token's index in
+the parsed `Tokens`, or a child node. Every node covers a contiguous run of
+tokens, `first` to `last` (indices, inclusive), which are all its leaves,
+so its `start`, `end`, `start_line` and `end_line` are read from the token
+lists when asked, the lines by bisect in the source's newline offsets.
+`children`, `walk()` and `leaves()` build a `Token` for each leaf they
+reach, and a `Token` answers the same tree interface as a node: `kind`,
+`label`, `children`, `start`, `end`, `start_line`, `end_line`, `is_leaf`,
+`is_comment`, `walk()` and `leaves()`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
-from .tokens import COMMENT_KINDS, Token, token_key
+from .tokens import COMMENT_KINDS, Token, Tokens
 
 COMPILATION_UNIT = "compilation_unit"
 
 
-@dataclass(slots=True)
 class SyntaxNode:
     """An interior node of the concrete syntax tree.
 
-    It carries a kind tag and its children: tokens (the leaves) and other
-    interior nodes. Spans are byte offsets into the parsed source; children
-    are ordered, non-overlapping, and contained in the parent span.
+    It carries a kind tag and its kids: token indices (the leaves) and
+    other interior nodes, in source order. A node without kids, the empty
+    compilation unit, has `first = 0` and `last = -1`, and its span and
+    lines are 0.
     """
 
-    kind: str
-    children: list[Node] = field(default_factory=list)
-    start: int = 0
-    end: int = 0
-    start_line: int = 0
-    end_line: int = 0
+    __slots__ = ("kind", "kids", "tokens", "first", "last")
 
     # Only leaves (tokens) carry a label.
     label = None
     is_leaf = False
+    is_comment = False
+
+    def __init__(self, kind: str, kids: list, tokens: Tokens):
+        self.kind = kind
+        self.kids = kids
+        self.tokens = tokens
+        if kids:
+            first, last = kids[0], kids[-1]
+            self.first = first if type(first) is int else first.first
+            self.last = last if type(last) is int else last.last
+        else:
+            self.first, self.last = 0, -1
+
+    def __repr__(self) -> str:
+        return f"SyntaxNode({self.kind!r}, tokens {self.first}..{self.last})"
 
     @property
-    def is_comment(self) -> bool:
-        return self.kind in COMMENT_KINDS
+    def start(self) -> int:
+        return self.tokens.starts[self.first] if self.kids else 0
 
-    def seal(self) -> "SyntaxNode":
-        """Set this node's span from its children. No-op without children."""
-        children = self.children
-        if children:
-            first, last = children[0], children[-1]
-            self.start = first.start
-            self.end = last.end
-            self.start_line = first.start_line
-            self.end_line = last.end_line
-        return self
+    @property
+    def end(self) -> int:
+        return self.tokens.ends[self.last] if self.kids else 0
+
+    @property
+    def start_line(self) -> int:
+        return self.tokens.line(self.start) if self.kids else 0
+
+    @property
+    def end_line(self) -> int:
+        # No token ends with a newline, so the line of a token's end offset
+        # is that of its last character.
+        return self.tokens.line(self.end) if self.kids else 0
+
+    @property
+    def children(self) -> list[Node]:
+        tokens = self.tokens
+        return [tokens[kid] if type(kid) is int else kid for kid in self.kids]
 
     def walk(self) -> Iterator[Node]:
         yield self
-        for child in self.children:
-            yield from child.walk()
+        tokens = self.tokens
+        for kid in self.kids:
+            if type(kid) is int:
+                yield tokens[kid]
+            else:
+                yield from kid.walk()
 
     def leaves(self) -> Iterator[Token]:
-        for node in self.walk():
-            if node.is_leaf:
-                yield node
+        return map(self.tokens.__getitem__, range(self.first, self.last + 1))
 
 
 # A node of a syntax tree: an interior node or a leaf.
 Node = Union[SyntaxNode, Token]
 
 
-@dataclass(frozen=True)
-class NormalizedNode:
-    """Tree shape stripped of comments, whitespace, and positions.
-
-    Equality depends only on (kind, label, ordered children), which makes
-    it insensitive to formatting by construction.
-    """
-
-    kind: str
-    label: Optional[str]
-    children: tuple["NormalizedNode", ...]
-
-    def walk(self) -> Iterator["NormalizedNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-
-def normalize(node: "Node | NormalizedNode") -> NormalizedNode:
-    """Drop comment nodes and positional data; idempotent.
-
-    A compilation unit left with a single child collapses to that child so
-    that `int f(){}` and `/* note */ int f(){}` normalize identically.
-    """
-    normalized = _normalize(node)
-    if normalized is None:
-        return NormalizedNode(COMPILATION_UNIT, None, ())
-    if normalized.kind == COMPILATION_UNIT and len(normalized.children) == 1:
-        return normalized.children[0]
-    return normalized
-
-
-def _normalize(node: "Node | NormalizedNode") -> Optional[NormalizedNode]:
-    """The normalized tree of `node`, None for a comment. Iterative, so
-    that no nesting depth the parser accepts exhausts the stack."""
-    if node.kind in COMMENT_KINDS:
-        return None
-    # One entry per open node: the node, its children still to visit, and
-    # its normalized children so far.
-    stack = [(node, iter(node.children), [])]
-    while True:
-        node, pending, kids = stack[-1]
-        for child in pending:
-            if child.kind not in COMMENT_KINDS:
-                stack.append((child, iter(child.children), []))
-                break
-        else:
-            stack.pop()
-            normalized = NormalizedNode(node.kind, node.label, tuple(kids))
-            if not stack:
-                return normalized
-            stack[-1][2].append(normalized)
-
-
 def ast_key(node: Node) -> tuple[str, ...]:
     """The texts of the tree's non-comment leaves, in source order.
 
-    Two trees normalize equal exactly when their keys are equal: the
-    normalized tree's leaves, read in order, are this sequence, and the
-    parser reads nothing but these texts when it chooses a node, so the
-    rest of the normalized tree follows from the same sequence.
+    Two trees are equal without their comments exactly when their keys are
+    equal: the parser reads nothing but these texts when it chooses a node,
+    so the rest of the tree follows from the same sequence.
     """
-    return token_key(node.leaves())
+    if isinstance(node, Token):
+        return () if node.kind in COMMENT_KINDS else (node.text,)
+    return node.tokens.key(node.first, node.last + 1)

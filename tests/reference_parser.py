@@ -5,14 +5,55 @@ its imports and the name of `reference_parse`, as the oracle for the
 differential test in `test_syntax.py`: `parse` must give the same tree,
 or the same ParseError, on any input that does not nest past the
 recursion limit.
+
+It reads a list of `Token`s, the ones a `Tokens` builds, and its tree is
+made of the interior node type of that time, kept below as `SyntaxNode`:
+its children are the `Token`s themselves, and `seal` copies a node's span
+and lines from its first and last child.
 """
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Union
 
 from repairkit.errors import ParseError
 from repairkit.syntax.tokens import COMMENT_KINDS, IDENTIFIER, KEYWORD, SYMBOL, Token, tokenize
-from repairkit.syntax.tree import COMPILATION_UNIT, Node, SyntaxNode
+from repairkit.syntax.tree import COMPILATION_UNIT
+
+
+@dataclass(slots=True)
+class SyntaxNode:
+    kind: str
+    children: list["Node"] = field(default_factory=list)
+    start: int = 0
+    end: int = 0
+    start_line: int = 0
+    end_line: int = 0
+
+    label = None
+    is_leaf = False
+
+    @property
+    def is_comment(self) -> bool:
+        return self.kind in COMMENT_KINDS
+
+    def seal(self) -> "SyntaxNode":
+        children = self.children
+        if children:
+            first, last = children[0], children[-1]
+            self.start = first.start
+            self.end = last.end
+            self.start_line = first.start_line
+            self.end_line = last.end_line
+        return self
+
+    def walk(self) -> Iterator["Node"]:
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
+
+Node = Union[SyntaxNode, Token]
 
 MODIFIER_WORDS = frozenset(
     """public protected private static final abstract native synchronized
@@ -622,7 +663,7 @@ def reference_parse(source: str, tokens: Optional[list[Token]] = None) -> Node:
     for Python's recursion limit.
     """
     if tokens is None:
-        tokens = tokenize(source)
+        tokens = list(tokenize(source))
     parser = _Parser(tokens)
     try:
         return parser.parse_compilation_unit()

@@ -244,6 +244,22 @@ class TestRunBenchmark:
             )
         assert mock.calls == 1  # only the good bug reached the backend
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_test_output_that_is_not_utf8_is_scored(self, bench_fixture, workers):
+        manifest_path, mock, _ = bench_fixture
+        entries = json.loads(manifest_path.read_text())[:2]
+        entries[0]["test_command"] = "printf 'ok \\377'; exit 1"
+        mock.fixture_map["e2e-00"] = ["        return b + a;", "        return a - a;"]
+        subset = manifest_path.parent / "subset.json"
+        subset.write_text(json.dumps(entries))
+        records = run_benchmark(
+            load_manifest(subset), PAIR, GenerationConfig(backend=mock), workers=workers
+        )
+        assert [r.bug_id for r in records] == ["e2e-00", "e2e-01"]
+        assert [r.error for r in records] == [None, None]
+        assert [v.plausible for v in records[0].verdicts] == ["fail", "fail"]
+        assert records[1].verdicts[0].exact
+
     def test_deeply_nested_candidate_is_scored(self, bench_fixture):
         manifest_path, mock, _ = bench_fixture
         manifest = load_manifest(manifest_path)[:2]

@@ -68,25 +68,16 @@ def _normalize_eol(text: str) -> str:
 
 @dataclass(frozen=True)
 class TestSpec:
-    """How to exercise a bug's test suite.
+    """How to run a bug's test suite: a command and its time limit.
 
-    `command` runs through the shell when given as a string. A nonzero
-    build command exit is reported as build-error; the test command's exit
-    status decides pass/fail.
+    `command` runs through the shell when given as a string, and its exit
+    status decides pass or fail. It inherits this process's environment.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
     command: str | Sequence[str]
     timeout: float = DEFAULT_TEST_TIMEOUT
-    build_command: Optional[str | Sequence[str]] = None
-    env_denylist: tuple[str, ...] = ()
-    retries: int = 0  # re-runs of a failing test command (flaky suites)
-    isolation: str = "clone"  # "clone" runs in a discarded copy; "in-place" splices and restores
-
-    def __post_init__(self):
-        if self.isolation not in ("clone", "in-place"):
-            raise ValueError(f"bad isolation mode: {self.isolation}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +92,12 @@ class FunctionLocation:
 
 @dataclass(frozen=True)
 class TestRun:
+    """The result of one test run: pass, fail or timeout, and what the
+    command printed on stdout and stderr."""
+
     __test__ = False  # not a pytest class, despite the name
 
-    command: str
-    workdir: str
-    timeout: float
-    outcome: str  # pass / fail / timeout / build-error
+    outcome: str
     output: str
 
 
@@ -122,7 +113,7 @@ def hash_tree(root: Path | str) -> str:
     return digest.hexdigest()
 
 
-def _run(command, workdir: Path, timeout: float, env: dict) -> tuple[str, str]:
+def _run(command, workdir: Path, timeout: float) -> tuple[str, str]:
     """Run a command; on timeout, kill every process it started.
 
     The command leads a session of its own, so killing its process group
@@ -132,7 +123,6 @@ def _run(command, workdir: Path, timeout: float, env: dict) -> tuple[str, str]:
         command,
         shell=isinstance(command, str),
         cwd=workdir,
-        env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -173,59 +163,37 @@ def _splice(original: str, location: FunctionLocation, candidate: str) -> str:
     )
 
 
-def _execute(spec: TestSpec, workdir: Path, env: dict) -> tuple[str, str]:
-    outcome, output = PASS, ""
-    if spec.build_command is not None:
-        outcome, output = _run(spec.build_command, workdir, spec.timeout, env)
-        if outcome == FAIL:
-            outcome = "build-error"
-    if outcome == PASS:
-        for _attempt in range(spec.retries + 1):
-            outcome, output = _run(spec.command, workdir, spec.timeout, env)
-            if outcome == PASS:
-                break
-    return outcome, output
-
-
 def check_plausible(
     project_root: Path | str,
     location: FunctionLocation,
     candidate: str,
     spec: TestSpec,
 ) -> TestRun:
-    """Splice the candidate into the project, run the tests, clean up.
+    """Run the bug's tests with the candidate spliced into a fresh copy of
+    the project.
 
-    In the default "clone" isolation the tests run inside a discarded copy
-    of the project, so build artifacts never touch the original tree. With
-    "in-place" isolation the target file is rewritten and byte-restored
-    afterwards. Either way the project tree ends bit-identical to its
-    pre-call state, checked by hashing it before and after. Raises
-    SpliceError when the recorded line range is stale or the tree changed.
+    The target file is read as `bench.load_function` reads it, with
+    universal newlines, so a file with CRLF line endings matches the
+    function text taken from it; the spliced copy ends its lines with \\n.
+    The copy is deleted afterwards, so build outputs never reach the
+    project. The project tree is hashed before and after, and must be
+    bit-identical. Raises SpliceError when the file is missing, the line
+    range is stale, or the tree changed.
     """
     project_root = Path(project_root)
     target = project_root / location.file
     if not target.is_file():
         raise SpliceError(f"no such file: {target}")
-    original = target.read_bytes()
-    spliced = _splice(original.decode("utf-8"), location, candidate)
-    env = {k: v for k, v in os.environ.items() if k not in spec.env_denylist}
+    spliced = _splice(target.read_text(encoding="utf-8"), location, candidate)
     before_hash = hash_tree(project_root)
-    if spec.isolation == "clone":
-        with tempfile.TemporaryDirectory(prefix="repairkit-plausible-") as tmp:
-            workdir = Path(tmp) / project_root.name
-            shutil.copytree(project_root, workdir, symlinks=True)
-            (workdir / location.file).write_text(spliced, encoding="utf-8")
-            outcome, output = _execute(spec, workdir, env)
-    else:
-        workdir = project_root
-        try:
-            target.write_text(spliced, encoding="utf-8")
-            outcome, output = _execute(spec, workdir, env)
-        finally:
-            target.write_bytes(original)
+    with tempfile.TemporaryDirectory(prefix="repairkit-plausible-") as tmp:
+        workdir = Path(tmp) / project_root.name
+        shutil.copytree(project_root, workdir, symlinks=True)
+        (workdir / location.file).write_text(spliced, encoding="utf-8")
+        outcome, output = _run(spec.command, workdir, spec.timeout)
     if hash_tree(project_root) != before_hash:
-        raise SpliceError(f"project tree not restored under {project_root}")
-    return TestRun(str(spec.command), str(workdir), spec.timeout, outcome, output)
+        raise SpliceError(f"project tree changed under {project_root}")
+    return TestRun(outcome, output)
 
 
 # --------------------------------------------------------------------------

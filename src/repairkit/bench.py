@@ -319,7 +319,7 @@ def run_bug(
     try:
         verdicts = classify(entry.bug_id, candidates, entry.reference, plan)
         error = None
-    except RepairKitError as exc:
+    except (RepairKitError, OSError) as exc:  # OSError: the project could not be copied
         verdicts = [
             AssessmentVerdict(entry.bug_id, c.rank, False, "not-run", False, False)
             for c in candidates

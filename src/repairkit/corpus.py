@@ -16,7 +16,7 @@ import subprocess
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     CorpusLayoutError,
@@ -348,19 +348,6 @@ def exclude_leakage(
 
 _APPROX_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|\s+|[^\sA-Za-z0-9_]")
 
-_TOKENIZERS: dict[str, Callable[[str], int]] = {}
-
-
-def register_tokenizer(tokenizer_id: str, fn: Callable[[str], int]) -> None:
-    _TOKENIZERS[tokenizer_id] = fn
-
-
-def _approximate_count(text: str) -> int:
-    return len(_APPROX_TOKEN_RE.findall(text))
-
-
-register_tokenizer("approximate", _approximate_count)
-
 
 def count_tokens(text: str, tokenizer_id: str = "approximate") -> int:
     """Deterministic token count under the named tokenizer.
@@ -368,11 +355,10 @@ def count_tokens(text: str, tokenizer_id: str = "approximate") -> int:
     "approximate" is the hermetic built-in: maximal runs of word
     characters, runs of whitespace, and single punctuation characters each
     count as one token. "external:<command>" pipes the text to a command
-    that prints a count. Other ids must be registered first.
+    that prints a count. Any other id raises UnknownTokenizer.
     """
-    fn = _TOKENIZERS.get(tokenizer_id)
-    if fn is not None:
-        return fn(text)
+    if tokenizer_id == "approximate":
+        return len(_APPROX_TOKEN_RE.findall(text))
     if tokenizer_id.startswith("external:"):
         command = tokenizer_id[len("external:") :]
         result = subprocess.run(

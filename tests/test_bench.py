@@ -1,6 +1,7 @@
 """Manifest loading, the end-to-end harness, aggregation, and reports."""
 import json
 import logging
+import os
 from pathlib import Path
 
 import pytest
@@ -246,19 +247,34 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_test_output_that_is_not_utf8_is_scored(self, bench_fixture, workers):
+        # Next to the bug whose suite prints a byte that is not UTF-8: a
+        # project with a named pipe, which cannot be copied, and a project
+        # whose Lib.java has CRLF line endings.
         manifest_path, mock, _ = bench_fixture
-        entries = json.loads(manifest_path.read_text())[:2]
-        entries[0]["test_command"] = "printf 'ok \\377'; exit 1"
+        entries = json.loads(manifest_path.read_text())[:4]
+        not_utf8, fifo, crlf, _good = entries
+        not_utf8["test_command"] = "printf 'ok \\377'; exit 1"
         mock.fixture_map["e2e-00"] = ["        return b + a;", "        return a - a;"]
+        os.mkfifo(Path(fifo["project_root"]) / "pipe")
+        mock.fixture_map["e2e-01"] = ["        return b + a;"]
+        lib = Path(crlf["project_root"]) / "Lib.java"
+        lib.write_bytes(lib.read_bytes().replace(b"\n", b"\r\n"))
+        mock.fixture_map["e2e-02"] = [
+            "        return a * b;", "        return b + a;", "        return a + b;"
+        ]
         subset = manifest_path.parent / "subset.json"
         subset.write_text(json.dumps(entries))
         records = run_benchmark(
             load_manifest(subset), PAIR, GenerationConfig(backend=mock), workers=workers
         )
-        assert [r.bug_id for r in records] == ["e2e-00", "e2e-01"]
-        assert [r.error for r in records] == [None, None]
+        assert [r.bug_id for r in records] == ["e2e-00", "e2e-01", "e2e-02", "e2e-03"]
+        assert [r.error is None for r in records] == [True, False, True, True]
+        assert "is a named pipe" in records[1].error
         assert [v.plausible for v in records[0].verdicts] == ["fail", "fail"]
-        assert records[1].verdicts[0].exact
+        assert [(v.plausible, v.exact) for v in records[2].verdicts] == [
+            ("fail", False), ("pass", False), ("pass", True)
+        ]
+        assert records[3].verdicts[0].exact
 
     def test_deeply_nested_candidate_is_scored(self, bench_fixture):
         manifest_path, mock, _ = bench_fixture

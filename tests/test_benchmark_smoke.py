@@ -2,7 +2,9 @@
 planted answers.
 
 `benchmarks/run.py` is imported as it is, and `run.measure` runs each
-workload at the tiny size without tracing. The planted answers are what a
+gated workload at the tiny size without tracing, and repair-plausible
+traced, so that its per-layer counts pin the test harness's work per
+candidate. The planted answers are what a
 frontend change can break without a unit test noticing: dataset samples,
 repair verdicts and rating tables all come out of the lexer and parser.
 No timing is asserted.
@@ -24,3 +26,18 @@ def test_tiny_run_gives_the_planted_answers(name, tmp_path):
     )
     assert context["problems"] == []
     assert correct and failed == 0 and attempted > 0
+
+
+def test_tiny_traced_plausible_run_tests_three_of_five_candidates(tmp_path):
+    # Each planted bug has five candidates: the reference fix, an exact
+    # match that skips the tests; two other spellings of it with the same
+    # tokens, of which the first runs the tests and the second shares its
+    # verdict; one that adds a statement; and one that fails. So 3 of 5 run
+    # the tests, and each run hashes the project before and after.
+    correct, attempted, failed, metrics, context = run.measure(
+        "repair-plausible", 7, 0.05, True, "tiny", tmp_path
+    )
+    assert context["problems"] == []
+    assert correct and failed == 0 and attempted > 0
+    assert metrics["assess.check_plausible.per_candidate"][0] == pytest.approx(0.6)
+    assert metrics["assess.hash_tree.per_tested_candidate"][0] == pytest.approx(2.0)

@@ -25,7 +25,6 @@ from repairkit.corpus import (
     function_pairs_from_files,
     ingest_diff_corpus,
     load_dataset,
-    register_tokenizer,
     render_training_config,
 )
 from repairkit.errors import CorpusLayoutError, MixedPairDataset, ParseError, UnknownTokenizer
@@ -556,10 +555,6 @@ class TestCountTokens:
     def test_unknown_tokenizer(self):
         with pytest.raises(UnknownTokenizer):
             count_tokens("x", "nonexistent")
-
-    def test_registered_tokenizer(self):
-        register_tokenizer("chars", len)
-        assert count_tokens("abc", "chars") == 3
 
     def test_external_tokenizer_matches_tool(self, tmp_path):
         # Oracle: the external tool itself (a word counter).

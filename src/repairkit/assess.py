@@ -23,7 +23,7 @@ import subprocess
 import tempfile
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -36,7 +36,7 @@ from .errors import (
     SpliceError,
 )
 from .gen import CandidatePatch
-from .jsonl import mend_tail, read_rows
+from .jsonl import append_line, mend_tail, read_rows
 from .syntax import Node, Tokens, lex_edit, parse, parses_edit, token_key, tokenize
 
 PASS = "pass"
@@ -390,26 +390,30 @@ class SemanticRating:
             raise ValueError(f"bad round: {self.round}")
 
 
+_encode_rating = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
+
+
 class RatingStore:
     """Append-only store of semantic ratings, optionally file-backed, kept
-    in insertion order and indexed by candidate `(bug_id, rank)`.
+    in insertion order and indexed by `(bug_id, rank, round)`.
 
-    A crash mid-append can leave an unterminated last line: loading skips
-    it with a warning and the first `add` cuts it off.
+    Each `add` appends one line with a single write; no file is held open
+    between adds. A crash mid-append can leave an unterminated last line:
+    loading skips it with a warning and the first `add` cuts it off.
     """
 
     def __init__(self, path: Optional[Path | str] = None):
         self.path = Path(path) if path is not None else None
         self._ratings: list[SemanticRating] = []
-        self._by_item: dict[tuple[str, int], list[SemanticRating]] = {}
+        self._by_round: dict[tuple[str, int, str], list[SemanticRating]] = {}
         self._tail_checked = False
         if self.path is not None and self.path.exists():
-            for row in read_rows(self.path):
-                self._index(SemanticRating(**row))
+            for rating in read_rows(self.path, lambda row: SemanticRating(**row)):
+                self._index(rating)
 
     def _index(self, rating: SemanticRating) -> None:
         self._ratings.append(rating)
-        self._by_item.setdefault((rating.bug_id, rating.rank), []).append(rating)
+        self._by_round.setdefault((rating.bug_id, rating.rank, rating.round), []).append(rating)
 
     def __len__(self) -> int:
         return len(self._ratings)
@@ -417,37 +421,30 @@ class RatingStore:
     def __iter__(self):
         return iter(self._ratings)
 
-    def _round(self, bug_id: str, rank: int, stage: str) -> list[SemanticRating]:
-        return [r for r in self._by_item.get((bug_id, rank), ()) if r.round == stage]
-
     def first_round(self, bug_id: str, rank: int) -> list[SemanticRating]:
-        return self._round(bug_id, rank, FIRST)
+        return list(self._by_round.get((bug_id, rank, FIRST), ()))
 
     def tiebreaks(self, bug_id: str, rank: int) -> list[SemanticRating]:
-        return self._round(bug_id, rank, TIEBREAK)
+        return list(self._by_round.get((bug_id, rank, TIEBREAK), ()))
 
     def add(self, rating: SemanticRating) -> None:
-        same_round = self._round(rating.bug_id, rating.rank, rating.round)
-        if any(r.rater == rating.rater for r in same_round):
-            raise DuplicateRating(
-                f"{rating.rater} already rated {rating.bug_id}#{rating.rank} "
-                f"({rating.round} round)"
-            )
-        if rating.round == TIEBREAK:
-            labels = {r.label for r in self.first_round(rating.bug_id, rating.rank)}
+        bug_id, rank, rater, stage = rating.bug_id, rating.rank, rating.rater, rating.round
+        if any(r.rater == rater for r in self._by_round.get((bug_id, rank, stage), ())):
+            raise DuplicateRating(f"{rater} already rated {bug_id}#{rank} ({stage} round)")
+        if stage == TIEBREAK:
+            labels = {r.label for r in self._by_round.get((bug_id, rank, FIRST), ())}
             if len(labels) < 2:
                 raise InvalidRating(
                     "tiebreak ratings only exist where first-round raters disagree"
                 )
         if rating.timestamp == 0.0:
-            rating = replace(rating, timestamp=time.time())
+            rating = SemanticRating(bug_id, rank, rater, rating.label, stage, time.time())
         self._index(rating)
         if self.path is not None:
             if not self._tail_checked:
                 mend_tail(self.path)
                 self._tail_checked = True
-            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps(vars(rating), sort_keys=True) + "\n")
+            append_line(self.path, _encode_rating(vars(rating)))
 
 
 PENDING = "pending"
@@ -537,5 +534,10 @@ def apply_ratings(
         if resolved == PENDING:
             out.append(verdict)
         else:
-            out.append(replace(verdict, semantic=resolved))
+            out.append(
+                AssessmentVerdict(
+                    verdict.bug_id, verdict.rank, verdict.parse_ok, verdict.plausible,
+                    verdict.exact, verdict.ast, resolved,
+                )
+            )
     return out

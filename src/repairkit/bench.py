@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import shutil
 import subprocess
 import threading
 import time
@@ -46,7 +47,7 @@ from .errors import (
     RepairKitError,
 )
 from .gen import CandidatePatch, GenerationConfig, request_candidates
-from .jsonl import mend_tail, read_rows
+from .jsonl import append_line, mend_tail, read_rows
 from .representations import (
     DEFAULT_MARKERS,
     Markers,
@@ -196,12 +197,16 @@ def _record_from_json(data: dict) -> RunRecord:
     return RunRecord(**data)
 
 
+_encode_record = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+
 class RecordStore:
     """Append-only JSONL store of run records; safe for threaded appends.
 
-    A crash mid-append can leave an unterminated last line: `load` skips it
-    with a warning and the first `append` cuts it off, so a fragment is
-    never followed by another line.
+    Each `append` writes one line with a single write; no file is held open
+    between appends. A crash mid-append can leave an unterminated last
+    line: `load` skips it with a warning and the first `append` cuts it
+    off, so a fragment is never followed by another line.
     """
 
     def __init__(self, path: Path | str):
@@ -212,19 +217,17 @@ class RecordStore:
     def load(self) -> dict[str, RunRecord]:
         records: dict[str, RunRecord] = {}
         if self.path.exists():
-            for data in read_rows(self.path):
-                record = _record_from_json(data)
+            for record in read_rows(self.path, _record_from_json):
                 records[record.bug_id] = record
         return records
 
     def append(self, record: RunRecord) -> None:
-        line = json.dumps(_record_to_json(record), sort_keys=True, ensure_ascii=False)
+        line = _encode_record(_record_to_json(record))
         with self._lock:
             if not self._tail_checked:
                 mend_tail(self.path)
                 self._tail_checked = True
-            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(line + "\n")
+            append_line(self.path, line)
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +328,11 @@ def run_bug(
             for c in candidates
         ]
         error = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, shutil.Error) and exc.args and isinstance(exc.args[0], list):
+            # copytree lists (source, copy, reason); the copy's path is random
+            error = "Error: " + "; ".join(
+                f"{src}: {str(why).replace(dst, src)}" for src, dst, why in exc.args[0]
+            )
     finished = time.monotonic()
     return RunRecord(
         entry.bug_id,
@@ -432,14 +440,18 @@ def aggregate(
             verdicts = record.verdicts
             if ratings is not None:
                 verdicts = apply_ratings(verdicts, ratings)
-            has_plausible = any(v.plausible == PASS for v in verdicts)
-            has_exact = any(v.exact for v in verdicts)
-            has_ast = any(v.ast for v in verdicts)
-            has_semantic = any(v.ast or v.semantic == CORRECT for v in verdicts)
-            has_pending = any(
-                v.plausible == PASS and not v.ast and v.semantic == UNLABELED
-                for v in verdicts
-            )
+            has_plausible = has_exact = has_ast = has_semantic = has_pending = False
+            for v in verdicts:
+                if v.plausible == PASS:
+                    has_plausible = True
+                    if not v.ast and v.semantic == UNLABELED:
+                        has_pending = True
+                if v.exact:
+                    has_exact = True
+                if v.ast:
+                    has_ast = has_semantic = True
+                elif v.semantic == CORRECT:
+                    has_semantic = True
             plausible += has_plausible
             exact += has_exact
             ast += has_ast

@@ -105,5 +105,14 @@ class AggregateInvariantError(RepairKitError):
     """An aggregate violates the exact <= ast <= semantic <= universe ordering."""
 
 
+class StoreError(RepairKitError, ValueError):
+    """A line of a record or rating store is not a valid row."""
+
+    def __init__(self, path: object, line: int, reason: Exception):
+        super().__init__(f"{path}:{line}: {type(reason).__name__}: {reason}")
+        self.path = path
+        self.line = line
+
+
 class ConfigError(RepairKitError):
     """The toolkit configuration file or environment is invalid."""

@@ -118,7 +118,9 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     are retried with exponential backoff up to config.retries extra
     attempts, then surface as BackendUnreachable / BackendError /
     BackendTimeout. A 4xx status other than 408 (timeout) or 429 (too many
-    requests) is permanent and raises at once.
+    requests) is permanent and raises at once. An output that is not a
+    string with a UTF-8 form, which no store could write, is a malformed
+    response (BackendError).
     """
     backend = config.backend
     if backend is None:
@@ -135,7 +137,12 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
                 )
             else:
                 outputs = _http_complete(str(backend), config, prompt)
-            return list(outputs)[: config.num_candidates]
+            outputs = list(outputs)[: config.num_candidates]
+            try:
+                "".join(outputs).encode("utf-8")
+            except (TypeError, UnicodeEncodeError):  # not a str, or a lone "\ud800"
+                raise BackendError(200, "malformed backend response: output is not UTF-8 text")
+            return outputs
         except BackendError as exc:
             if exc.status in _PERMANENT_STATUSES:
                 raise
@@ -172,7 +179,7 @@ def _http_complete(url: str, config: GenerationConfig, prompt: str) -> list[str]
         raise BackendUnreachable(f"{url}: {reason}") from exc
     try:
         outputs = json.loads(payload)["outputs"]
-        if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+        if not isinstance(outputs, list):  # request_candidates checks each output
             raise ValueError
     except (ValueError, KeyError, TypeError):
         raise BackendError(200, f"malformed backend response: {payload[:200]}")

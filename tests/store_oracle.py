@@ -1,0 +1,100 @@
+"""The rating store's protocol and the bench aggregate as they were before
+the store indexed its ratings by `(bug_id, rank, round)` and `aggregate`
+made one pass per record: every query a scan of the ratings in insertion
+order, verdicts relabelled with `dataclasses.replace`, and five `any(...)`
+passes over each record's verdicts. Kept as the oracle for the
+differential tests in `test_assess.py` and `test_bench.py`.
+"""
+from dataclasses import replace
+
+from repairkit.assess import CORRECT, FIRST, PASS, PENDING, TIEBREAK, UNLABELED
+from repairkit.bench import AggregateRow, AggregateTable
+from repairkit.errors import DuplicateRating, InvalidRating
+
+
+class ListRatingStore:
+    """In-memory ratings in insertion order; `add` keeps the old checks."""
+
+    def __init__(self):
+        self.ratings = []
+
+    def _round(self, bug_id, rank, stage):
+        return [
+            r for r in self.ratings
+            if r.bug_id == bug_id and r.rank == rank and r.round == stage
+        ]
+
+    def first_round(self, bug_id, rank):
+        return self._round(bug_id, rank, FIRST)
+
+    def tiebreaks(self, bug_id, rank):
+        return self._round(bug_id, rank, TIEBREAK)
+
+    def add(self, rating):
+        if any(r.rater == rating.rater for r in self._round(rating.bug_id, rating.rank, rating.round)):
+            raise DuplicateRating(rating.rater)
+        if rating.round == TIEBREAK:
+            if len({r.label for r in self.first_round(rating.bug_id, rating.rank)}) < 2:
+                raise InvalidRating(rating.rater)
+        self.ratings.append(rating)
+
+
+def oracle_resolve_semantic(store, bug_id, rank):
+    first = store.first_round(bug_id, rank)
+    if len(first) < 2:
+        return PENDING
+    labels = {r.label for r in first}
+    if len(labels) == 1:
+        return labels.pop()
+    tiebreaks = store.tiebreaks(bug_id, rank)
+    if tiebreaks:
+        return tiebreaks[-1].label
+    return PENDING
+
+
+def _oracle_apply_ratings(verdicts, store):
+    out = []
+    for verdict in verdicts:
+        resolved = oracle_resolve_semantic(store, verdict.bug_id, verdict.rank)
+        out.append(verdict if resolved == PENDING else replace(verdict, semantic=resolved))
+    return out
+
+
+def oracle_aggregate(records, ratings=None, universe=None):
+    """`bench.aggregate`, with `ratings` a `ListRatingStore` or None."""
+    by_pair = {}
+    for record in records:
+        by_pair.setdefault(record.pair, []).append(record)
+    rows = []
+    for pair_tag in sorted(by_pair):
+        group = by_pair[pair_tag]
+        plausible = exact = ast = semantic = pending = 0
+        for record in group:
+            verdicts = record.verdicts
+            if ratings is not None:
+                verdicts = _oracle_apply_ratings(verdicts, ratings)
+            has_plausible = any(v.plausible == PASS for v in verdicts)
+            has_exact = any(v.exact for v in verdicts)
+            has_ast = any(v.ast for v in verdicts)
+            has_semantic = any(v.ast or v.semantic == CORRECT for v in verdicts)
+            has_pending = any(
+                v.plausible == PASS and not v.ast and v.semantic == UNLABELED
+                for v in verdicts
+            )
+            plausible += has_plausible
+            exact += has_exact
+            ast += has_ast
+            semantic += has_semantic
+            pending += has_pending and not has_semantic
+        row = AggregateRow(
+            label=pair_tag,
+            universe=universe if universe is not None else len(group),
+            plausible=plausible,
+            exact=exact,
+            ast=ast,
+            semantic=semantic,
+            pending=pending,
+        )
+        row.check()
+        rows.append(row)
+    return AggregateTable(tuple(rows))

@@ -3,6 +3,7 @@ import logging
 import os
 import shlex
 import sys
+import tempfile
 import time
 import zlib
 from pathlib import Path
@@ -14,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classify_oracle import oracle_classify
+from store_oracle import ListRatingStore, oracle_resolve_semantic
 from repairkit import assess
 from repairkit.assess import (
     CORRECT,
     FAIL,
+    FIRST,
     INCORRECT,
     NOT_RUN,
     PASS,
@@ -578,6 +581,64 @@ class TestRatings:
         updated = apply_ratings(verdicts, store)
         assert updated[0].semantic == "unlabeled"
         assert updated[1].semantic == CORRECT
+
+
+BUGS, RANKS = ("a", "b"), (0, 1)
+
+_ratings = st.lists(
+    st.builds(
+        SemanticRating,
+        bug_id=st.sampled_from(BUGS),
+        rank=st.sampled_from(RANKS),
+        rater=st.sampled_from(["r1", "r2", "r3"]),
+        label=st.sampled_from([CORRECT, INCORRECT]),
+        round=st.sampled_from([FIRST, TIEBREAK]),
+        timestamp=st.sampled_from([0.0, 1.5]),
+    ),
+    max_size=30,
+)
+
+
+def _fields(ratings):
+    return [(r.bug_id, r.rank, r.rater, r.label, r.round) for r in ratings]
+
+
+def _outcome(store, rating):
+    try:
+        store.add(rating)
+    except (DuplicateRating, InvalidRating) as exc:
+        return type(exc)
+    return "accepted"
+
+
+class TestRatingStoreMatchesOracle:
+    """The indexed store against a list scan of the old store."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratings=_ratings)
+    def test_same_outcomes_rounds_and_resolution(self, ratings):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ratings.jsonl"
+            store, oracle = RatingStore(path), ListRatingStore()
+            for rating in ratings:
+                assert _outcome(store, rating) == _outcome(oracle, rating)
+            assert all(r.timestamp != 0.0 for r in store)
+            for current in (store, RatingStore(path)):  # as added, and reloaded
+                assert _fields(current) == _fields(oracle.ratings)
+                for bug_id in BUGS:
+                    for rank in RANKS:
+                        first = current.first_round(bug_id, rank)
+                        assert _fields(first) == _fields(oracle.first_round(bug_id, rank))
+                        assert _fields(current.tiebreaks(bug_id, rank)) == _fields(
+                            oracle.tiebreaks(bug_id, rank)
+                        )
+                        first.clear()  # a fresh list each call
+                        assert len(current.first_round(bug_id, rank)) == len(
+                            oracle.first_round(bug_id, rank)
+                        )
+                        assert resolve_semantic(current, bug_id, rank) == (
+                            oracle_resolve_semantic(oracle, bug_id, rank)
+                        )
 
 
 class TestCohenKappa:

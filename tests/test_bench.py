@@ -2,24 +2,35 @@
 import json
 import logging
 import os
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repairkit.assess import RatingStore, SemanticRating, hash_tree
+from repairkit import gen
+from repairkit.assess import AssessmentVerdict, RatingStore, SemanticRating, hash_tree
 from repairkit.bench import (
     AggregateRow,
     AggregateTable,
     RecordStore,
+    RunRecord,
     aggregate,
     load_manifest,
     rank_curve,
     report,
     run_benchmark,
 )
-from repairkit.errors import AggregateInvariantError, ManifestError
-from repairkit.gen import GenerationConfig
+from repairkit.errors import (
+    AggregateInvariantError,
+    DuplicateRating,
+    InvalidRating,
+    ManifestError,
+)
+from repairkit.gen import CandidatePatch, GenerationConfig
 from repairkit.representations import ReprPair
+from store_oracle import ListRatingStore, oracle_aggregate
 
 PAIR = ReprPair.parse("IR4xOR2")
 
@@ -264,17 +275,50 @@ class TestRunBenchmark:
         ]
         subset = manifest_path.parent / "subset.json"
         subset.write_text(json.dumps(entries))
-        records = run_benchmark(
-            load_manifest(subset), PAIR, GenerationConfig(backend=mock), workers=workers
-        )
+        records, again = [
+            run_benchmark(
+                load_manifest(subset), PAIR, GenerationConfig(backend=mock), workers=workers
+            )
+            for _ in range(2)
+        ]
         assert [r.bug_id for r in records] == ["e2e-00", "e2e-01", "e2e-02", "e2e-03"]
         assert [r.error is None for r in records] == [True, False, True, True]
         assert "is a named pipe" in records[1].error
+        # The record names the project's path, not the random one of its copy.
+        assert records[1].error == again[1].error
+        assert "repairkit-plausible-" not in records[1].error
         assert [v.plausible for v in records[0].verdicts] == ["fail", "fail"]
         assert [(v.plausible, v.exact) for v in records[2].verdicts] == [
             ("fail", False), ("pass", False), ("pass", True)
         ]
         assert records[3].verdicts[0].exact
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("wire", ["in-process", "http"])
+    def test_output_with_a_lone_surrogate_is_recorded(
+        self, bench_fixture, tmp_path, monkeypatch, wire, workers
+    ):
+        # It has no UTF-8 form, so the store could not write it.
+        monkeypatch.setattr(gen, "_sleep", lambda s: None)  # retried as any malformed response
+        manifest_path, mock, _ = bench_fixture
+        manifest = load_manifest(manifest_path)[:2]
+        mock.fixture_map["e2e-00"] = ["        return a\ud800 + b;"]
+        backend = mock.serve() if wire == "http" else mock
+        store = RecordStore(tmp_path / "records.jsonl")
+        try:
+            records = run_benchmark(
+                manifest, PAIR, GenerationConfig(backend=backend, timeout=10),
+                store=store, workers=workers,
+            )
+        finally:
+            mock.close()
+        assert [r.bug_id for r in records] == ["e2e-00", "e2e-01"]
+        assert records[0].error == (
+            "BackendError: backend error 200: malformed backend response: "
+            "output is not UTF-8 text"
+        )
+        assert records[1].error is None and records[1].verdicts[0].exact
+        assert sorted(RecordStore(store.path).load()) == ["e2e-00", "e2e-01"]
 
     def test_deeply_nested_candidate_is_scored(self, bench_fixture):
         manifest_path, mock, _ = bench_fixture
@@ -332,6 +376,27 @@ class TestRecordStoreTornTail:
         run_benchmark(manifest, PAIR, GenerationConfig(backend=mock), store=resumed)
         assert mock.calls == 2
         assert list(RecordStore(store.path).load()) == ["e2e-00", "e2e-01"]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_appends_write_one_whole_line_per_bug(
+        self, bench_fixture, tmp_path, workers
+    ):
+        manifest_path, mock, _ = bench_fixture
+        manifest = load_manifest(manifest_path)
+        store = RecordStore(tmp_path / "records.jsonl")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            run_benchmark(
+                manifest, PAIR, GenerationConfig(backend=mock), store=store,
+                workers=workers, run_tests=False,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        lines = store.path.read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        bug_ids = sorted(json.loads(line)["bug_id"] for line in lines[:-1])
+        assert bug_ids == sorted(e.bug_id for e in manifest)
 
     def test_bad_line_mid_file_still_raises(self, bench_fixture, tmp_path):
         manifest_path, mock, _ = bench_fixture
@@ -426,6 +491,79 @@ class TestAggregate:
         bad = AggregateRow("x", universe=1, plausible=0, exact=2, ast=1, semantic=1, pending=0)
         with pytest.raises(AggregateInvariantError):
             bad.check()
+
+
+_verdict_fields = st.tuples(
+    st.sampled_from(["pass", "fail", "not-run"]),
+    st.sampled_from([(False, False), (False, True), (True, True)]),  # (exact, ast)
+    st.sampled_from(["unlabeled", "correct", "incorrect"]),
+).filter(lambda v: not (v[1][0] and v[2] == "incorrect"))
+
+
+@st.composite
+def _records(draw):
+    records = []
+    for index, pair in enumerate(draw(st.lists(st.sampled_from(["IR4xOR2", "IR1xOR3"])))):
+        bug_id = f"b{index % 3}"  # bugs repeat, as across two pairs
+        fields = draw(st.lists(_verdict_fields, max_size=4))
+        ranks = range(len(fields))
+        records.append(
+            RunRecord(
+                bug_id, pair, "prompt",
+                [CandidatePatch(bug_id, rank, "raw", reconstructed="x") for rank in ranks],
+                [
+                    AssessmentVerdict(bug_id, rank, True, plausible, exact, ast, semantic)
+                    for rank, (plausible, (exact, ast), semantic) in enumerate(fields)
+                ],
+            )
+        )
+    return records
+
+
+_aggregate_ratings = st.lists(
+    st.builds(
+        SemanticRating,
+        bug_id=st.sampled_from(["b0", "b1", "b2"]),
+        rank=st.integers(0, 3),
+        rater=st.sampled_from(["r1", "r2", "r3"]),
+        label=st.sampled_from(["correct", "incorrect"]),
+        round=st.sampled_from(["first", "tiebreak"]),
+        timestamp=st.just(1.0),
+    ),
+    max_size=40,
+)
+
+
+def _table_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # an exact match rated incorrect
+        return type(exc)
+
+
+class TestAggregateMatchesOracle:
+    """The one-pass aggregate against the old five-`any` formula."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        records=_records(),
+        ratings=st.none() | _aggregate_ratings,
+        extra=st.none() | st.integers(0, 3),
+    )
+    def test_same_table(self, records, ratings, extra):
+        universe = None if extra is None else len(records) + extra
+        store = oracle_store = None
+        if ratings is not None:
+            store, oracle_store = RatingStore(), ListRatingStore()
+            for rating in ratings:
+                try:
+                    store.add(rating)
+                except (DuplicateRating, InvalidRating):
+                    continue
+                oracle_store.add(rating)
+        assert _table_or_error(aggregate, records, store, universe) == _table_or_error(
+            oracle_aggregate, records, oracle_store, universe
+        )
 
 
 class TestReport:

@@ -1,5 +1,6 @@
 """CLI commands, exit codes, and configuration precedence."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -317,6 +318,73 @@ class TestRateAndKappa:
               "--label", "correct", "--rater", "alice"])
         status = main(["kappa", "--store", store, "--rater-a", "alice", "--rater-b", "bob"])
         assert status == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Line 2 of a store, broken three ways: not JSON, a value the row's class
+# rejects, and a key it does not have.
+_RATING = (
+    '{"bug_id": "b", "label": "%s", "rank": 0, "rater": "x", "round": "first", '
+    '"timestamp": 1.0%s}'
+)
+BAD_RATING_LINES = {
+    "not-json": '{"bug_id": "b", "ra',
+    "bad-value": _RATING % ("maybe", ""),
+    "unknown-key": _RATING % ("correct", ', "mood": "sure"'),
+}
+_RECORD = (
+    '{"bug_id": "b", "candidates": [{"rank": 0, "raw_output": "x", "reconstruct_error": '
+    'null, "reconstructed": "x"}], "error": null, "pair": "IR4xOR2", "prompt": "", '
+    '"timings": {}, "verdicts": [{"ast": false, "exact": false, "parse_ok": true, '
+    '"plausible": "%s", "rank": 0, "semantic": "unlabeled"}]%s}'
+)
+BAD_RECORD_LINES = {
+    "not-json": '{"bug_id": "b0", "pair',
+    "bad-value": _RECORD % ("maybe", ""),
+    "unknown-key": _RECORD % ("pass", ', "mood": "sure"'),
+}
+
+
+def _golden_with_bad_line_2(tmp_path, name, line):
+    first, rest = (GOLDEN / name).read_bytes().split(b"\n", 1)
+    path = tmp_path / name
+    path.write_bytes(b"\n".join([first, line.encode("utf-8"), rest]))
+    return str(path)
+
+
+class TestCorruptStore:
+    @pytest.mark.parametrize("kind", sorted(BAD_RATING_LINES))
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["rate", "--bug", "b", "--rank", "1", "--label", "correct", "--rater", "alice",
+             "--store"],
+            ["kappa", "--rater-a", "alice", "--rater-b", "zoë", "--store"],
+            ["report", "--store", str(GOLDEN / "record_store.jsonl"), "--ratings"],
+        ],
+        ids=["rate", "kappa", "report"],
+    )
+    def test_bad_rating_line_is_reported(self, tmp_path, capsys, command, kind):
+        ratings = _golden_with_bad_line_2(tmp_path, "rating_store.jsonl", BAD_RATING_LINES[kind])
+        before = Path(ratings).read_bytes()
+        assert main([*command, ratings]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ratings}:2: ")
+        assert Path(ratings).read_bytes() == before
+
+    @pytest.mark.parametrize("kind", sorted(BAD_RECORD_LINES))
+    @pytest.mark.parametrize("command", ["report", "repair"])
+    def test_bad_record_line_is_reported(self, bench_fixture, tmp_path, capsys, command, kind):
+        manifest_path, _, _ = bench_fixture
+        records = _golden_with_bad_line_2(tmp_path, "record_store.jsonl", BAD_RECORD_LINES[kind])
+        before = Path(records).read_bytes()
+        argv = ["report", "--store", records]
+        if command == "repair":
+            argv = ["repair", "--manifest", str(manifest_path), "--pair", "IR4xOR2",
+                    "--store", records]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {records}:2: ")
+        assert Path(records).read_bytes() == before
 
 
 class TestExportTrainConfig:

@@ -164,6 +164,21 @@ class TestRequestCandidates:
             request_candidates(GenerationConfig(backend=backend, retries=2), "p")
         assert backend.calls == calls
 
+    @pytest.mark.parametrize("wire", ["in-process", "http"])
+    @pytest.mark.parametrize("bad", [None, 7, "        return a\ud800 + b;"])
+    def test_output_that_is_not_utf8_text_is_malformed(self, monkeypatch, bad, wire):
+        monkeypatch.setattr(gen, "_sleep", lambda s: None)
+        mock = MockBackend({"b": ["        return a + b;", bad]})
+        mock.bind_prompt("b", "p")
+        backend = mock.serve() if wire == "http" else mock
+        try:
+            with pytest.raises(BackendError) as err:
+                request_candidates(GenerationConfig(backend=backend, retries=1, timeout=10), "p")
+        finally:
+            mock.close()
+        assert err.value.status == 200 and "malformed backend response" in str(err.value)
+        assert mock.calls == 2  # retried as any malformed response
+
     def test_no_backend_configured(self):
         with pytest.raises(BackendUnreachable):
             request_candidates(GenerationConfig(), "p")

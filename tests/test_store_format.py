@@ -5,7 +5,10 @@ errored run, a failed reconstruction and a tiebreak. Writing the same
 objects must give the same bytes, and loading the files must give the same
 objects, so stores written by earlier versions keep resuming and reporting.
 """
+import json
 from pathlib import Path
+
+import pytest
 
 from repairkit.assess import AssessmentVerdict, RatingStore, SemanticRating
 from repairkit.bench import RecordStore, RunRecord
@@ -100,3 +103,56 @@ def test_rating_store_bytes_match_golden(tmp_path):
 
 def test_rating_store_golden_loads_to_the_same_ratings():
     assert list(RatingStore(GOLDEN / "rating_store.jsonl")) == RATINGS
+
+
+def _whole_rows(data: bytes) -> int:
+    """How many rows of a store cut after `data` are whole: a last line
+    missing only its newline still holds its row."""
+    lines = data.split(b"\n")
+    return len(lines) - 1 + (lines[-1] != b"" and _parses(lines[-1]))
+
+
+def _parses(line: bytes) -> bool:
+    try:
+        json.loads(line.decode("utf-8"))
+    except ValueError:
+        return False
+    return True
+
+
+# Per store: its golden file, the rows that file holds, a row to append,
+# and how to append one row and load all rows.
+STORES = {
+    "ratings": (
+        "rating_store.jsonl",
+        RATINGS,
+        SemanticRating("Chart-1", 0, "dave", "correct", timestamp=1700000005.0),
+        lambda path, row: RatingStore(path).add(row),
+        lambda path: list(RatingStore(path)),
+    ),
+    "records": (
+        "record_store.jsonl",
+        RECORDS,
+        _run_record("Time-9", "IR1xOR3", "", [], [], error="BackendTimeout: timed out"),
+        lambda path, row: RecordStore(path).append(row),
+        lambda path: list(RecordStore(path).load().values()),
+    ),
+}
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+def test_append_after_every_cut_keeps_whole_rows(tmp_path, store):
+    """A crash can cut a store after any byte. Opening it, appending a row
+    and reloading gives the whole rows before the cut plus the new row, and
+    leaves no fragment in the file."""
+    golden, rows, new, append, load = STORES[store]
+    data = (GOLDEN / golden).read_bytes()
+    path = tmp_path / golden
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        kept = rows[: _whole_rows(data[:cut])]
+        assert load(path) == kept, cut
+        append(path, new)
+        assert load(path) == [*kept, new], cut
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b"" and all(_parses(line) for line in lines[:-1]), cut

@@ -14,13 +14,8 @@ over the first round.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import shutil
-import signal
-import subprocess
-import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -103,6 +98,8 @@ class TestRun:
 
 def hash_tree(root: Path | str) -> str:
     """Order-independent content hash of a directory tree."""
+    import hashlib
+
     digest = hashlib.sha256()
     root = Path(root)
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
@@ -119,6 +116,9 @@ def _run(command, workdir: Path, timeout: float) -> tuple[str, str]:
     The command leads a session of its own, so killing its process group
     also ends the children a shell or a build tool left running.
     """
+    import signal
+    import subprocess
+
     with subprocess.Popen(
         command,
         shell=isinstance(command, str),
@@ -176,10 +176,17 @@ def check_plausible(
     universal newlines, so a file with CRLF line endings matches the
     function text taken from it; the spliced copy ends its lines with \\n.
     The copy is deleted afterwards, so build outputs never reach the
-    project. The project tree is hashed before and after, and must be
-    bit-identical. Raises SpliceError when the file is missing, the line
-    range is stale, or the tree changed.
+    project. The spliced file is written only inside the copy: a symlink
+    at the target in the copy is replaced by a regular file, and a target
+    whose directory resolves outside the copy (an absolute path, `..`, a
+    symlinked directory) is refused. The project tree is hashed before and
+    after, and must be bit-identical. Raises SpliceError when the file is
+    missing or outside the copy, the line range is stale, or the tree
+    changed.
     """
+    import shutil
+    import tempfile
+
     project_root = Path(project_root)
     target = project_root / location.file
     if not target.is_file():
@@ -189,7 +196,12 @@ def check_plausible(
     with tempfile.TemporaryDirectory(prefix="repairkit-plausible-") as tmp:
         workdir = Path(tmp) / project_root.name
         shutil.copytree(project_root, workdir, symlinks=True)
-        (workdir / location.file).write_text(spliced, encoding="utf-8")
+        copy = workdir / location.file
+        if not copy.parent.resolve().is_relative_to(workdir.resolve()):
+            raise SpliceError(f"{location.file} is outside the project")
+        if copy.is_symlink():
+            copy.unlink()
+        copy.write_text(spliced, encoding="utf-8")
         outcome, output = _run(spec.command, workdir, spec.timeout)
     if hash_tree(project_root) != before_hash:
         raise SpliceError(f"project tree changed under {project_root}")
@@ -397,9 +409,11 @@ class RatingStore:
     """Append-only store of semantic ratings, optionally file-backed, kept
     in insertion order and indexed by `(bug_id, rank, round)`.
 
-    Each `add` appends one line with a single write; no file is held open
-    between adds. A crash mid-append can leave an unterminated last line:
-    loading skips it with a warning and the first `add` cuts it off.
+    Each `add` appends one line with a single write, then indexes the
+    rating, so an `add` whose write fails leaves no rating and can be
+    retried; no file is held open between adds. A crash mid-append can
+    leave an unterminated last line: loading skips it with a warning and
+    the first `add` cuts it off.
     """
 
     def __init__(self, path: Optional[Path | str] = None):
@@ -439,12 +453,12 @@ class RatingStore:
                 )
         if rating.timestamp == 0.0:
             rating = SemanticRating(bug_id, rank, rater, rating.label, stage, time.time())
-        self._index(rating)
         if self.path is not None:
             if not self._tail_checked:
                 mend_tail(self.path)
                 self._tail_checked = True
             append_line(self.path, _encode_rating(vars(rating)))
+        self._index(rating)
 
 
 PENDING = "pending"

@@ -16,7 +16,6 @@ import shutil
 import subprocess
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -34,7 +33,7 @@ from .assess import (
     apply_ratings,
     classify,
 )
-from .corpus import DEFAULT_LEAKAGE_BUGS
+from .config import DEFAULT_LEAKAGE_BUGS, PROFILES, REPORT_FORMATS  # the first is re-exported
 from .errors import (
     AggregateInvariantError,
     BackendError,
@@ -60,14 +59,6 @@ from .representations import (
 from .syntax import SourceFile, SourceFunction
 
 log = logging.getLogger(__name__)
-
-
-# Benchmark profiles and the bugs each one drops: single-function Defects4J
-# (leakage denylist applied) and HumanEval-Java. Benchmark data is not bundled.
-PROFILES: dict[str, tuple[str, ...]] = {
-    "defects4j-sf": DEFAULT_LEAKAGE_BUGS,
-    "humaneval-java": (),
-}
 
 
 @dataclass(frozen=True)
@@ -143,6 +134,9 @@ def _parse_entry(index: int, item: dict) -> BugManifestEntry:
         value = getattr(entry, name)
         if not (isinstance(value, str) or (value is None and name == "checkout")):
             raise ManifestError(index, f"{name} must be a string, not {value!r}")
+    file = Path(entry.file)
+    if file.is_absolute() or ".." in file.parts:
+        raise ManifestError(index, f"file must be a path inside project_root: {entry.file!r}")
     if entry.timeout is not None and not 0 < entry.timeout < math.inf:
         raise ManifestError(index, f"timeout must be positive and finite: {timeout!r}")
     if not 1 <= entry.function_start <= entry.function_end:
@@ -378,6 +372,8 @@ def run_benchmark(
     if workers <= 1:
         fresh = [_one(entry) for entry in todo]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             fresh = list(pool.map(_one, todo))
     for record in fresh:
@@ -503,8 +499,6 @@ def rank_curve(
 
 _COLUMNS = ("label", "universe", "plausible", "exact", "ast", "semantic", "pending")
 _HEADERS = ("Representation", "Bugs", "Plausible", "Exact", "AST", "Semantic", "Pending")
-
-REPORT_FORMATS = ("plain", "delimited", "markdown-table")
 
 
 def report(table: AggregateTable, fmt: str = "plain") -> str:

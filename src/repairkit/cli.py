@@ -8,6 +8,10 @@ and `export-train-config` writes the training hyperparameters.
 
 Exit status is 0 unless a fatal error occurs; per-bug failures during a
 repair run are reported in the output without failing the command.
+
+Importing this module loads only `repairkit`, `config` and `errors`: each
+subcommand handler, and each argument type that needs one, imports the
+modules it runs, so a call pays only for the subcommand it makes.
 """
 from __future__ import annotations
 
@@ -15,45 +19,19 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .assess import RatingStore, SemanticRating, cohen_kappa
-from .bench import (
-    PROFILES,
-    REPORT_FORMATS,
-    RecordStore,
-    aggregate,
-    load_manifest,
-    rank_curve,
-    report,
-    run_benchmark,
-)
-from .config import load_tool_config
-from .corpus import (
-    PipelineStats,
-    TrainingConfig,
-    build_dataset,
-    dedupe,
-    emit_dataset,
-    exclude_leakage,
-    export_training_config,
-    ingest_diff_corpus,
-)
+from .config import PROFILES, REPORT_FORMATS, load_tool_config
 from .errors import RepairKitError
-from .representations import (
-    ALL_PAIRS,
-    InputKind,
-    OutputKind,
-    Region,
-    ReprPair,
-    build_input,
-    build_output,
-    valid_pair,
-)
-from .syntax import SourceFile, extract_functions
+
+if TYPE_CHECKING:
+    from .representations import Region, ReprPair
 
 
 def _pair_argument(value: str) -> ReprPair:
+    from .representations import ALL_PAIRS, ReprPair, valid_pair
+
     try:
         pair = ReprPair.parse(value)
     except ValueError:
@@ -79,6 +57,8 @@ def _positive_int(value: str) -> int:
 
 
 def _region_argument(value: str) -> Region:
+    from .representations import Region
+
     try:
         start, end = value.split(":")
         return Region(int(start), int(end))
@@ -161,6 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dataset(args, config) -> int:
+    from .corpus import (
+        PipelineStats,
+        build_dataset,
+        dedupe,
+        emit_dataset,
+        exclude_leakage,
+        ingest_diff_corpus,
+    )
+
     stats = PipelineStats()
     filter_config = config.filter
     if args.max_length is not None or args.tokenizer is not None:
@@ -189,6 +178,8 @@ def _cmd_dataset(args, config) -> int:
 
 def _function_named(path: str, name: str):
     """The first function called `name` in the file; None after printing an error."""
+    from .syntax import SourceFile, extract_functions
+
     source = SourceFile(path, Path(path).read_text(encoding="utf-8"))
     for fn in extract_functions(source):
         if fn.name == name:
@@ -198,6 +189,8 @@ def _function_named(path: str, name: str):
 
 
 def _cmd_show(args, config) -> int:
+    from .representations import InputKind, OutputKind, Region, build_input, build_output
+
     fn = _function_named(args.file, args.function)
     if fn is None:
         return 1
@@ -220,6 +213,9 @@ def _cmd_show(args, config) -> int:
 
 
 def _cmd_repair(args, config) -> int:
+    from .assess import RatingStore
+    from .bench import RecordStore, aggregate, load_manifest, report, run_benchmark
+
     manifest = load_manifest(args.manifest, profile=args.profile)
     gen_config = config.generation
     if args.backend:
@@ -247,6 +243,9 @@ def _cmd_repair(args, config) -> int:
 
 
 def _cmd_report(args, config) -> int:
+    from .assess import RatingStore
+    from .bench import RecordStore, aggregate, rank_curve, report
+
     records = list(RecordStore(args.store).load().values())
     ratings = RatingStore(args.ratings) if args.ratings else None
     table = aggregate(records, ratings=ratings, universe=args.universe)
@@ -259,6 +258,8 @@ def _cmd_report(args, config) -> int:
 
 
 def _cmd_rate(args, config) -> int:
+    from .assess import RatingStore, SemanticRating
+
     RatingStore(args.store).add(
         SemanticRating(args.bug, args.rank, args.rater, args.label, args.round)
     )
@@ -267,6 +268,8 @@ def _cmd_rate(args, config) -> int:
 
 
 def _cmd_kappa(args, config) -> int:
+    from .assess import RatingStore, cohen_kappa
+
     store = RatingStore(args.store)
     result = cohen_kappa(store, args.rater_a, args.rater_b)
     print(
@@ -277,6 +280,8 @@ def _cmd_kappa(args, config) -> int:
 
 
 def _cmd_export_train_config(args, config) -> int:
+    from .corpus import TrainingConfig, export_training_config
+
     export_training_config(args.out, TrainingConfig(), dataset=args.dataset)
     print(f"wrote {args.out}")
     return 0

@@ -3,6 +3,14 @@
 Precedence is flags > environment > file > defaults; the CLI applies flag
 overrides on top of the ToolConfig produced here. Recognized environment
 variables: REPAIR_CONFIG (config file path) and REPAIR_BACKEND_URL.
+
+This module also holds everything a CLI call needs before it dispatches to
+a subcommand: the three section classes (`Markers`, `CorpusFilterConfig`,
+`GenerationConfig`) and the choices the argument parser offers
+(`PROFILES`, `REPORT_FORMATS`). It imports nothing from repairkit but
+`errors`, so a CLI call loads only the modules its subcommand runs. The
+modules that use these names (`representations`, `corpus`, `gen`, `bench`)
+re-export them.
 """
 from __future__ import annotations
 
@@ -10,15 +18,64 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
-from .corpus import CorpusFilterConfig
 from .errors import ConfigError
-from .gen import GenerationConfig
-from .representations import Markers
+
+if TYPE_CHECKING:
+    from .gen import Backend
 
 ENV_CONFIG = "REPAIR_CONFIG"
 ENV_BACKEND_URL = "REPAIR_BACKEND_URL"
+
+
+@dataclass(frozen=True)
+class Markers:
+    """Marker strings used by IR2/IR3/IR4 renderings. All configurable."""
+
+    fill_token: str = "<FILL_ME>"
+    start_comment: str = "// buggy code starts here"
+    end_comment: str = "// buggy code ends here"
+    buggy_header: str = "// buggy code"
+    comment_prefix: str = "// "
+
+
+DEFAULT_STOP_TOKENS: tuple[str, ...] = ("</s>", "<EOT>", "<|endoftext|>")
+
+
+@dataclass(frozen=True)
+class CorpusFilterConfig:
+    max_length: int = 1024  # strict cap on tokens(input) + tokens(output)
+    tokenizer: str = "approximate"
+
+
+@dataclass
+class GenerationConfig:
+    num_candidates: int = 10
+    max_new_tokens: int = 512
+    stop_tokens: tuple[str, ...] = DEFAULT_STOP_TOKENS
+    backend: Union[str, Backend, None] = None  # endpoint URL or in-process object
+    timeout: float = 60.0
+    retries: int = 3  # additional attempts after the first
+    retry_base_delay: float = 0.5
+
+    def __post_init__(self):
+        if self.num_candidates < 1:
+            raise ValueError("num_candidates must be >= 1")
+
+
+# Benchmark bugs whose reference fix also occurs in the public diff corpus;
+# pairs matching them are excluded from fine-tuning data to avoid leakage.
+DEFAULT_LEAKAGE_BUGS: tuple[str, ...] = ("Math-28", "Math-44", "JacksonDatabind-82")
+
+# Benchmark profiles and the bugs each one drops: single-function Defects4J
+# (leakage denylist applied) and HumanEval-Java. Benchmark data is not bundled.
+PROFILES: dict[str, tuple[str, ...]] = {
+    "defects4j-sf": DEFAULT_LEAKAGE_BUGS,
+    "humaneval-java": (),
+}
+
+REPORT_FORMATS = ("plain", "delimited", "markdown-table")
 
 
 @dataclass

@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import logging
 import re
-import shlex
-import subprocess
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
 
+from .config import DEFAULT_LEAKAGE_BUGS, CorpusFilterConfig  # the first is re-exported
 from .errors import (
     CorpusLayoutError,
     MixedPairDataset,
@@ -37,10 +36,6 @@ from .representations import (
 from .syntax import SourceFile, SourceFunction, extract_functions_of_edit
 
 log = logging.getLogger(__name__)
-
-# Benchmark bugs whose reference fix also occurs in the public diff corpus;
-# pairs matching them are excluded from fine-tuning data to avoid leakage.
-DEFAULT_LEAKAGE_BUGS: tuple[str, ...] = ("Math-28", "Math-44", "JacksonDatabind-82")
 
 
 @dataclass(frozen=True)
@@ -65,12 +60,6 @@ class TrainingSample:
     input: str
     output: str
     token_count: int
-
-
-@dataclass(frozen=True)
-class CorpusFilterConfig:
-    max_length: int = 1024  # strict cap on tokens(input) + tokens(output)
-    tokenizer: str = "approximate"
 
 
 @dataclass(frozen=True)
@@ -360,6 +349,9 @@ def count_tokens(text: str, tokenizer_id: str = "approximate") -> int:
     if tokenizer_id == "approximate":
         return len(_APPROX_TOKEN_RE.findall(text))
     if tokenizer_id.startswith("external:"):
+        import shlex
+        import subprocess
+
         command = tokenizer_id[len("external:") :]
         result = subprocess.run(
             shlex.split(command),

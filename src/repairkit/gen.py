@@ -10,15 +10,11 @@ many ranked candidates it wants.
 from __future__ import annotations
 
 import json
-import socket
-import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Mapping, Optional, Protocol, Sequence, Union
+from typing import Callable, Mapping, Optional, Protocol, Sequence
 
+from .config import DEFAULT_STOP_TOKENS, GenerationConfig  # the first is re-exported
 from .errors import (
     BackendError,
     BackendTimeout,
@@ -27,7 +23,6 @@ from .errors import (
 )
 from .representations import (
     DEFAULT_MARKERS,
-    DEFAULT_STOP_TOKENS,
     InputKind,
     Markers,
     Region,
@@ -40,21 +35,6 @@ class Backend(Protocol):
     def complete(
         self, prompt: str, n: int, max_new_tokens: int, stop: Sequence[str]
     ) -> list[str]: ...
-
-
-@dataclass
-class GenerationConfig:
-    num_candidates: int = 10
-    max_new_tokens: int = 512
-    stop_tokens: tuple[str, ...] = DEFAULT_STOP_TOKENS
-    backend: Union[str, Backend, None] = None  # endpoint URL or in-process object
-    timeout: float = 60.0
-    retries: int = 3  # additional attempts after the first
-    retry_base_delay: float = 0.5
-
-    def __post_init__(self):
-        if self.num_candidates < 1:
-            raise ValueError("num_candidates must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -154,6 +134,10 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
 
 
 def _http_complete(url: str, config: GenerationConfig, prompt: str) -> list[str]:
+    import socket
+    import urllib.error
+    import urllib.request
+
     body = json.dumps(
         {
             "prompt": prompt,
@@ -206,7 +190,7 @@ class MockBackend:
         self._resolve = resolve
         self._prompts: dict[str, str] = {}
         self.calls = 0
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server = None  # a ThreadingHTTPServer while serving
 
     def bind_prompt(self, bug_id: str, prompt: str) -> None:
         self._prompts[prompt] = bug_id
@@ -227,6 +211,9 @@ class MockBackend:
 
     def serve(self) -> str:
         """Start serving the wire protocol on a loopback port; returns URL."""
+        import threading
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         mock = self
 
         class Handler(BaseHTTPRequestHandler):

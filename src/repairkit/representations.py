@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .config import DEFAULT_STOP_TOKENS, Markers
 from .diffs import UnifiedDiff, apply_diff, make_unified_diff
 from .errors import InvalidRegion, MalformedOutput, RegionMismatch
 from .syntax import SourceFunction
@@ -79,20 +80,7 @@ def valid_pair(pair: ReprPair) -> bool:
     return pair in VALID_PAIRS
 
 
-@dataclass(frozen=True)
-class Markers:
-    """Marker strings used by IR2/IR3/IR4 renderings. All configurable."""
-
-    fill_token: str = "<FILL_ME>"
-    start_comment: str = "// buggy code starts here"
-    end_comment: str = "// buggy code ends here"
-    buggy_header: str = "// buggy code"
-    comment_prefix: str = "// "
-
-
 DEFAULT_MARKERS = Markers()
-
-DEFAULT_STOP_TOKENS: tuple[str, ...] = ("</s>", "<EOT>", "<|endoftext|>")
 
 DIFF_APPLY_FUZZ = 3  # mirrors common patch-tool tolerance for OR3/OR4
 

@@ -549,6 +549,17 @@ class TestRatings:
         assert len(reloaded) == 2
         assert resolve_semantic(reloaded, "b", 0) == PENDING
 
+    def test_failed_write_leaves_no_rating_and_can_be_retried(self, tmp_path):
+        path = tmp_path / "missing" / "ratings.jsonl"
+        store = RatingStore(path)
+        rating = SemanticRating("b", 0, "alice", CORRECT)
+        with pytest.raises(FileNotFoundError):
+            store.add(rating)
+        assert len(store) == 0
+        path.parent.mkdir()
+        store.add(rating)
+        assert len(RatingStore(path)) == 1
+
     def test_torn_last_line_is_skipped_then_cut(self, tmp_path, caplog):
         path = tmp_path / "ratings.jsonl"
         RatingStore(path).add(SemanticRating("b", 0, "alice", CORRECT))

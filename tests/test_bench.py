@@ -1,8 +1,11 @@
 """Manifest loading, the end-to-end harness, aggregation, and reports."""
+import dataclasses
 import json
 import logging
 import os
+import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -85,6 +88,13 @@ class TestLoadManifest:
         path = tmp_path / "m.json"
         path.write_text(json.dumps([_entry(**{field: value})]))
         with pytest.raises(ManifestError, match=f"{field} must be a string"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("file", ["/tmp/Lib.java", "../Lib.java", "src/../../Lib.java"])
+    def test_file_outside_project_rejected(self, tmp_path, file):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([_entry(file=file)]))
+        with pytest.raises(ManifestError, match="file must be a path inside project_root"):
             load_manifest(path)
 
     def test_bad_json_rejected(self, tmp_path):
@@ -190,6 +200,45 @@ class TestRunBenchmark:
         records = run_benchmark(manifest, PAIR, GenerationConfig(backend=mock))
         assert records[0].error is None
         assert any(v.exact for v in records[0].verdicts)
+
+    @pytest.mark.parametrize("escape", ["absolute", "dotdot", "symlink"])
+    def test_plausibility_never_writes_outside_its_copy(
+        self, bench_fixture, tmp_path, monkeypatch, escape
+    ):
+        """A target the copy would reach outside itself, by an absolute
+        path, by `..` or through a symlink, is never written. The bug is
+        recorded and the next bug is still run. load_manifest refuses the
+        first two, so their entries are built directly."""
+        manifest_path, mock, _ = bench_fixture
+        first, second = load_manifest(manifest_path)[:2]
+        project = Path(first.project_root)
+        real = project / "Lib.java"
+        if escape == "absolute":
+            first = dataclasses.replace(first, file=str(real))
+        elif escape == "dotdot":
+            # The copy lies at <tempdir>/<random>/e2e-00 and the project at
+            # <tmp_path>/bench/e2e-00: with tempdir = tmp_path, the same
+            # `..` path reaches the project's file from either side.
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+            first = dataclasses.replace(first, file="../../bench/e2e-00/Lib.java")
+        else:
+            real = tmp_path / "elsewhere" / "Lib.java"
+            real.parent.mkdir()
+            (project / "Lib.java").rename(real)
+            (project / "Lib.java").symlink_to(real)
+        original = real.read_bytes()
+        for entry in (first, second):
+            mock.fixture_map[entry.bug_id] = ["        return b + a;"]  # tested, not exact
+        records = run_benchmark([first, second], PAIR, GenerationConfig(backend=mock))
+        assert real.read_bytes() == original
+        assert [r.bug_id for r in records] == ["e2e-00", "e2e-01"]
+        if escape == "symlink":  # the link in the copy is replaced, and the test runs
+            assert records[0].error is None
+            assert [v.plausible for v in records[0].verdicts] == ["pass"]
+        else:
+            assert "SpliceError" in records[0].error and "outside" in records[0].error
+        assert records[1].error is None
+        assert [v.plausible for v in records[1].verdicts] == ["pass"]
 
     def test_invalid_pair_rejected(self, bench_fixture):
         manifest_path, mock, _ = bench_fixture
@@ -397,6 +446,35 @@ class TestRecordStoreTornTail:
         assert lines[-1] == b""
         bug_ids = sorted(json.loads(line)["bug_id"] for line in lines[:-1])
         assert bug_ids == sorted(e.bug_id for e in manifest)
+
+    def test_parallel_store_resumes_from_any_cut(self, bench_fixture, tmp_path):
+        """A crash can cut a `workers=2` store after any byte. Resuming from
+        the cut gives the uninterrupted run's records, timings aside, and a
+        store of one whole row per bug."""
+        manifest_path, mock, _ = bench_fixture
+        manifest = load_manifest(manifest_path)
+        config = GenerationConfig(backend=mock)
+
+        def run(path):
+            records = run_benchmark(
+                manifest, PAIR, config, store=RecordStore(path), workers=2, run_tests=False
+            )
+            return [dataclasses.replace(r, timings={}) for r in records]
+
+        whole = run(tmp_path / "whole.jsonl")
+        data = (tmp_path / "whole.jsonl").read_bytes()
+        ends = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        cuts = {c + d for c in ends for d in (-1, 0, 1) if 0 <= c + d <= len(data)}
+        cuts |= set(random.Random(0).sample(range(len(data) + 1), 30))
+        path = tmp_path / "cut.jsonl"
+        for cut in sorted(cuts):
+            path.write_bytes(data[:cut])
+            assert run(path) == whole, cut
+            # A run that appends nothing leaves a last row's missing newline.
+            lines = path.read_bytes().rstrip(b"\n").split(b"\n")
+            assert len(lines) == len(manifest) and all(map(json.loads, lines)), cut
+            reloaded = RecordStore(path).load()
+            assert [dataclasses.replace(reloaded[e.bug_id], timings={}) for e in manifest] == whole
 
     def test_bad_line_mid_file_still_raises(self, bench_fixture, tmp_path):
         manifest_path, mock, _ = bench_fixture

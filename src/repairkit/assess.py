@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gen import CandidatePatch
 from .jsonl import append_line, mend_tail, read_rows
-from .syntax import Node, Tokens, lex_edit, parse, parses_edit, token_key, tokenize
+from .syntax import Node, Tokens, lex_edit, parse, parses_edit, tokenize
 
 PASS = "pass"
 FAIL = "fail"
@@ -270,7 +270,7 @@ class _Reference:
             except ParseError as exc:
                 self.error = exc
             else:
-                self.key = token_key(self.tokens)
+                self.key = self.tokens.key()
         return self.tokens
 
     def parse(self) -> Optional[Node]:
@@ -337,12 +337,12 @@ def classify(
         try:
             if base is None:
                 tokens = tokenize(text)
-                key = token_key(tokens)
+                key = tokens.key()
             else:
                 first, last, window = lex_edit(reference, base, text)
                 key = (
                     ref.key[: base.significant(first)]
-                    + token_key(window)
+                    + window.key()
                     + ref.key[base.significant(last) :]
                 )
         except ParseError:

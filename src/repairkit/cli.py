@@ -23,14 +23,14 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import PROFILES, REPORT_FORMATS, load_tool_config
-from .errors import RepairKitError
+from .errors import ConfigError, RepairKitError
 
 if TYPE_CHECKING:
     from .representations import Region, ReprPair
 
 
 def _pair_argument(value: str) -> ReprPair:
-    from .representations import ALL_PAIRS, ReprPair, valid_pair
+    from .representations import VALID_PAIRS, ReprPair, valid_pair
 
     try:
         pair = ReprPair.parse(value)
@@ -39,7 +39,7 @@ def _pair_argument(value: str) -> ReprPair:
             f"{value!r} is not a representation pair tag (like IR4xOR2)"
         )
     if not valid_pair(pair):
-        valid = ", ".join(str(p) for p in sorted(ALL_PAIRS, key=str) if valid_pair(p))
+        valid = ", ".join(str(p) for p in sorted(VALID_PAIRS, key=str))
         raise argparse.ArgumentTypeError(
             f"{pair} is not a usable pairing; the valid pairs are: {valid}"
         )
@@ -159,7 +159,16 @@ def _cmd_dataset(args, config) -> int:
         )
     denylist = {}
     if args.denylist:
-        denylist = json.loads(Path(args.denylist).read_text(encoding="utf-8"))
+        try:
+            denylist = json.loads(Path(args.denylist).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"denylist {args.denylist}: {exc}") from None
+        if not isinstance(denylist, dict) or not all(
+            isinstance(text, str) for text in denylist.values()
+        ):
+            raise ConfigError(
+                f"denylist {args.denylist}: not a JSON object mapping bug ids to function text"
+            )
     pairs = ingest_diff_corpus(args.corpus, stats)
     pairs = dedupe(pairs, stats)
     pairs = exclude_leakage(pairs, denylist, stats)

@@ -24,6 +24,7 @@ from .errors import (
     RegionMismatch,
     UnknownTokenizer,
 )
+from .jsonl import read_rows
 from .representations import (
     DEFAULT_MARKERS,
     Markers,
@@ -423,22 +424,15 @@ def emit_dataset(samples: Iterable[TrainingSample], out: Path | str) -> int:
 
 
 def load_dataset(path: Path | str) -> list[TrainingSample]:
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            samples.append(
-                TrainingSample(
-                    rec["id"],
-                    ReprPair.parse(rec["pair"]),
-                    rec["input"],
-                    rec["output"],
-                    rec["token_count"],
-                )
-            )
-    return samples
+    """The samples of a dataset file. A line that is not a sample raises
+    StoreError, which names the file and line."""
+    return list(read_rows(path, _sample_of_row))
+
+
+def _sample_of_row(row: dict) -> TrainingSample:
+    return TrainingSample(
+        row["id"], ReprPair.parse(row["pair"]), row["input"], row["output"], row["token_count"]
+    )
 
 
 def render_training_config(config: TrainingConfig = TrainingConfig()) -> str:

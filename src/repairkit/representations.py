@@ -65,10 +65,6 @@ VALID_PAIRS: frozenset[ReprPair] = frozenset(
     }
 )
 
-ALL_PAIRS: tuple[ReprPair, ...] = tuple(
-    ReprPair(i, o) for i in InputKind for o in OutputKind
-)
-
 
 def valid_pair(pair: ReprPair) -> bool:
     """True for exactly the six coherent pairings.
@@ -255,7 +251,6 @@ def reconstruct(
     model_output: str,
     markers: Markers = DEFAULT_MARKERS,
     stop_tokens: Iterable[str] = DEFAULT_STOP_TOKENS,
-    fuzz: int = DIFF_APPLY_FUZZ,
 ) -> str:
     """Turn a raw model output into a full candidate function.
 
@@ -277,4 +272,4 @@ def reconstruct(
             lines[: region.start_line - 1] + chunk + lines[region.end_line :]
         )
     diff = UnifiedDiff.parse(text)
-    return apply_diff(diff, fn.text, fuzz=fuzz)
+    return apply_diff(diff, fn.text, fuzz=DIFF_APPLY_FUZZ)

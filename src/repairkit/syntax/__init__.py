@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..errors import ParseError
 from .parser import parse, parses_edit
-from .tokens import IDENTIFIER, Token, Tokens, _kind, lex_edit, token_key, tokenize
+from .tokens import IDENTIFIER, Token, Tokens, _kind, lex_edit, tokenize
 from .tree import Node, SyntaxNode, ast_key
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "parses_edit",
     "tokenize",
     "lex_edit",
-    "token_key",
     "extract_functions",
     "extract_functions_of_edit",
     "ast_key",

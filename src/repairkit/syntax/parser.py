@@ -21,19 +21,22 @@ its node as that token's index; no `Token` is built unless a `ParseError`
 needs a position or the source is a lone token. A node's span and lines are read from the token lists
 when asked (see `tree.SyntaxNode`).
 
-Most tokens sit in flat runs: the leaves of a delimiter group, or of a
-simple statement up to its `;`. `_take_run`, which `parse_group` and
-`_take_through_semicolon` share, walks such a run with a local index,
-tests each token's text only against the delimiters that end the run, and
-appends the run's leaves to the node as one range; a comment just before
-a nested group's opener goes into that group, as its first leaf. It
-returns at the delimiter, and the caller parses a nested group by a
-recursive call, never with a stack of its own, so the parser still takes
-one frame per nesting level.
+Most tokens sit in flat runs: the leaves of a delimiter group, of a
+simple statement up to its `;`, or of a declaration's header, member
+prefix, method tail, type parameters or enum constants. `_take_run` walks
+every such run with a local index, tests each token's text only against
+the texts that end the run, and appends the run's leaves to the node as
+one range; a comment just before a nested group's opener goes into that
+group, as its first leaf. It returns at the stop, and the caller parses a
+nested group by a recursive call, never with a stack of its own, so the
+parser still takes one frame per nesting level. `_take_until` walks the
+runs that end at given texts outside any group, such as a statement's `;`
+or the `{` of a type's body, and rejects a closer or another `;` on the
+way; groups, member prefixes and enum constants call `_take_run` directly.
 
 Every choice the parser makes reads the texts of the significant tokens
 and nothing else: no offset, line or comment. So whether a source parses,
-and its tree without comments, follow from its `token_key`. Where the
+and its tree without comments, follow from its `Tokens.key()`. Where the
 grammar needs a token's kind, such as an identifier, the kind follows
 from the text.
 
@@ -100,7 +103,16 @@ _CLOSERS = {"(": ")", "[": "]", "{": "}"}
 _DELIMITERS = frozenset("()[]{}")
 _STATEMENT_STOPS = _DELIMITERS | {";"}
 _CLOSING = frozenset(")]}")
-_CLOSING_OR_SEMICOLON = _CLOSING | {";"}
+# The ends of the runs `_take_until` walks, each with its run's stops.
+_SEMICOLON = frozenset(";")
+_BODY = frozenset("{")
+_METHOD_TAIL_ENDS = frozenset({"{", ";", "default"})
+_ANGLES = frozenset("<>")
+_UNTIL_STOPS = {
+    ends: ends | _STATEMENT_STOPS for ends in (_SEMICOLON, _BODY, _METHOD_TAIL_ENDS, _ANGLES)
+}
+# What ends a run of enum constants; a stray `)` or `]` there is a leaf.
+_ENUM_CONSTANT_STOPS = frozenset("([{};")
 # The texts that end a member's header at delimiter depth 0.
 _MEMBER_STOPS = frozenset("(=;{")
 _SIMPLE_STATEMENTS = frozenset({"return", "throw", "break", "continue", "assert"})
@@ -226,6 +238,23 @@ class _Parser:
         self.i = j
         return stop
 
+    def _take_until(self, kids: list, ends: frozenset[str], message: str) -> str:
+        """Append leaves and groups to `kids` up to the next token outside a
+        group whose text is in `ends`, and return that text; the token is
+        not taken. A closer, or a `;` not in `ends`, raises ParseError with
+        `message`, as does the end of input."""
+        texts, stops = self.texts, _UNTIL_STOPS[ends]
+        while True:
+            stop = self._take_run(kids, stops)
+            if stop == self.n:
+                raise self._eof_error(message)
+            text = texts[stop]
+            if text in ends:
+                return text
+            if text not in _GROUP_KINDS:
+                raise self.error(message)
+            kids.append(self.parse_group())
+
     # ---- statements ----------------------------------------------------
 
     def parse_block(self) -> SyntaxNode:
@@ -236,7 +265,6 @@ class _Parser:
             if text is None:
                 raise self._eof_error("expected '}'")
             if text == "}":
-                self.drain_comments(kids)
                 self.take_leaf(kids)
                 return SyntaxNode("block", kids, self.tokens)
             kids.append(self.parse_statement())
@@ -291,24 +319,10 @@ class _Parser:
 
     def _finish_simple(self, kind: str, kids: list) -> SyntaxNode:
         """Consume a run of tokens and groups up to and including ';'."""
-        self._take_through_semicolon(kids)
+        self._take_until(kids, _SEMICOLON, "expected ';'")
+        kids.append(self.i)
+        self.i += 1
         return SyntaxNode(kind, kids, self.tokens)
-
-    def _take_through_semicolon(self, kids: list) -> None:
-        """Append leaves and groups to `kids` up to and including ';'."""
-        texts = self.texts
-        while True:
-            stop = self._take_run(kids, _STATEMENT_STOPS)
-            if stop == self.n:
-                raise self._eof_error("expected ';'")
-            text = texts[stop]
-            if text == ";":
-                kids.append(stop)
-                self.i = stop + 1
-                return
-            if text not in _GROUP_KINDS:
-                raise self.error("expected ';'")
-            kids.append(self.parse_group())
 
     def _parse_paren(self, kids: list) -> None:
         if self.peek() != "(":
@@ -325,12 +339,14 @@ class _Parser:
             kids.append(self.parse_statement())
         return SyntaxNode("if_statement", kids, self.tokens)
 
-    def _parse_while(self) -> SyntaxNode:
+    def _parse_loop(self) -> SyntaxNode:
+        """A `while` or `for` statement, named after its keyword."""
         kids: list = []
         self.take_leaf(kids)
+        kind = f"{self.texts[kids[-1]]}_statement"
         self._parse_paren(kids)
         kids.append(self.parse_statement())
-        return SyntaxNode("while_statement", kids, self.tokens)
+        return SyntaxNode(kind, kids, self.tokens)
 
     def _parse_do(self) -> SyntaxNode:
         kids: list = []
@@ -342,13 +358,6 @@ class _Parser:
         self._parse_paren(kids)
         self.expect(";", kids)
         return SyntaxNode("do_statement", kids, self.tokens)
-
-    def _parse_for(self) -> SyntaxNode:
-        kids: list = []
-        self.take_leaf(kids)
-        self._parse_paren(kids)
-        kids.append(self.parse_statement())
-        return SyntaxNode("for_statement", kids, self.tokens)
 
     def _parse_switch(self) -> SyntaxNode:
         kids: list = []
@@ -486,28 +495,30 @@ class _Parser:
         if text is None or _kind(text) not in _WORD_KINDS:
             raise self.error("expected type name")
         self.take_leaf(kids)
-        while True:
-            text = self.peek()
-            if text is None:
-                raise self._eof_error("expected '{'")
-            if text == "{":
-                break
-            if text in ("(", "["):
-                kids.append(self.parse_group())
-            elif text in _CLOSING_OR_SEMICOLON:
-                raise self.error("expected '{'")
-            else:
-                self.take_leaf(kids)
+        self._take_until(kids, _BODY, "expected '{'")
+        body: list = []
+        self.take_leaf(body)  # '{'
         if flavor == "enum":
-            kids.append(self._parse_enum_body())
-        else:
-            kids.append(self._parse_class_body())
+            # The constants, up to a `;` or the body's `}`, which
+            # `_parse_members` takes.
+            texts = self.texts
+            while True:
+                stop = self._take_run(body, _ENUM_CONSTANT_STOPS)
+                if stop == self.n:
+                    raise self._eof_error("expected '}'")
+                text = texts[stop]
+                if text == "}":
+                    break
+                if text == ";":
+                    self.take_leaf(body)
+                    break
+                body.append(self.parse_group())
+        kids.append(self._parse_members("enum_body" if flavor == "enum" else "class_body", body))
         kind = "annotation_declaration" if flavor == "annotation" else f"{flavor}_declaration"
         return SyntaxNode(kind, kids, self.tokens)
 
-    def _parse_class_body(self) -> SyntaxNode:
-        kids: list = []
-        self.expect("{", kids)
+    def _parse_members(self, kind: str, kids: list) -> SyntaxNode:
+        """The members of a class or enum body, through its `}`."""
         while True:
             self.drain_comments(kids)
             text = self.peek()
@@ -515,42 +526,11 @@ class _Parser:
                 raise self._eof_error("expected '}'")
             if text == "}":
                 self.take_leaf(kids)
-                return SyntaxNode("class_body", kids, self.tokens)
+                return SyntaxNode(kind, kids, self.tokens)
             if text == ";":
                 self.take_leaf(kids)
-                continue
-            kids.append(self.parse_declaration())
-
-    def _parse_enum_body(self) -> SyntaxNode:
-        kids: list = []
-        self.expect("{", kids)
-        while True:
-            text = self.peek()
-            if text is None:
-                raise self._eof_error("expected '}'")
-            if text == "}":
-                self.drain_comments(kids)
-                self.take_leaf(kids)
-                return SyntaxNode("enum_body", kids, self.tokens)
-            if text == ";":
-                self.take_leaf(kids)
-                break
-            if text in _GROUP_KINDS:
-                kids.append(self.parse_group())
             else:
-                self.take_leaf(kids)
-        while True:
-            self.drain_comments(kids)
-            text = self.peek()
-            if text is None:
-                raise self._eof_error("expected '}'")
-            if text == "}":
-                self.take_leaf(kids)
-                return SyntaxNode("enum_body", kids, self.tokens)
-            if text == ";":
-                self.take_leaf(kids)
-                continue
-            kids.append(self.parse_declaration())
+                kids.append(self.parse_declaration())
 
     # -- member classification: find the first structural token at
     #    delimiter depth 0 after the current position.
@@ -588,11 +568,9 @@ class _Parser:
             # A constructor has nothing but its name before the parameter
             # list; a method carries return-type tokens in front of it.
             is_ctor = self._count_significant(at) == 1
-            while self._next_significant_index() < at:
-                if self.peek() in _GROUP_KINDS:
-                    kids.append(self.parse_group())
-                else:
-                    self.take_leaf(kids)
+            # Before `at`, the first `(` at depth 0, only `[` opens a group.
+            while self._take_run(kids, _DELIMITERS) != at:
+                kids.append(self.parse_group())
             kids.append(self.parse_group())  # parameter list
             self._finish_method_tail(kids)
             kind = "constructor_declaration" if is_ctor else "method_declaration"
@@ -610,47 +588,26 @@ class _Parser:
         kids: list = []
         depth = 0
         while True:
-            text = self.peek()
-            if text is None:
-                raise self._eof_error("unbalanced '<'")
-            if text == "<":
-                depth += 1
-                self.take_leaf(kids)
-            elif text == ">":
-                depth -= 1
-                self.take_leaf(kids)
-                if depth == 0:
-                    return SyntaxNode("type_parameters", kids, self.tokens)
-            elif text in _GROUP_KINDS:
-                kids.append(self.parse_group())
-            elif text in _CLOSING_OR_SEMICOLON:
-                raise self.error("unbalanced '<'")
-            else:
-                self.take_leaf(kids)
+            angle = self._take_until(kids, _ANGLES, "unbalanced '<'")
+            self.take_leaf(kids)
+            depth += 1 if angle == "<" else -1
+            if depth == 0:
+                return SyntaxNode("type_parameters", kids, self.tokens)
 
     def _finish_method_tail(self, kids: list) -> None:
-        while True:
-            text = self.peek()
-            if text is None:
-                raise self._eof_error("expected method body or ';'")
-            if text == "{":
-                kids.append(self.parse_block())
-                return
-            if text == ";":
-                self.take_leaf(kids)
-                return
-            if text == "default":
-                # An annotation element's default value; braces there hold
-                # an array of values, not a body.
-                self.take_leaf(kids)
-                self._take_through_semicolon(kids)
-                return
-            if text in ("(", "["):
-                kids.append(self.parse_group())
-            elif text in _CLOSING:
-                raise self.error("expected method body or ';'")
-            else:
-                self.take_leaf(kids)
+        # Most bodies follow the parameter list at once: one call for them.
+        end = "{" if self.peek() == "{" else self._take_until(
+            kids, _METHOD_TAIL_ENDS, "expected method body or ';'"
+        )
+        if end == "default":
+            # An annotation element's default value; braces there hold
+            # an array of values, not a body.
+            self.take_leaf(kids)
+            end = self._take_until(kids, _SEMICOLON, "expected ';'")
+        if end == "{":
+            kids.append(self.parse_block())
+        else:
+            self.take_leaf(kids)
 
     # ---- entry ----------------------------------------------------------
 
@@ -682,9 +639,9 @@ class _Parser:
 # The statements that start with a keyword and have a parser of their own.
 _COMPOUND_STATEMENTS = {
     "if": _Parser._parse_if,
-    "while": _Parser._parse_while,
+    "while": _Parser._parse_loop,
     "do": _Parser._parse_do,
-    "for": _Parser._parse_for,
+    "for": _Parser._parse_loop,
     "switch": _Parser._parse_switch,
     "try": _Parser._parse_try,
     "synchronized": _Parser._parse_synchronized,

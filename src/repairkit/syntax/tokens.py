@@ -352,12 +352,6 @@ def lex_edit(base: str, base_tokens: Tokens, text: str) -> tuple[int, int, Token
     return first, len(base_tokens), _lex(text, start, len(text))
 
 
-def token_key(tokens: Tokens) -> tuple[str, ...]:
-    """The texts of the non-comment tokens, in order: `ast_key` of the
-    tree whose leaves they are."""
-    return tokens.key()
-
-
 def _lex(source: str, pos: int, endpos: int) -> Tokens:
     """The tokens of `source[pos:endpos]`, with offsets, lines and columns
     in the whole source, provided `pos` is the start of a line there."""

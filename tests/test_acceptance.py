@@ -23,8 +23,9 @@ from repairkit.diffs import UnifiedDiff, apply_diff, make_unified_diff
 from repairkit.errors import AggregateInvariantError, HunkApplyFailure
 from repairkit.gen import GenerationConfig
 from repairkit.representations import (
-    ALL_PAIRS,
     VALID_PAIRS,
+    InputKind,
+    OutputKind,
     ReprPair,
     build_output,
     enumerate_regions,
@@ -57,13 +58,14 @@ def test_criterion_01_representation_round_trip(roundtrip_triples):
 
 def test_criterion_02_pairing_matrix():
     """valid_pair accepts exactly the six documented combinations."""
-    accepted = {pair for pair in ALL_PAIRS if valid_pair(pair)}
+    all_pairs = [ReprPair(i, o) for i in InputKind for o in OutputKind]
+    accepted = {pair for pair in all_pairs if valid_pair(pair)}
     assert accepted == {
         ReprPair.parse(tag)
         for tag in ("IR1xOR1", "IR1xOR3", "IR1xOR4", "IR2xOR2", "IR3xOR2", "IR4xOR2")
     }
-    assert len(ALL_PAIRS) == 16
-    assert sum(1 for pair in ALL_PAIRS if not valid_pair(pair)) == 10
+    assert len(all_pairs) == 16
+    assert sum(1 for pair in all_pairs if not valid_pair(pair)) == 10
 
 
 @pytest.mark.parametrize("n", range(1, 51))

@@ -51,7 +51,7 @@ from repairkit.errors import (
     SpliceError,
 )
 from repairkit.gen import CandidatePatch
-from repairkit.syntax import parser, parses_edit, token_key, tokenize
+from repairkit.syntax import parser, parses_edit, tokenize
 
 PY = shlex.quote(sys.executable)
 
@@ -487,7 +487,7 @@ def _fake_check(project_root, location, candidate, spec):
     """A suite whose outcome, or SpliceError, follows from the candidate's
     token texts when it lexes, else from its text."""
     try:
-        basis = "\0".join(token_key(tokenize(candidate)))
+        basis = "\0".join(tokenize(candidate).key())
     except ParseError:
         basis = candidate
     digest = zlib.crc32(basis.encode())

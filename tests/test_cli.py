@@ -105,6 +105,19 @@ class TestDatasetCommand:
         assert "excluded=1" in captured
         assert f"emitted={CORPUS_EXPECTED['emitted'] - 1}" in captured
 
+    @pytest.mark.parametrize("text", ["{bad", "[1, 2]", '{"Math-1": 5}'])
+    def test_bad_denylist_is_an_error(self, diff_corpus, tmp_path, capsys, text):
+        deny_path = tmp_path / "deny.json"
+        deny_path.write_text(text)
+        out = tmp_path / "data.jsonl"
+        status = main(
+            ["dataset", "--corpus", str(diff_corpus), "--pair", "IR4xOR2",
+             "--out", str(out), "--denylist", str(deny_path)]
+        )
+        assert status == 1
+        assert capsys.readouterr().err.startswith(f"error: denylist {deny_path}: ")
+        assert not out.exists()
+
 
 class TestShowCommand:
     @pytest.fixture()
@@ -392,6 +405,20 @@ class TestExportTrainConfig:
         out = tmp_path / "train.cfg"
         assert main(["export-train-config", "--out", str(out)]) == 0
         assert out.read_text() == golden("train_config.txt")
+
+    @pytest.mark.parametrize(
+        "bad_line,reason",
+        [("{bad", "JSONDecodeError"), ('{"id": "u2", "input": "x", "output": "y"}', "KeyError")],
+    )
+    def test_corrupt_dataset_is_an_error(self, tmp_path, capsys, bad_line, reason):
+        row = {"id": "u1", "input": "x", "output": "y", "pair": "IR4xOR2", "token_count": 2}
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(f"{json.dumps(row)}\n{bad_line}\n{json.dumps(row)}\n")
+        out = tmp_path / "train.cfg"
+        status = main(["export-train-config", "--out", str(out), "--dataset", str(dataset)])
+        assert status == 1
+        assert capsys.readouterr().err.startswith(f"error: {dataset}:2: {reason}: ")
+        assert not out.exists()
 
 
 class TestToolConfig:

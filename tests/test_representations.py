@@ -8,7 +8,6 @@ from repairkit.errors import (
     RegionMismatch,
 )
 from repairkit.representations import (
-    ALL_PAIRS,
     DEFAULT_MARKERS,
     VALID_PAIRS,
     InputKind,
@@ -45,7 +44,7 @@ REGION = Region(3, 3)
 
 class TestValidPair:
     def test_exactly_six_of_sixteen(self):
-        matrix = {pair: valid_pair(pair) for pair in ALL_PAIRS}
+        matrix = {ReprPair(i, o): valid_pair(ReprPair(i, o)) for i in InputKind for o in OutputKind}
         assert sum(matrix.values()) == 6
         assert {p for p, ok in matrix.items() if ok} == VALID_PAIRS
 

@@ -1121,18 +1121,51 @@ def _tree_or_error(parser, source):
 
 _COMMENTS = [" /* c */ ", "// c\n", "/**/", "/* two\n lines */"]
 
+# Each way a declaration ends a run of leaves and groups: a type header at
+# its `{`, `throws` clauses and a dimension after the parameters, nested
+# type parameters, enum constants with arguments, with a body and with a
+# stray `)`, an annotation element's `default {...}`, and a record's
+# compact constructor.
+DECLARATIONS = (
+    "class Decls<T extends Comparable<? super T>> extends Base<T> implements Api {\n"
+    "    <K extends Map<String, List<K>>, V> Map<K, V> zip(List<K> ks) throws IOException, E {\n"
+    "        return null;\n"
+    "    }\n"
+    "    Decls(int x) throws Exception { super(); }\n"
+    "    abstract int[] pick(int[] a)[] throws X;\n"
+    "    enum Op {\n"
+    "        PLUS(\"+\") { int apply(int a, int b) { return a + b; } },\n"
+    "        MINUS(\"-\"), TIMES), NONE;\n"
+    "        Op(String s) {}\n"
+    "        int apply(int a, int b) { return 0; }\n"
+    "    }\n"
+    "    @interface Tag {\n"
+    "        int[] values() default {1, 2};\n"
+    "        String name() default \"x\";\n"
+    "    }\n"
+    "    record Point(int x, int y) implements Api {\n"
+    "        Point {\n"
+    "            if (x < 0) throw new IllegalArgumentException();\n"
+    "        }\n"
+    "    }\n"
+    "}"
+)
+
+# The texts that end the parser's runs, or open a group inside one.
+_RUN_ENDS = frozenset({"(", "[", "{", ")", "]", "}", ";", "<", ">", "default"})
+
 
 @st.composite
 def _commented_openers(draw):
-    """A known source, the golden ones included, with comments just before
-    some of its tokens, most often before a `(`, `[` or `{`, and maybe cut
-    short after a token."""
-    source = draw(st.sampled_from(EDIT_BASES))
+    """A known source, the golden ones and `DECLARATIONS` included, with
+    comments just before some of its tokens, most often before a text that
+    ends a run, and maybe cut short after a token."""
+    source = draw(st.one_of(st.sampled_from(EDIT_BASES), st.just(DECLARATIONS)))
     tokens = tokenize(source)
     rolls = draw(st.lists(st.integers(0, 99), min_size=len(tokens), max_size=len(tokens)))
     parts, at = [], 0
     for token, roll in zip(tokens, rolls):
-        if roll < (50 if token.text in ("(", "[", "{") else 5):
+        if roll < (50 if token.text in _RUN_ENDS else 5):
             parts += [source[at : token.start], _COMMENTS[roll % len(_COMMENTS)]]
             at = token.start
     parts.append(source[at:])

@@ -304,9 +304,8 @@ def classify(
     is lexed at most once per call, parsed at most once, and keeps its
     tree. Each other reconstructed candidate is lexed once, before its test
     run, by `lex_edit` against the reference, so only the lines where it
-    differs are lexed. Its key, the texts of its non-comment tokens, is the
-    reference's key with the edited tokens' part replaced. The key decides
-    the rest:
+    differs are lexed, and the other tokens are the reference's. Its key is
+    the texts of its non-comment tokens, and decides the rest:
     - A candidate whose key equals that of a candidate tested earlier in
       the call shares that candidate's test verdict and is not tested.
       This assumes a suite's outcome ignores comments and whitespace.
@@ -337,14 +336,9 @@ def classify(
         try:
             if base is None:
                 tokens = tokenize(text)
-                key = tokens.key()
             else:
-                first, last, window = lex_edit(reference, base, text)
-                key = (
-                    ref.key[: base.significant(first)]
-                    + window.key()
-                    + ref.key[base.significant(last) :]
-                )
+                first, last, tokens = lex_edit(base, text)
+            key = tokens.key()
         except ParseError:
             key = None
         if plan is None:
@@ -362,10 +356,8 @@ def classify(
             parse_ok = ref.parse() is not None
         else:
             parse_ok = None
-            if base is not None:
-                tokens = base.splice(first, last, window)
-                if ref.parse() is not None:
-                    parse_ok = parses_edit(ref.tree, base, first, last, tokens)
+            if base is not None and ref.parse() is not None:
+                parse_ok = parses_edit(ref.tree, first, last, tokens)
             if parse_ok is None:
                 try:
                     parse(text, tokens)
@@ -443,6 +435,8 @@ class RatingStore:
 
     def add(self, rating: SemanticRating) -> None:
         bug_id, rank, rater, stage = rating.bug_id, rating.rank, rating.rater, rating.round
+        if rank < 0:
+            raise InvalidRating(f"rank {rank} of {bug_id}: candidate ranks start at 0")
         if any(r.rater == rater for r in self._by_round.get((bug_id, rank, stage), ())):
             raise DuplicateRating(f"{rater} already rated {bug_id}#{rank} ({stage} round)")
         if stage == TIEBREAK:

@@ -189,7 +189,10 @@ def _function_named(path: str, name: str):
     """The first function called `name` in the file; None after printing an error."""
     from .syntax import SourceFile, extract_functions
 
-    source = SourceFile(path, Path(path).read_text(encoding="utf-8"))
+    try:
+        source = SourceFile(path, Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     for fn in extract_functions(source):
         if fn.name == name:
             return fn

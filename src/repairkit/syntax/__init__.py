@@ -122,14 +122,12 @@ def extract_functions_of_edit(
     old = before.lines
     nodes = list(_function_nodes(tree))
     before_fns = [_source_function(node, old, before) for node in nodes]
-    first, last, window = lex_edit(before.content, tokens, after.content)
-    if 0 < first <= last < len(tokens):
-        for k, node in enumerate(nodes):
-            if node.first < first and last <= node.last:
-                edited = tokens.splice(first, last, window)
-                if parses_edit(node, tokens, first, last, edited):
-                    return before_fns, _moved(before_fns, k, before, after)
-                break
+    first, last, edited = lex_edit(tokens, after.content)
+    for k, node in enumerate(nodes):
+        if node.first < first and last <= node.last:
+            if parses_edit(node, first, last, edited):
+                return before_fns, _moved(before_fns, k, before, after)
+            break
     return before_fns, extract_functions(after)
 
 

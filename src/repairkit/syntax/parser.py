@@ -40,18 +40,18 @@ and its tree without comments, follow from its `Tokens.key()`. Where the
 grammar needs a token's kind, such as an identifier, the kind follows
 from the text.
 
-`parses_edit(tree, base_tokens, first, last, tokens)` decides whether an
-edit of a parsed source parses, re-parsing only the statements the edit
-changed. `tokens` is `base_tokens` with `base_tokens[first:last]`
-replaced, as `Tokens.splice` joins them with `lex_edit`'s window. `tree`
-is the base's parse or any subtree of it, such as one function, and the
-block is searched inside it: the innermost `block` of `tree` whose `{`
-and `}` both lie outside `[first, last)`. It runs that block's statement
-loop on `tokens` from the latest statement start with at least 3 unchanged
-significant tokens before `first`, or from just after the `{`. When the
-loop reaches, at a statement boundary, the token that followed the edited
-statements in the base, shifted by the change in length, the edit parses;
-a `ParseError` on the way means it does not. This is exact, because a
+`parses_edit(tree, first, last, tokens)` decides whether an edit of a
+parsed source parses, re-parsing only the statements the edit changed.
+The base is `tree.tokens`, which every node of a tree shares, and
+`tokens` is the base with `[first:last)` replaced, as `lex_edit` returns
+them. `tree` is the base's parse or any subtree of it, such as one
+function, and the block is searched inside it: the innermost `block` of
+`tree` whose `{` and `}` both lie outside `[first, last)`. It runs that
+block's statement loop on `tokens` from the latest statement start with
+at least 3 unchanged significant tokens before `first`, or from just
+after the `{`. When the loop reaches, at a statement boundary, the token
+that followed the edited statements in the base, shifted by the change
+in length, the edit parses; a `ParseError` on the way means it does not. This is exact, because a
 whole parse of `tokens` takes the same steps:
 - Up to the restart point it reads the same tokens as the base's parse,
   and so stands in the same block with the same enclosing constructs. No
@@ -668,20 +668,19 @@ def parse(source: str, tokens: Optional[Tokens] = None) -> Node:
         raise parser.error("nesting too deep") from None
 
 
-def parses_edit(
-    tree: Node, base_tokens: Tokens, first: int, last: int, tokens: Tokens
-) -> Optional[bool]:
+def parses_edit(tree: Node, first: int, last: int, tokens: Tokens) -> Optional[bool]:
     """Whether `tokens` parses, decided from the statements an edit changed.
 
-    `tree` must be the parse of `base_tokens` or a subtree of it, and
-    `tokens` must be `base_tokens.splice(first, last, window)` for some
-    window. The re-parsed block is searched inside `tree` only.
+    `tree` must be a parse or a subtree of one, and `(first, last, tokens)`
+    what `lex_edit(tree.tokens, text)` returns for some text. The
+    re-parsed block is searched inside `tree` only.
     Returns None when the edit's statements cannot be re-parsed alone
     there, or nest too deeply; see the module docstring for when that is
     and why the verdict is exact.
     """
-    if not 0 < first <= last < len(base_tokens) or not isinstance(tree, SyntaxNode):
+    if not isinstance(tree, SyntaxNode) or not 0 < first <= last < len(tree.tokens):
         return None
+    base_tokens = tree.tokens
     mask = base_tokens.mask
     block = _enclosing_block(tree, first - 1, last, mask)
     if block is None:

@@ -1,10 +1,10 @@
 """Tokenizer for Java source text.
 
 `tokenize(source)` returns a `Tokens`: the source's tokens as parallel
-lists, `texts`, `starts` and `ends` (offsets into the source), and
-`comments`, the indices of the comment tokens. Comments are tokens like
-any other, so the parser keeps them in the syntax tree. `len()` is the
-token count, and indexing or iterating a `Tokens` builds a `Token` on
+lists, `texts` and `starts` (offsets into the source), and `comments`,
+the indices of the comment tokens. Comments are tokens like any other,
+so the parser keeps them in the syntax tree. `len()` is the token count,
+and indexing or iterating a `Tokens` builds a `Token` on
 demand: a `typing.NamedTuple` of six fields (kind, text, start, end, line,
 column), immutable and hashable, which compares equal to a plain tuple of
 the same values. A token's kind follows from its text and is found when
@@ -51,26 +51,26 @@ is exactly what the regex `\\w` matches, plus `$`. A character for which
 `str.isdigit` holds but that is not a Unicode decimal digit, such as `²`,
 starts a malformed number literal.
 
-`lex_edit(base, base_tokens, text)` lexes a text that shares most lines
-with an already lexed `base`, such as a candidate patch and its reference
-fix, only where the two differ. It returns `(first, last, window)` such
-that `base_tokens.splice(first, last, window)` is `tokenize(text)`. The
-window holds tokens of `text` with their offsets there; the base tokens
-after it move by the change in length. The window starts at a line start:
-the first line that differs. Only a block comment, a text block, or a
-string or char escaping a newline can reach past the end of a line, so a
-token of `text` crosses an edge of the changed lines only if the base
-token there does, or if it does not close within them. `lex_edit` takes
-one of three paths:
+`lex_edit(base_tokens, text)` lexes a text that shares most lines with
+an already lexed source, such as a candidate patch and its reference fix,
+only where the two differ. It returns `(first, last, tokens)`: `tokens` is
+`tokenize(text)`, and `base_tokens[first:last]` are the base tokens it
+replaced. It lexes a window of `text` and joins it with the base tokens
+around it; those after the window move by the change in length. The
+window starts at a line start: the first line that differs. Only a block
+comment, a text block, or a string or char escaping a newline can reach
+past the end of a line, so a token of `text` crosses an edge of the
+changed lines only if the base token there does, or if it does not close
+within them. `lex_edit` takes one of three paths:
 - the window: the changed lines lex on their own and no base token
-  crosses either edge; `window` holds their tokens;
+  crosses either edge; the window holds their tokens;
 - lex to the end: a base token crosses the end of the changed lines, or
-  they do not lex on their own; `window` holds the tokens from the first
-  changed line to the end of `text`, and `last = len(base_tokens)`. This is
-  exact, since no token crosses the window start, and a `ParseError` it
-  raises is the one `tokenize(text)` raises, with the same line and
-  column: the lines before lexed in `base`;
-- full: a base token crosses the start of the changed lines; `window` is
+  they do not lex on their own; the window holds the tokens from the
+  first changed line to the end of `text`, and `last = len(base_tokens)`.
+  This is exact, since no token crosses the window start, and a
+  `ParseError` it raises is the one `tokenize(text)` raises, with the same
+  line and column: the lines before lexed in the base;
+- full: a base token crosses the start of the changed lines; `tokens` is
   `tokenize(text)`, with `first = 0` and `last = len(base_tokens)`.
 
 One deliberate quirk: `>` is always lexed as a single-character token and
@@ -219,23 +219,22 @@ class Token(NamedTuple):
 
 
 class Tokens:
-    """The tokens of `source` as parallel lists: `texts`, `starts`, `ends`,
-    and `comments`, the sorted indices of the comment tokens.
+    """The tokens of `source` as parallel lists: `texts`, `starts`, and
+    `comments`, the sorted indices of the comment tokens. A token ends at
+    `end(i)`, its start plus the length of its text.
 
     `len()` is the token count; `tokens[i]` (an int, negative allowed) and
     iteration build `Token`s. `mask` and `newlines` are built on first use.
     """
 
-    __slots__ = ("source", "texts", "starts", "ends", "comments", "_mask", "_newlines")
+    __slots__ = ("source", "texts", "starts", "comments", "_mask", "_newlines")
 
     def __init__(
-        self, source: str, texts: list[str], starts: list[int], ends: list[int],
-        comments: list[int],
+        self, source: str, texts: list[str], starts: list[int], comments: list[int]
     ):
         self.source = source
         self.texts = texts
         self.starts = starts
-        self.ends = ends
         self.comments = comments
         self._mask: Optional[bytearray] = None
         self._newlines: Optional[list[int]] = None
@@ -247,7 +246,7 @@ class Tokens:
         text = self.texts[i]
         start = self.starts[i]
         line, column = self.position(start)
-        return Token(_kind(text), text, start, self.ends[i], line, column)
+        return Token(_kind(text), text, start, start + len(text), line, column)
 
     def __iter__(self) -> Iterator[Token]:
         return map(self.__getitem__, range(len(self.texts)))
@@ -268,6 +267,10 @@ class Tokens:
             lengths = map(len, self.source.split("\n")[:-1])
             self._newlines = list(map(add, accumulate(lengths), count()))
         return self._newlines
+
+    def end(self, i: int) -> int:
+        """The offset just after token `i`."""
+        return self.starts[i] + len(self.texts[i])
 
     def line(self, offset: int) -> int:
         """The 1-based line of the character at `offset`."""
@@ -291,43 +294,21 @@ class Tokens:
         out += texts[lo:hi]
         return tuple(out)
 
-    def significant(self, i: int) -> int:
-        """The number of non-comment tokens before token `i`."""
-        return i - bisect_left(self.comments, i)
-
-    def splice(self, first: int, last: int, window: "Tokens") -> "Tokens":
-        """These tokens with `[first:last)` replaced by `window`'s, as tokens
-        of `window.source`: the tokens after the window move by the change
-        in length. With `lex_edit`'s result, that is `tokenize(text)`."""
-        shift = len(window.source) - len(self.source)
-        moved = last - first - len(window)
-        comments = self.comments
-        split = bisect_left(comments, first)
-        rest = bisect_left(comments, last)
-        return Tokens(
-            window.source,
-            self.texts[:first] + window.texts + self.texts[last:],
-            self.starts[:first] + window.starts + list(map(add, self.starts[last:], repeat(shift))),
-            self.ends[:first] + window.ends + list(map(add, self.ends[last:], repeat(shift))),
-            comments[:split]
-            + [c + first for c in window.comments]
-            + [c - moved for c in comments[rest:]],
-        )
-
 
 def tokenize(source: str) -> Tokens:
     """Tokenize Java source, raising ParseError on lexical problems."""
     return _lex(source, 0, len(source))
 
 
-def lex_edit(base: str, base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
-    """`(first, last, window)` with `base_tokens.splice(first, last, window)`
-    equal to `tokenize(text)`.
+def lex_edit(base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
+    """`(first, last, tokenize(text))`, where `text` replaces
+    `base_tokens[first:last]` and keeps the base tokens around them.
 
-    `base_tokens` must be `tokenize(base)`. Only the lines where `text`
-    differs from `base` are lexed, when that is exact; see the module
-    docstring for the three paths. Raises `tokenize(text)`'s ParseError.
+    Only the lines where `text` differs from `base_tokens.source` are
+    lexed, when that is exact; see the module docstring for the three
+    paths. Raises `tokenize(text)`'s ParseError.
     """
+    base = base_tokens.source
     old, new = base.split("\n"), text.split("\n")
     common = min(len(old), len(new))
     prefix = 0
@@ -336,20 +317,34 @@ def lex_edit(base: str, base_tokens: Tokens, text: str) -> tuple[int, int, Token
     suffix = 0
     while suffix < common - prefix and old[-1 - suffix] == new[-1 - suffix]:
         suffix += 1
-    starts, ends = base_tokens.starts, base_tokens.ends
+    starts, end = base_tokens.starts, base_tokens.end
     start = sum(map(len, old[:prefix])) + prefix
     first = bisect_left(starts, start)
-    if first and ends[first - 1] > start:
+    if first and end(first - 1) > start:
         return 0, len(base_tokens), tokenize(text)
     tail = sum(map(len, old[len(old) - suffix :])) + suffix - 1 if suffix else 0
     base_end = len(base) - tail
     last = bisect_left(starts, base_end, lo=first)
-    if not (last and ends[last - 1] > base_end):
+    window = None
+    if not (last and end(last - 1) > base_end):
         try:
-            return first, last, _lex(text, start, len(text) - tail)
+            window = _lex(text, start, len(text) - tail)
         except ParseError:
             pass
-    return first, len(base_tokens), _lex(text, start, len(text))
+    if window is None:
+        last = len(base_tokens)
+        window = _lex(text, start, len(text))
+    texts, comments = base_tokens.texts, base_tokens.comments
+    shift = len(text) - len(base)
+    moved = last - first - len(window)
+    return first, last, Tokens(
+        text,
+        texts[:first] + window.texts + texts[last:],
+        starts[:first] + window.starts + list(map(add, starts[last:], repeat(shift))),
+        comments[: bisect_left(comments, first)]
+        + [c + first for c in window.comments]
+        + [c - moved for c in comments[bisect_left(comments, last) :]],
+    )
 
 
 def _lex(source: str, pos: int, endpos: int) -> Tokens:
@@ -361,9 +356,8 @@ def _lex(source: str, pos: int, endpos: int) -> Tokens:
     texts = list(map(str.lstrip, matches, repeat(_WHITESPACE)))
     if texts and not texts[-1]:  # the whitespace that ends the input
         texts.pop()
-        ends.pop()
     starts = list(map(sub, ends, map(len, texts)))
-    tokens = Tokens(source, texts, starts, ends, [])
+    tokens = Tokens(source, texts, starts, [])
     if not (_ASCII_ERRORS.isdisjoint(texts) and source.isascii()):
         _check(tokens)
     n = len(texts)
@@ -377,7 +371,7 @@ def _lex(source: str, pos: int, endpos: int) -> Tokens:
 def _check(tokens: Tokens) -> None:
     """Raise the ParseError of the first token that only a lexical error
     gives, if there is one."""
-    texts, starts, ends = tokens.texts, tokens.starts, tokens.ends
+    texts, starts = tokens.texts, tokens.starts
     for i, text in enumerate(texts):
         first = text[0]
         if first.isascii():
@@ -392,7 +386,7 @@ def _check(tokens: Tokens) -> None:
             # A digit outside Unicode Nd, such as `²`, starts a number
             # literal that cannot match; a `.` right before it starts that
             # literal.
-            if i and texts[i - 1] == "." and ends[i - 1] == at:
+            if i and texts[i - 1] == "." and starts[i - 1] == at - 1:
                 at = starts[i - 1]
             raise ParseError("malformed number literal", *tokens.position(at))
         raise ParseError(f"unexpected character {first!r}", *tokens.position(at))

@@ -56,7 +56,7 @@ class SyntaxNode:
 
     @property
     def end(self) -> int:
-        return self.tokens.ends[self.last] if self.kids else 0
+        return self.tokens.end(self.last) if self.kids else 0
 
     @property
     def start_line(self) -> int:

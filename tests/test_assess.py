@@ -329,7 +329,7 @@ class TestClassify:
             return work.decided[-1]
 
         monkeypatch.setattr(assess, "tokenize", logged(assess.tokenize, work.lexed, 0))
-        monkeypatch.setattr(assess, "lex_edit", logged(assess.lex_edit, work.edited, 2))
+        monkeypatch.setattr(assess, "lex_edit", logged(assess.lex_edit, work.edited, 1))
         monkeypatch.setattr(parser, "tokenize", logged(parser.tokenize, work.lexed, 0))
         monkeypatch.setattr(assess, "parse", logged(assess.parse, work.parsed, 0))
         monkeypatch.setattr(assess, "parses_edit", deciding)
@@ -539,6 +539,16 @@ class TestRatings:
         store.add(SemanticRating("b", 0, "bob", CORRECT))
         with pytest.raises(InvalidRating):
             store.add(SemanticRating("b", 0, "carol", INCORRECT, round=TIEBREAK))
+
+    def test_negative_rank_rejected(self, tmp_path):
+        path = tmp_path / "ratings.jsonl"
+        store = RatingStore(path)
+        store.add(SemanticRating("b", 0, "alice", CORRECT))
+        before = path.read_bytes()
+        with pytest.raises(InvalidRating):
+            store.add(SemanticRating("b", -5, "alice", CORRECT))
+        assert path.read_bytes() == before
+        assert len(store) == 1
 
     def test_file_backing_round_trips(self, tmp_path):
         path = tmp_path / "ratings.jsonl"

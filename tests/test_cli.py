@@ -162,6 +162,19 @@ class TestShowCommand:
             ["show", "--file", str(java_file), "--function", "missing", "--kind", "IR1"]
         ) == 1
 
+    @pytest.mark.parametrize("flag", ["--file", "--fixed-file"])
+    def test_file_not_utf8_is_an_error(self, java_file, tmp_path, capsys, flag):
+        latin1 = tmp_path / "Latin1.java"
+        latin1.write_bytes(b"class Sample {\n    // caf\xe9\n    int twice(int x) { return x; }\n}\n")
+        files = {"--file": str(java_file), "--fixed-file": str(java_file), flag: str(latin1)}
+        status = main(
+            ["show", "--function", "twice", "--kind", "OR2", "--region", "1:1",
+             *(part for pair in files.items() for part in pair)]
+        )
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith(f"error: {latin1}: ") and "Traceback" not in err
+
     def test_bad_region(self, java_file, capsys):
         assert main(
             ["show", "--file", str(java_file), "--function", "twice",
@@ -324,6 +337,16 @@ class TestRateAndKappa:
         assert main(args) == 0
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_rank_nonzero_exit(self, tmp_path, capsys):
+        store = tmp_path / "ratings.jsonl"
+        args = ["rate", "--store", str(store), "--bug", "b", "--label", "correct"]
+        assert main([*args, "--rank", "0", "--rater", "alice"]) == 0
+        before = store.read_bytes()
+        capsys.readouterr()
+        assert main([*args, "--rank", "-5", "--rater", "bob"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert store.read_bytes() == before
 
     def test_no_overlap_nonzero_exit(self, tmp_path, capsys):
         store = str(tmp_path / "ratings.jsonl")

@@ -181,3 +181,12 @@ def test_moved_names_keep_every_import_path():
         for module in modules.split():
             held = importlib.import_module(f"repairkit.{module}")
             assert getattr(held, name) is getattr(config, name), (module, name)
+
+
+@pytest.mark.parametrize("module", ["repairkit", "repairkit.syntax"])
+def test_star_import_resolves_every_export(module):
+    held = importlib.import_module(module)
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    for name in held.__all__:
+        assert namespace[name] is getattr(held, name), name

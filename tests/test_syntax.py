@@ -14,7 +14,9 @@ from repairkit.assess import classify
 from repairkit.errors import ParseError
 from repairkit.gen import CandidatePatch
 from repairkit.syntax import (
+    FUNCTION_KINDS,
     SourceFile,
+    SyntaxNode,
     Token,
     Tokens,
     ast_equal,
@@ -883,19 +885,20 @@ def _line_edits(draw, bases=EDIT_BASES):
 
 
 def _spliced(base, base_tokens, text):
-    """`lex_edit`'s splice, with the tokens after the window moved to
-    their place in `text`; `Tokens.splice` must give the same tokens."""
-    first, last, window = lex_edit(base, base_tokens, text)
+    """`lex_edit`'s tokens, which must be the base's before the window and
+    the base's after it moved to their place in `text`."""
+    first, last, tokens = lex_edit(base_tokens, text)
     shift, lines = len(text) - len(base), text.count("\n") - base.count("\n")
     base_list = list(base_tokens)
     tail = [
         t._replace(start=t.start + shift, end=t.end + shift, line=t.line + lines)
         for t in base_list[last:]
     ]
-    spliced = base_list[:first] + list(window) + tail
-    joined = base_tokens.splice(first, last, window)
-    assert list(joined) == spliced
-    _assert_comments_agree(joined)
+    spliced = list(tokens)
+    assert spliced[:first] == base_list[:first]
+    assert first <= len(spliced) - len(tail)
+    assert spliced[len(spliced) - len(tail) :] == tail
+    _assert_comments_agree(tokens)
     return spliced
 
 
@@ -915,7 +918,7 @@ def _edit_path(base, base_tokens, text):
     with mock.patch.object(token_module, "tokenize", wraps=tokenize) as full:
         with mock.patch.object(token_module, "_lex", wraps=token_module._lex) as lex:
             try:
-                lex_edit(base, base_tokens, text)
+                lex_edit(base_tokens, text)
             except ParseError:
                 pass
     if full.called:
@@ -926,7 +929,7 @@ def _edit_path(base, base_tokens, text):
 
 
 class TestTokenizeEditMatchesTokenize:
-    """`lex_edit`'s splice against `tokenize`."""
+    """`lex_edit` against `tokenize`."""
 
     @settings(max_examples=400, deadline=None)
     @given(edit=_line_edits())
@@ -977,8 +980,9 @@ class TestTokenizeEditMatchesTokenize:
     def test_unchanged_lines_keep_their_tokens(self, text, lexed):
         base = "int f() {\n    return a + b;\n}"
         base_tokens = tokenize(base)
-        first, last, window = lex_edit(base, base_tokens, text)
-        assert " ".join(t.text for t in window) == lexed
+        first, last, tokens = lex_edit(base_tokens, text)
+        window = tokens.texts[first : len(tokens) - len(base_tokens) + last]
+        assert " ".join(window) == lexed
         assert _spliced(base, base_tokens, text) == list(tokenize(text))
 
 
@@ -1036,17 +1040,36 @@ def _statement_edits(draw):
     return base, text
 
 
+def _innermost_function(tree, first, last):
+    """The innermost method or constructor node of `tree` that holds the
+    tokens `[first, last)`, or None."""
+    found, node = None, tree
+    while isinstance(node, SyntaxNode):
+        if node.kind in FUNCTION_KINDS:
+            found = node
+        node = next(
+            (k for k in node.kids if type(k) is not int and k.first <= first and last <= k.last + 1),
+            None,
+        )
+    return found
+
+
 def _verdicts(base, text):
     """`parses_edit`'s verdict on `text` as an edit of `base`, and whether
-    `text` parses whole; None when `text` does not lex."""
+    `text` parses whole; None when `text` does not lex. Given the innermost
+    function that holds the edit, `parses_edit` must agree too."""
     base_tokens = tokenize(base)
     tree = parse(base, base_tokens)
     try:
-        first, last, window = lex_edit(base, base_tokens, text)
+        first, last, tokens = lex_edit(base_tokens, text)
     except ParseError:
         return None
-    tokens = base_tokens.splice(first, last, window)
-    return parses_edit(tree, base_tokens, first, last, tokens), _parsable(text)
+    whole = _parsable(text)
+    function = _innermost_function(tree, first, last)
+    if function is not None:
+        decided = parses_edit(function, first, last, tokens)
+        assert decided is None or decided == whole
+    return parses_edit(tree, first, last, tokens), whole
 
 
 class TestParsesEditMatchesParse:
@@ -1093,6 +1116,21 @@ class TestParsesEditMatchesParse:
         assert _verdicts(method(before), method(after)) == (
             verdict, _parsable(method(after)) if verdict is None else verdict
         )
+
+    @pytest.mark.parametrize("statement,verdict", [("v = 1;", True), ("v = 1);", False)])
+    def test_a_function_below_the_root_decides(self, statement, verdict):
+        source = (
+            "class C {{\n    int f() {{ return 1; }}\n    int g() {{\n"
+            "        int v = 0;\n        {}\n        return v;\n    }}\n}}"
+        )
+        base, text = source.format("v++;"), source.format(statement)
+        base_tokens = tokenize(base)
+        tree = parse(base, base_tokens)
+        first, last, tokens = lex_edit(base_tokens, text)
+        function = _innermost_function(tree, first, last)
+        assert function is not tree and function.start_line == 3  # g
+        assert parses_edit(function, first, last, tokens) is verdict
+        assert _verdicts(base, text) == (verdict, verdict)
 
     def test_deep_nesting_is_undecided(self):
         # Nested past Python's recursion limit, the edit is left to a

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gen import CandidatePatch
 from .jsonl import append_line, mend_tail, read_rows
-from .syntax import Node, Tokens, lex_edit, parse, parses_edit, tokenize
+from .syntax import lex_edit, parse, parses_edit, tokenize
 
 PASS = "pass"
 FAIL = "fail"
@@ -248,43 +248,6 @@ class PlausibilityPlan:
     spec: TestSpec
 
 
-class _Reference:
-    """The reference fix of one `classify` call: lexed at most once and
-    parsed at most once, each on first need."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self._lexed = False
-        self._parsed = False
-        self.tokens: Optional[Tokens] = None  # None when it does not lex
-        self.key: Optional[tuple[str, ...]] = None
-        self.tree: Optional[Node] = None  # None when it does not parse
-        self.error: Optional[ParseError] = None
-
-    def lex(self) -> Optional[Tokens]:
-        """The reference's tokens, or None when it does not lex."""
-        if not self._lexed:
-            self._lexed = True
-            try:
-                self.tokens = tokenize(self.text)
-            except ParseError as exc:
-                self.error = exc
-            else:
-                self.key = self.tokens.key()
-        return self.tokens
-
-    def parse(self) -> Optional[Node]:
-        """The reference's tree, or None when it does not lex or parse."""
-        if not self._parsed:
-            self._parsed = True
-            if self.lex() is not None:
-                try:
-                    self.tree = parse(self.text, self.tokens)
-                except ParseError as exc:
-                    self.error = exc
-        return self.tree
-
-
 def classify(
     bug_id: str,
     candidates: Sequence[CandidatePatch],
@@ -301,11 +264,12 @@ def classify(
     Semantic labels stay unlabeled here; they come from the rating store.
 
     Each candidate is assessed as an edit of the reference. The reference
-    is lexed at most once per call, parsed at most once, and keeps its
-    tree. Each other reconstructed candidate is lexed once, before its test
-    run, by `lex_edit` against the reference, so only the lines where it
-    differs are lexed, and the other tokens are the reference's. Its key is
-    the texts of its non-comment tokens, and decides the rest:
+    is lexed, keyed and parsed once per call, at the first candidate that
+    is neither failed nor an exact match, and never when there is none.
+    Each such candidate is lexed once, before its test run, by `lex_edit`
+    against the reference, so only the lines where it differs are lexed,
+    and the other tokens are the reference's. Its key is the texts of its
+    non-comment tokens, and decides the rest:
     - A candidate whose key equals that of a candidate tested earlier in
       the call shares that candidate's test verdict and is not tested.
       This assumes a suite's outcome ignores comments and whitespace.
@@ -318,7 +282,8 @@ def classify(
       parse of its tokens finds.
     """
     verdicts = []
-    ref = _Reference(reference)
+    ref_read = False
+    ref_tokens = ref_key = ref_tree = ref_error = None
     tested: dict[tuple[str, ...], str] = {}  # key -> plausible verdict
     for candidate in candidates:
         if candidate.reconstructed is None:
@@ -332,12 +297,19 @@ def classify(
                 AssessmentVerdict(bug_id, candidate.rank, True, PASS, True, True)
             )
             continue
-        base = ref.lex()
+        if not ref_read:
+            ref_read = True
+            try:
+                ref_tokens = tokenize(reference)
+                ref_key = ref_tokens.key()
+                ref_tree = parse(reference, ref_tokens)
+            except ParseError as exc:
+                ref_error = exc
         try:
-            if base is None:
+            if ref_tokens is None:
                 tokens = tokenize(text)
             else:
-                first, last, tokens = lex_edit(base, text)
+                first, last, tokens = lex_edit(ref_tokens, text)
             key = tokens.key()
         except ParseError:
             key = None
@@ -352,12 +324,12 @@ def classify(
                 tested[key] = plausible
         if key is None:
             parse_ok = False
-        elif key == ref.key:
-            parse_ok = ref.parse() is not None
+        elif key == ref_key:
+            parse_ok = ref_tree is not None
         else:
             parse_ok = None
-            if base is not None and ref.parse() is not None:
-                parse_ok = parses_edit(ref.tree, first, last, tokens)
+            if ref_tree is not None:
+                parse_ok = parses_edit(ref_tree, first, last, tokens)
             if parse_ok is None:
                 try:
                     parse(text, tokens)
@@ -366,9 +338,9 @@ def classify(
                     parse_ok = False
         ast = False
         if parse_ok and plausible != FAIL:
-            if ref.parse() is None:
-                raise ref.error
-            ast = key == ref.key
+            if ref_tree is None:
+                raise ref_error
+            ast = key == ref_key
         verdicts.append(
             AssessmentVerdict(bug_id, candidate.rank, parse_ok, plausible, False, ast)
         )

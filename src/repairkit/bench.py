@@ -73,7 +73,6 @@ class BugManifestEntry:
     test_command: str
     checkout: Optional[str] = None  # shell command that materializes the project
     timeout: Optional[float] = None
-    tags: tuple[str, ...] = ()
 
 
 def load_manifest(
@@ -126,7 +125,6 @@ def _parse_entry(index: int, item: dict) -> BugManifestEntry:
             test_command=item["test_command"],
             checkout=item.get("checkout"),
             timeout=None if timeout is None else float(timeout),
-            tags=tuple(item.get("tags", ())),
         )
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ManifestError(index, f"malformed entry: {exc}")
@@ -243,13 +241,11 @@ def load_function(entry: BugManifestEntry) -> SourceFunction:
             f"function span {entry.function_start}..{entry.function_end} runs past "
             f"the end of {entry.file} ({line_count} lines)",
         )
-    text = source.slice_lines(entry.function_start, entry.function_end)
     return SourceFunction(
         name=entry.bug_id,
         start_line=entry.function_start,
         end_line=entry.function_end,
-        text=text,
-        file=source,
+        text=source.slice_lines(entry.function_start, entry.function_end),
     )
 
 

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .config import DEFAULT_LEAKAGE_BUGS, CorpusFilterConfig  # the first is re-exported
 from .errors import (
+    ConfigError,
     CorpusLayoutError,
     MixedPairDataset,
     ParseError,
@@ -345,7 +346,9 @@ def count_tokens(text: str, tokenizer_id: str = "approximate") -> int:
     "approximate" is the hermetic built-in: maximal runs of word
     characters, runs of whitespace, and single punctuation characters each
     count as one token. "external:<command>" pipes the text to a command
-    that prints a count. Any other id raises UnknownTokenizer.
+    that prints a count; a command that does not split, exits non-zero or
+    prints no integer raises ConfigError. Any other id raises
+    UnknownTokenizer.
     """
     if tokenizer_id == "approximate":
         return len(_APPROX_TOKEN_RE.findall(text))
@@ -354,14 +357,17 @@ def count_tokens(text: str, tokenizer_id: str = "approximate") -> int:
         import subprocess
 
         command = tokenizer_id[len("external:") :]
-        result = subprocess.run(
-            shlex.split(command),
-            input=text,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return int(result.stdout.strip())
+        try:
+            result = subprocess.run(
+                shlex.split(command),
+                input=text,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            return int(result.stdout.strip())
+        except (subprocess.CalledProcessError, ValueError) as exc:
+            raise ConfigError(f"tokenizer {tokenizer_id!r}: {exc}") from None
     raise UnknownTokenizer(tokenizer_id)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .config import DEFAULT_STOP_TOKENS, Markers
 from .diffs import UnifiedDiff, apply_diff, make_unified_diff
-from .errors import InvalidRegion, MalformedOutput, RegionMismatch
+from .errors import InvalidRegion, RegionMismatch
 from .syntax import SourceFunction
 
 

@@ -11,7 +11,6 @@ match compares `ast_key`s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import ParseError
 from .parser import parse, parses_edit
@@ -66,7 +65,6 @@ class SourceFunction:
     start_line: int
     end_line: int
     text: str
-    file: Optional[SourceFile] = None
 
     def __post_init__(self):
         if not (1 <= self.start_line <= self.end_line):
@@ -94,9 +92,7 @@ def extract_functions(file: SourceFile) -> list[SourceFunction]:
     Bodies nested inside another function (local classes, anonymous classes,
     lambdas) belong to their enclosing declaration and are not listed.
     """
-    tree = parse(file.content)
-    lines = file.lines
-    return [_source_function(node, lines, file) for node in _function_nodes(tree)]
+    return _functions(file, parse(file.content))
 
 
 def extract_functions_of_edit(
@@ -114,21 +110,22 @@ def extract_functions_of_edit(
     inside F, not the whole file, is what makes that hold: the block
     re-parsed is F's body or a block nested in it, where no listed
     function can appear, vanish or be renamed. Any other edit, a signature
-    edit included, parses the after file whole. Raises the before file's
-    ParseError, or the one `extract_functions(after)` raises.
+    edit included, parses the after file whole from the tokens `lex_edit`
+    gave. Raises the before file's ParseError, or the one
+    `extract_functions(after)` raises.
     """
     tokens = tokenize(before.content)
     tree = parse(before.content, tokens)
     old = before.lines
     nodes = list(_function_nodes(tree))
-    before_fns = [_source_function(node, old, before) for node in nodes]
+    before_fns = [_source_function(node, old) for node in nodes]
     first, last, edited = lex_edit(tokens, after.content)
     for k, node in enumerate(nodes):
         if node.first < first and last <= node.last:
             if parses_edit(node, first, last, edited):
                 return before_fns, _moved(before_fns, k, before, after)
             break
-    return before_fns, extract_functions(after)
+    return before_fns, _functions(after, parse(after.content, edited))
 
 
 def _moved(
@@ -140,27 +137,31 @@ def _moved(
     edited = fns[k]
     end = edited.end_line + delta
     return (
-        [SourceFunction(f.name, f.start_line, f.end_line, f.text, after) for f in fns[:k]]
+        fns[:k]
         + [
             SourceFunction(
-                edited.name, edited.start_line, end,
-                after.slice_lines(edited.start_line, end), after,
+                edited.name, edited.start_line, end, after.slice_lines(edited.start_line, end)
             )
         ]
         + [
-            SourceFunction(f.name, f.start_line + delta, f.end_line + delta, f.text, after)
+            SourceFunction(f.name, f.start_line + delta, f.end_line + delta, f.text)
             for f in fns[k + 1 :]
         ]
     )
 
 
-def _source_function(node: SyntaxNode, lines: list[str], file: SourceFile) -> SourceFunction:
+def _functions(file: SourceFile, tree: Node) -> list[SourceFunction]:
+    """The functions of `file`, whose parse is `tree`."""
+    lines = file.lines
+    return [_source_function(node, lines) for node in _function_nodes(tree)]
+
+
+def _source_function(node: SyntaxNode, lines: list[str]) -> SourceFunction:
     return SourceFunction(
         name=_declared_name(node),
         start_line=node.start_line,
         end_line=node.end_line,
         text="\n".join(lines[node.start_line - 1 : node.end_line]),
-        file=file,
     )
 
 

@@ -654,7 +654,7 @@ def parse(source: str, tokens: Optional[Tokens] = None) -> Node:
     Accepts whole files and bare fragments (a single function parses with a
     method-declaration root); the root is a lone token when the source
     holds one token and nothing else. `tokens`, when given, must be
-    `tokenize(source)`, or equal to it in texts and comments, and the
+    `tokenize(source)`, or equal to it in texts and mask, and the
     source is not lexed again; their positions show only in the tree and in
     a ParseError. Raises ParseError for invalid source, and for source
     nested too deeply for Python's recursion limit.

@@ -1,16 +1,16 @@
 """Tokenizer for Java source text.
 
 `tokenize(source)` returns a `Tokens`: the source's tokens as parallel
-lists, `texts` and `starts` (offsets into the source), and `comments`,
-the indices of the comment tokens. Comments are tokens like any other,
-so the parser keeps them in the syntax tree. `len()` is the token count,
-and indexing or iterating a `Tokens` builds a `Token` on
+sequences, `texts`, `starts` (offsets into the source) and `mask`, a
+`bytearray` that is 1 at each comment token. Comments are tokens like any
+other, so the parser keeps them in the syntax tree. `len()` is the token
+count, and indexing or iterating a `Tokens` builds a `Token` on
 demand: a `typing.NamedTuple` of six fields (kind, text, start, end, line,
 column), immutable and hashable, which compares equal to a plain tuple of
 the same values. A token's kind follows from its text and is found when
 its `Token` is built; the newline offsets that lines and columns are
-found from by bisect, and a comment mask for the parser, are each built on
-first use. So a source that is lexed and parsed gets no object per token.
+found from by bisect are built on first use. So a source that is lexed
+and parsed gets no object per token.
 A `Token` also answers the leaf side of the tree interface: `label` (the
 text), `start_line` and `end_line`, empty `children`, `is_leaf`,
 `is_comment`, `walk()` and `leaves()`.
@@ -219,24 +219,21 @@ class Token(NamedTuple):
 
 
 class Tokens:
-    """The tokens of `source` as parallel lists: `texts`, `starts`, and
-    `comments`, the sorted indices of the comment tokens. A token ends at
+    """The tokens of `source` as parallel sequences: `texts`, `starts`, and
+    `mask`, 1 at each comment token and 0 elsewhere. A token ends at
     `end(i)`, its start plus the length of its text.
 
     `len()` is the token count; `tokens[i]` (an int, negative allowed) and
-    iteration build `Token`s. `mask` and `newlines` are built on first use.
+    iteration build `Token`s. `newlines` is built on first use.
     """
 
-    __slots__ = ("source", "texts", "starts", "comments", "_mask", "_newlines")
+    __slots__ = ("source", "texts", "starts", "mask", "_newlines")
 
-    def __init__(
-        self, source: str, texts: list[str], starts: list[int], comments: list[int]
-    ):
+    def __init__(self, source: str, texts: list[str], starts: list[int], mask: bytearray):
         self.source = source
         self.texts = texts
         self.starts = starts
-        self.comments = comments
-        self._mask: Optional[bytearray] = None
+        self.mask = mask
         self._newlines: Optional[list[int]] = None
 
     def __len__(self) -> int:
@@ -250,15 +247,6 @@ class Tokens:
 
     def __iter__(self) -> Iterator[Token]:
         return map(self.__getitem__, range(len(self.texts)))
-
-    @property
-    def mask(self) -> bytearray:
-        """1 at each comment token, 0 elsewhere."""
-        if self._mask is None:
-            self._mask = bytearray(len(self.texts))
-            for i in self.comments:
-                self._mask[i] = 1
-        return self._mask
 
     @property
     def newlines(self) -> list[int]:
@@ -284,13 +272,15 @@ class Tokens:
 
     def key(self, lo: int = 0, hi: Optional[int] = None) -> tuple[str, ...]:
         """The texts of the non-comment tokens among `texts[lo:hi]`."""
-        texts, comments = self.texts, self.comments
+        texts, mask = self.texts, self.mask
         if hi is None:
             hi = len(texts)
         out: list[str] = []
-        for c in comments[bisect_left(comments, lo) : bisect_left(comments, hi)]:
+        c = mask.find(1, lo, hi)
+        while c >= 0:
             out += texts[lo:c]
             lo = c + 1
+            c = mask.find(1, lo, hi)
         out += texts[lo:hi]
         return tuple(out)
 
@@ -334,16 +324,13 @@ def lex_edit(base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
     if window is None:
         last = len(base_tokens)
         window = _lex(text, start, len(text))
-    texts, comments = base_tokens.texts, base_tokens.comments
+    texts, mask = base_tokens.texts, base_tokens.mask
     shift = len(text) - len(base)
-    moved = last - first - len(window)
     return first, last, Tokens(
         text,
         texts[:first] + window.texts + texts[last:],
         starts[:first] + window.starts + list(map(add, starts[last:], repeat(shift))),
-        comments[: bisect_left(comments, first)]
-        + [c + first for c in window.comments]
-        + [c - moved for c in comments[bisect_left(comments, last) :]],
+        mask[:first] + window.mask + mask[last:],
     )
 
 
@@ -357,14 +344,14 @@ def _lex(source: str, pos: int, endpos: int) -> Tokens:
     if texts and not texts[-1]:  # the whitespace that ends the input
         texts.pop()
     starts = list(map(sub, ends, map(len, texts)))
-    tokens = Tokens(source, texts, starts, [])
+    n = len(texts)
+    tokens = Tokens(source, texts, starts, bytearray(n))
     if not (_ASCII_ERRORS.isdisjoint(texts) and source.isascii()):
         _check(tokens)
-    n = len(texts)
     for m in _COMMENT_OPENER_RE.finditer(source, pos, endpos):
         i = bisect_left(starts, m.start())
         if i < n and starts[i] == m.start():
-            tokens.comments.append(i)
+            tokens.mask[i] = 1
     return tokens
 
 

@@ -9,7 +9,9 @@ lists when asked, the lines by bisect in the source's newline offsets.
 `children`, `walk()` and `leaves()` build a `Token` for each leaf they
 reach, and a `Token` answers the same tree interface as a node: `kind`,
 `label`, `children`, `start`, `end`, `start_line`, `end_line`, `is_leaf`,
-`is_comment`, `walk()` and `leaves()`.
+`is_comment`, `walk()` and `leaves()`. The pipeline reads only `kids` and
+the token lists, but this interface stays public: the tests' reference
+parser, golden tree dumps and normalization oracle are written against it.
 """
 from __future__ import annotations
 

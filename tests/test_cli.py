@@ -118,6 +118,18 @@ class TestDatasetCommand:
         assert capsys.readouterr().err.startswith(f"error: denylist {deny_path}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "tokenizer", ["external:false", "external:echo nope", "external:'unbalanced"]
+    )
+    def test_failing_external_tokenizer_is_an_error(self, diff_corpus, tmp_path, capsys, tokenizer):
+        status = main(
+            ["dataset", "--corpus", str(diff_corpus), "--pair", "IR4xOR2",
+             "--out", str(tmp_path / "data.jsonl"), "--tokenizer", tokenizer]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: tokenizer {tokenizer!r}: ") and "Traceback" not in err
+
 
 class TestShowCommand:
     @pytest.fixture()

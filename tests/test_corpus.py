@@ -239,11 +239,11 @@ def _both_paths(before_text: str, after_text: str):
     (equal texts, or a before file that does not parse).
     """
     before, after = SourceFile("X.java", before_text), SourceFile("X.java", after_text)
-    with mock.patch.object(syntax, "extract_functions", wraps=extract_functions) as whole:
+    with mock.patch.object(syntax, "parse", wraps=syntax.parse) as parse:
         result = _outcome(lambda: function_pairs_from_files(before, after, "p"))
     with mock.patch.object(corpus, "extract_functions_of_edit", _whole):
         reference = _outcome(lambda: function_pairs_from_files(before, after, "p"))
-    if whole.call_count:
+    if any(call.args[0] == after_text for call in parse.call_args_list):
         path = "fallback"
     elif isinstance(result, list) and before_text != after_text:
         path = "fast"

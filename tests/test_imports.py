@@ -3,8 +3,10 @@
 Each footprint is taken in a fresh interpreter, as a real CLI call starts,
 with warnings as errors. The package resolves its exported names on first
 access, and every name it exported before that change still resolves, from
-the package and from the module that held it, to the same object.
+the package and from the module that held it, to the same object. Every
+name a module imports is used there, exported or marked as re-exported.
 """
+import ast
 import importlib
 import os
 import subprocess
@@ -190,3 +192,30 @@ def test_star_import_resolves_every_export(module):
     exec(f"from {module} import *", namespace)
     for name in held.__all__:
         assert namespace[name] is getattr(held, name), name
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names `path` imports that it neither uses, lists in `__all__`,
+    nor imports on a line marked `# ... re-exported`."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.split("\n")
+    module = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(getattr(importlib.import_module(module), "__all__", ()))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name == "*" or name in used or lines[alias.lineno - 1].endswith("re-exported"):
+                continue
+            if name == "annotations" and getattr(node, "module", None) == "__future__":
+                continue
+            unused.append(f"{path.relative_to(SRC)}:{alias.lineno}: {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    assert [u for path in sorted(SRC.rglob("*.py")) for u in _unused_imports(path)] == []

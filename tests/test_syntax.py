@@ -22,6 +22,7 @@ from repairkit.syntax import (
     ast_equal,
     ast_key,
     extract_functions,
+    extract_functions_of_edit,
     lex_edit,
     parse,
     parses_edit,
@@ -314,6 +315,14 @@ class TestExtractFunctions:
         with pytest.raises(ParseError):
             extract_functions(SourceFile("I.java", "class I { int f( {"))
 
+    def test_signature_edit_lexes_the_after_file_once(self):
+        before = "class J {\n    int f(int a) {\n        return a + 1;\n    }\n}\n"
+        after = SourceFile("J.java", before.replace("int f(int a)", "long f(long a)"))
+        with mock.patch.object(java_parser, "tokenize", wraps=tokenize) as lexed:
+            _, after_fns = extract_functions_of_edit(SourceFile("J.java", before), after)
+        assert after.content not in [call.args[0] for call in lexed.call_args_list]
+        assert after_fns == extract_functions(after)
+
 
 class TestNormalize:
     def test_formatting_and_comment_insensitive(self):
@@ -501,9 +510,9 @@ def _lex(lexer, source):
 
 
 def _assert_comments_agree(tokens):
-    """The comment indices the parser reads are those of the comment kinds."""
+    """The comment mask the parser reads marks exactly the comment kinds."""
     kinds = [token.kind for token in tokens]
-    assert tokens.comments == [i for i, kind in enumerate(kinds) if kind in COMMENT_KINDS]
+    assert list(tokens.mask) == [kind in COMMENT_KINDS for kind in kinds]
 
 
 BENCH_STYLE_CLASS = (
@@ -833,6 +842,40 @@ class TestParserReadsTextsOnly:
     def test_sources_cover_both_outcomes(self):
         outcomes = {_key_or_failure(s) is None for s in RESPACE_SOURCES}
         assert outcomes == {True, False}
+
+
+@st.composite
+def _key_ranges(draw):
+    """The tokens of a source that lexes, and bounds `0 <= lo <= hi <= len`."""
+    source = draw(st.one_of(_lexer_inputs(), _respaced().map(lambda pair: pair[1])))
+    assume(_lexes(source))
+    tokens = tokenize(source)
+    hi = draw(st.integers(0, len(tokens)))
+    return tokens, draw(st.integers(0, hi)), hi
+
+
+class TestKey:
+    def test_bounded_key_is_the_non_comment_texts(self):
+        reached = set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(case=_key_ranges())
+        def check(case):
+            tokens, lo, hi = case
+            listed = list(tokens)
+            expected = tuple(t.text for t in listed[lo:hi] if not t.is_comment)
+            assert tokens.key(lo, hi) == expected
+            if lo == hi:
+                reached.add("empty")
+            else:
+                reached.update(
+                    name
+                    for name, at in (("lo", lo), ("hi - 1", hi - 1), ("hi", hi))
+                    if at < len(listed) and listed[at].is_comment
+                )
+
+        check()
+        assert reached == {"empty", "lo", "hi - 1", "hi"}
 
 
 # --------------------------------------------------------------------------

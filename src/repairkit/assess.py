@@ -18,7 +18,6 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -33,6 +32,7 @@ from .errors import (
 from .gen import CandidatePatch
 from .jsonl import append_line, mend_tail, read_rows
 from .syntax import lex_edit, parse, parses_edit, tokenize
+from .values import frozen
 
 PASS = "pass"
 FAIL = "fail"
@@ -61,7 +61,7 @@ def _normalize_eol(text: str) -> str:
 # --------------------------------------------------------------------------
 # plausibility by test execution
 
-@dataclass(frozen=True)
+@frozen
 class TestSpec:
     """How to run a bug's test suite: a command and its time limit.
 
@@ -75,7 +75,7 @@ class TestSpec:
     timeout: float = DEFAULT_TEST_TIMEOUT
 
 
-@dataclass(frozen=True)
+@frozen
 class FunctionLocation:
     """Where a function lives inside a project file."""
 
@@ -85,7 +85,7 @@ class FunctionLocation:
     expected_text: Optional[str] = None  # guards against stale line ranges
 
 
-@dataclass(frozen=True)
+@frozen
 class TestRun:
     """The result of one test run: pass, fail or timeout, and what the
     command printed on stdout and stderr."""
@@ -211,7 +211,7 @@ def check_plausible(
 # --------------------------------------------------------------------------
 # verdicts
 
-@dataclass(frozen=True)
+@frozen
 class AssessmentVerdict:
     """One candidate's four tiers.
 
@@ -239,7 +239,7 @@ class AssessmentVerdict:
             raise ValueError(f"bad semantic state: {self.semantic}")
 
 
-@dataclass(frozen=True)
+@frozen
 class PlausibilityPlan:
     """Everything classify() needs to run a bug's tests."""
 
@@ -350,7 +350,7 @@ def classify(
 # --------------------------------------------------------------------------
 # semantic ratings
 
-@dataclass(frozen=True)
+@frozen
 class SemanticRating:
     bug_id: str
     rank: int
@@ -452,7 +452,7 @@ def resolve_semantic(store: RatingStore, bug_id: str, rank: int) -> str:
 # --------------------------------------------------------------------------
 # inter-rater agreement
 
-@dataclass(frozen=True)
+@frozen
 class KappaResult:
     kappa: float
     observed_agreement: float

@@ -57,11 +57,12 @@ from .representations import (
     valid_pair,
 )
 from .syntax import SourceFile, SourceFunction
+from .values import frozen
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@frozen
 class BugManifestEntry:
     bug_id: str
     project_root: str
@@ -380,7 +381,7 @@ def run_benchmark(
 # --------------------------------------------------------------------------
 # aggregation
 
-@dataclass(frozen=True)
+@frozen
 class AggregateRow:
     label: str
     universe: int
@@ -404,7 +405,7 @@ class AggregateRow:
             )
 
 
-@dataclass(frozen=True)
+@frozen
 class AggregateTable:
     rows: tuple[AggregateRow, ...]
 

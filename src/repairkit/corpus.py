@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass
-from difflib import SequenceMatcher
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -36,11 +36,13 @@ from .representations import (
     valid_pair,
 )
 from .syntax import SourceFile, SourceFunction, extract_functions_of_edit
+from .syntax.tokens import common_affixes
+from .values import frozen
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@frozen
 class FunctionPair:
     """A buggy function and its fixed counterpart from one source diff."""
 
@@ -55,7 +57,7 @@ class FunctionPair:
             raise ValueError("buggy and fixed texts are identical")
 
 
-@dataclass(frozen=True)
+@frozen
 class TrainingSample:
     id: str
     pair: ReprPair
@@ -64,7 +66,7 @@ class TrainingSample:
     token_count: int
 
 
-@dataclass(frozen=True)
+@frozen
 class TrainingConfig:
     """Hyperparameters of the fine-tuning job, exported verbatim."""
 
@@ -101,26 +103,23 @@ class PipelineStats:
 def derive_region(buggy: SourceFunction, fixed: SourceFunction) -> Region:
     """Minimal contiguous buggy-side span covering every changed line.
 
-    Pure insertions yield an empty span at the insertion point. This is the
-    only region consistent with expressing the fix as a chunk replacement.
+    The span holds the buggy lines left between the longest common line
+    prefix and, of what remains, the longest common suffix: the shortest
+    region whose replacement turns `buggy` into `fixed`, and of the
+    shortest, the one that starts last. Pure insertions yield an empty span
+    at the insertion point.
     """
     if buggy.text == fixed.text:
         raise ValueError("functions are identical; no region to derive")
-    matcher = SequenceMatcher(None, buggy.lines, fixed.lines, autojunk=False)
-    starts: list[int] = []
-    ends: list[int] = []
-    for tag, i1, i2, _j1, _j2 in matcher.get_opcodes():
-        if tag == "equal":
-            continue
-        starts.append(i1 + 1)
-        ends.append(i1 if tag == "insert" else i2)
-    return Region(min(starts), max(ends))
+    lines = buggy.lines
+    prefix, suffix = common_affixes(lines, fixed.lines)
+    return Region(prefix + 1, len(lines) - suffix)
 
 
 # --------------------------------------------------------------------------
 # ingestion
 
-@dataclass(frozen=True)
+@frozen
 class _Unit:
     """One provenance unit: a diff identifier plus its file pairs.
 
@@ -346,9 +345,9 @@ def count_tokens(text: str, tokenizer_id: str = "approximate") -> int:
     "approximate" is the hermetic built-in: maximal runs of word
     characters, runs of whitespace, and single punctuation characters each
     count as one token. "external:<command>" pipes the text to a command
-    that prints a count; a command that does not split, exits non-zero or
-    prints no integer raises ConfigError. Any other id raises
-    UnknownTokenizer.
+    that prints a count; a command that does not split, cannot be started,
+    exits non-zero or prints no integer raises ConfigError. Any other id
+    raises UnknownTokenizer.
     """
     if tokenizer_id == "approximate":
         return len(_APPROX_TOKEN_RE.findall(text))
@@ -366,7 +365,7 @@ def count_tokens(text: str, tokenizer_id: str = "approximate") -> int:
                 check=True,
             )
             return int(result.stdout.strip())
-        except (subprocess.CalledProcessError, ValueError) as exc:
+        except (OSError, subprocess.CalledProcessError, ValueError) as exc:
             raise ConfigError(f"tokenizer {tokenizer_id!r}: {exc}") from None
     raise UnknownTokenizer(tokenizer_id)
 
@@ -412,20 +411,46 @@ def build_dataset(
 def emit_dataset(samples: Iterable[TrainingSample], out: Path | str) -> int:
     """Write one JSON record per line; returns the number written.
 
-    Output is deterministic: same samples in, byte-identical file out.
+    Output is deterministic: same samples in, byte-identical file out. When
+    `out` is a regular file or does not exist, the rows go to a temporary
+    file beside it, which replaces `out` after the last row, so a run that
+    fails leaves `out` as it was. A symlink at `out` keeps pointing where it
+    did, and that file is replaced. Any other `out` (`/dev/null`, a FIFO, a
+    terminal) is written in place, since replacing it would put a regular
+    file where the device or pipe was.
     """
+    given = Path(out)
+    if given.exists() and not given.is_file():
+        with open(given, "w", encoding="utf-8", newline="\n") as fh:
+            return _write_samples(samples, fh)
+    out = given.resolve()
+    temporary = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(temporary, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(given)) from None
+    try:
+        with fh:
+            count = _write_samples(samples, fh)
+        os.replace(temporary, out)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+    return count
+
+
+def _write_samples(samples: Iterable[TrainingSample], fh) -> int:
     count = 0
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for sample in samples:
-            record = {
-                "id": sample.id,
-                "pair": str(sample.pair),
-                "input": sample.input,
-                "output": sample.output,
-                "token_count": sample.token_count,
-            }
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-            count += 1
+    for sample in samples:
+        record = {
+            "id": sample.id,
+            "pair": str(sample.pair),
+            "input": sample.input,
+            "output": sample.output,
+            "token_count": sample.token_count,
+        }
+        fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+        count += 1
     return count
 
 

@@ -11,10 +11,10 @@ grouping, rendering, parsing, and application are implemented here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from difflib import SequenceMatcher
 
 from .errors import HunkApplyFailure, MalformedOutput
+from .values import frozen
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 _NO_NEWLINE = "\\ No newline at end of file"
@@ -25,7 +25,7 @@ def split_lines(text: str) -> list[str]:
     return text.splitlines(keepends=True)
 
 
-@dataclass(frozen=True)
+@frozen
 class DiffLine:
     tag: str  # ' ', '-', or '+'
     text: str  # content without the trailing newline
@@ -36,7 +36,7 @@ class DiffLine:
         return self.text + ("\n" if self.newline else "")
 
 
-@dataclass(frozen=True)
+@frozen
 class Hunk:
     old_start: int
     old_len: int
@@ -60,7 +60,7 @@ class Hunk:
             )
 
 
-@dataclass(frozen=True)
+@frozen
 class UnifiedDiff:
     hunks: tuple[Hunk, ...] = ()
 

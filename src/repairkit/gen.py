@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 from .config import DEFAULT_STOP_TOKENS, GenerationConfig  # the first is re-exported
@@ -29,6 +28,7 @@ from .representations import (
     build_input,
 )
 from .syntax import SourceFunction
+from .values import frozen
 
 
 class Backend(Protocol):
@@ -37,7 +37,7 @@ class Backend(Protocol):
     ) -> list[str]: ...
 
 
-@dataclass(frozen=True)
+@frozen
 class CandidatePatch:
     """One ranked raw model output and its reconstruction outcome."""
 

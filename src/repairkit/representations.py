@@ -13,7 +13,6 @@ back into a full candidate function.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -21,6 +20,7 @@ from .config import DEFAULT_STOP_TOKENS, Markers
 from .diffs import UnifiedDiff, apply_diff, make_unified_diff
 from .errors import InvalidRegion, RegionMismatch
 from .syntax import SourceFunction
+from .values import frozen
 
 
 class InputKind(str, Enum):
@@ -37,7 +37,7 @@ class OutputKind(str, Enum):
     OR4 = "OR4"  # unified diff, one context line
 
 
-@dataclass(frozen=True)
+@frozen
 class ReprPair:
     input: InputKind
     output: OutputKind
@@ -81,7 +81,7 @@ DEFAULT_MARKERS = Markers()
 DIFF_APPLY_FUZZ = 3  # mirrors common patch-tool tolerance for OR3/OR4
 
 
-@dataclass(frozen=True)
+@frozen
 class Region:
     """Contiguous suspicious line span, function-relative and 1-based.
 

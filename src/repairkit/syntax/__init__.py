@@ -10,9 +10,8 @@ match compares `ast_key`s.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ParseError
+from ..values import frozen
 from .parser import parse, parses_edit
 from .tokens import IDENTIFIER, Token, Tokens, _kind, lex_edit, tokenize
 from .tree import Node, SyntaxNode, ast_key
@@ -37,7 +36,7 @@ __all__ = [
 FUNCTION_KINDS = frozenset({"method_declaration", "constructor_declaration"})
 
 
-@dataclass(frozen=True)
+@frozen
 class SourceFile:
     """A source file with stable 1-based line indexing."""
 
@@ -53,7 +52,7 @@ class SourceFile:
         return "\n".join(self.content.split("\n", end_line)[start_line - 1 : end_line])
 
 
-@dataclass(frozen=True)
+@frozen
 class SourceFunction:
     """A single function: the unit of repair.
 

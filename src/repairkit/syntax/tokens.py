@@ -84,7 +84,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from itertools import accumulate, count, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import add, itemgetter, sub
 from typing import Iterator, NamedTuple, Optional
 
@@ -170,6 +170,9 @@ _KINDS = {**dict.fromkeys(_SYMBOLS, SYMBOL), **dict.fromkeys(KEYWORDS, KEYWORD)}
 # Where a comment may start: a `/` before a `/` or `*`. The lookahead
 # finds both of two openers in a row, as in `/**//**/`.
 _COMMENT_OPENER_RE = re.compile(r"/(?=[/*])")
+
+# Turns a comment mask into a selector of the tokens that are not comments.
+_INVERT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def _kind(text: str) -> str:
@@ -275,19 +278,27 @@ class Tokens:
         texts, mask = self.texts, self.mask
         if hi is None:
             hi = len(texts)
-        out: list[str] = []
-        c = mask.find(1, lo, hi)
-        while c >= 0:
-            out += texts[lo:c]
-            lo = c + 1
-            c = mask.find(1, lo, hi)
-        out += texts[lo:hi]
-        return tuple(out)
+        if mask.find(1, lo, hi) < 0:
+            return tuple(texts[lo:hi])
+        return tuple(compress(texts[lo:hi], mask[lo:hi].translate(_INVERT)))
 
 
 def tokenize(source: str) -> Tokens:
     """Tokenize Java source, raising ParseError on lexical problems."""
     return _lex(source, 0, len(source))
+
+
+def common_affixes(a: list[str], b: list[str]) -> tuple[int, int]:
+    """`(prefix, suffix)`: how many leading items `a` and `b` share, then
+    how many trailing items they share among those left after the prefix."""
+    common = min(len(a), len(b))
+    prefix = 0
+    while prefix < common and a[prefix] == b[prefix]:
+        prefix += 1
+    suffix = 0
+    while suffix < common - prefix and a[-1 - suffix] == b[-1 - suffix]:
+        suffix += 1
+    return prefix, suffix
 
 
 def lex_edit(base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
@@ -299,14 +310,8 @@ def lex_edit(base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
     paths. Raises `tokenize(text)`'s ParseError.
     """
     base = base_tokens.source
-    old, new = base.split("\n"), text.split("\n")
-    common = min(len(old), len(new))
-    prefix = 0
-    while prefix < common and old[prefix] == new[prefix]:
-        prefix += 1
-    suffix = 0
-    while suffix < common - prefix and old[-1 - suffix] == new[-1 - suffix]:
-        suffix += 1
+    old = base.split("\n")
+    prefix, suffix = common_affixes(old, text.split("\n"))
     starts, end = base_tokens.starts, base_tokens.end
     start = sum(map(len, old[:prefix])) + prefix
     first = bisect_left(starts, start)

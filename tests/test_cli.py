@@ -119,16 +119,26 @@ class TestDatasetCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "tokenizer", ["external:false", "external:echo nope", "external:'unbalanced"]
+        "tokenizer",
+        ["external:false", "external:echo nope", "external:'unbalanced",
+         "external:no-such-tokenizer-cmd"],
     )
     def test_failing_external_tokenizer_is_an_error(self, diff_corpus, tmp_path, capsys, tokenizer):
-        status = main(
-            ["dataset", "--corpus", str(diff_corpus), "--pair", "IR4xOR2",
-             "--out", str(tmp_path / "data.jsonl"), "--tokenizer", tokenizer]
-        )
-        assert status == 1
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "data.jsonl"
+        argv = ["dataset", "--corpus", str(diff_corpus), "--pair", "IR4xOR2",
+                "--out", str(out), "--tokenizer", tokenizer]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: tokenizer {tokenizer!r}: ") and "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+        # an earlier dataset at --out survives a failed run byte for byte
+        out.write_bytes(b'{"id": "earlier"}\n')
+        assert main(argv) == 1
+        assert capsys.readouterr().err == err
+        assert list(out_dir.iterdir()) == [out]
+        assert out.read_bytes() == b'{"id": "earlier"}\n'
 
 
 class TestShowCommand:

@@ -1,6 +1,8 @@
 """Corpus ingestion, dedup, leakage exclusion, and dataset emission."""
 import json
 import logging
+import os
+import stat
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -15,6 +17,7 @@ from repairkit.corpus import (
     CorpusFilterConfig,
     PipelineStats,
     TrainingConfig,
+    TrainingSample,
     build_dataset,
     count_tokens,
     dedupe,
@@ -27,8 +30,14 @@ from repairkit.corpus import (
     load_dataset,
     render_training_config,
 )
-from repairkit.errors import CorpusLayoutError, MixedPairDataset, ParseError, UnknownTokenizer
-from repairkit.representations import Region, ReprPair, reconstruct
+from repairkit.errors import (
+    CorpusLayoutError,
+    MixedPairDataset,
+    ParseError,
+    RegionMismatch,
+    UnknownTokenizer,
+)
+from repairkit.representations import Region, ReprPair, fixed_region_lines, reconstruct
 from repairkit.syntax import SourceFile, SourceFunction, extract_functions
 
 from conftest import CORPUS_EXPECTED
@@ -60,6 +69,33 @@ class TestDeriveRegion:
     def test_identical_functions_rejected(self):
         with pytest.raises(ValueError):
             derive_region(_fn("same"), _fn("same"))
+
+    def test_repeated_lines_give_the_minimal_span(self):
+        buggy = _fn("a\nb\nc\nd\ne\nb\nc\nd\ne")
+        fixed = _fn("a\nX\nb\nc\nd\ne")
+        assert derive_region(buggy, fixed) == Region(2, 5)
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(
+        buggy=st.lists(st.sampled_from("abc"), min_size=1, max_size=8),
+        fixed=st.lists(st.sampled_from("abc"), min_size=1, max_size=8),
+    )
+    def test_is_the_shortest_region_a_chunk_replacement_accepts(self, buggy, fixed):
+        buggy, fixed = _fn("\n".join(buggy)), _fn("\n".join(fixed))
+        if buggy.text == fixed.text:
+            return
+        n = len(buggy.lines)
+        accepted = []
+        for start in range(1, n + 2):
+            for end in range(start - 1, n + 1):
+                try:
+                    fixed_region_lines(buggy, fixed, Region(start, end))
+                except RegionMismatch:
+                    continue
+                accepted.append(Region(start, end))
+        # the shortest, and the latest start among the shortest
+        want = min(accepted, key=lambda r: (r.line_count, -r.start_line))
+        assert derive_region(buggy, fixed) == want
 
 
 class TestSingleFunctionFilter:
@@ -622,6 +658,40 @@ class TestBuildAndEmit:
         out = tmp_path / "empty.jsonl"
         assert emit_dataset([], out) == 0
         assert out.read_bytes() == b""
+
+    def test_emit_through_a_symlink_keeps_the_link(self, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_text("earlier\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        assert emit_dataset([], link) == 0
+        assert link.is_symlink() and target.read_bytes() == b""
+
+    def test_emit_to_a_fifo_writes_in_place(self, tmp_path):
+        # A special file at --out (/dev/null, a pipe) is written, never
+        # replaced by a regular file.
+        pair = ReprPair.parse("IR1xOR3")
+        samples = [TrainingSample(f"s{i}", pair, "in", "out", 2) for i in range(3)]
+        regular, fifo = tmp_path / "regular.jsonl", tmp_path / "fifo"
+        emit_dataset(samples, regular)
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert emit_dataset(samples, fifo) == 3
+            chunks = []
+            while chunk := os.read(reader, 65536):
+                chunks.append(chunk)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert b"".join(chunks) == regular.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "regular.jsonl"]
+
+    def test_emit_into_a_missing_directory_names_out(self, tmp_path):
+        out = tmp_path / "missing" / "d.jsonl"
+        with pytest.raises(FileNotFoundError) as raised:
+            emit_dataset([], out)
+        assert raised.value.filename == str(out)
 
     def test_every_emitted_sample_under_cap(self, diff_corpus):
         config = CorpusFilterConfig()

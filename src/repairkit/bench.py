@@ -287,7 +287,7 @@ def run_bug(
     candidates = []
     for rank, raw in enumerate(outputs):
         try:
-            text = reconstruct(fn, entry.region, pair, raw, markers, gen_config.stop_tokens)
+            text = reconstruct(fn, entry.region, pair, raw, gen_config.stop_tokens)
             candidates.append(CandidatePatch(entry.bug_id, rank, raw, reconstructed=text))
         except _RECONSTRUCT_ERRORS as exc:
             candidates.append(

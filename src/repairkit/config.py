@@ -15,6 +15,7 @@ re-export them.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -62,6 +63,14 @@ class GenerationConfig:
     def __post_init__(self):
         if self.num_candidates < 1:
             raise ValueError("num_candidates must be >= 1")
+        if self.max_new_tokens < 1:
+            raise ValueError("max_new_tokens must be >= 1")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be a positive finite number of seconds")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.retry_base_delay < 0:
+            raise ValueError("retry_base_delay must be >= 0")
 
 
 # Benchmark bugs whose reference fix also occurs in the public diff corpus;

@@ -1,9 +1,10 @@
 """Unified diff construction, parsing, and fuzzy application.
 
 The wire format is the standard `@@ -a,b +c,d @@` hunk syntax without file
-headers (headers are tolerated on input and skipped). Texts that do not end
-with a newline round-trip exactly via the `\\ No newline at end of file`
-marker.
+headers (headers are tolerated on input and skipped). A hunk line is its tag
+(' ', '-' or '+') followed by its text, with its "\\n" if it has one; a line
+without one is rendered with the `\\ No newline at end of file` marker after
+it, so texts that do not end with a newline round-trip exactly.
 
 Line matching during construction uses difflib's SequenceMatcher; hunk
 grouping, rendering, parsing, and application are implemented here.
@@ -20,39 +21,25 @@ _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 _NO_NEWLINE = "\\ No newline at end of file"
 
 
-def split_lines(text: str) -> list[str]:
-    """Split into lines that keep their terminators; '' yields []."""
-    return text.splitlines(keepends=True)
-
-
-@frozen
-class DiffLine:
-    tag: str  # ' ', '-', or '+'
-    text: str  # content without the trailing newline
-    newline: bool = True  # False only for a final line with no terminator
-
-    @property
-    def element(self) -> str:
-        return self.text + ("\n" if self.newline else "")
-
-
 @frozen
 class Hunk:
+    """Header ranges and body lines; a line's element is `line[1:]`."""
+
     old_start: int
     old_len: int
     new_start: int
     new_len: int
-    lines: tuple[DiffLine, ...]
+    lines: tuple[str, ...]
 
     def old_elements(self) -> list[str]:
-        return [dl.element for dl in self.lines if dl.tag in " -"]
+        return [line[1:] for line in self.lines if line[0] in " -"]
 
     def new_elements(self) -> list[str]:
-        return [dl.element for dl in self.lines if dl.tag in " +"]
+        return [line[1:] for line in self.lines if line[0] in " +"]
 
     def validate(self) -> None:
-        old_n = sum(1 for dl in self.lines if dl.tag in " -")
-        new_n = sum(1 for dl in self.lines if dl.tag in " +")
+        old_n = sum(1 for line in self.lines if line[0] in " -")
+        new_n = sum(1 for line in self.lines if line[0] in " +")
         if old_n != self.old_len or new_n != self.new_len:
             raise MalformedOutput(
                 f"hunk body ({old_n}/{new_n} lines) does not match header "
@@ -75,10 +62,8 @@ class UnifiedDiff:
                 f"@@ -{_range(hunk.old_start, hunk.old_len)} "
                 f"+{_range(hunk.new_start, hunk.new_len)} @@\n"
             )
-            for dl in hunk.lines:
-                parts.append(f"{dl.tag}{dl.text}\n")
-                if not dl.newline:
-                    parts.append(_NO_NEWLINE + "\n")
+            for line in hunk.lines:
+                parts.append(line if line.endswith("\n") else f"{line}\n{_NO_NEWLINE}\n")
         return "".join(parts)
 
     @classmethod
@@ -104,37 +89,33 @@ class UnifiedDiff:
             new_start = int(m.group(3))
             new_len = int(m.group(4)) if m.group(4) is not None else 1
             i += 1
-            body: list[DiffLine] = []
+            body: list[str] = []
             want_old, want_new = old_len, new_len
             while i < len(lines) and (want_old > 0 or want_new > 0):
                 raw = lines[i]
                 if raw == _NO_NEWLINE:
-                    body[-1:] = [_strip_newline(body[-1])] if body else []
+                    body[-1:] = [body[-1].removesuffix("\n")] if body else []
                     i += 1
                     continue
-                tag, content = (raw[0], raw[1:]) if raw else (" ", "")
+                tag = raw[0] if raw else " "
                 if tag not in " -+":
                     raise MalformedOutput(f"unexpected line in hunk body: {raw!r}")
                 if tag in " -":
                     want_old -= 1
                 if tag in " +":
                     want_new -= 1
-                body.append(DiffLine(tag, content))
+                body.append((raw or " ") + "\n")
                 i += 1
             if want_old > 0 or want_new > 0:
                 raise MalformedOutput("hunk body shorter than header counts")
             if i < len(lines) and lines[i] == _NO_NEWLINE and body:
-                body[-1:] = [_strip_newline(body[-1])]
+                body[-1] = body[-1].removesuffix("\n")
                 i += 1
             hunk = Hunk(old_start, old_len, new_start, new_len, tuple(body))
             hunk.validate()
             hunks.append(hunk)
         _check_ordering(hunks)
         return cls(tuple(hunks))
-
-
-def _strip_newline(dl: DiffLine) -> DiffLine:
-    return DiffLine(dl.tag, dl.text, newline=False)
 
 
 def _range(start: int, length: int) -> str:
@@ -150,29 +131,23 @@ def _check_ordering(hunks: list[Hunk]) -> None:
         prev_end = begin + hunk.old_len
 
 
-def _line(tag: str, element: str) -> DiffLine:
-    if element.endswith("\n"):
-        return DiffLine(tag, element[:-1])
-    return DiffLine(tag, element, newline=False)
-
-
 def make_unified_diff(a: str, b: str, context: int = 3) -> UnifiedDiff:
     """Line diff from a to b with the given context width; empty when a == b."""
     if context < 0:
         raise ValueError("context must be >= 0")
-    al, bl = split_lines(a), split_lines(b)
+    al, bl = a.splitlines(keepends=True), b.splitlines(keepends=True)
     matcher = SequenceMatcher(None, al, bl, autojunk=False)
     hunks: list[Hunk] = []
     for group in matcher.get_grouped_opcodes(context):
-        body: list[DiffLine] = []
+        body: list[str] = []
         for tag, i1, i2, j1, j2 in group:
             if tag == "equal":
-                body.extend(_line(" ", el) for el in al[i1:i2])
+                body.extend(" " + el for el in al[i1:i2])
                 continue
             if tag in ("replace", "delete"):
-                body.extend(_line("-", el) for el in al[i1:i2])
+                body.extend("-" + el for el in al[i1:i2])
             if tag in ("replace", "insert"):
-                body.extend(_line("+", el) for el in bl[j1:j2])
+                body.extend("+" + el for el in bl[j1:j2])
         i1, i2 = group[0][1], group[-1][2]
         j1, j2 = group[0][3], group[-1][4]
         hunks.append(
@@ -196,7 +171,7 @@ def apply_diff(diff: UnifiedDiff, a: str, fuzz: int = 0) -> str:
     HunkApplyFailure with its index; nothing is applied unless every hunk
     applies (the function is pure, so failure simply leaves `a` unused).
     """
-    src = split_lines(a)
+    src = a.splitlines(keepends=True)
     splices: list[tuple[int, int, list[str]]] = []
     prev_end = 0
     for index, hunk in enumerate(diff.hunks):

@@ -98,9 +98,10 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     are retried with exponential backoff up to config.retries extra
     attempts, then surface as BackendUnreachable / BackendError /
     BackendTimeout. A 4xx status other than 408 (timeout) or 429 (too many
-    requests) is permanent and raises at once. An output that is not a
-    string with a UTF-8 form, which no store could write, is a malformed
-    response (BackendError).
+    requests) is permanent and raises at once. A response that is not an
+    iterable of outputs (`None`, a number, a single string), or an output
+    that is not a string with a UTF-8 form, which no store could write, is
+    a malformed response (BackendError).
     """
     backend = config.backend
     if backend is None:
@@ -117,6 +118,10 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
                 )
             else:
                 outputs = _http_complete(str(backend), config, prompt)
+            if isinstance(outputs, str) or not hasattr(outputs, "__iter__"):
+                raise BackendError(
+                    200, f"malformed backend response: {type(outputs).__name__}, not a list"
+                )
             outputs = list(outputs)[: config.num_candidates]
             try:
                 "".join(outputs).encode("utf-8")

@@ -249,7 +249,6 @@ def reconstruct(
     region: Region,
     pair: ReprPair,
     model_output: str,
-    markers: Markers = DEFAULT_MARKERS,
     stop_tokens: Iterable[str] = DEFAULT_STOP_TOKENS,
 ) -> str:
     """Turn a raw model output into a full candidate function.

@@ -369,6 +369,37 @@ class TestRunBenchmark:
         assert records[1].error is None and records[1].verdicts[0].exact
         assert sorted(RecordStore(store.path).load()) == ["e2e-00", "e2e-01"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("response", [None, 7, "abc"])
+    def test_response_that_is_not_a_list_is_recorded(
+        self, bench_fixture, monkeypatch, response, workers
+    ):
+        monkeypatch.setattr(gen, "_sleep", lambda s: None)  # retried as any malformed response
+        manifest_path, mock, _ = bench_fixture
+        manifest = load_manifest(manifest_path)[:3]
+        want = run_benchmark(manifest, PAIR, GenerationConfig(backend=mock), run_tests=False)
+
+        class Odd:
+            def complete(self, prompt, n, max_new_tokens, stop):
+                if prompt == want[0].prompt:
+                    return response
+                return mock.complete(prompt, n, max_new_tokens, stop)
+
+        records = run_benchmark(
+            manifest, PAIR, GenerationConfig(backend=Odd()), workers=workers, run_tests=False
+        )
+        assert records[0].error == (
+            "BackendError: backend error 200: malformed backend response: "
+            f"{type(response).__name__}, not a list"
+        )
+        assert records[0].candidates == []
+
+        def outcome(record):
+            return record.bug_id, record.prompt, record.candidates, record.verdicts, record.error
+
+        assert [outcome(r) for r in records[1:]] == [outcome(r) for r in want[1:]]
+        assert all(r.candidates and r.error is None for r in records[1:])
+
     def test_deeply_nested_candidate_is_scored(self, bench_fixture):
         manifest_path, mock, _ = bench_fixture
         manifest = load_manifest(manifest_path)[:2]

@@ -503,14 +503,38 @@ class TestToolConfig:
 
     @pytest.mark.parametrize(
         "data",
-        [{"parallelism": "many"}, {"generation": {"num_candidates": 0}}],
-        ids=["parallelism", "num_candidates"],
+        [
+            {"parallelism": "many"},
+            {"generation": {"num_candidates": 0}},
+            {"generation": {"max_new_tokens": 0}},
+            {"generation": {"timeout": 0}},
+            {"generation": {"timeout": float("inf")}},
+            {"generation": {"timeout": None}},
+            {"generation": {"retries": -1}},
+            {"generation": {"retry_base_delay": -0.5}},
+        ],
+        ids=["parallelism", "num_candidates", "max_new_tokens", "timeout_zero",
+             "timeout_infinite", "timeout_null", "retries", "retry_base_delay"],
     )
     def test_bad_values_rejected(self, tmp_path, data):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="^bad config value: "):
             load_tool_config(str(path), env={})
+
+    @pytest.mark.parametrize(
+        "generation", [{"retries": -1}, {"timeout": -1}], ids=["retries", "timeout"]
+    )
+    def test_repair_with_a_bad_generation_value_is_an_error(
+        self, bench_fixture, tmp_path, capsys, generation
+    ):
+        manifest_path, _, _ = bench_fixture
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"generation": generation}))
+        status = main(["--config", str(path), "repair", "--manifest", str(manifest_path),
+                       "--pair", "IR4xOR2", "--no-tests"])
+        assert status == 1
+        assert capsys.readouterr().err.startswith("error: bad config value: ")
 
     def test_missing_explicit_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -198,3 +198,69 @@ def test_seeded_random_round_trips():
             diff = make_unified_diff(a, b, context)
             assert apply_diff(diff, a) == b
             assert apply_diff(UnifiedDiff.parse(diff.render()), a) == b
+
+
+# Every terminator str.splitlines splits on that a Java file may hold.
+_TERMINATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85"]
+_TERMINATED = st.builds(
+    str.__add__, st.sampled_from(["a", "b", "c", "", " d"]), st.sampled_from(_TERMINATORS)
+)
+# The last part is a final line with no terminator, or nothing.
+_TEXTS = st.builds(
+    lambda lines, last: "".join(lines) + last,
+    st.lists(_TERMINATED, max_size=16),
+    st.sampled_from(["", "a", "tail"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_TEXTS, b=_TEXTS, context=st.sampled_from([0, 1, 3]))
+def test_property_render_is_difflib_body_plus_marker(a, b, context):
+    body = list(
+        difflib.unified_diff(a.splitlines(keepends=True), b.splitlines(keepends=True), n=context)
+    )[2:]  # drop the ---/+++ file headers
+    diff = make_unified_diff(a, b, context)
+    assert diff.render() == "".join(
+        line if line.endswith("\n") else f"{line}\n\\ No newline at end of file\n"
+        for line in body
+    )
+    assert UnifiedDiff.parse(diff.render()) == diff
+    assert apply_diff(diff, a) == b
+    assert apply_diff(UnifiedDiff.parse(diff.render()), a) == b
+
+
+# Each message lands verbatim in a record's `reconstruct_error`. The window
+# alpha/beta occurs twice in the target, two lines either side of line 3.
+@pytest.mark.parametrize(
+    "output, error",
+    [
+        ("this is not a diff", "MalformedOutput: expected hunk header, got 'this is not a diff'"),
+        (
+            "@@ -1,3 +1,3 @@\n-alpha\n+one\n",
+            "MalformedOutput: hunk body shorter than header counts",
+        ),
+        ("@@ -1 +1 @@\n*alpha\n+one\n", "MalformedOutput: unexpected line in hunk body: '*alpha'"),
+        (
+            "@@ -1 +1 @@\n-alpha\n-beta\n+one\n",
+            "MalformedOutput: hunk body (2/1 lines) does not match header (-1,1 +1,1)",
+        ),
+        (
+            "@@ -4 +4 @@\n-x\n+X\n@@ -2 +2 @@\n-beta\n+BETA\n",
+            "MalformedOutput: hunks overlap or are out of order",
+        ),
+        ("@@ -1 +1 @@\n-missing\n+present\n", "HunkApplyFailure: hunk 0: context not found"),
+        (
+            "@@ -3 +3 @@\n-x\n+X\n@@ -20,0 +21 @@\n+past the end\n",
+            "HunkApplyFailure: hunk 1: insertion point out of range",
+        ),
+        (
+            "@@ -3,2 +3,2 @@\n-alpha\n-beta\n+ALPHA\n+BETA\n",
+            "HunkApplyFailure: hunk 0: ambiguous context match",
+        ),
+    ],
+)
+def test_error_messages(output, error):
+    target = "alpha\nbeta\nx\nx\nalpha\nbeta\ntail\n"
+    with pytest.raises((MalformedOutput, HunkApplyFailure)) as err:
+        apply_diff(UnifiedDiff.parse(output), target, fuzz=3)
+    assert f"{type(err.value).__name__}: {err.value}" == error

@@ -179,6 +179,36 @@ class TestRequestCandidates:
         assert err.value.status == 200 and "malformed backend response" in str(err.value)
         assert mock.calls == 2  # retried as any malformed response
 
+    @pytest.mark.parametrize("response", [None, 7, "abc"])
+    def test_response_that_is_not_a_list_is_malformed(self, monkeypatch, response):
+        monkeypatch.setattr(gen, "_sleep", lambda s: None)
+
+        class Odd:
+            calls = 0
+
+            def complete(self, prompt, n, max_new_tokens, stop):
+                self.calls += 1
+                return response
+
+        backend = Odd()
+        with pytest.raises(BackendError) as err:
+            request_candidates(GenerationConfig(backend=backend, retries=1), "p")
+        assert str(err.value) == (
+            "backend error 200: malformed backend response: "
+            f"{type(response).__name__}, not a list"
+        )
+        assert backend.calls == 2  # retried as any malformed response
+
+    @pytest.mark.parametrize("kind", [list, tuple, iter])
+    def test_any_iterable_of_strings_is_a_response(self, kind):
+        class Iterating:
+            def complete(self, prompt, n, max_new_tokens, stop):
+                return kind(["first", "second"])
+
+        assert request_candidates(GenerationConfig(backend=Iterating()), "p") == [
+            "first", "second"
+        ]
+
     def test_no_backend_configured(self):
         with pytest.raises(BackendUnreachable):
             request_candidates(GenerationConfig(), "p")

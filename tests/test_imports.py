@@ -4,7 +4,9 @@ Each footprint is taken in a fresh interpreter, as a real CLI call starts,
 with warnings as errors. The package resolves its exported names on first
 access, and every name it exported before that change still resolves, from
 the package and from the module that held it, to the same object. Every
-name a module imports is used there, exported or marked as re-exported.
+name a module imports is used there, exported or marked as re-exported,
+and every private name a module defines is read there or imported by
+another module.
 """
 import ast
 import importlib
@@ -219,3 +221,39 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_every_import_is_used():
     assert [u for path in sorted(SRC.rglob("*.py")) for u in _unused_imports(path)] == []
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """The `_name`s a module defines at its top level, dunders aside."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, t.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_used():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))
+    }
+    imported = {
+        alias.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unused = []
+    for path, tree in trees.items():
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.relative_to(SRC)}:{line}: {name}"
+                   for name, line in _private_definitions(tree)
+                   if name not in read and name not in imported]
+    assert unused == []

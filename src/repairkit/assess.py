@@ -19,7 +19,7 @@ import os
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     DegenerateMarginals,
@@ -220,7 +220,6 @@ class AssessmentVerdict:
     of 1,650 token-level mutants of valid sources that this accepted).
     """
 
-    bug_id: str
     rank: int
     parse_ok: bool
     plausible: str  # pass / fail / not-run
@@ -239,25 +238,18 @@ class AssessmentVerdict:
             raise ValueError(f"bad semantic state: {self.semantic}")
 
 
-@frozen
-class PlausibilityPlan:
-    """Everything classify() needs to run a bug's tests."""
-
-    project_root: str
-    location: FunctionLocation
-    spec: TestSpec
-
-
 def classify(
-    bug_id: str,
     candidates: Sequence[CandidatePatch],
     reference: str,
-    plan: Optional[PlausibilityPlan] = None,
+    test: Optional[Callable[[str], TestRun]] = None,
 ) -> list[AssessmentVerdict]:
     """Score each candidate on the assessment tiers, cheapest check first.
 
+    `test` runs the bug's suite on one candidate text, as a
+    `functools.partial` of `check_plausible` does; a verdict has the rank
+    of its candidate, and the bug id stays with the caller's record.
     Exact matches skip test execution (plausible by fiat) and imply AST
-    match. Other candidates run the tests when a plan is given; AST match
+    match. Other candidates run the tests when `test` is given; AST match
     is evaluated only for parsable candidates that did not fail the tests,
     and then the reference must parse (its ParseError propagates).
     Candidates that failed reconstruction score negative on every tier.
@@ -288,13 +280,13 @@ def classify(
     for candidate in candidates:
         if candidate.reconstructed is None:
             verdicts.append(
-                AssessmentVerdict(bug_id, candidate.rank, False, NOT_RUN, False, False)
+                AssessmentVerdict(candidate.rank, False, NOT_RUN, False, False)
             )
             continue
         text = candidate.reconstructed
         if exact_match(text, reference):
             verdicts.append(
-                AssessmentVerdict(bug_id, candidate.rank, True, PASS, True, True)
+                AssessmentVerdict(candidate.rank, True, PASS, True, True)
             )
             continue
         if not ref_read:
@@ -313,13 +305,12 @@ def classify(
             key = tokens.key()
         except ParseError:
             key = None
-        if plan is None:
+        if test is None:
             plausible = NOT_RUN
         elif key in tested:
             plausible = tested[key]
         else:
-            run = check_plausible(plan.project_root, plan.location, text, plan.spec)
-            plausible = PASS if run.outcome == PASS else FAIL
+            plausible = PASS if test(text).outcome == PASS else FAIL
             if key is not None:
                 tested[key] = plausible
         if key is None:
@@ -342,7 +333,7 @@ def classify(
                 raise ref_error
             ast = key == ref_key
         verdicts.append(
-            AssessmentVerdict(bug_id, candidate.rank, parse_ok, plausible, False, ast)
+            AssessmentVerdict(candidate.rank, parse_ok, plausible, False, ast)
         )
     return verdicts
 
@@ -500,9 +491,10 @@ def cohen_kappa(store: RatingStore, rater_a: str, rater_b: str) -> KappaResult:
 
 
 def apply_ratings(
-    verdicts: Iterable[AssessmentVerdict], store: RatingStore
+    bug_id: str, verdicts: Iterable[AssessmentVerdict], store: RatingStore
 ) -> list[AssessmentVerdict]:
-    """Fill verdict semantic labels from resolved ratings.
+    """Fill the semantic labels of one bug's verdicts from the ratings
+    resolved for `(bug_id, verdict.rank)`.
 
     Only resolved labels are copied; pending candidates stay unlabeled. A
     resolved 'incorrect' on an exact-match candidate contradicts ground
@@ -510,14 +502,14 @@ def apply_ratings(
     """
     out = []
     for verdict in verdicts:
-        resolved = resolve_semantic(store, verdict.bug_id, verdict.rank)
+        resolved = resolve_semantic(store, bug_id, verdict.rank)
         if resolved == PENDING:
             out.append(verdict)
         else:
             out.append(
                 AssessmentVerdict(
-                    verdict.bug_id, verdict.rank, verdict.parse_ok, verdict.plausible,
-                    verdict.exact, verdict.ast, resolved,
+                    verdict.rank, verdict.parse_ok, verdict.plausible, verdict.exact,
+                    verdict.ast, resolved,
                 )
             )
     return out

@@ -9,6 +9,7 @@ toward a metric when any of its candidates satisfies it.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -27,10 +28,10 @@ from .assess import (
     UNLABELED,
     AssessmentVerdict,
     FunctionLocation,
-    PlausibilityPlan,
     RatingStore,
     TestSpec,
     apply_ratings,
+    check_plausible,
     classify,
 )
 from .config import DEFAULT_LEAKAGE_BUGS, PROFILES, REPORT_FORMATS  # the first is re-exported
@@ -39,6 +40,7 @@ from .errors import (
     BackendError,
     BackendTimeout,
     BackendUnreachable,
+    ConfigError,
     HunkApplyFailure,
     InvalidRegion,
     MalformedOutput,
@@ -170,23 +172,18 @@ class RunRecord:
             raise ValueError("one verdict per candidate required")
 
 
-def _row(item: CandidatePatch | AssessmentVerdict) -> dict:
-    return {k: v for k, v in vars(item).items() if k != "bug_id"}  # stored once per record
-
-
 def _record_to_json(record: RunRecord) -> dict:
     # vars(), not asdict(): asdict deep-copies every value, 8x slower per record
     return {
         **vars(record),
-        "candidates": [_row(c) for c in record.candidates],
-        "verdicts": [_row(v) for v in record.verdicts],
+        "candidates": [vars(c) for c in record.candidates],
+        "verdicts": [vars(v) for v in record.verdicts],
     }
 
 
 def _record_from_json(data: dict) -> RunRecord:
-    bug_id = data["bug_id"]
-    data["candidates"] = [CandidatePatch(bug_id=bug_id, **row) for row in data["candidates"]]
-    data["verdicts"] = [AssessmentVerdict(bug_id=bug_id, **row) for row in data["verdicts"]]
+    data["candidates"] = [CandidatePatch(**row) for row in data["candidates"]]
+    data["verdicts"] = [AssessmentVerdict(**row) for row in data["verdicts"]]
     return RunRecord(**data)
 
 
@@ -288,36 +285,22 @@ def run_bug(
     for rank, raw in enumerate(outputs):
         try:
             text = reconstruct(fn, entry.region, pair, raw, gen_config.stop_tokens)
-            candidates.append(CandidatePatch(entry.bug_id, rank, raw, reconstructed=text))
+            candidates.append(CandidatePatch(rank, raw, reconstructed=text))
         except _RECONSTRUCT_ERRORS as exc:
             candidates.append(
-                CandidatePatch(
-                    entry.bug_id,
-                    rank,
-                    raw,
-                    reconstruct_error=f"{type(exc).__name__}: {exc}",
-                )
+                CandidatePatch(rank, raw, reconstruct_error=f"{type(exc).__name__}: {exc}")
             )
-    plan = None
+    test = None
     if run_tests:
-        plan = PlausibilityPlan(
-            project_root=entry.project_root,
-            location=FunctionLocation(
-                entry.file, entry.function_start, entry.function_end, fn.text
-            ),
-            spec=TestSpec(
-                command=entry.test_command,
-                timeout=entry.timeout if entry.timeout is not None else DEFAULT_TEST_TIMEOUT,
-            ),
-        )
+        location = FunctionLocation(entry.file, entry.function_start, entry.function_end, fn.text)
+        timeout = entry.timeout if entry.timeout is not None else DEFAULT_TEST_TIMEOUT
+        spec = TestSpec(entry.test_command, timeout)
+        test = functools.partial(check_plausible, entry.project_root, location, spec=spec)
     try:
-        verdicts = classify(entry.bug_id, candidates, entry.reference, plan)
+        verdicts = classify(candidates, entry.reference, test)
         error = None
     except (RepairKitError, OSError) as exc:  # OSError: the project could not be copied
-        verdicts = [
-            AssessmentVerdict(entry.bug_id, c.rank, False, "not-run", False, False)
-            for c in candidates
-        ]
+        verdicts = [AssessmentVerdict(c.rank, False, "not-run", False, False) for c in candidates]
         error = f"{type(exc).__name__}: {exc}"
         if isinstance(exc, shutil.Error) and exc.args and isinstance(exc.args[0], list):
             # copytree lists (source, copy, reason); the copy's path is random
@@ -352,12 +335,16 @@ def run_benchmark(
 
     Completed bugs are never re-queried; per-bug failures are recorded and
     do not abort the run. Bug-level parallelism is bounded by `workers`;
-    records are appended as bugs finish.
+    records are appended as bugs finish. A store holding a manifest bug
+    under another pair is a ConfigError.
     """
     if not valid_pair(pair):
         raise ValueError(f"invalid representation pair: {pair}")
     done = store.load() if store is not None else {}
     records: dict[str, RunRecord] = {e.bug_id: done[e.bug_id] for e in manifest if e.bug_id in done}
+    for record in records.values():
+        if record.pair != str(pair):
+            raise ConfigError(f"store {store.path} holds {record.pair} records, not {pair}")
     todo = [e for e in manifest if e.bug_id not in records]
 
     def _one(entry: BugManifestEntry) -> RunRecord:
@@ -432,7 +419,7 @@ def aggregate(
         for record in group:
             verdicts = record.verdicts
             if ratings is not None:
-                verdicts = apply_ratings(verdicts, ratings)
+                verdicts = apply_ratings(record.bug_id, verdicts, ratings)
             has_plausible = has_exact = has_ast = has_semantic = has_pending = False
             for v in verdicts:
                 if v.plausible == PASS:

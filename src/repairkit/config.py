@@ -95,11 +95,14 @@ class ToolConfig:
     parallelism: int = os.cpu_count() or 1
 
 
-def _build(section_cls, data: Mapping) -> object:
-    known = {f.name for f in fields(section_cls)}
-    unknown = set(data) - known
+def _check_keys(cls, data: Mapping) -> None:
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown {section_cls.__name__} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+
+
+def _build(section_cls, data: Mapping) -> object:
+    _check_keys(section_cls, data)
     coerced = dict(data)
     for f in fields(section_cls):
         if f.name in coerced and isinstance(coerced[f.name], list):
@@ -126,6 +129,7 @@ def load_tool_config(
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
+        _check_keys(ToolConfig, data)
     try:
         config = ToolConfig(
             markers=_build(Markers, data.get("markers", {})),

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from collections.abc import Mapping, Set
+from typing import Callable, Optional, Protocol, Sequence
 
 from .config import DEFAULT_STOP_TOKENS, GenerationConfig  # the first is re-exported
 from .errors import (
@@ -41,7 +42,6 @@ class Backend(Protocol):
 class CandidatePatch:
     """One ranked raw model output and its reconstruction outcome."""
 
-    bug_id: str
     rank: int
     raw_output: str
     reconstructed: Optional[str] = None
@@ -99,9 +99,9 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     attempts, then surface as BackendUnreachable / BackendError /
     BackendTimeout. A 4xx status other than 408 (timeout) or 429 (too many
     requests) is permanent and raises at once. A response that is not an
-    iterable of outputs (`None`, a number, a single string), or an output
-    that is not a string with a UTF-8 form, which no store could write, is
-    a malformed response (BackendError).
+    ordered iterable (`None`, a number, a string, a mapping, a set), or an
+    output that is not a string with a UTF-8 form, which no store could
+    write, is a malformed response (BackendError).
     """
     backend = config.backend
     if backend is None:
@@ -118,7 +118,7 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
                 )
             else:
                 outputs = _http_complete(str(backend), config, prompt)
-            if isinstance(outputs, str) or not hasattr(outputs, "__iter__"):
+            if isinstance(outputs, (str, Mapping, Set)) or not hasattr(outputs, "__iter__"):
                 raise BackendError(
                     200, f"malformed backend response: {type(outputs).__name__}, not a list"
                 )

@@ -1,32 +1,31 @@
 """`assess.classify` as it was before it lexed candidates against the
 reference: each non-exact candidate tested and parsed in full on its own,
 the reference parsed on the first AST verdict. Kept as the oracle for the
-differential test in `test_assess.py`; it calls `assess.check_plausible`
-through the module, so a test can substitute a fake for both.
+differential test in `test_assess.py`; it runs the suite through the same
+`test` callable as `classify`, so a test can hand both one fake.
 """
-from repairkit import assess
 from repairkit.assess import FAIL, NOT_RUN, PASS, AssessmentVerdict, exact_match
 from repairkit.errors import ParseError
 from repairkit.syntax import ast_key, parse
 
 
-def oracle_classify(bug_id, candidates, reference, plan=None):
+def oracle_classify(candidates, reference, test=None):
     verdicts = []
     reference_key = None  # parsed on first need, at most once per call
     for candidate in candidates:
         if candidate.reconstructed is None:
             verdicts.append(
-                AssessmentVerdict(bug_id, candidate.rank, False, NOT_RUN, False, False)
+                AssessmentVerdict(candidate.rank, False, NOT_RUN, False, False)
             )
             continue
         text = candidate.reconstructed
         if exact_match(text, reference):
             verdicts.append(
-                AssessmentVerdict(bug_id, candidate.rank, True, PASS, True, True)
+                AssessmentVerdict(candidate.rank, True, PASS, True, True)
             )
             continue
-        if plan is not None:
-            run = assess.check_plausible(plan.project_root, plan.location, text, plan.spec)
+        if test is not None:
+            run = test(text)
             plausible = PASS if run.outcome == PASS else FAIL
         else:
             plausible = NOT_RUN
@@ -40,6 +39,6 @@ def oracle_classify(bug_id, candidates, reference, plan=None):
                 reference_key = ast_key(parse(reference))
             ast = key == reference_key
         verdicts.append(
-            AssessmentVerdict(bug_id, candidate.rank, key is not None, plausible, False, ast)
+            AssessmentVerdict(candidate.rank, key is not None, plausible, False, ast)
         )
     return verdicts

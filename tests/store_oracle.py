@@ -52,10 +52,10 @@ def oracle_resolve_semantic(store, bug_id, rank):
     return PENDING
 
 
-def _oracle_apply_ratings(verdicts, store):
+def _oracle_apply_ratings(bug_id, verdicts, store):
     out = []
     for verdict in verdicts:
-        resolved = oracle_resolve_semantic(store, verdict.bug_id, verdict.rank)
+        resolved = oracle_resolve_semantic(store, bug_id, verdict.rank)
         out.append(verdict if resolved == PENDING else replace(verdict, semantic=resolved))
     return out
 
@@ -72,7 +72,7 @@ def oracle_aggregate(records, ratings=None, universe=None):
         for record in group:
             verdicts = record.verdicts
             if ratings is not None:
-                verdicts = _oracle_apply_ratings(verdicts, ratings)
+                verdicts = _oracle_apply_ratings(record.bug_id, verdicts, ratings)
             has_plausible = any(v.plausible == PASS for v in verdicts)
             has_exact = any(v.exact for v in verdicts)
             has_ast = any(v.ast for v in verdicts)

@@ -226,7 +226,7 @@ def test_criterion_08_metric_monotonicity(bench_fixture, diff_corpus):
             assert (not verdict.exact) or verdict.ast
 
     with pytest.raises(ValueError):
-        AssessmentVerdict("b", 0, True, "pass", exact=True, ast=False)
+        AssessmentVerdict(0, True, "pass", exact=True, ast=False)
     with pytest.raises(AggregateInvariantError):
         AggregateRow("x", universe=1, plausible=0, exact=2, ast=1, semantic=1, pending=0).check()
 

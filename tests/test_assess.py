@@ -7,8 +7,8 @@ import tempfile
 import time
 import zlib
 from pathlib import Path
+from functools import partial
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,6 @@ from repairkit.assess import (
     TIEBREAK,
     AssessmentVerdict,
     FunctionLocation,
-    PlausibilityPlan,
     RatingStore,
     SemanticRating,
     TestRun,
@@ -226,49 +225,48 @@ class TestCheckPlausible:
 class TestVerdictInvariants:
     def test_exact_implies_ast(self):
         with pytest.raises(ValueError):
-            AssessmentVerdict("b", 0, True, PASS, exact=True, ast=False)
+            AssessmentVerdict(0, True, PASS, exact=True, ast=False)
 
     def test_exact_cannot_be_semantically_incorrect(self):
         with pytest.raises(ValueError):
-            AssessmentVerdict("b", 0, True, PASS, True, True, semantic=INCORRECT)
+            AssessmentVerdict(0, True, PASS, True, True, semantic=INCORRECT)
 
 
 class TestClassify:
     def _candidate(self, text, rank=0):
-        return CandidatePatch("bug", rank, text, reconstructed=text)
+        return CandidatePatch(rank, text, reconstructed=text)
 
     def test_exact_candidate_skips_test_run(self, tmp_path):
-        # The plan's command would fail loudly if executed.
+        # The test command would fail loudly if executed.
         project, location, _ = _project(tmp_path)
-        plan = PlausibilityPlan(
-            str(project), location, TestSpec(command=f"{PY} -c 'raise SystemExit(1)'")
-        )
+        spec = TestSpec(command=f"{PY} -c 'raise SystemExit(1)'")
+        test = partial(check_plausible, str(project), location, spec=spec)
         fn_text = (
             "    static int combine(int a, int b) {\n        return a - b;\n    }"
         )
-        [verdict] = classify("bug", [self._candidate(fn_text)], fn_text, plan)
+        [verdict] = classify([self._candidate(fn_text)], fn_text, test)
         assert verdict.exact and verdict.ast
         assert verdict.plausible == PASS  # by fiat, without running the tests
 
     def test_reformatted_reference_is_plausible_ast_not_exact(self, tmp_path):
         project, location, spec = _project(tmp_path)
-        plan = PlausibilityPlan(str(project), location, spec)
+        test = partial(check_plausible, str(project), location, spec=spec)
         reformatted = "    static int combine(int a, int b) { return a + b; }"
-        [verdict] = classify("bug", [self._candidate(reformatted)], GOOD, plan)
+        [verdict] = classify([self._candidate(reformatted)], GOOD, test)
         assert verdict.plausible == PASS
         assert not verdict.exact
         assert verdict.ast
 
     def test_failing_candidate_skips_ast(self, tmp_path):
         project, location, spec = _project(tmp_path)
-        plan = PlausibilityPlan(str(project), location, spec)
-        [verdict] = classify("bug", [self._candidate(BAD)], GOOD, plan)
+        test = partial(check_plausible, str(project), location, spec=spec)
+        [verdict] = classify([self._candidate(BAD)], GOOD, test)
         assert verdict.plausible == FAIL
         assert not verdict.ast  # tier gating: AST applies to plausible patches
 
     def test_reconstruction_failure_scores_nothing(self):
-        broken = CandidatePatch("bug", 0, "raw", reconstruct_error="MalformedOutput")
-        [verdict] = classify("bug", [broken], GOOD, None)
+        broken = CandidatePatch(0, "raw", reconstruct_error="MalformedOutput")
+        [verdict] = classify([broken], GOOD, None)
         assert (verdict.parse_ok, verdict.plausible, verdict.exact, verdict.ast) == (
             False,
             NOT_RUN,
@@ -279,9 +277,9 @@ class TestClassify:
     def test_unparsable_plausible_candidate_records_parse_failure(self, tmp_path):
         # Tests are ground truth: a candidate our parser rejects still runs.
         project, location, spec = _project(tmp_path)
-        plan = PlausibilityPlan(str(project), location, spec)
+        test = partial(check_plausible, str(project), location, spec=spec)
         weird = "    static int combine(int a, int b) {\n        return a + b;\n    }}}"
-        [verdict] = classify("bug", [self._candidate(weird)], GOOD, plan)
+        [verdict] = classify([self._candidate(weird)], GOOD, test)
         assert not verdict.parse_ok
         assert not verdict.ast
 
@@ -289,22 +287,22 @@ class TestClassify:
         # The parser recurses once per nesting level.
         deep = REFERENCE.replace("a + b", "(" * 5000 + "a - b" + ")" * 5000)
         other = REFERENCE.replace("a + b", "b + a")
-        verdicts = classify("bug", [self._candidate(deep), self._candidate(other, 1)], REFERENCE)
+        verdicts = classify([self._candidate(deep), self._candidate(other, 1)], REFERENCE)
         assert [v.parse_ok for v in verdicts] == [False, True]
         assert [v.ast for v in verdicts] == [False, False]
 
     def test_no_plan_leaves_plausibility_not_run(self):
         reformatted = "int f() { return a + b; }"
-        [verdict] = classify("bug", [self._candidate(reformatted)], REFERENCE, None)
+        [verdict] = classify([self._candidate(reformatted)], REFERENCE, None)
         assert verdict.plausible == NOT_RUN
         assert verdict.ast  # still computable offline
 
     def test_deterministic(self, tmp_path):
         project, location, spec = _project(tmp_path)
-        plan = PlausibilityPlan(str(project), location, spec)
+        test = partial(check_plausible, str(project), location, spec=spec)
         candidates = [self._candidate(GOOD, 0), self._candidate(BAD, 1)]
-        first = classify("bug", candidates, GOOD, plan)
-        second = classify("bug", candidates, GOOD, plan)
+        first = classify(candidates, GOOD, test)
+        second = classify(candidates, GOOD, test)
         assert first == second
 
     @pytest.fixture
@@ -350,9 +348,9 @@ class TestClassify:
             self._candidate(commented, 4),
             self._candidate(truncated, 5),
             self._candidate(unlexable, 6),
-            CandidatePatch("bug", 7, "raw", reconstruct_error="MalformedOutput"),
+            CandidatePatch(7, "raw", reconstruct_error="MalformedOutput"),
         ]
-        verdicts = classify("bug", candidates, REFERENCE, None)
+        verdicts = classify(candidates, REFERENCE, None)
         assert [v.ast for v in verdicts] == [True, True, False, False, True, False, False, False]
         assert [v.parse_ok for v in verdicts] == [True, True, True, False, True, False, False, False]
         # The reference is lexed in full once, each candidate once against it.
@@ -369,28 +367,25 @@ class TestClassify:
         candidates = [
             self._candidate(REFERENCE, 0),
             self._candidate(renamed, 1),
-            CandidatePatch("bug", 2, "raw", reconstruct_error="MalformedOutput"),
+            CandidatePatch(2, "raw", reconstruct_error="MalformedOutput"),
         ]
-        classify("bug", candidates, REFERENCE, None)
+        classify(candidates, REFERENCE, None)
         assert (work.lexed, work.edited, work.parsed) == ([REFERENCE], [renamed], [REFERENCE])
         assert work.decided == [True]
         work.lexed.clear()
         work.edited.clear()
         work.parsed.clear()
-        classify("bug", [candidates[0], candidates[2]], REFERENCE, None)
+        classify([candidates[0], candidates[2]], REFERENCE, None)
         assert work.lexed == work.edited == work.parsed == []
 
-    def test_token_equal_candidates_are_tested_once(self, tmp_path, monkeypatch):
+    def test_token_equal_candidates_are_tested_once(self, tmp_path):
         project, location, spec = _project(tmp_path)
-        plan = PlausibilityPlan(str(project), location, spec)
         tested = []
-        check = assess.check_plausible
 
-        def counting_check(project_root, location, candidate, spec):
+        def counting_test(candidate):
             tested.append(candidate)
-            return check(project_root, location, candidate, spec)
+            return check_plausible(project, location, candidate, spec)
 
-        monkeypatch.setattr(assess, "check_plausible", counting_check)
         reformatted = "    static int combine(int a, int b) { return a + b; }"
         unlexable = "    static int combine(int a, int b) {\n        return a + b; /*\n    }"
         candidates = [
@@ -402,7 +397,7 @@ class TestClassify:
             self._candidate(unlexable, 5),  # tested on its own: it does not lex
             self._candidate(GOOD, 6),  # exact: not tested
         ]
-        verdicts = classify("bug", candidates, GOOD, plan)
+        verdicts = classify(candidates, GOOD, counting_test)
         assert tested == [reformatted, BAD, unlexable, unlexable]
         assert [v.plausible for v in verdicts] == [PASS, PASS, FAIL, FAIL, PASS, PASS, PASS]
         assert [v.ast for v in verdicts] == [True, True, False, False, False, False, True]
@@ -410,9 +405,9 @@ class TestClassify:
     def test_unparsable_reference_raises_once_needed(self):
         unparsable = "int broken("
         exact = self._candidate(unparsable, 0)
-        assert classify("bug", [exact], unparsable, None)[0].exact
+        assert classify([exact], unparsable, None)[0].exact
         with pytest.raises(ParseError):
-            classify("bug", [exact, self._candidate(REFERENCE, 1)], unparsable, None)
+            classify([exact, self._candidate(REFERENCE, 1)], unparsable, None)
 
 
 # --------------------------------------------------------------------------
@@ -472,18 +467,15 @@ def _classify_inputs(draw):
     reference = draw(st.sampled_from(ORACLE_REFERENCES))
     texts = draw(st.lists(st.one_of(st.none(), _candidate_text(reference)), max_size=8))
     candidates = [
-        CandidatePatch("bug", rank, "raw", reconstructed=text)
+        CandidatePatch(rank, "raw", reconstructed=text)
         if text is not None
-        else CandidatePatch("bug", rank, "raw", reconstruct_error="MalformedOutput")
+        else CandidatePatch(rank, "raw", reconstruct_error="MalformedOutput")
         for rank, text in enumerate(texts)
     ]
-    plan = None
-    if draw(st.booleans()):
-        plan = PlausibilityPlan("proj", FunctionLocation("Lib.java", 1, 1), TestSpec("true"))
-    return candidates, reference, plan
+    return candidates, reference, _fake_test if draw(st.booleans()) else None
 
 
-def _fake_check(project_root, location, candidate, spec):
+def _fake_test(candidate):
     """A suite whose outcome, or SpliceError, follows from the candidate's
     token texts when it lexes, else from its text."""
     try:
@@ -496,9 +488,9 @@ def _fake_check(project_root, location, candidate, spec):
     return TestRun(PASS if digest % 3 else FAIL, "")
 
 
-def _classified(classify_fn, candidates, reference, plan):
+def _classified(classify_fn, candidates, reference, test):
     try:
-        return classify_fn("bug", candidates, reference, plan)
+        return classify_fn(candidates, reference, test)
     except RepairKitError as exc:
         return type(exc), str(exc)
 
@@ -507,8 +499,7 @@ class TestClassifyMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(inputs=_classify_inputs())
     def test_same_verdicts_or_error(self, inputs):
-        with mock.patch.object(assess, "check_plausible", _fake_check):
-            assert _classified(classify, *inputs) == _classified(oracle_classify, *inputs)
+        assert _classified(classify, *inputs) == _classified(oracle_classify, *inputs)
 
 
 class TestRatings:
@@ -596,10 +587,10 @@ class TestRatings:
         for rater in ("alice", "bob"):
             store.add(SemanticRating("b", 1, rater, CORRECT))
         verdicts = [
-            AssessmentVerdict("b", 0, True, PASS, False, False),
-            AssessmentVerdict("b", 1, True, PASS, False, False),
+            AssessmentVerdict(0, True, PASS, False, False),
+            AssessmentVerdict(1, True, PASS, False, False),
         ]
-        updated = apply_ratings(verdicts, store)
+        updated = apply_ratings("b", verdicts, store)
         assert updated[0].semantic == "unlabeled"
         assert updated[1].semantic == CORRECT
 

@@ -27,6 +27,7 @@ from repairkit.bench import (
 )
 from repairkit.errors import (
     AggregateInvariantError,
+    ConfigError,
     DuplicateRating,
     InvalidRating,
     ManifestError,
@@ -173,6 +174,22 @@ class TestRunBenchmark:
             assert [c.raw_output for c in after.candidates] == [
                 c.raw_output for c in before.candidates
             ]
+
+    def test_resume_from_another_pairs_store_is_refused(self, bench_fixture, tmp_path):
+        manifest_path, mock, _ = bench_fixture
+        manifest = load_manifest(manifest_path)
+        store = RecordStore(tmp_path / "records.jsonl")
+        config = GenerationConfig(backend=mock)
+        first = run_benchmark(manifest[:2], PAIR, config, store=store, run_tests=False)
+        calls, data = mock.calls, store.path.read_bytes()
+        with pytest.raises(ConfigError) as err:
+            run_benchmark(manifest, ReprPair.parse("IR1xOR1"), config, store=store)
+        assert str(err.value) == f"store {store.path} holds IR4xOR2 records, not IR1xOR1"
+        assert mock.calls == calls and store.path.read_bytes() == data
+        # The same pair still resumes: only the bugs not yet stored are run.
+        again = run_benchmark(manifest, PAIR, config, store=store, run_tests=False)
+        assert again[:2] == first
+        assert mock.calls == calls + len(manifest) - 2
 
     def test_parallel_run_matches_serial(self, bench_fixture):
         manifest_path, mock, _ = bench_fixture
@@ -554,11 +571,11 @@ class TestAggregate:
         from repairkit.gen import CandidatePatch
 
         candidates = [
-            CandidatePatch(bug_id, rank, "raw", reconstructed="x")
+            CandidatePatch(rank, "raw", reconstructed="x")
             for rank in range(len(verdict_specs))
         ]
         verdicts = [
-            AssessmentVerdict(bug_id, rank, True, plaus, exact, ast, semantic)
+            AssessmentVerdict(rank, True, plaus, exact, ast, semantic)
             for rank, (plaus, exact, ast, semantic) in enumerate(verdict_specs)
         ]
         return RunRecord(bug_id, "IR4xOR2", "prompt", candidates, verdicts)
@@ -619,9 +636,9 @@ def _records(draw):
         records.append(
             RunRecord(
                 bug_id, pair, "prompt",
-                [CandidatePatch(bug_id, rank, "raw", reconstructed="x") for rank in ranks],
+                [CandidatePatch(rank, "raw", reconstructed="x") for rank in ranks],
                 [
-                    AssessmentVerdict(bug_id, rank, True, plausible, exact, ast, semantic)
+                    AssessmentVerdict(rank, True, plausible, exact, ast, semantic)
                     for rank, (plausible, (exact, ast), semantic) in enumerate(fields)
                 ],
             )
@@ -673,6 +690,78 @@ class TestAggregateMatchesOracle:
         assert _table_or_error(aggregate, records, store, universe) == _table_or_error(
             oracle_aggregate, records, oracle_store, universe
         )
+
+
+# Text JSON escapes, text it writes as is when not ASCII, and line breaks
+# other than "\n", which a store must not split a row at.
+_texts = st.text(max_size=12) | st.sampled_from(
+    ["", "naïve ✓ é🐛", "a\nb\r\n\t\"\\", "\u2028\u0085\x00", "<FILL_ME>"]
+)
+
+
+@st.composite
+def _run_records(draw):
+    """Error records, records with no candidates, and records whose
+    candidates were rebuilt or failed, with every optional field `None`
+    or set."""
+    bug_id, pair = draw(_texts), draw(st.sampled_from(["IR1xOR3", "IR4xOR2"]))
+    if draw(st.booleans()):  # the project or the backend failed
+        return RunRecord(bug_id, pair, draw(_texts), [], [], error=draw(_texts))
+    candidates, verdicts = [], []
+    for rank in range(draw(st.integers(0, 3))):
+        text = draw(_texts)
+        rebuilt = draw(st.booleans())
+        candidates.append(CandidatePatch(
+            rank=rank, raw_output=draw(_texts),
+            reconstructed=text if rebuilt else None,
+            reconstruct_error=None if rebuilt else text,
+        ))
+        plausible, (exact, ast), semantic = draw(_verdict_fields)
+        verdicts.append(AssessmentVerdict(
+            rank=rank, parse_ok=draw(st.booleans()), plausible=plausible, exact=exact,
+            ast=ast, semantic=semantic,
+        ))
+    timings = draw(st.dictionaries(
+        st.sampled_from(["generate_s", "assess_s"]), st.floats(allow_nan=False, allow_infinity=False)
+    ))
+    return RunRecord(bug_id, pair, draw(_texts), candidates, verdicts, timings=timings,
+                     error=draw(st.none() | _texts))
+
+
+def _expected_row(record):
+    """A record's store row, built field by field: the bug id is the
+    record's alone, never a candidate's or a verdict's."""
+    row = {
+        "bug_id": record.bug_id,
+        "pair": record.pair,
+        "prompt": record.prompt,
+        "candidates": [
+            {"rank": c.rank, "raw_output": c.raw_output, "reconstructed": c.reconstructed,
+             "reconstruct_error": c.reconstruct_error}
+            for c in record.candidates
+        ],
+        "verdicts": [
+            {"rank": v.rank, "parse_ok": v.parse_ok, "plausible": v.plausible,
+             "exact": v.exact, "ast": v.ast, "semantic": v.semantic}
+            for v in record.verdicts
+        ],
+        "timings": record.timings,
+        "error": record.error,
+    }
+    return json.dumps(row, sort_keys=True, ensure_ascii=False)
+
+
+class TestRecordStoreRows:
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(_run_records(), min_size=1, max_size=4, unique_by=lambda r: r.bug_id))
+    def test_each_row_is_the_record_field_by_field(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = RecordStore(Path(tmp) / "records.jsonl")
+            for record in records:
+                store.append(record)
+            lines = store.path.read_bytes().decode("utf-8").split("\n")
+            assert lines == [*map(_expected_row, records), ""]
+            assert list(RecordStore(store.path).load().values()) == records
 
 
 class TestReport:

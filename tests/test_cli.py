@@ -239,6 +239,27 @@ class TestRepairCommand:
             mock.close()
         assert first == second
 
+    def test_resume_from_another_pairs_store_is_an_error(self, bench_fixture, tmp_path, capsys):
+        manifest_path, mock, _ = bench_fixture
+        store = tmp_path / "records.jsonl"
+        url = mock.serve()
+        try:
+            args = ["repair", "--manifest", str(manifest_path), "--backend", url,
+                    "--store", str(store), "--no-tests", "--format", "delimited"]
+            assert main([*args, "--pair", "IR4xOR2"]) == 0
+            first = capsys.readouterr().out
+            calls, data = mock.calls, store.read_bytes()
+            assert main([*args, "--pair", "IR1xOR1"]) == 1
+            refused = capsys.readouterr()
+            assert main([*args, "--pair", "IR4xOR2"]) == 0
+            resumed = capsys.readouterr().out
+        finally:
+            mock.close()
+        assert refused.out == ""
+        assert refused.err == f"error: store {store} holds IR4xOR2 records, not IR1xOR1\n"
+        assert mock.calls == calls and store.read_bytes() == data
+        assert resumed == first
+
     def test_missing_backend_warns_and_exits_zero(self, bench_fixture, capsys):
         manifest_path, _, _ = bench_fixture
         status = main(
@@ -535,6 +556,30 @@ class TestToolConfig:
                        "--pair", "IR4xOR2", "--no-tests"])
         assert status == 1
         assert capsys.readouterr().err.startswith("error: bad config value: ")
+
+    def test_unknown_top_level_keys_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"timeout": -1, "retries": -1}))  # generation keys
+        with pytest.raises(ConfigError, match=r"^unknown ToolConfig keys: \['retries', 'timeout'\]$"):
+            load_tool_config(str(path), env={})
+
+    def test_repair_with_an_unknown_top_level_key_is_an_error(
+        self, bench_fixture, tmp_path, capsys
+    ):
+        manifest_path, mock, _ = bench_fixture
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"timeout": -1, "retries": -1}))
+        store = tmp_path / "records.jsonl"
+        url = mock.serve()
+        try:
+            status = main(["--config", str(path), "repair", "--manifest", str(manifest_path),
+                           "--pair", "IR4xOR2", "--backend", url, "--store", str(store)])
+        finally:
+            mock.close()
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown ToolConfig keys: ['retries', 'timeout']\n"
+        assert captured.out == "" and mock.calls == 0 and not store.exists()
 
     def test_missing_explicit_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

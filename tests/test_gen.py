@@ -179,7 +179,10 @@ class TestRequestCandidates:
         assert err.value.status == 200 and "malformed backend response" in str(err.value)
         assert mock.calls == 2  # retried as any malformed response
 
-    @pytest.mark.parametrize("response", [None, 7, "abc"])
+    @pytest.mark.parametrize(
+        "response", [None, 7, "abc", {"outputs": ["x"]}, {"x", "y"}],
+        ids=["None", "7", "abc", "dict", "set"],
+    )
     def test_response_that_is_not_a_list_is_malformed(self, monkeypatch, response):
         monkeypatch.setattr(gen, "_sleep", lambda s: None)
 
@@ -220,9 +223,9 @@ class TestRequestCandidates:
 
 class TestCandidatePatch:
     def test_exactly_one_outcome_field(self):
-        CandidatePatch("b", 0, "raw", reconstructed="text")
-        CandidatePatch("b", 0, "raw", reconstruct_error="MalformedOutput")
+        CandidatePatch(0, "raw", reconstructed="text")
+        CandidatePatch(0, "raw", reconstruct_error="MalformedOutput")
         with pytest.raises(ValueError):
-            CandidatePatch("b", 0, "raw")
+            CandidatePatch(0, "raw")
         with pytest.raises(ValueError):
-            CandidatePatch("b", 0, "raw", reconstructed="x", reconstruct_error="y")
+            CandidatePatch(0, "raw", reconstructed="x", reconstruct_error="y")

@@ -22,8 +22,8 @@ def _run_record(bug_id, pair, prompt, candidates, verdicts, timings=None, error=
         bug_id,
         pair,
         prompt,
-        [CandidatePatch(bug_id, *c) for c in candidates],
-        [AssessmentVerdict(bug_id, *v) for v in verdicts],
+        [CandidatePatch(*c) for c in candidates],
+        [AssessmentVerdict(*v) for v in verdicts],
         timings=timings or {},
         error=error,
     )

@@ -694,7 +694,7 @@ class TestAstKeyMatchesNormalizedTrees:
         assume(_parsable(a) and _parsable(b))
         expected = normalize(parse(a)) == normalize(parse(b))
         assert ast_equal(a, b) is expected
-        [verdict] = classify("bug", [CandidatePatch("bug", 0, a, reconstructed=a)], b)
+        [verdict] = classify([CandidatePatch(0, a, reconstructed=a)], b)
         assert verdict.ast == expected
 
     @pytest.mark.parametrize("equal", [True, False])

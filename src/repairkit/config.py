@@ -101,9 +101,13 @@ def _check_keys(cls, data: Mapping) -> None:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
 
 
-def _build(section_cls, data: Mapping) -> object:
-    _check_keys(section_cls, data)
-    coerced = dict(data)
+def _build(section_cls, data: Mapping, key: str) -> object:
+    """`section_cls` from the object at `data[key]`, defaults if it is absent."""
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {key!r} must hold a JSON object")
+    _check_keys(section_cls, section)
+    coerced = dict(section)
     for f in fields(section_cls):
         if f.name in coerced and isinstance(coerced[f.name], list):
             coerced[f.name] = tuple(coerced[f.name])
@@ -132,9 +136,9 @@ def load_tool_config(
         _check_keys(ToolConfig, data)
     try:
         config = ToolConfig(
-            markers=_build(Markers, data.get("markers", {})),
-            filter=_build(CorpusFilterConfig, data.get("filter", {})),
-            generation=_build(GenerationConfig, data.get("generation", {})),
+            markers=_build(Markers, data, "markers"),
+            filter=_build(CorpusFilterConfig, data, "filter"),
+            generation=_build(GenerationConfig, data, "generation"),
             parallelism=int(data.get("parallelism", os.cpu_count() or 1)),
         )
     except (TypeError, ValueError) as exc:

@@ -7,6 +7,9 @@ warning when it does not parse (a torn UTF-8 character included), and
 `mend_tail` cuts it off before the next append, or ends it with a newline
 when it is a whole row, so a fragment is never followed by another line. A
 bad line anywhere else raises `StoreError`, which names the file and line.
+
+`read_rows` takes a row straight from `JSONDecoder.raw_decode` only when
+`json.loads` would give the same row, so it accepts the same files.
 """
 from __future__ import annotations
 
@@ -21,6 +24,8 @@ from .errors import StoreError
 T = TypeVar("T")
 log = logging.getLogger(__name__)
 
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 def read_rows(path: Path, make: Callable[[dict], T]) -> Iterator[T]:
     """`make(row)` for each parsed non-blank line of `path`, skipping a torn
@@ -28,15 +33,22 @@ def read_rows(path: Path, make: Callable[[dict], T]) -> Iterator[T]:
     a ValueError, TypeError or KeyError, raises StoreError."""
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
             try:
-                row = json.loads(line.decode("utf-8"))  # a torn character raises too
-            except ValueError as exc:
-                if line.endswith(b"\n"):
-                    raise StoreError(path, number, exc) from exc
-                log.warning("%s: skipping torn last line %.60r", path, line)
-                continue
+                text = line.decode("utf-8")
+                row, end = _raw_decode(text)
+                whole = text[end:] in ("\n", "")  # then json.loads gives this row too
+            except ValueError:
+                whole = False
+            if not whole:
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line.decode("utf-8"))  # a torn character raises too
+                except ValueError as exc:
+                    if line.endswith(b"\n"):
+                        raise StoreError(path, number, exc) from exc
+                    log.warning("%s: skipping torn last line %.60r", path, line)
+                    continue
             try:
                 item = make(row)
             except (ValueError, TypeError, KeyError) as exc:

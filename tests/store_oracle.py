@@ -1,15 +1,44 @@
-"""The rating store's protocol and the bench aggregate as they were before
-the store indexed its ratings by `(bug_id, rank, round)` and `aggregate`
-made one pass per record: every query a scan of the ratings in insertion
-order, verdicts relabelled with `dataclasses.replace`, and five `any(...)`
-passes over each record's verdicts. Kept as the oracle for the
-differential tests in `test_assess.py` and `test_bench.py`.
+"""The stores as they were before later speed-ups, kept as the oracle for
+the differential tests in `test_assess.py`, `test_bench.py` and
+`test_jsonl.py`:
+
+- the rating store's protocol and the bench aggregate from before the store
+  indexed its ratings by `(bug_id, rank, round)` and `aggregate` made one
+  pass per record: every query a scan of the ratings in insertion order,
+  verdicts relabelled with `dataclasses.replace`, and five `any(...)`
+  passes over each record's verdicts;
+- `jsonl.read_rows` from before it decoded a line with `raw_decode`: every
+  non-blank line through `json.loads(line.decode("utf-8"))`.
 """
+import json
+import logging
 from dataclasses import replace
 
 from repairkit.assess import CORRECT, FIRST, PASS, PENDING, TIEBREAK, UNLABELED
 from repairkit.bench import AggregateRow, AggregateTable
-from repairkit.errors import DuplicateRating, InvalidRating
+from repairkit.errors import DuplicateRating, InvalidRating, StoreError
+
+log = logging.getLogger("repairkit.jsonl")
+
+
+def oracle_read_rows(path, make):
+    """`jsonl.read_rows`, decoding every line with `json.loads`."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line.decode("utf-8"))  # a torn character raises too
+            except ValueError as exc:
+                if line.endswith(b"\n"):
+                    raise StoreError(path, number, exc) from exc
+                log.warning("%s: skipping torn last line %.60r", path, line)
+                continue
+            try:
+                item = make(row)
+            except (ValueError, TypeError, KeyError) as exc:
+                raise StoreError(path, number, exc) from exc
+            yield item
 
 
 class ListRatingStore:

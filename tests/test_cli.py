@@ -557,6 +557,23 @@ class TestToolConfig:
         assert status == 1
         assert capsys.readouterr().err.startswith("error: bad config value: ")
 
+    @pytest.mark.parametrize(
+        "data, section",
+        [({"generation": []}, "generation"), ({"markers": "ab"}, "markers"),
+         ({"filter": None}, "filter")],
+        ids=["list", "string", "null"],
+    )
+    def test_section_that_is_not_an_object_is_an_error(self, tmp_path, capsys, data, section):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        store = tmp_path / "ratings.jsonl"
+        status = main(["--config", str(path), "rate", "--store", str(store), "--bug", "b",
+                       "--rank", "0", "--label", "correct", "--rater", "alice"])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config section {section!r} must hold a JSON object\n"
+        assert captured.out == "" and not store.exists()
+
     def test_unknown_top_level_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"timeout": -1, "retries": -1}))  # generation keys

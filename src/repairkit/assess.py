@@ -30,7 +30,7 @@ from .errors import (
     SpliceError,
 )
 from .gen import CandidatePatch
-from .jsonl import append_line, mend_tail, read_rows
+from .jsonl import Appender, read_rows
 from .syntax import lex_edit, parse, parses_edit, tokenize
 from .values import frozen
 
@@ -366,19 +366,35 @@ class RatingStore:
 
     Each `add` appends one line with a single write, then indexes the
     rating, so an `add` whose write fails leaves no rating and can be
-    retried; no file is held open between adds. A crash mid-append can
-    leave an unterminated last line: loading skips it with a warning and
-    the first `add` cuts it off.
+    retried. The store opens its file at its first `add` and closes it when
+    the store is dropped, so the file must not be replaced while a live
+    store holds it. A crash mid-append can leave an unterminated last line:
+    loading skips it with a warning and the first `add` cuts it off. A
+    second rating by one rater of one candidate in one round is a
+    `StoreError` at its line, as `add` refuses it with `DuplicateRating`.
     """
 
     def __init__(self, path: Optional[Path | str] = None):
         self.path = Path(path) if path is not None else None
         self._ratings: list[SemanticRating] = []
         self._by_round: dict[tuple[str, int, str], list[SemanticRating]] = {}
-        self._tail_checked = False
-        if self.path is not None and self.path.exists():
-            for rating in read_rows(self.path, lambda row: SemanticRating(**row)):
-                self._index(rating)
+        if self.path is not None:
+            self._appender = Appender(self.path)
+            if self.path.exists():
+                rows = read_rows(self.path, lambda row: self._unrated(SemanticRating(**row)))
+                for rating in rows:
+                    self._index(rating)
+
+    def _unrated(self, rating: SemanticRating) -> SemanticRating:
+        """`rating`, or DuplicateRating if its rater already rated its
+        candidate in its round."""
+        stage = rating.round
+        raters = self._by_round.get((rating.bug_id, rating.rank, stage), ())
+        if any(r.rater == rating.rater for r in raters):
+            raise DuplicateRating(
+                f"{rating.rater} already rated {rating.bug_id}#{rating.rank} ({stage} round)"
+            )
+        return rating
 
     def _index(self, rating: SemanticRating) -> None:
         self._ratings.append(rating)
@@ -400,8 +416,7 @@ class RatingStore:
         bug_id, rank, rater, stage = rating.bug_id, rating.rank, rating.rater, rating.round
         if rank < 0:
             raise InvalidRating(f"rank {rank} of {bug_id}: candidate ranks start at 0")
-        if any(r.rater == rater for r in self._by_round.get((bug_id, rank, stage), ())):
-            raise DuplicateRating(f"{rater} already rated {bug_id}#{rank} ({stage} round)")
+        self._unrated(rating)
         if stage == TIEBREAK:
             labels = {r.label for r in self._by_round.get((bug_id, rank, FIRST), ())}
             if len(labels) < 2:
@@ -411,10 +426,7 @@ class RatingStore:
         if rating.timestamp == 0.0:
             rating = SemanticRating(bug_id, rank, rater, rating.label, stage, time.time())
         if self.path is not None:
-            if not self._tail_checked:
-                mend_tail(self.path)
-                self._tail_checked = True
-            append_line(self.path, _encode_rating(vars(rating)))
+            self._appender.append(_encode_rating(vars(rating)))
         self._index(rating)
 
 
@@ -428,13 +440,14 @@ def resolve_semantic(store: RatingStore, bug_id: str, rank: int) -> str:
     tiebreak rating when present. Fewer than two first-round ratings leave
     the candidate pending.
     """
-    first = store.first_round(bug_id, rank)
+    by_round = store._by_round  # read in place: one call per candidate in a report
+    first = by_round.get((bug_id, rank, FIRST), ())
     if len(first) < 2:
         return PENDING
     labels = {r.label for r in first}
     if len(labels) == 1:
         return labels.pop()
-    tiebreaks = store.tiebreaks(bug_id, rank)
+    tiebreaks = by_round.get((bug_id, rank, TIEBREAK))
     if tiebreaks:
         return tiebreaks[-1].label
     return PENDING

@@ -48,7 +48,7 @@ from .errors import (
     RepairKitError,
 )
 from .gen import CandidatePatch, GenerationConfig, request_candidates
-from .jsonl import append_line, mend_tail, read_rows
+from .jsonl import Appender, read_rows
 from .representations import (
     DEFAULT_MARKERS,
     Markers,
@@ -181,43 +181,61 @@ def _record_to_json(record: RunRecord) -> dict:
     }
 
 
-def _record_from_json(data: dict) -> RunRecord:
+def _record_from_json(data: dict, shared: dict) -> RunRecord:
+    """The record of one decoded row; `shared` maps each verdict row seen
+    before, by content, to the verdict built from it."""
     data["candidates"] = [CandidatePatch(**row) for row in data["candidates"]]
-    data["verdicts"] = [AssessmentVerdict(**row) for row in data["verdicts"]]
+    verdicts = []
+    for row in data["verdicts"]:
+        try:
+            # Keys, values, then each value's type, so 1 never matches True;
+            # the length fixes where each part starts.
+            key = (*row, *row.values(), *map(type, row.values()))
+            verdict = shared[key]
+        except KeyError:
+            verdict = AssessmentVerdict(**row)
+            if _SHAREABLE.issuperset(map(type, row.values())):  # no float, null or list
+                shared[key] = verdict
+        except (AttributeError, TypeError):  # not an object, or an unhashable value
+            verdict = AssessmentVerdict(**row)
+        verdicts.append(verdict)
+    data["verdicts"] = verdicts
     return RunRecord(**data)
 
 
+_SHAREABLE = frozenset((str, int, bool))
 _encode_record = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
 class RecordStore:
     """Append-only JSONL store of run records; safe for threaded appends.
 
-    Each `append` writes one line with a single write; no file is held open
-    between appends. A crash mid-append can leave an unterminated last
-    line: `load` skips it with a warning and the first `append` cuts it
-    off, so a fragment is never followed by another line.
+    The store opens its file at its first `append`, writes each record as
+    one line in one write, and closes the file when the store is dropped,
+    so the file must not be replaced while a live store holds it. A crash
+    mid-append can leave an unterminated last line: `load` skips it with a
+    warning and the first `append` cuts it off, so a fragment is never
+    followed by another line. Each `load` builds one verdict per distinct
+    verdict row and shares it among the records that hold that row.
     """
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._tail_checked = False
+        self._appender = Appender(self.path)
 
     def load(self) -> dict[str, RunRecord]:
         records: dict[str, RunRecord] = {}
         if self.path.exists():
-            for record in read_rows(self.path, _record_from_json):
+            make = functools.partial(_record_from_json, shared={})
+            for record in read_rows(self.path, make):
                 records[record.bug_id] = record
         return records
 
     def append(self, record: RunRecord) -> None:
         line = _encode_record(_record_to_json(record))
         with self._lock:
-            if not self._tail_checked:
-                mend_tail(self.path)
-                self._tail_checked = True
-            append_line(self.path, line)
+            self._appender.append(line)
 
 
 # --------------------------------------------------------------------------

@@ -16,6 +16,7 @@ modules it runs, so a call pays only for the subcommand it makes.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from pathlib import Path
@@ -66,6 +67,14 @@ def _region_argument(value: str) -> Region:
         raise argparse.ArgumentTypeError(
             f"{value!r} is not a region (expected START:END, e.g. 3:5)"
         )
+
+
+def _existing(path: str) -> str:
+    """`path` of a store that a command only reads; a missing one is an error,
+    not an empty store."""
+    if not Path(path).exists():
+        raise FileNotFoundError(errno.ENOENT, "no such store", path)
+    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,6 +237,7 @@ def _cmd_repair(args, config) -> int:
     from .assess import RatingStore
     from .bench import RecordStore, aggregate, load_manifest, report, run_benchmark
 
+    ratings = RatingStore(_existing(args.ratings)) if args.ratings else None
     manifest = load_manifest(args.manifest, profile=args.profile)
     gen_config = config.generation
     if args.backend:
@@ -248,7 +258,6 @@ def _cmd_repair(args, config) -> int:
     failures = [r for r in records if r.error]
     for record in failures:
         print(f"warning: {record.bug_id}: {record.error}", file=sys.stderr)
-    ratings = RatingStore(args.ratings) if args.ratings else None
     table = aggregate(records, ratings=ratings, universe=len(manifest))
     print(report(table, args.format), end="")
     return 0
@@ -258,8 +267,8 @@ def _cmd_report(args, config) -> int:
     from .assess import RatingStore
     from .bench import RecordStore, aggregate, rank_curve, report
 
-    records = list(RecordStore(args.store).load().values())
-    ratings = RatingStore(args.ratings) if args.ratings else None
+    records = list(RecordStore(_existing(args.store)).load().values())
+    ratings = RatingStore(_existing(args.ratings)) if args.ratings else None
     table = aggregate(records, ratings=ratings, universe=args.universe)
     print(report(table, args.format), end="")
     if args.curve:
@@ -282,7 +291,7 @@ def _cmd_rate(args, config) -> int:
 def _cmd_kappa(args, config) -> int:
     from .assess import RatingStore, cohen_kappa
 
-    store = RatingStore(args.store)
+    store = RatingStore(_existing(args.store))
     result = cohen_kappa(store, args.rater_a, args.rater_b)
     print(
         f"kappa={result.kappa:.4f} observed_agreement={result.observed_agreement:.4f} "

@@ -1,12 +1,15 @@
 """Append-only JSON Lines files that survive a crash mid-append.
 
-`append_line` adds a row with one `O_APPEND` write and closes the file
-again, so no file is held open between appends. A crash while appending
-can still leave an unterminated last line. `read_rows` skips it with a
-warning when it does not parse (a torn UTF-8 character included), and
-`mend_tail` cuts it off before the next append, or ends it with a newline
-when it is a whole row, so a fragment is never followed by another line. A
-bad line anywhere else raises `StoreError`, which names the file and line.
+An `Appender` opens its file at its first append, writes each row as one
+`O_APPEND` write of a whole line, and closes the file when the appender is
+collected or the interpreter exits. Once it has appended, it keeps
+appending to the file it opened, so a file must not be replaced or
+unlinked while a live appender holds it. A crash while appending can still
+leave an unterminated last line. `read_rows` skips it with a warning when
+it does not parse (a torn UTF-8 character included), and `mend_tail` cuts
+it off before an appender's first append, or ends it with a newline when
+it is a whole row, so a fragment is never followed by another line. A bad
+line anywhere else raises `StoreError`, which names the file and line.
 
 `read_rows` takes a row straight from `JSONDecoder.raw_decode` only when
 `json.loads` would give the same row, so it accepts the same files.
@@ -16,10 +19,11 @@ from __future__ import annotations
 import json
 import logging
 import os
+import weakref
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Optional, TypeVar
 
-from .errors import StoreError
+from .errors import RepairKitError, StoreError
 
 T = TypeVar("T")
 log = logging.getLogger(__name__)
@@ -30,7 +34,7 @@ _raw_decode = json.JSONDecoder().raw_decode
 def read_rows(path: Path, make: Callable[[dict], T]) -> Iterator[T]:
     """`make(row)` for each parsed non-blank line of `path`, skipping a torn
     last line. A line that does not parse, or whose row `make` rejects with
-    a ValueError, TypeError or KeyError, raises StoreError."""
+    a ValueError, TypeError, KeyError or RepairKitError, raises StoreError."""
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             try:
@@ -51,20 +55,31 @@ def read_rows(path: Path, make: Callable[[dict], T]) -> Iterator[T]:
                     continue
             try:
                 item = make(row)
-            except (ValueError, TypeError, KeyError) as exc:
+            except (ValueError, TypeError, KeyError, RepairKitError) as exc:
                 raise StoreError(path, number, exc) from exc
             yield item
 
 
-def append_line(path: Path, line: str) -> None:
-    """Append `line` and a newline to `path`, creating it, in one write."""
-    data = (line + "\n").encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-    try:
+class Appender:
+    """Appends whole lines to one file through one descriptor, opened at the
+    first append and closed when the appender is collected."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._fd: Optional[int] = None
+
+    def append(self, line: str) -> None:
+        """Append `line` and a newline in one write, creating the file. The
+        first append mends a torn last line first."""
+        fd = self._fd
+        if fd is None:
+            mend_tail(self.path)
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            weakref.finalize(self, os.close, fd)
+            self._fd = fd
+        data = (line + "\n").encode("utf-8")
         while data:  # a regular file takes it all at once; loop on a short write
             data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
 
 
 def mend_tail(path: Path) -> None:
@@ -74,7 +89,7 @@ def mend_tail(path: Path) -> None:
         return
     cut = data.rfind(b"\n") + 1
     try:
-        json.loads(data[cut:])
+        json.loads(data[cut:].decode("utf-8"))  # strict, as `read_rows` reads it: no BOM
     except ValueError:
         with open(path, "r+b") as fh:
             fh.truncate(cut)

@@ -1,6 +1,6 @@
 """The stores as they were before later speed-ups, kept as the oracle for
-the differential tests in `test_assess.py`, `test_bench.py` and
-`test_jsonl.py`:
+the differential tests in `test_assess.py`, `test_bench.py`,
+`test_jsonl.py` and `test_store_format.py`:
 
 - the rating store's protocol and the bench aggregate from before the store
   indexed its ratings by `(bug_id, rank, round)` and `aggregate` made one
@@ -8,15 +8,20 @@ the differential tests in `test_assess.py`, `test_bench.py` and
   verdicts relabelled with `dataclasses.replace`, and five `any(...)`
   passes over each record's verdicts;
 - `jsonl.read_rows` from before it decoded a line with `raw_decode`: every
-  non-blank line through `json.loads(line.decode("utf-8"))`.
+  non-blank line through `json.loads(line.decode("utf-8"))`;
+- the record store's row decoder from before a load shared one verdict
+  among equal verdict rows: every row built field by field.
 """
 import json
 import logging
 from dataclasses import replace
 
-from repairkit.assess import CORRECT, FIRST, PASS, PENDING, TIEBREAK, UNLABELED
-from repairkit.bench import AggregateRow, AggregateTable
+from repairkit.assess import (
+    CORRECT, FIRST, PASS, PENDING, TIEBREAK, UNLABELED, AssessmentVerdict,
+)
+from repairkit.bench import AggregateRow, AggregateTable, RunRecord
 from repairkit.errors import DuplicateRating, InvalidRating, StoreError
+from repairkit.gen import CandidatePatch
 
 log = logging.getLogger("repairkit.jsonl")
 
@@ -39,6 +44,13 @@ def oracle_read_rows(path, make):
             except (ValueError, TypeError, KeyError) as exc:
                 raise StoreError(path, number, exc) from exc
             yield item
+
+
+def oracle_record_from_json(data):
+    """One record row, each candidate and verdict built from its own row."""
+    data["candidates"] = [CandidatePatch(**row) for row in data["candidates"]]
+    data["verdicts"] = [AssessmentVerdict(**row) for row in data["verdicts"]]
+    return RunRecord(**data)
 
 
 class ListRatingStore:

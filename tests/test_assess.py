@@ -48,6 +48,7 @@ from repairkit.errors import (
     ParseError,
     RepairKitError,
     SpliceError,
+    StoreError,
 )
 from repairkit.gen import CandidatePatch
 from repairkit.syntax import parser, parses_edit, tokenize
@@ -581,6 +582,15 @@ class TestRatings:
         path.write_text('{"bug_id": "b", "ra\n' + path.read_text(encoding="utf-8"))
         with pytest.raises(ValueError):
             RatingStore(path)
+
+    def test_second_rating_by_one_rater_in_a_file_is_a_store_error(self, tmp_path):
+        path = tmp_path / "ratings.jsonl"
+        RatingStore(path).add(SemanticRating("b", 0, "alice", CORRECT))
+        path.write_bytes(path.read_bytes() * 2)  # as two `rate` runs started together write
+        with pytest.raises(StoreError) as info:
+            RatingStore(path)
+        assert (info.value.path, info.value.line) == (path, 2)
+        assert str(info.value).endswith(": DuplicateRating: alice already rated b#0 (first round)")
 
     def test_apply_ratings_fills_resolved_labels(self):
         store = RatingStore()

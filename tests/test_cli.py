@@ -402,7 +402,8 @@ class TestRateAndKappa:
 GOLDEN = Path(__file__).parent / "golden"
 
 # Line 2 of a store, broken three ways: not JSON, a value the row's class
-# rejects, and a key it does not have.
+# rejects, and a key it does not have; for ratings, also a second rating of
+# line 1's candidate by line 1's rater.
 _RATING = (
     '{"bug_id": "b", "label": "%s", "rank": 0, "rater": "x", "round": "first", '
     '"timestamp": 1.0%s}'
@@ -411,6 +412,10 @@ BAD_RATING_LINES = {
     "not-json": '{"bug_id": "b", "ra',
     "bad-value": _RATING % ("maybe", ""),
     "unknown-key": _RATING % ("correct", ', "mood": "sure"'),
+    "second-rating": (
+        '{"bug_id": "Math-5", "label": "correct", "rank": 2, "rater": "alice", '
+        '"round": "first", "timestamp": 1.0}'
+    ),
 }
 _RECORD = (
     '{"bug_id": "b", "candidates": [{"rank": 0, "raw_output": "x", "reconstruct_error": '
@@ -464,6 +469,35 @@ class TestCorruptStore:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {records}:2: ")
         assert Path(records).read_bytes() == before
+
+
+class TestMissingStore:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["report", "--store", "{missing}"],
+            ["report", "--store", str(GOLDEN / "record_store.jsonl"), "--ratings", "{missing}"],
+            ["repair", "--manifest", "{manifest}", "--pair", "IR4xOR2", "--backend", "{url}",
+             "--ratings", "{missing}"],
+            ["kappa", "--rater-a", "alice", "--rater-b", "zoë", "--store", "{missing}"],
+        ],
+        ids=["report-store", "report-ratings", "repair-ratings", "kappa"],
+    )
+    def test_read_only_command_refuses_a_missing_store(
+        self, bench_fixture, tmp_path, capsys, command
+    ):
+        manifest_path, mock, _ = bench_fixture
+        missing = tmp_path / "typo.jsonl"
+        url = mock.serve()
+        try:
+            argv = [a.format(missing=missing, manifest=manifest_path, url=url) for a in command]
+            assert main(argv) == 1
+        finally:
+            mock.close()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert mock.calls == 0
+        assert not missing.exists()
 
 
 class TestExportTrainConfig:

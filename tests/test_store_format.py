@@ -6,15 +6,21 @@ objects must give the same bytes, and loading the files must give the same
 objects, so stores written by earlier versions keep resuming and reporting.
 """
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repairkit.assess import AssessmentVerdict, RatingStore, SemanticRating
 from repairkit.bench import RecordStore, RunRecord
+from repairkit.errors import StoreError
 from repairkit.gen import CandidatePatch
+from store_oracle import oracle_read_rows, oracle_record_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
+BOM = "\ufeff".encode("utf-8")
 
 
 def _run_record(bug_id, pair, prompt, candidates, verdicts, timings=None, error=None):
@@ -156,3 +162,181 @@ def test_append_after_every_cut_keeps_whole_rows(tmp_path, store):
         assert load(path) == [*kept, new], cut
         lines = path.read_bytes().split(b"\n")
         assert lines[-1] == b"" and all(_parses(line) for line in lines[:-1]), cut
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+def test_last_line_with_a_bom_is_skipped_then_cut(tmp_path, store):
+    """A load refuses a BOM, so a last line that starts with one is torn:
+    the first append cuts it off rather than keeping it."""
+    golden, rows, new, append, load = STORES[store]
+    *whole, last, end = (GOLDEN / golden).read_bytes().split(b"\n")
+    assert end == b""
+    path = tmp_path / golden
+    path.write_bytes(b"".join(line + b"\n" for line in whole) + BOM + last)
+    assert load(path) == rows[:-1]
+    append(path, new)
+    assert load(path) == [*rows[:-1], new]
+
+
+def _append_all(store, path, rows):
+    if store == "ratings":
+        ratings = RatingStore(path)
+        for row in rows:
+            ratings.add(row)
+    else:
+        records = RecordStore(path)
+        for row in rows:
+            records.append(row)
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+def test_one_store_opens_its_file_once(tmp_path, monkeypatch, store):
+    golden, rows, _, _, _ = STORES[store]
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path))
+        return real_open(path, *args, **kwargs)
+
+    real_open = os.open
+    monkeypatch.setattr(os, "open", counting_open)
+    _append_all(store, tmp_path / golden, rows)
+    assert opened == [tmp_path / golden]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_dropped_stores_close_their_files(tmp_path):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    for i in range(150):
+        _append_all("ratings", tmp_path / f"ratings{i}.jsonl", RATINGS[:1])
+        _append_all("records", tmp_path / f"records{i}.jsonl", RECORDS[:1])
+    assert open_fds() == before
+
+
+def test_equal_verdict_rows_load_as_one_value(tmp_path):
+    row = {"ast": False, "exact": False, "parse_ok": True, "plausible": "pass", "rank": 0}
+    candidates = [{"rank": 0, "raw_output": "x", "reconstructed": "x"}]
+    lines = [
+        {"bug_id": bug_id, "pair": "IR4xOR2", "prompt": "", "candidates": candidates,
+         "verdicts": [verdict]}
+        for bug_id, verdict in (("a", row), ("b", row), ("c", {**row, "parse_ok": 1}))
+    ]
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    records = RecordStore(path).load()
+    assert records["a"].verdicts[0] is records["b"].verdicts[0]
+    assert records["c"].verdicts[0].parse_ok == 1
+    assert type(records["c"].verdicts[0].parse_ok) is int
+
+
+# Values a verdict row may hold besides plain ones: some equal a bool or an
+# int of another type (1.0, -0.0), one equals nothing (NaN). A verdict shared
+# by content must still take the row's own values and types.
+_ODD = [1.0, 0.0, -0.0, float("nan"), None, [], [0]]
+_FLAG = [True, False, 1, 0] * 2 + _ODD
+
+
+def _constructs(row: dict) -> bool:
+    try:
+        AssessmentVerdict(**row)
+    except ValueError:
+        return False
+    return True
+
+
+_verdict_rows = st.fixed_dictionaries(
+    {
+        "rank": st.sampled_from([0, 1, 2] * 3 + [True, False, "0", *_ODD]),
+        "parse_ok": st.sampled_from(_FLAG),
+        "plausible": st.sampled_from(["pass", "fail", "not-run"]),
+        "exact": st.sampled_from(_FLAG),
+        "ast": st.sampled_from(_FLAG),
+    },
+    optional={"semantic": st.sampled_from(["unlabeled", "correct", "incorrect"])},
+).filter(_constructs)
+
+
+def _twins(value) -> list:
+    """`value` and the values of other JSON types that equal it."""
+    for group in ([True, 1, 1.0], [False, 0, 0.0, -0.0]):
+        if type(value) in (bool, int, float) and value == group[1]:
+            return group
+    return [value]
+
+
+def _bad(row: dict, how: str):
+    """A verdict row that `AssessmentVerdict` rejects."""
+    if how == "missing-key":
+        return {k: v for k, v in row.items() if k != "ast"}
+    if how == "unknown-key":
+        return {**row, "mood": "sure"}
+    if how == "bad-value":
+        return {**row, "plausible": "maybe"}
+    return {"not-an-object": 1, "null": None, "string": "x", "list": [1]}[how]
+
+
+@st.composite
+def _record_files(draw) -> bytes:
+    """Records whose verdict rows come from a small pool of valid rows: a
+    row, and rows that differ from one before them in one value's type
+    alone, or not at all, some with their keys in another order. The last
+    record may hold a bad row, or no verdict list."""
+    base = draw(_verdict_rows)
+    pool = [base]
+    for _ in range(draw(st.sampled_from([2, 3, 4]))):
+        twin = dict(draw(st.sampled_from(pool)))
+        key = draw(st.sampled_from(sorted(twin)))
+        twin[key] = draw(st.sampled_from(_twins(twin[key])))
+        if draw(st.sampled_from([False] * 3 + [True])):
+            twin = dict(reversed(twin.items()))
+        if _constructs(twin):
+            pool.append(twin)
+    rows = []
+    for i in range(draw(st.integers(2, 6))):
+        verdicts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        rows.append({"bug_id": f"b{i}", "pair": "IR4xOR2", "prompt": "", "verdicts": verdicts})
+    how = draw(st.sampled_from(
+        [None] * 8
+        + ["missing-key", "unknown-key", "bad-value", "not-an-object", "null", "string", "list"]
+        + ["no-list"]
+    ))
+    if how == "no-list":
+        rows[-1]["verdicts"] = None
+    elif how is not None:
+        rows[-1]["verdicts"].append(_bad(base, how))
+    lines = []
+    for row in rows:
+        row["candidates"] = [
+            {"rank": r, "raw_output": "x", "reconstructed": "x"}
+            for r in range(len(row["verdicts"] or ()))
+        ]
+        lines.append(json.dumps(row).encode("utf-8") + b"\n")
+    return b"".join(lines)
+
+
+def _loaded(load, path):
+    """Each record's repr and its verdict fields' types, or the StoreError."""
+    try:
+        records = load(path)
+    except StoreError as exc:
+        return (exc.path, exc.line, str(exc))
+    return [
+        (repr(record), [[type(value) for value in vars(v).values()] for v in record.verdicts])
+        for record in records.values()
+    ]
+
+
+def _oracle_load(path):
+    return {record.bug_id: record for record in oracle_read_rows(path, oracle_record_from_json)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_files())
+def test_record_load_matches_the_field_by_field_decoder(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_bytes(data)
+        assert _loaded(lambda p: RecordStore(p).load(), path) == _loaded(_oracle_load, path)

@@ -32,7 +32,7 @@ from .errors import (
 from .gen import CandidatePatch
 from .jsonl import Appender, read_rows
 from .syntax import lex_edit, parse, parses_edit, tokenize
-from .values import frozen
+from .values import from_row, frozen
 
 PASS = "pass"
 FAIL = "fail"
@@ -228,6 +228,8 @@ class AssessmentVerdict:
     semantic: str = UNLABELED
 
     def __post_init__(self):
+        if isinstance(self.rank, (int, float)) and self.rank < 0:
+            raise ValueError(f"rank {self.rank}: candidate ranks start at 0")
         if self.exact and not self.ast:
             raise ValueError("exact match implies AST match")
         if self.exact and self.semantic == INCORRECT:
@@ -358,6 +360,26 @@ class SemanticRating:
 
 
 _encode_rating = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _rating_line(rating: SemanticRating) -> str:
+    """`_encode_rating(vars(rating))`, laid out directly when every field
+    has its exact type: a `str`, an `int` rank and a finite `float`."""
+    bug_id, rank, rater, label, stage, stamp = (
+        rating.bug_id, rating.rank, rating.rater, rating.label, rating.round, rating.timestamp,
+    )
+    if (
+        type(bug_id) is type(rater) is type(label) is type(stage) is str
+        and type(rank) is int
+        and type(stamp) is float
+        and stamp - stamp == 0.0  # finite: NaN and infinities encode as names
+    ):
+        return (
+            f'{{"bug_id": {_quote(bug_id)}, "label": {_quote(label)}, "rank": {rank!r}, '
+            f'"rater": {_quote(rater)}, "round": {_quote(stage)}, "timestamp": {stamp!r}}}'
+        )
+    return _encode_rating(vars(rating))
 
 
 class RatingStore:
@@ -370,8 +392,10 @@ class RatingStore:
     the store is dropped, so the file must not be replaced while a live
     store holds it. A crash mid-append can leave an unterminated last line:
     loading skips it with a warning and the first `add` cuts it off. A
-    second rating by one rater of one candidate in one round is a
-    `StoreError` at its line, as `add` refuses it with `DuplicateRating`.
+    load admits each stored rating by `add`'s rules, so a negative rank, a
+    second rating by one rater of one candidate in one round, or a
+    tiebreak where the first round did not disagree is a `StoreError` at
+    its line.
     """
 
     def __init__(self, path: Optional[Path | str] = None):
@@ -381,24 +405,33 @@ class RatingStore:
         if self.path is not None:
             self._appender = Appender(self.path)
             if self.path.exists():
-                rows = read_rows(self.path, lambda row: self._unrated(SemanticRating(**row)))
-                for rating in rows:
-                    self._index(rating)
+                self._ratings = list(read_rows(self.path, self._load))
 
-    def _unrated(self, rating: SemanticRating) -> SemanticRating:
-        """`rating`, or DuplicateRating if its rater already rated its
-        candidate in its round."""
-        stage = rating.round
-        raters = self._by_round.get((rating.bug_id, rating.rank, stage), ())
-        if any(r.rater == rating.rater for r in raters):
-            raise DuplicateRating(
-                f"{rating.rater} already rated {rating.bug_id}#{rating.rank} ({stage} round)"
-            )
+    def _load(self, row: dict) -> SemanticRating:
+        rating = from_row(SemanticRating, row)
+        self._admit(rating).append(rating)
         return rating
 
-    def _index(self, rating: SemanticRating) -> None:
-        self._ratings.append(rating)
-        self._by_round.setdefault((rating.bug_id, rating.rank, rating.round), []).append(rating)
+    def _admit(self, rating: SemanticRating) -> list[SemanticRating]:
+        """The index list that `rating` joins, once it passes `add`'s rules:
+        a rank of at least 0, one rating per rater of a candidate in a
+        round, and a tiebreak only where the first round disagreed."""
+        bug_id, rank, stage = rating.bug_id, rating.rank, rating.round
+        raters = self._by_round.setdefault((bug_id, rank, stage), [])
+        if rank < 0:
+            raise InvalidRating(f"rank {rank} of {bug_id}: candidate ranks start at 0")
+        for r in raters:
+            if r.rater == rating.rater:
+                raise DuplicateRating(
+                    f"{rating.rater} already rated {bug_id}#{rank} ({stage} round)"
+                )
+        if stage == TIEBREAK:
+            labels = {r.label for r in self._by_round.get((bug_id, rank, FIRST), ())}
+            if len(labels) < 2:
+                raise InvalidRating(
+                    "tiebreak ratings only exist where first-round raters disagree"
+                )
+        return raters
 
     def __len__(self) -> int:
         return len(self._ratings)
@@ -413,21 +446,15 @@ class RatingStore:
         return list(self._by_round.get((bug_id, rank, TIEBREAK), ()))
 
     def add(self, rating: SemanticRating) -> None:
-        bug_id, rank, rater, stage = rating.bug_id, rating.rank, rating.rater, rating.round
-        if rank < 0:
-            raise InvalidRating(f"rank {rank} of {bug_id}: candidate ranks start at 0")
-        self._unrated(rating)
-        if stage == TIEBREAK:
-            labels = {r.label for r in self._by_round.get((bug_id, rank, FIRST), ())}
-            if len(labels) < 2:
-                raise InvalidRating(
-                    "tiebreak ratings only exist where first-round raters disagree"
-                )
+        raters = self._admit(rating)
         if rating.timestamp == 0.0:
-            rating = SemanticRating(bug_id, rank, rater, rating.label, stage, time.time())
+            rating = SemanticRating(
+                rating.bug_id, rating.rank, rating.rater, rating.label, rating.round, time.time()
+            )
         if self.path is not None:
-            self._appender.append(_encode_rating(vars(rating)))
-        self._index(rating)
+            self._appender.append(_rating_line(rating))
+        raters.append(rating)
+        self._ratings.append(rating)
 
 
 PENDING = "pending"
@@ -513,8 +540,12 @@ def apply_ratings(
     resolved 'incorrect' on an exact-match candidate contradicts ground
     truth and raises.
     """
+    by_round = store._by_round
     out = []
     for verdict in verdicts:
+        if len(by_round.get((bug_id, verdict.rank, FIRST), ())) < 2:  # pending
+            out.append(verdict)
+            continue
         resolved = resolve_semantic(store, bug_id, verdict.rank)
         if resolved == PENDING:
             out.append(verdict)

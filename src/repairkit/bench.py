@@ -13,6 +13,7 @@ import functools
 import json
 import logging
 import math
+import operator
 import shutil
 import subprocess
 import threading
@@ -59,7 +60,7 @@ from .representations import (
     valid_pair,
 )
 from .syntax import SourceFile, SourceFunction
-from .values import frozen
+from .values import from_row, frozen
 
 log = logging.getLogger(__name__)
 
@@ -184,7 +185,7 @@ def _record_to_json(record: RunRecord) -> dict:
 def _record_from_json(data: dict, shared: dict) -> RunRecord:
     """The record of one decoded row; `shared` maps each verdict row seen
     before, by content, to the verdict built from it."""
-    data["candidates"] = [CandidatePatch(**row) for row in data["candidates"]]
+    data["candidates"] = [from_row(CandidatePatch, row) for row in data["candidates"]]
     verdicts = []
     for row in data["verdicts"]:
         try:
@@ -479,17 +480,14 @@ def rank_curve(
     """
     if metric not in ("exact", "ast", "plausible"):
         raise ValueError(f"unknown metric: {metric!r}")
-
-    def hit(verdict: AssessmentVerdict) -> bool:
-        if metric == "plausible":
-            return verdict.plausible == PASS
-        return bool(getattr(verdict, metric))
-
+    value = operator.attrgetter(metric)
+    passing = metric == "plausible"
     counts = [0] * max_rank
     for record in records:
-        best = min(
-            (v.rank for v in record.verdicts if hit(v)), default=None
-        )
+        best = None  # the lowest rank that hits, as min() finds it
+        for v in record.verdicts:
+            if (value(v) == PASS if passing else value(v)) and (best is None or v.rank < best):
+                best = v.rank
         if best is not None:
             for k in range(best, max_rank):
                 counts[k] += 1

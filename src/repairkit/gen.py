@@ -52,6 +52,8 @@ class CandidatePatch:
             raise ValueError(
                 "exactly one of reconstructed / reconstruct_error must be set"
             )
+        if isinstance(self.rank, (int, float)) and self.rank < 0:
+            raise ValueError(f"rank {self.rank}: candidate ranks start at 0")
 
 
 # A reconstruction of the zero-shot instruction style used with chat models;

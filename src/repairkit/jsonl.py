@@ -29,6 +29,7 @@ T = TypeVar("T")
 log = logging.getLogger(__name__)
 
 _raw_decode = json.JSONDecoder().raw_decode
+_BLOCK = 1 << 13  # bytes `mend_tail` reads at a time, back from the end
 
 
 def read_rows(path: Path, make: Callable[[dict], T]) -> Iterator[T]:
@@ -83,13 +84,32 @@ class Appender:
 
 
 def mend_tail(path: Path) -> None:
-    """Cut a torn last line, or end it with a newline if it is a whole row."""
-    data = path.read_bytes() if path.exists() else b""
-    if not data or data.endswith(b"\n"):
-        return
-    cut = data.rfind(b"\n") + 1
+    """Cut a torn last line, or end it with a newline if it is a whole row.
+    Reads back from the end of the file in blocks, so only its last line
+    is read."""
     try:
-        json.loads(data[cut:].decode("utf-8"))  # strict, as `read_rows` reads it: no BOM
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        cut = fh.seek(0, os.SEEK_END)
+        tail: list[bytes] = []  # the last line's blocks, last block first
+        while cut:
+            start = max(cut - _BLOCK, 0)
+            fh.seek(start)
+            block = fh.read(cut - start)
+            if not tail and block.endswith(b"\n"):
+                return
+            newline = block.rfind(b"\n") + 1
+            tail.append(block[newline:])
+            cut = start + newline
+            if newline:
+                break
+    if not tail:  # an empty file
+        return
+    try:
+        # strict, as `read_rows` reads it: no BOM
+        json.loads(b"".join(reversed(tail)).decode("utf-8"))
     except ValueError:
         with open(path, "r+b") as fh:
             fh.truncate(cut)

@@ -10,7 +10,10 @@ the differential tests in `test_assess.py`, `test_bench.py`,
 - `jsonl.read_rows` from before it decoded a line with `raw_decode`: every
   non-blank line through `json.loads(line.decode("utf-8"))`;
 - the record store's row decoder from before a load shared one verdict
-  among equal verdict rows: every row built field by field.
+  among equal verdict rows: every row built field by field;
+- `bench.rank_curve` from before it picked the metric's attribute once: a
+  closure call per verdict;
+- `jsonl.mend_tail` from before it read only the last line: the whole file.
 """
 import json
 import logging
@@ -139,3 +142,39 @@ def oracle_aggregate(records, ratings=None, universe=None):
         row.check()
         rows.append(row)
     return AggregateTable(tuple(rows))
+
+
+def oracle_rank_curve(records, metric="exact", max_rank=10):
+    if metric not in ("exact", "ast", "plausible"):
+        raise ValueError(f"unknown metric: {metric!r}")
+
+    def hit(verdict):
+        if metric == "plausible":
+            return verdict.plausible == PASS
+        return bool(getattr(verdict, metric))
+
+    counts = [0] * max_rank
+    for record in records:
+        best = min(
+            (v.rank for v in record.verdicts if hit(v)), default=None
+        )
+        if best is not None:
+            for k in range(best, max_rank):
+                counts[k] += 1
+    return counts
+
+
+def oracle_mend_tail(path):
+    """`jsonl.mend_tail`, reading the whole file."""
+    data = path.read_bytes() if path.exists() else b""
+    if not data or data.endswith(b"\n"):
+        return
+    cut = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[cut:].decode("utf-8"))
+    except ValueError:
+        with open(path, "r+b") as fh:
+            fh.truncate(cut)
+    else:
+        with open(path, "ab") as fh:
+            fh.write(b"\n")

@@ -1,4 +1,5 @@
 """Match oracles, plausibility execution, ratings, kappa, and classify."""
+import json
 import logging
 import os
 import shlex
@@ -231,6 +232,13 @@ class TestVerdictInvariants:
     def test_exact_cannot_be_semantically_incorrect(self):
         with pytest.raises(ValueError):
             AssessmentVerdict(0, True, PASS, True, True, semantic=INCORRECT)
+
+    @pytest.mark.parametrize("rank", [-1, -3, -0.5])
+    def test_negative_rank_rejected(self, rank):
+        with pytest.raises(ValueError, match="candidate ranks start at 0"):
+            AssessmentVerdict(rank, True, PASS, True, True)
+        with pytest.raises(ValueError, match="candidate ranks start at 0"):
+            CandidatePatch(rank, "x", reconstructed="x")
 
 
 class TestClassify:
@@ -631,6 +639,53 @@ def _outcome(store, rating):
     except (DuplicateRating, InvalidRating) as exc:
         return type(exc)
     return "accepted"
+
+
+def _stored_rating(rank, rater, label, stage="first"):
+    return json.dumps(
+        {"bug_id": "b", "label": label, "rank": rank, "rater": rater, "round": stage,
+         "timestamp": 1.0}
+    )
+
+
+# Files that `add` could not have written, and the line a load refuses.
+REFUSED_AT_LOAD = {
+    "negative-rank": (
+        [_stored_rating(-3, "alice", CORRECT), _stored_rating(-3, "carol", INCORRECT, TIEBREAK)],
+        1,
+        "InvalidRating: rank -3 of b: candidate ranks start at 0",
+    ),
+    "tiebreak-after-agreement": (
+        [_stored_rating(0, "alice", CORRECT), _stored_rating(0, "bob", CORRECT),
+         _stored_rating(0, "carol", INCORRECT, TIEBREAK)],
+        3,
+        "InvalidRating: tiebreak ratings only exist where first-round raters disagree",
+    ),
+    "tiebreak-after-one-rating": (
+        [_stored_rating(0, "alice", CORRECT), _stored_rating(0, "carol", INCORRECT, TIEBREAK)],
+        2,
+        "InvalidRating: tiebreak ratings only exist where first-round raters disagree",
+    ),
+}
+
+
+class TestRatingRulesAtLoad:
+    @pytest.mark.parametrize("kind", sorted(REFUSED_AT_LOAD))
+    def test_row_that_add_refuses_is_a_store_error(self, tmp_path, kind):
+        lines, line, reason = REFUSED_AT_LOAD[kind]
+        path = tmp_path / "ratings.jsonl"
+        path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
+        with pytest.raises(StoreError) as info:
+            RatingStore(path)
+        assert (info.value.path, info.value.line) == (path, line)
+        assert str(info.value).endswith(f": {reason}")
+
+    def test_tiebreak_after_disagreement_loads(self, tmp_path):
+        path = tmp_path / "ratings.jsonl"
+        lines = [_stored_rating(0, "alice", CORRECT), _stored_rating(0, "bob", INCORRECT),
+                 _stored_rating(0, "carol", INCORRECT, TIEBREAK)]
+        path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
+        assert resolve_semantic(RatingStore(path), "b", 0) == INCORRECT
 
 
 class TestRatingStoreMatchesOracle:

@@ -31,10 +31,11 @@ from repairkit.errors import (
     DuplicateRating,
     InvalidRating,
     ManifestError,
+    StoreError,
 )
 from repairkit.gen import CandidatePatch, GenerationConfig
 from repairkit.representations import ReprPair
-from store_oracle import ListRatingStore, oracle_aggregate
+from store_oracle import ListRatingStore, oracle_aggregate, oracle_rank_curve
 
 PAIR = ReprPair.parse("IR4xOR2")
 
@@ -438,6 +439,63 @@ class TestRunBenchmark:
         assert curve == [1, 2, 2]
         with pytest.raises(ValueError):
             rank_curve(records, "semantic")
+
+
+    def test_negative_rank_in_a_record_store_is_a_store_error(self, tmp_path):
+        """Loaded, an exact verdict at rank -3 counted from the end of the
+        curve's counts: [1, 1, 1, 1, 1, 1, 1, 2, 2, 2] for one bug."""
+        path = tmp_path / "records.jsonl"
+        for candidate_rank, verdict_rank in ((0, -3), (-3, 0)):
+            candidate = {"rank": candidate_rank, "raw_output": "x", "reconstruct_error": None,
+                         "reconstructed": "x"}
+            verdict = {"ast": True, "exact": True, "parse_ok": True, "plausible": "pass",
+                       "rank": verdict_rank, "semantic": "unlabeled"}
+            record = {"bug_id": "b", "candidates": [candidate], "error": None, "pair": "IR4xOR2",
+                      "prompt": "", "timings": {}, "verdicts": [verdict]}
+            path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+            with pytest.raises(StoreError) as info:
+                RecordStore(path).load()
+            assert info.value.line == 1
+            assert str(info.value).endswith("ValueError: rank -3: candidate ranks start at 0")
+
+
+_curve_verdicts = st.builds(
+    AssessmentVerdict,
+    rank=st.integers(0, 12) | st.sampled_from([True, False, 1.0]),
+    parse_ok=st.booleans(),
+    plausible=st.sampled_from(["pass", "fail", "not-run"]),
+    exact=st.sampled_from([False, False, 0, ""]),
+    ast=st.sampled_from([False, True, 0, 1, "", "x"]),
+).flatmap(
+    lambda v: st.sampled_from([v, dataclasses.replace(v, exact=v.ast)] if v.ast else [v])
+)
+_curve_records = st.lists(
+    st.lists(_curve_verdicts, max_size=4).map(
+        lambda verdicts: RunRecord(
+            "b", "IR4xOR2", "", [CandidatePatch(0, "x", "x")] * len(verdicts), verdicts
+        )
+    ),
+    max_size=6,
+)
+
+
+def _curve(curve, records, metric, max_rank):
+    try:
+        return curve(records, metric, max_rank)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=_curve_records,
+    metric=st.sampled_from(["exact", "ast", "plausible", "semantic"]),
+    max_rank=st.integers(0, 12),
+)
+def test_rank_curve_matches_the_closure_version(records, metric, max_rank):
+    assert _curve(rank_curve, records, metric, max_rank) == _curve(
+        oracle_rank_curve, records, metric, max_rank
+    )
 
 
 class TestRecordStoreTornTail:

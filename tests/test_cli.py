@@ -471,6 +471,37 @@ class TestCorruptStore:
         assert Path(records).read_bytes() == before
 
 
+class TestRatingRulesAtLoad:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["rate", "--bug", "b", "--rank", "1", "--label", "correct", "--rater", "alice",
+             "--store"],
+            ["kappa", "--rater-a", "alice", "--rater-b", "carol", "--store"],
+            ["report", "--store", str(GOLDEN / "record_store.jsonl"), "--ratings"],
+        ],
+        ids=["rate", "kappa", "report"],
+    )
+    def test_negative_rank_in_a_rating_store_is_reported(self, tmp_path, capsys, command):
+        ratings = tmp_path / "ratings.jsonl"
+        ratings.write_text(
+            _RATING_AT % (-3, "alice", "first") + "\n" + _RATING_AT % (-3, "carol", "tiebreak")
+            + "\n",
+            encoding="utf-8",
+        )
+        before = ratings.read_bytes()
+        assert main([*command, str(ratings)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ratings}:1: InvalidRating: rank -3 of b")
+        assert ratings.read_bytes() == before
+
+
+_RATING_AT = (
+    '{"bug_id": "b", "label": "correct", "rank": %d, "rater": "%s", "round": "%s", '
+    '"timestamp": 1.0}'
+)
+
+
 class TestMissingStore:
     @pytest.mark.parametrize(
         "command",

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repairkit import jsonl
 from repairkit.errors import StoreError
-from repairkit.jsonl import read_rows
-from store_oracle import oracle_read_rows
+from repairkit.jsonl import mend_tail, read_rows
+from store_oracle import oracle_mend_tail, oracle_read_rows
 
 BOM = "\ufeff".encode("utf-8")
 
@@ -151,3 +152,122 @@ def test_read_rows_matches_the_json_loads_reader(data):
         path.write_bytes(data)
         _assert_reads_as_oracle(path)
 
+
+
+# --------------------------------------------------------------------------
+# mending the tail before a first append
+
+BLOCK = jsonl._BLOCK
+
+
+def _long_row(size: int) -> bytes:
+    """A JSON row of `size` bytes."""
+    return b'{"id": "' + b"x" * (size - 10) + b'"}'
+
+
+# name: (file bytes, bytes after mending)
+TAILS = {
+    "torn_line_longer_than_two_blocks": (
+        B + b"\n" + _long_row(2 * BLOCK + 100)[:-1],
+        B + b"\n",
+    ),
+    "whole_line_longer_than_two_blocks": (
+        B + b"\n" + _long_row(2 * BLOCK + 100),
+        B + b"\n" + _long_row(2 * BLOCK + 100) + b"\n",
+    ),
+    "whole_line_ending_on_a_block_boundary": (
+        B + b"\n" + _long_row(BLOCK - len(B) - 1),
+        B + b"\n" + _long_row(BLOCK - len(B) - 1) + b"\n",
+    ),
+    "newline_first_in_the_last_block": (
+        B + b"\n" + _long_row(BLOCK - 1),
+        B + b"\n" + _long_row(BLOCK - 1) + b"\n",
+    ),
+    "newline_last_in_the_block_before": (
+        B + b"\n" + _long_row(BLOCK)[:-1],
+        B + b"\n",
+    ),
+    "bom_tail": (A + b"\n" + BOM + B, A + b"\n"),
+    "long_bom_tail": (A + b"\n" + BOM + _long_row(3 * BLOCK), A + b"\n"),
+    "no_newline_whole": (_long_row(3 * BLOCK), _long_row(3 * BLOCK) + b"\n"),
+    "no_newline_torn": (_long_row(3 * BLOCK)[:-2], b""),
+    "no_newline_short": (B, B + b"\n"),
+    "whole_file": (A + b"\n" + B + b"\n", A + b"\n" + B + b"\n"),
+    "empty": (b"", b""),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TAILS))
+def test_mend_tail_cuts_or_ends_the_last_line(tmp_path, shape):
+    data, mended = TAILS[shape]
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(data)
+    mend_tail(path)
+    assert path.read_bytes() == mended
+    oracle = tmp_path / "oracle.jsonl"
+    oracle.write_bytes(data)
+    oracle_mend_tail(oracle)
+    assert oracle.read_bytes() == mended
+
+
+def test_mend_tail_leaves_a_missing_file_missing(tmp_path):
+    mend_tail(tmp_path / "rows.jsonl")
+    assert not (tmp_path / "rows.jsonl").exists()
+
+
+class _CountingFile:
+    def __init__(self, fh, counts):
+        self._fh, self._counts = fh, counts
+
+    def read(self, *args):
+        data = self._fh.read(*args)
+        self._counts.append(len(data))
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("tail", [b"", B, B[:-3]], ids=["whole", "unended", "torn"])
+def test_mend_tail_reads_only_the_end_of_a_large_store(tmp_path, monkeypatch, tail):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes((A + b"\n") * 20_000 + tail)  # about 1 MB
+    counts = []
+    monkeypatch.setattr(
+        jsonl, "open", lambda *args: _CountingFile(open(*args), counts), raising=False
+    )
+    mend_tail(path)
+    assert 0 < sum(counts) <= BLOCK
+    assert path.read_bytes().endswith(A + b"\n" + (B + b"\n" if tail == B else b""))
+
+
+_tail_rows = st.sampled_from(
+    [0, 1, 2, BLOCK - 11, BLOCK - 10, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 3]
+)
+
+
+@st.composite
+def _tailed_files(draw) -> bytes:
+    rows = [_long_row(max(size, 12)) for size in draw(st.lists(_tail_rows, min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        rows[-1] = BOM + rows[-1]
+    data = b"\n".join(rows) + draw(st.sampled_from([b"\n", b""]))
+    return data[: draw(st.integers(0, len(data)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tailed_files())
+def test_mend_tail_matches_the_whole_file_version(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, oracle = Path(tmp) / "rows.jsonl", Path(tmp) / "oracle.jsonl"
+        path.write_bytes(data)
+        oracle.write_bytes(data)
+        mend_tail(path)
+        oracle_mend_tail(oracle)
+        assert path.read_bytes() == oracle.read_bytes()

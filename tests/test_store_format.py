@@ -5,6 +5,7 @@ errored run, a failed reconstruction and a tiebreak. Writing the same
 objects must give the same bytes, and loading the files must give the same
 objects, so stores written by earlier versions keep resuming and reporting.
 """
+import dataclasses
 import json
 import os
 import tempfile
@@ -13,11 +14,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repairkit import assess
 from repairkit.assess import AssessmentVerdict, RatingStore, SemanticRating
 from repairkit.bench import RecordStore, RunRecord
-from repairkit.errors import StoreError
+from repairkit.errors import InvalidRating, RepairKitError, StoreError
 from repairkit.gen import CandidatePatch
-from store_oracle import oracle_read_rows, oracle_record_from_json
+from store_oracle import ListRatingStore, oracle_read_rows, oracle_record_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 BOM = "\ufeff".encode("utf-8")
@@ -340,3 +342,196 @@ def test_record_load_matches_the_field_by_field_decoder(data):
         path = Path(tmp) / "records.jsonl"
         path.write_bytes(data)
         assert _loaded(lambda p: RecordStore(p).load(), path) == _loaded(_oracle_load, path)
+
+
+# --------------------------------------------------------------------------
+# the rating line written from its fixed layout
+
+class _Str(str):
+    """A string that is not exactly a `str`, so it takes the encoder."""
+
+
+_odd_text = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "é", "🐛", " ",
+                     "\ud800", "\udfff", "a", "/"]),
+    max_size=6,
+) | st.text(max_size=4)
+# Each field mostly of its exact type, so that most ratings take the layout.
+_texts = st.one_of(_odd_text, _odd_text, _odd_text, _odd_text.map(_Str))
+_rating_values = st.builds(
+    SemanticRating,
+    bug_id=_texts,
+    rank=st.one_of(
+        st.integers(), st.integers(), st.booleans(),
+        st.sampled_from([10**400, -(10**400), 10**5000]),
+    ),
+    rater=_texts,
+    label=st.sampled_from(["correct", "incorrect"] * 3 + [_Str("correct")]),
+    round=st.sampled_from(["first", "tiebreak"] * 3 + [_Str("first")]),
+    timestamp=st.one_of(
+        st.floats(), st.integers(),
+        st.sampled_from(
+            [-0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf"), 0.0, 1700000000.25]
+        ),
+    ),
+)
+
+
+def _line(encode):
+    try:
+        return encode()
+    except ValueError as exc:  # an int past the digit limit of str()
+        return type(exc), str(exc)
+
+
+def _assert_same_line(rating):
+    assert _line(lambda: assess._rating_line(rating)) == _line(
+        lambda: assess._encode_rating(vars(rating))
+    )
+
+
+def _plain(rank=0, timestamp=1.5, text="b"):
+    return SemanticRating(text, rank, "r", "correct", "first", timestamp)
+
+
+_EDGES = [
+    *(_plain(timestamp=t) for t in
+      (float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16, 2, True)),
+    *(_plain(rank=r) for r in (True, False, 10**400, 10**5000)),
+    *(_plain(text=t) for t in ('"\\\x00\x1f\x7f', "é🐛\u2028", "\ud800", _Str("b"))),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rating_values)
+def test_rating_line_is_the_encoder_line(rating):
+    _assert_same_line(rating)
+
+
+@pytest.mark.parametrize("rating", _EDGES)
+def test_rating_line_edge_is_the_encoder_line(rating):
+    _assert_same_line(rating)
+
+
+
+# --------------------------------------------------------------------------
+# a rating load applies `add`'s rules, as a replay into the list store does
+
+_rating_rows = st.fixed_dictionaries(
+    {
+        "bug_id": st.sampled_from(["a", "b"]),
+        "rank": st.sampled_from([0, 1] * 4 + [-3, -1, True, 1.0, "0", None]),
+        "rater": st.sampled_from(["r1", "r2", "r3"]),
+        "label": st.sampled_from(["correct", "incorrect"] * 4 + ["maybe"]),
+        "round": st.sampled_from(["first"] * 3 + ["tiebreak"]),
+        "timestamp": st.sampled_from([1.5, 2, 0.0]),
+    },
+).flatmap(
+    lambda row: st.sampled_from([
+        row, row, row, row,
+        {k: v for k, v in row.items() if k != "timestamp"},
+        {k: v for k, v in row.items() if k != "rater"},
+        {**row, "mood": "sure"},
+        dict(reversed(row.items())),
+    ])
+)
+
+
+def _replayed(path):
+    """The ratings a replay of `path` into `ListRatingStore` keeps, or the
+    line and error type of its first refused row."""
+    oracle = ListRatingStore()
+    for number, line in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            rating = SemanticRating(**json.loads(line))
+            if rating.rank < 0:
+                raise InvalidRating(rating.rank)
+            oracle.add(rating)
+        except (ValueError, TypeError, RepairKitError) as exc:
+            return number, type(exc)
+    return _kept(oracle.ratings)
+
+
+def _kept(ratings):
+    return [(repr(r), [type(value) for value in dataclasses.astuple(r)]) for r in ratings]
+
+
+def _reloaded(path):
+    try:
+        return _kept(RatingStore(path))
+    except StoreError as exc:
+        return exc.line, type(exc.__cause__)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_rating_rows, max_size=12))
+def test_rating_load_matches_a_replay_into_the_list_store(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ratings.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        assert _reloaded(path) == _replayed(path)
+
+
+# --------------------------------------------------------------------------
+# candidates built from their rows
+
+_candidate_rows = st.fixed_dictionaries(
+    {
+        "rank": st.sampled_from([0, 1, 2] * 3 + [-1, True, 1.0, "0", None]),
+        "raw_output": st.sampled_from(["x", "", None, 3]),
+        "reconstructed": st.sampled_from(["y", None]),
+        "reconstruct_error": st.sampled_from([None, "MalformedOutput: no code"]),
+    },
+).flatmap(
+    lambda row: st.sampled_from([
+        row, row, row, row,
+        dict(reversed(row.items())),
+        {k: v for k, v in row.items() if k != "reconstruct_error"},
+        {k: v for k, v in row.items() if k != "raw_output"},
+        {**row, "mood": "sure"},
+        {**row, "reconstructed": "y", "reconstruct_error": "E"},  # both texts set
+        {**row, "reconstructed": None, "reconstruct_error": None},  # neither
+        None,
+        ["rank", 0],
+        "candidate",
+    ])
+)
+
+
+@st.composite
+def _candidate_record_files(draw) -> bytes:
+    lines = []
+    for i in range(draw(st.integers(1, 5))):
+        candidates = draw(st.lists(_candidate_rows, max_size=3))
+        verdicts = [
+            {"ast": False, "exact": False, "parse_ok": True, "plausible": "fail", "rank": r}
+            for r in range(len(candidates))
+        ]
+        row = {"bug_id": f"b{i}", "pair": "IR4xOR2", "prompt": "", "candidates": candidates,
+               "verdicts": verdicts}
+        lines.append(json.dumps(row).encode("utf-8") + b"\n")
+    return b"".join(lines)
+
+
+def _candidates_loaded(load, path):
+    """Each record's repr and its candidate fields' types, or the StoreError."""
+    try:
+        records = load(path)
+    except StoreError as exc:
+        return (exc.path, exc.line, str(exc))
+    return [
+        (repr(record), [[type(getattr(c, f)) for f in CandidatePatch.__dataclass_fields__]
+                        for c in record.candidates])
+        for record in records.values()
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_candidate_record_files())
+def test_candidate_rows_load_as_the_field_by_field_decoder_loads_them(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        path.write_bytes(data)
+        assert _candidates_loaded(lambda p: RecordStore(p).load(), path) == (
+            _candidates_loaded(_oracle_load, path)
+        )

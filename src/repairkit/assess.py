@@ -15,8 +15,10 @@ over the first round.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
+import typing
 from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -32,7 +34,7 @@ from .errors import (
 from .gen import CandidatePatch
 from .jsonl import Appender, read_rows
 from .syntax import lex_edit, parse, parses_edit, tokenize
-from .values import from_row, frozen
+from .values import frozen
 
 PASS = "pass"
 FAIL = "fail"
@@ -359,26 +361,38 @@ class SemanticRating:
             raise ValueError(f"bad round: {self.round}")
 
 
-_encode_rating = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
-_quote = json.encoder.encode_basestring_ascii
+_encoder = json.JSONEncoder(sort_keys=True)
+_encode_rating = _encoder.encode  # json.dumps builds one per call
+
+
+def _finite_repr(value: float) -> str:
+    if value - value:  # NaN or an infinity, which the encoder writes as a name
+        raise ValueError(value)
+    return float.__repr__(value)
+
+
+# How the encoder writes a value of exactly each of these types.
+_LITERALS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: _finite_repr}
+_RATING_FIELDS = sorted(SemanticRating.__dataclass_fields__)
+_rating_values = operator.attrgetter(*_RATING_FIELDS)
+_RATING_TYPES = tuple(map(typing.get_type_hints(SemanticRating).get, _RATING_FIELDS))
+_RATING_LITERALS = tuple(_LITERALS[kind] for kind in _RATING_TYPES)
+# The encoder's line for a rating, with a `%s` where each value goes.
+_RATING_LAYOUT = "{%s}" % _encoder.item_separator.join(
+    json.encoder.encode_basestring_ascii(name) + _encoder.key_separator + "%s"
+    for name in _RATING_FIELDS
+)
 
 
 def _rating_line(rating: SemanticRating) -> str:
-    """`_encode_rating(vars(rating))`, laid out directly when every field
-    has its exact type: a `str`, an `int` rank and a finite `float`."""
-    bug_id, rank, rater, label, stage, stamp = (
-        rating.bug_id, rating.rank, rating.rater, rating.label, rating.round, rating.timestamp,
-    )
-    if (
-        type(bug_id) is type(rater) is type(label) is type(stage) is str
-        and type(rank) is int
-        and type(stamp) is float
-        and stamp - stamp == 0.0  # finite: NaN and infinities encode as names
-    ):
-        return (
-            f'{{"bug_id": {_quote(bug_id)}, "label": {_quote(label)}, "rank": {rank!r}, '
-            f'"rater": {_quote(rater)}, "round": {_quote(stage)}, "timestamp": {stamp!r}}}'
-        )
+    """`_encode_rating(vars(rating))`, filled into `_RATING_LAYOUT` when
+    every field has exactly its annotated type and the float is finite."""
+    values = _rating_values(rating)
+    if tuple(map(type, values)) == _RATING_TYPES:
+        try:
+            return _RATING_LAYOUT % tuple(map(operator.call, _RATING_LITERALS, values))
+        except ValueError:  # not finite, or an int past str()'s digit limit
+            pass
     return _encode_rating(vars(rating))
 
 
@@ -408,19 +422,19 @@ class RatingStore:
                 self._ratings = list(read_rows(self.path, self._load))
 
     def _load(self, row: dict) -> SemanticRating:
-        rating = from_row(SemanticRating, row)
-        self._admit(rating).append(rating)
+        rating = SemanticRating(**row)
+        self._by_round.setdefault(self._admit(rating), []).append(rating)
         return rating
 
-    def _admit(self, rating: SemanticRating) -> list[SemanticRating]:
-        """The index list that `rating` joins, once it passes `add`'s rules:
-        a rank of at least 0, one rating per rater of a candidate in a
-        round, and a tiebreak only where the first round disagreed."""
+    def _admit(self, rating: SemanticRating) -> tuple[str, int, str]:
+        """The index key of `rating`, once it passes `add`'s rules: a rank
+        of at least 0, one rating per rater of a candidate in a round, and
+        a tiebreak only where the first round disagreed."""
         bug_id, rank, stage = rating.bug_id, rating.rank, rating.round
-        raters = self._by_round.setdefault((bug_id, rank, stage), [])
         if rank < 0:
             raise InvalidRating(f"rank {rank} of {bug_id}: candidate ranks start at 0")
-        for r in raters:
+        key = (bug_id, rank, stage)
+        for r in self._by_round.get(key, ()):
             if r.rater == rating.rater:
                 raise DuplicateRating(
                     f"{rating.rater} already rated {bug_id}#{rank} ({stage} round)"
@@ -431,7 +445,7 @@ class RatingStore:
                 raise InvalidRating(
                     "tiebreak ratings only exist where first-round raters disagree"
                 )
-        return raters
+        return key
 
     def __len__(self) -> int:
         return len(self._ratings)
@@ -446,14 +460,14 @@ class RatingStore:
         return list(self._by_round.get((bug_id, rank, TIEBREAK), ()))
 
     def add(self, rating: SemanticRating) -> None:
-        raters = self._admit(rating)
+        key = self._admit(rating)
         if rating.timestamp == 0.0:
             rating = SemanticRating(
                 rating.bug_id, rating.rank, rating.rater, rating.label, rating.round, time.time()
             )
         if self.path is not None:
             self._appender.append(_rating_line(rating))
-        raters.append(rating)
+        self._by_round.setdefault(key, []).append(rating)
         self._ratings.append(rating)
 
 
@@ -540,12 +554,8 @@ def apply_ratings(
     resolved 'incorrect' on an exact-match candidate contradicts ground
     truth and raises.
     """
-    by_round = store._by_round
     out = []
     for verdict in verdicts:
-        if len(by_round.get((bug_id, verdict.rank, FIRST), ())) < 2:  # pending
-            out.append(verdict)
-            continue
         resolved = resolve_semantic(store, bug_id, verdict.rank)
         if resolved == PENDING:
             out.append(verdict)

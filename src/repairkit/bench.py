@@ -60,7 +60,7 @@ from .representations import (
     valid_pair,
 )
 from .syntax import SourceFile, SourceFunction
-from .values import from_row, frozen
+from .values import frozen
 
 log = logging.getLogger(__name__)
 
@@ -185,7 +185,7 @@ def _record_to_json(record: RunRecord) -> dict:
 def _record_from_json(data: dict, shared: dict) -> RunRecord:
     """The record of one decoded row; `shared` maps each verdict row seen
     before, by content, to the verdict built from it."""
-    data["candidates"] = [from_row(CandidatePatch, row) for row in data["candidates"]]
+    data["candidates"] = [CandidatePatch(**row) for row in data["candidates"]]
     verdicts = []
     for row in data["verdicts"]:
         try:

@@ -18,19 +18,10 @@ The contract:
   calls `__post_init__` when the class has one. A value that
   `__post_init__` rejects raises exactly what it raised before.
 - A field the generated `__init__` would not reproduce (a
-  `default_factory`, `kw_only` or `init=False`), a `ClassVar` or an
-  `InitVar` is a `TypeError` when the class is made, never a silent
-  difference. So `__dataclass_fields__` names exactly the fields.
-
-`from_row(cls, row)` builds a value from a decoded store row:
-
-- A `dict` whose keys are exactly the class's fields, in any order,
-  becomes the value's instance `__dict__`. The row is taken, not copied,
-  so the caller must not use it again, and `vars(value)` keeps the row's
-  key order. `__post_init__` then runs, and a value it rejects raises
-  what `cls(**row)` would.
-- Any other row, one with a key missing or extra, or one that is not a
-  dict, goes through `cls(**row)`, with the same errors and messages.
+  `default_factory`, `kw_only` or `init=False`) is a `TypeError` when the
+  class is made, never a silent difference. An `InitVar` is not a field:
+  the generated `__init__` neither takes it nor passes it on, so a class
+  with one fails at its first construction.
 
 `config.py` keeps the stdlib decorator: its values are built once per call,
 and `import repairkit.cli` loads only `cli`, `config` and `errors` from
@@ -39,10 +30,7 @@ this package, so `config` may not import this module.
 import dataclasses
 from dataclasses import MISSING
 
-__all__ = ["frozen", "from_row"]
-
-_new = object.__new__
-_set = object.__setattr__  # a frozen class's own __setattr__ refuses
+__all__ = ["frozen"]
 
 
 def frozen(cls: type) -> type:
@@ -55,8 +43,6 @@ def frozen(cls: type) -> type:
                 f"{cls.__qualname__}.{f.name}: @frozen supports only plain fields "
                 "and fields with a default"
             )
-    if len(fields) != len(cls.__dataclass_fields__):
-        raise TypeError(f"{cls.__qualname__}: @frozen supports no ClassVar or InitVar")
     params, defaults = [], {}
     for f in fields:
         if f.default is MISSING:
@@ -79,16 +65,3 @@ def frozen(cls: type) -> type:
     init.__annotations__ = {f.name: f.type for f in fields} | {"return": None}
     cls.__init__ = init
     return cls
-
-
-def from_row(cls: type, row):
-    """`cls(**row)`, adopting `row` as the instance dict when its keys are
-    exactly the fields of the `@frozen` class `cls`."""
-    if type(row) is dict and row.keys() == cls.__dataclass_fields__.keys():
-        value = _new(cls)
-        _set(value, "__dict__", row)
-        post_init = getattr(cls, "__post_init__", None)
-        if post_init is not None:
-            post_init(value)
-        return value
-    return cls(**row)

@@ -687,6 +687,25 @@ class TestRatingRulesAtLoad:
         path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
         assert resolve_semantic(RatingStore(path), "b", 0) == INCORRECT
 
+    def test_refused_or_failed_add_leaves_the_index_as_it_was(self, tmp_path):
+        store = RatingStore(tmp_path / "ratings.jsonl")
+        store.add(SemanticRating("b", 0, "alice", CORRECT))
+        index = {key: list(raters) for key, raters in store._by_round.items()}
+        for rating, error in [
+            (SemanticRating("b", -1, "bob", CORRECT), InvalidRating),
+            (SemanticRating("b", 0, "alice", INCORRECT), DuplicateRating),
+            (SemanticRating("b", 0, "carol", INCORRECT, round=TIEBREAK), InvalidRating),
+            (SemanticRating("b", 3, "carol", INCORRECT, round=TIEBREAK), InvalidRating),
+            (SemanticRating("b", "0", "bob", CORRECT), TypeError),
+        ]:
+            with pytest.raises(error):
+                store.add(rating)
+        assert store._by_round == index
+        unwritable = RatingStore(tmp_path / "missing" / "ratings.jsonl")
+        with pytest.raises(FileNotFoundError):
+            unwritable.add(SemanticRating("b", 0, "alice", CORRECT))
+        assert unwritable._by_round == {}
+
 
 class TestRatingStoreMatchesOracle:
     """The indexed store against a list scan of the old store."""

@@ -11,18 +11,15 @@ import dataclasses
 import importlib
 import inspect
 import pickle
-import typing
 from dataclasses import MISSING, FrozenInstanceError, field, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repairkit.assess import AssessmentVerdict, SemanticRating
-from repairkit.gen import CandidatePatch
 from repairkit.representations import Region
 from repairkit.syntax import SourceFunction
-from repairkit.values import from_row, frozen
+from repairkit.values import frozen
 
 from test_imports import SRC, _fresh, _repairkit
 
@@ -188,72 +185,3 @@ def test_values_imports_nothing_from_the_package():
         node for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("repairkit"))
     ]
-
-
-# `from_row` against `cls(**row)`, for the classes the stores build from rows.
-STORED = [CandidatePatch, SemanticRating, AssessmentVerdict]
-JSON_VALUES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-3, 3),
-    st.integers(),
-    st.floats(),
-    st.text(max_size=3),
-    st.sampled_from(STATES),
-    st.lists(st.integers(), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
-)
-
-
-@st.composite
-def _rows(draw, cls):
-    """A decoded store row for `cls`: its fields with values of any JSON
-    type, mostly of their own, in any order, with a key missing or extra,
-    or a JSON value that is not an object."""
-    shape = draw(st.sampled_from(["exact"] * 4 + ["missing", "extra", "not-an-object"]))
-    if shape == "not-an-object":
-        return draw(JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
-    row = {f.name: draw(_of(f) | JSON_VALUES) for f in fields(cls)}
-    if shape == "missing":
-        del row[draw(st.sampled_from(sorted(row)))]
-    elif shape == "extra":
-        row[draw(st.sampled_from(["mood", "", "Rank", "bug_id", "rank"]))] = draw(JSON_VALUES)
-    return {key: row[key] for key in draw(st.permutations(list(row)))}
-
-
-@pytest.mark.parametrize("cls", STORED, ids=lambda cls: cls.__qualname__)
-def test_from_row_builds_what_the_class_builds(cls):
-    reached = set()
-
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(row=_rows(cls))
-    def check(row):
-        copy = dict(row) if isinstance(row, dict) else row
-        value, error = _build(from_row, (cls, copy), {})
-        want, want_error = _build(lambda: cls(**row), (), {})
-        if want_error is not None:
-            assert value is None and type(error) is type(want_error)
-            assert str(error) == str(want_error)
-            reached.add(type(error).__name__)
-            return
-        assert error is None
-        reached.add("accepted")
-        assert type(value) is cls
-        assert value == want and repr(value) == repr(want)
-        assert [type(getattr(value, f.name)) for f in fields(cls)] == [
-            type(getattr(want, f.name)) for f in fields(cls)
-        ]
-        if row.keys() == cls.__dataclass_fields__.keys():
-            assert vars(value) is copy  # taken, not copied
-
-    check()
-    assert {"accepted", "TypeError", "ValueError"} <= reached
-
-
-@pytest.mark.parametrize(
-    "annotation", [typing.ClassVar[int], dataclasses.InitVar[int]], ids=["ClassVar", "InitVar"]
-)
-def test_pseudo_fields_are_rejected(annotation):
-    """So `__dataclass_fields__` names exactly the fields `from_row` takes."""
-    with pytest.raises(TypeError, match="no ClassVar or InitVar"):
-        frozen(type("Odd", (), {"__annotations__": {"a": int, "b": annotation}, "b": 0}))

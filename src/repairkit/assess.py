@@ -406,10 +406,10 @@ class RatingStore:
     the store is dropped, so the file must not be replaced while a live
     store holds it. A crash mid-append can leave an unterminated last line:
     loading skips it with a warning and the first `add` cuts it off. A
-    load admits each stored rating by `add`'s rules, so a negative rank, a
-    second rating by one rater of one candidate in one round, or a
-    tiebreak where the first round did not disagree is a `StoreError` at
-    its line.
+    load admits each stored rating by `add`'s rules, so a rank that is not
+    an int or is negative, a second rating by one rater of one candidate in
+    one round, or a tiebreak where the first round did not disagree is a
+    `StoreError` at its line.
     """
 
     def __init__(self, path: Optional[Path | str] = None):
@@ -427,12 +427,14 @@ class RatingStore:
         return rating
 
     def _admit(self, rating: SemanticRating) -> tuple[str, int, str]:
-        """The index key of `rating`, once it passes `add`'s rules: a rank
-        of at least 0, one rating per rater of a candidate in a round, and
-        a tiebreak only where the first round disagreed."""
+        """The index key of `rating`, once it passes `add`'s rules: an int
+        rank of at least 0, one rating per rater of a candidate in a round,
+        and a tiebreak only where the first round disagreed."""
         bug_id, rank, stage = rating.bug_id, rating.rank, rating.round
         if rank < 0:
             raise InvalidRating(f"rank {rank} of {bug_id}: candidate ranks start at 0")
+        if type(rank) is not int:  # True and 1.0 would index as candidate #1
+            raise InvalidRating(f"rank {rank!r} of {bug_id}: candidate ranks are integers")
         key = (bug_id, rank, stage)
         for r in self._by_round.get(key, ()):
             if r.rater == rating.rater:

@@ -18,9 +18,9 @@ import shutil
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .assess import (
     CORRECT,
@@ -35,7 +35,7 @@ from .assess import (
     check_plausible,
     classify,
 )
-from .config import DEFAULT_LEAKAGE_BUGS, PROFILES, REPORT_FORMATS  # the first is re-exported
+from .config import DEFAULT_LEAKAGE_BUGS, PROFILES, REPORT_FORMATS, decode  # first re-exported
 from .errors import (
     AggregateInvariantError,
     BackendError,
@@ -70,13 +70,12 @@ class BugManifestEntry:
     bug_id: str
     project_root: str
     file: str
-    function_start: int
-    function_end: int
-    region: Region  # function-relative
+    function_span: tuple[int, int]  # first and last line in the file
+    region: tuple[int, int]  # function-relative
     reference: str  # the developer-provided fixed function
     test_command: str
     checkout: Optional[str] = None  # shell command that materializes the project
-    timeout: Optional[float] = None
+    timeout: Union[float, str, None] = None  # seconds; a load reads a string as its number
 
 
 def load_manifest(
@@ -111,41 +110,23 @@ def load_manifest(
     return entries
 
 
-def _parse_entry(index: int, item: dict) -> BugManifestEntry:
-    if not isinstance(item, dict):
-        raise ManifestError(index, "entry must be an object")
+def _parse_entry(index: int, item: object) -> BugManifestEntry:
     try:
-        span = item["function_span"]
-        region = item["region"]
-        timeout = item.get("timeout")
-        entry = BugManifestEntry(
-            bug_id=item["bug_id"],
-            project_root=item["project_root"],
-            file=item["file"],
-            function_start=int(span[0]),
-            function_end=int(span[1]),
-            region=Region(int(region[0]), int(region[1])),
-            reference=item["reference"],
-            test_command=item["test_command"],
-            checkout=item.get("checkout"),
-            timeout=None if timeout is None else float(timeout),
-        )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ManifestError(index, f"malformed entry: {exc}")
-    for name in ("bug_id", "project_root", "file", "reference", "test_command", "checkout"):
-        value = getattr(entry, name)
-        if not (isinstance(value, str) or (value is None and name == "checkout")):
-            raise ManifestError(index, f"{name} must be a string, not {value!r}")
+        entry = decode(BugManifestEntry, item)
+        if isinstance(entry.timeout, str):  # "60" reads as 60.0
+            entry = replace(entry, timeout=float(entry.timeout))
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(index, str(exc))
     file = Path(entry.file)
     if file.is_absolute() or ".." in file.parts:
         raise ManifestError(index, f"file must be a path inside project_root: {entry.file!r}")
     if entry.timeout is not None and not 0 < entry.timeout < math.inf:
-        raise ManifestError(index, f"timeout must be positive and finite: {timeout!r}")
-    if not 1 <= entry.function_start <= entry.function_end:
+        raise ManifestError(index, f"timeout must be positive and finite: {entry.timeout!r}")
+    start, end = entry.function_span
+    if not 1 <= start <= end:
         raise ManifestError(index, "bad function span")
-    span_lines = entry.function_end - entry.function_start + 1
     try:
-        entry.region.validate(span_lines)
+        Region(*entry.region).validate(end - start + 1)
     except InvalidRegion as exc:
         raise ManifestError(index, f"region outside function span: {exc}")
     if not entry.test_command.strip():
@@ -252,18 +233,13 @@ def load_function(entry: BugManifestEntry) -> SourceFunction:
         (Path(entry.project_root) / entry.file).read_text(encoding="utf-8"),
     )
     line_count = source.content.count("\n") + 1
-    if entry.function_end > line_count:
+    start, end = entry.function_span
+    if end > line_count:
         raise ManifestError(
             entry.bug_id,
-            f"function span {entry.function_start}..{entry.function_end} runs past "
-            f"the end of {entry.file} ({line_count} lines)",
+            f"function span {start}..{end} runs past the end of {entry.file} ({line_count} lines)",
         )
-    return SourceFunction(
-        name=entry.bug_id,
-        start_line=entry.function_start,
-        end_line=entry.function_end,
-        text=source.slice_lines(entry.function_start, entry.function_end),
-    )
+    return SourceFunction(entry.bug_id, start, end, source.slice_lines(start, end))
 
 
 def _ensure_checkout(entry: BugManifestEntry) -> None:
@@ -292,7 +268,8 @@ def run_bug(
         return RunRecord(
             entry.bug_id, str(pair), "", [], [], error=f"project setup failed: {exc}"
         )
-    prompt = build_input(fn, entry.region, pair.input, markers)
+    region = Region(*entry.region)
+    prompt = build_input(fn, region, pair.input, markers)
     try:
         outputs = request_candidates(gen_config, prompt)
     except (BackendUnreachable, BackendError, BackendTimeout) as exc:
@@ -303,7 +280,7 @@ def run_bug(
     candidates = []
     for rank, raw in enumerate(outputs):
         try:
-            text = reconstruct(fn, entry.region, pair, raw, gen_config.stop_tokens)
+            text = reconstruct(fn, region, pair, raw, gen_config.stop_tokens)
             candidates.append(CandidatePatch(rank, raw, reconstructed=text))
         except _RECONSTRUCT_ERRORS as exc:
             candidates.append(
@@ -311,7 +288,7 @@ def run_bug(
             )
     test = None
     if run_tests:
-        location = FunctionLocation(entry.file, entry.function_start, entry.function_end, fn.text)
+        location = FunctionLocation(entry.file, *entry.function_span, fn.text)
         timeout = entry.timeout if entry.timeout is not None else DEFAULT_TEST_TIMEOUT
         spec = TestSpec(entry.test_command, timeout)
         test = functools.partial(check_plausible, entry.project_root, location, spec=spec)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import PROFILES, REPORT_FORMATS, load_tool_config
+from .config import PROFILES, REPORT_FORMATS, decode, load_tool_config
 from .errors import ConfigError, RepairKitError
 
 if TYPE_CHECKING:
@@ -168,16 +168,11 @@ def _cmd_dataset(args, config) -> int:
         )
     denylist = {}
     if args.denylist:
-        try:
-            denylist = json.loads(Path(args.denylist).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not JSON, or not UTF-8
+        try:  # bug ids to function text
+            text = Path(args.denylist).read_text(encoding="utf-8")
+            denylist = decode(dict[str, str], json.loads(text))
+        except (TypeError, ValueError) as exc:  # not UTF-8, not JSON, or not that mapping
             raise ConfigError(f"denylist {args.denylist}: {exc}") from None
-        if not isinstance(denylist, dict) or not all(
-            isinstance(text, str) for text in denylist.values()
-        ):
-            raise ConfigError(
-                f"denylist {args.denylist}: not a JSON object mapping bug ids to function text"
-            )
     pairs = ingest_diff_corpus(args.corpus, stats)
     pairs = dedupe(pairs, stats)
     pairs = exclude_leakage(pairs, denylist, stats)

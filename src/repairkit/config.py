@@ -5,26 +5,25 @@ overrides on top of the ToolConfig produced here. Recognized environment
 variables: REPAIR_CONFIG (config file path) and REPAIR_BACKEND_URL.
 
 This module also holds everything a CLI call needs before it dispatches to
-a subcommand: the three section classes (`Markers`, `CorpusFilterConfig`,
-`GenerationConfig`) and the choices the argument parser offers
-(`PROFILES`, `REPORT_FORMATS`). It imports nothing from repairkit but
-`errors`, so a CLI call loads only the modules its subcommand runs. The
-modules that use these names (`representations`, `corpus`, `gen`, `bench`)
-re-export them.
+a subcommand: the section classes, the choices the argument parser offers
+(`PROFILES`, `REPORT_FORMATS`), and `decode`, which every JSON input (this
+file, a manifest, a denylist) goes through. It imports nothing from
+repairkit but `errors`, so a CLI call loads only the modules its subcommand
+runs. The modules that use these names (`representations`, `corpus`,
+`gen`, `bench`) re-export them.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import Optional, Protocol, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
-
-if TYPE_CHECKING:
-    from .gen import Backend
 
 ENV_CONFIG = "REPAIR_CONFIG"
 ENV_BACKEND_URL = "REPAIR_BACKEND_URL"
@@ -48,6 +47,16 @@ DEFAULT_STOP_TOKENS: tuple[str, ...] = ("</s>", "<EOT>", "<|endoftext|>")
 class CorpusFilterConfig:
     max_length: int = 1024  # strict cap on tokens(input) + tokens(output)
     tokenizer: str = "approximate"
+
+    def __post_init__(self):
+        if self.max_length < 1:
+            raise ValueError("max_length must be >= 1")
+
+
+class Backend(Protocol):
+    def complete(
+        self, prompt: str, n: int, max_new_tokens: int, stop: Sequence[str]
+    ) -> list[str]: ...
 
 
 @dataclass
@@ -94,24 +103,60 @@ class ToolConfig:
     generation: GenerationConfig = field(default_factory=GenerationConfig)
     parallelism: int = os.cpu_count() or 1
 
-
-def _check_keys(cls, data: Mapping) -> None:
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    def __post_init__(self):
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
 
 
-def _build(section_cls, data: Mapping, key: str) -> object:
-    """`section_cls` from the object at `data[key]`, defaults if it is absent."""
-    section = data.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {key!r} must hold a JSON object")
-    _check_keys(section_cls, section)
-    coerced = dict(section)
-    for f in fields(section_cls):
-        if f.name in coerced and isinstance(coerced[f.name], list):
-            coerced[f.name] = tuple(coerced[f.name])
-    return section_cls(**coerced)
+class NotAnObject(TypeError):
+    """JSON that is not an object where a dataclass goes; `path` names it."""
+
+    def __init__(self, path: str, value: object):
+        super().__init__(f"{path or 'value'} must be a JSON object, not {value!r}")
+        self.path = path
+
+
+class UnknownKeys(TypeError):
+    """A JSON object with keys that its dataclass lacks."""
+
+
+_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+          type(None): "null", tuple: "a JSON list", dict: "a JSON object"}
+_hints = functools.cache(get_type_hints)  # resolved once a class: 0.2 ms each
+
+
+def decode(tp, value, path: str = ""):
+    """`value`, decoded JSON, checked against the annotation `tp` and built.
+    No `bool` passes as an `int` or `float`; an `int` passes as a `float`; a
+    `Union` takes its first member that fits; tuples come from JSON lists,
+    `dict[str, X]` and dataclasses from objects, with no key a dataclass
+    lacks (its constructor refuses a missing one). A misfit is a `TypeError`
+    naming its path, like `generation.stop_tokens[0]`."""
+    origin, args, kind = get_origin(tp), get_args(tp), type(value)
+    if origin is Union:
+        for member in args:
+            try:
+                return decode(member, value, path)
+            except TypeError:
+                pass
+    elif kind is tp and tp in _NAMES or tp is float and kind is int:
+        return value
+    elif origin is tuple and kind is list and (args[-1] is ... or len(args) == len(value)):
+        kinds = args[:1] * len(value) if args[-1] is ... else args
+        return tuple(decode(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    elif origin is dict and kind is dict:
+        return {key: decode(args[1], v, f"{path}[{key!r}]") for key, v in value.items()}
+    elif is_dataclass(tp):
+        if kind is not dict:
+            raise NotAnObject(path, value)
+        hints = _hints(tp)
+        if unknown := value.keys() - hints.keys():
+            raise UnknownKeys(f"unknown {tp.__name__} keys: {sorted(unknown)}")
+        prefix = f"{path}." if path else ""
+        return tp(**{key: decode(hints[key], v, prefix + key) for key, v in value.items()})
+    names = [_NAMES.get(get_origin(t) or t) or f"a {t.__name__}"
+             for t in (args if origin is Union else [tp])]
+    raise TypeError(f"{path or 'value'} must be {' or '.join(names)}, not {value!r}")
 
 
 def load_tool_config(
@@ -133,14 +178,12 @@ def load_tool_config(
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        _check_keys(ToolConfig, data)
     try:
-        config = ToolConfig(
-            markers=_build(Markers, data, "markers"),
-            filter=_build(CorpusFilterConfig, data, "filter"),
-            generation=_build(GenerationConfig, data, "generation"),
-            parallelism=int(data.get("parallelism", os.cpu_count() or 1)),
-        )
+        config = decode(ToolConfig, data)
+    except NotAnObject as exc:
+        raise ConfigError(f"config section {exc.path!r} must hold a JSON object")
+    except UnknownKeys as exc:
+        raise ConfigError(str(exc))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}")
     backend_url = env.get(ENV_BACKEND_URL)

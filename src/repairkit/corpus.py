@@ -442,13 +442,7 @@ def emit_dataset(samples: Iterable[TrainingSample], out: Path | str) -> int:
 def _write_samples(samples: Iterable[TrainingSample], fh) -> int:
     count = 0
     for sample in samples:
-        record = {
-            "id": sample.id,
-            "pair": str(sample.pair),
-            "input": sample.input,
-            "output": sample.output,
-            "token_count": sample.token_count,
-        }
+        record = {**vars(sample), "pair": str(sample.pair)}
         fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
         count += 1
     return count
@@ -467,20 +461,12 @@ def _sample_of_row(row: dict) -> TrainingSample:
 
 
 def render_training_config(config: TrainingConfig = TrainingConfig()) -> str:
-    """Flat key-value rendering of the training hyperparameters."""
-    rows = [
-        ("learning_rate", config.learning_rate),
-        ("schedule", config.schedule),
-        ("epochs", config.epochs),
-        ("batch_size_per_device", config.batch_size_per_device),
-        ("optimizer", config.optimizer),
-        ("lora_rank", config.lora_rank),
-        ("lora_alpha", config.lora_alpha),
-        ("lora_dropout", config.lora_dropout),
-        ("target_layers", ",".join(config.target_layers)),
-        ("base_model", config.base_model),
-    ]
-    return "".join(f"{key} = {value}\n" for key, value in rows)
+    """Flat key-value rendering of the training hyperparameters, a line a
+    field in field order; the target layers are joined by commas."""
+    return "".join(
+        f"{key} = {','.join(value) if key == 'target_layers' else value}\n"
+        for key, value in vars(config).items()
+    )
 
 
 def export_training_config(

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Mapping, Set
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Sequence
 
-from .config import DEFAULT_STOP_TOKENS, GenerationConfig  # the first is re-exported
+from .config import DEFAULT_STOP_TOKENS, Backend, GenerationConfig  # the first two are re-exported
 from .errors import (
     BackendError,
     BackendTimeout,
@@ -30,12 +30,6 @@ from .representations import (
 )
 from .syntax import SourceFunction
 from .values import frozen
-
-
-class Backend(Protocol):
-    def complete(
-        self, prompt: str, n: int, max_new_tokens: int, stop: Sequence[str]
-    ) -> list[str]: ...
 
 
 @frozen

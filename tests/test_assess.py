@@ -666,6 +666,17 @@ REFUSED_AT_LOAD = {
         2,
         "InvalidRating: tiebreak ratings only exist where first-round raters disagree",
     ),
+    # Both would index as candidate #1 and resolve it as correct.
+    "bool-rank": (
+        [_stored_rating(True, "alice", CORRECT), _stored_rating(1.0, "bob", CORRECT)],
+        1,
+        "InvalidRating: rank True of b: candidate ranks are integers",
+    ),
+    "float-rank": (
+        [_stored_rating(1, "alice", CORRECT), _stored_rating(1.0, "bob", CORRECT)],
+        2,
+        "InvalidRating: rank 1.0 of b: candidate ranks are integers",
+    ),
 }
 
 
@@ -697,6 +708,8 @@ class TestRatingRulesAtLoad:
             (SemanticRating("b", 0, "carol", INCORRECT, round=TIEBREAK), InvalidRating),
             (SemanticRating("b", 3, "carol", INCORRECT, round=TIEBREAK), InvalidRating),
             (SemanticRating("b", "0", "bob", CORRECT), TypeError),
+            (SemanticRating("b", False, "bob", CORRECT), InvalidRating),
+            (SemanticRating("b", 0.0, "bob", CORRECT), InvalidRating),
         ]:
             with pytest.raises(error):
                 store.add(rating)

@@ -598,9 +598,13 @@ class TestToolConfig:
             {"generation": {"timeout": None}},
             {"generation": {"retries": -1}},
             {"generation": {"retry_base_delay": -0.5}},
+            {"filter": {"max_length": 0}},
+            {"parallelism": 0},
+            {"parallelism": -3},
         ],
         ids=["parallelism", "num_candidates", "max_new_tokens", "timeout_zero",
-             "timeout_infinite", "timeout_null", "retries", "retry_base_delay"],
+             "timeout_infinite", "timeout_null", "retries", "retry_base_delay",
+             "max_length_zero", "parallelism_zero", "parallelism_negative"],
     )
     def test_bad_values_rejected(self, tmp_path, data):
         path = tmp_path / "cfg.json"

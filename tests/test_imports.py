@@ -157,6 +157,7 @@ MOVED = {
     "DEFAULT_STOP_TOKENS": "gen representations",
     "CorpusFilterConfig": "config corpus",
     "GenerationConfig": "bench config gen",
+    "Backend": "config gen",
     "DEFAULT_LEAKAGE_BUGS": "bench corpus",
     "PROFILES": "bench cli",
     "REPORT_FORMATS": "bench cli",

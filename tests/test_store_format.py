@@ -444,7 +444,7 @@ def _replayed(path):
     for number, line in enumerate(path.read_bytes().splitlines(), 1):
         try:
             rating = SemanticRating(**json.loads(line))
-            if rating.rank < 0:
+            if rating.rank < 0 or type(rating.rank) is not int:
                 raise InvalidRating(rating.rank)
             oracle.add(rating)
         except (ValueError, TypeError, RepairKitError) as exc:

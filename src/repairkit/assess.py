@@ -259,13 +259,17 @@ def classify(
     Candidates that failed reconstruction score negative on every tier.
     Semantic labels stay unlabeled here; they come from the rating store.
 
-    Each candidate is assessed as an edit of the reference. The reference
-    is lexed, keyed and parsed once per call, at the first candidate that
-    is neither failed nor an exact match, and never when there is none.
-    Each such candidate is lexed once, before its test run, by `lex_edit`
-    against the reference, so only the lines where it differs are lexed,
-    and the other tokens are the reference's. Its key is the texts of its
-    non-comment tokens, and decides the rest:
+    Each candidate is assessed as an edit of the reference. The
+    reference's line endings are normalized once per call for the exact
+    check, and it is lexed, keyed and parsed once per call, at the first
+    candidate that is neither failed nor an exact match, and never when
+    there is none. Each such candidate is lexed once, before its test run,
+    by `lex_edit` against the reference, so only the lines where it
+    differs are lexed, and the other tokens are the reference's. Its key
+    is the texts of its non-comment tokens: the reference's key with the
+    window's in place of those of the reference tokens it replaced, whose
+    ends are counted in the reference's comment mask. The key decides the
+    rest:
     - A candidate whose key equals that of a candidate tested earlier in
       the call shares that candidate's test verdict and is not tested.
       This assumes a suite's outcome ignores comments and whitespace.
@@ -278,6 +282,7 @@ def classify(
       parse of its tokens finds.
     """
     verdicts = []
+    ref_lf = _normalize_eol(reference)
     ref_read = False
     ref_tokens = ref_key = ref_tree = ref_error = None
     tested: dict[tuple[str, ...], str] = {}  # key -> plausible verdict
@@ -288,7 +293,7 @@ def classify(
             )
             continue
         text = candidate.reconstructed
-        if exact_match(text, reference):
+        if _normalize_eol(text) == ref_lf:
             verdicts.append(
                 AssessmentVerdict(candidate.rank, True, PASS, True, True)
             )
@@ -304,9 +309,17 @@ def classify(
         try:
             if ref_tokens is None:
                 tokens = tokenize(text)
+                key = tokens.key()
             else:
                 first, last, tokens = lex_edit(ref_tokens, text)
-            key = tokens.key()
+                # The reference's key, with the window's in place of the
+                # non-comment texts among `ref_tokens[first:last]`.
+                mask = ref_tokens.mask
+                key = (
+                    ref_key[: first - mask.count(1, 0, first)]
+                    + tokens.key(first, len(tokens) - len(ref_tokens) + last)
+                    + ref_key[last - mask.count(1, 0, last) :]
+                )
         except ParseError:
             key = None
         if test is None:

@@ -59,7 +59,7 @@ from .representations import (
     reconstruct,
     valid_pair,
 )
-from .syntax import SourceFile, SourceFunction
+from .syntax import SourceFunction
 from .values import frozen
 
 log = logging.getLogger(__name__)
@@ -228,18 +228,15 @@ _RECONSTRUCT_ERRORS = (MalformedOutput, HunkApplyFailure, InvalidRegion)
 
 def load_function(entry: BugManifestEntry) -> SourceFunction:
     """The bug's function; ManifestError if its span runs past the end of the file."""
-    source = SourceFile(
-        entry.file,
-        (Path(entry.project_root) / entry.file).read_text(encoding="utf-8"),
-    )
-    line_count = source.content.count("\n") + 1
+    content = (Path(entry.project_root) / entry.file).read_text(encoding="utf-8")
     start, end = entry.function_span
-    if end > line_count:
+    lines = content.split("\n", end)  # the whole file when it has at most `end` lines
+    if end > len(lines):
         raise ManifestError(
             entry.bug_id,
-            f"function span {start}..{end} runs past the end of {entry.file} ({line_count} lines)",
+            f"function span {start}..{end} runs past the end of {entry.file} ({len(lines)} lines)",
         )
-    return SourceFunction(entry.bug_id, start, end, source.slice_lines(start, end))
+    return SourceFunction(entry.bug_id, start, end, "\n".join(lines[start - 1 : end]))
 
 
 def _ensure_checkout(entry: BugManifestEntry) -> None:

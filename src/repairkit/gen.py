@@ -135,6 +135,7 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
 
 
 def _http_complete(url: str, config: GenerationConfig, prompt: str) -> list[str]:
+    import http.client
     import socket
     import urllib.error
     import urllib.request
@@ -154,7 +155,11 @@ def _http_complete(url: str, config: GenerationConfig, prompt: str) -> list[str]
         with urllib.request.urlopen(request, timeout=config.timeout) as response:
             payload = response.read().decode("utf-8")
     except urllib.error.HTTPError as exc:
-        raise BackendError(exc.code, exc.read().decode("utf-8", "replace")) from exc
+        try:
+            body = exc.read().decode("utf-8", "replace")
+        except (http.client.HTTPException, OSError) as cut:  # cut short or timed out
+            body = repr(cut)
+        raise BackendError(exc.code, body) from exc
     except (socket.timeout, TimeoutError) as exc:
         raise BackendTimeout(str(exc)) from exc
     except (urllib.error.URLError, ConnectionError, OSError) as exc:
@@ -162,6 +167,12 @@ def _http_complete(url: str, config: GenerationConfig, prompt: str) -> list[str]
         if isinstance(reason, (socket.timeout, TimeoutError)):
             raise BackendTimeout(str(reason)) from exc
         raise BackendUnreachable(f"{url}: {reason}") from exc
+    except http.client.HTTPException as exc:  # such as a body cut short
+        raise BackendError(200, f"malformed backend response: {exc!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise BackendError(
+            200, f"malformed backend response: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
     try:
         outputs = json.loads(payload)["outputs"]
         if not isinstance(outputs, list):  # request_candidates checks each output

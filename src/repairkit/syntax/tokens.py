@@ -16,8 +16,9 @@ text), `start_line` and `end_line`, empty `children`, `is_leaf`,
 `is_comment`, `walk()` and `leaves()`.
 
 The lexer is one `findall` of a single compiled master regex, `_TOKEN_RE`,
-whose matches are a token and the whitespace before it. The whitespace is
-a possessive `[ \\t\\r\\n\\f\\x0b]*+`; the token is the first of these
+whose matches are a token and the whitespace after it, from the first
+character past the whitespace that starts the window. The whitespace is a
+possessive `[ \\t\\r\\n\\f\\x0b]*+`; the token is the first of these
 alternatives that matches: identifier or keyword, the symbols (longest
 first), line comment, block comment, text block, string, char and number.
 The two commonest alternatives come first, which finds the same token at
@@ -31,12 +32,12 @@ same class the number alternative starts with. Alternatives that match
 only the opening of an unterminated comment, text block, string or char,
 a word that starts with a non-ASCII character, and any other single
 character come after their well-formed counterparts, so every character
-of the input lands in a match. Whitespace that ends the input is a match
-of its own, so the search stops there instead of retrying that whitespace
-from each of its positions.
+of the input lands in a match.
 
-The offsets follow from the lengths of the matches; the texts are the
-matches without their leading whitespace. A lexical error is a token that
+The offsets are one running sum of the lengths of the matches; the texts
+are the matches without their trailing whitespace. A line comment runs to
+the end of its line and may itself end in blanks or `\\r`, so its text is
+its match cut at the first `\\n` instead. A lexical error is a token that
 only the error alternatives produce. In an ASCII source those are a few
 texts (`/*`, `\"\"\"`, `"`, `'` and the characters no token may start
 with), which one set test against the texts finds; a source with
@@ -57,11 +58,15 @@ only where the two differ. It returns `(first, last, tokens)`: `tokens` is
 `tokenize(text)`, and `base_tokens[first:last]` are the base tokens it
 replaced. It lexes a window of `text` and joins it with the base tokens
 around it; those after the window move by the change in length. The
-window starts at a line start: the first line that differs. Only a block
-comment, a text block, or a string or char escaping a newline can reach
-past the end of a line, so a token of `text` crosses an edge of the
-changed lines only if the base token there does, or if it does not close
-within them. `lex_edit` takes one of three paths:
+base's lines and their offsets are split once and kept on the base
+`Tokens`, and the returned `starts` are built on first read, which nothing
+in `classify` does unless a `ParseError` needs a position: so the work
+for an edit is the window's, and copying the base's texts and mask
+around it. The window starts at a line start: the first line that
+differs. Only a block comment, a text block, or a string or char escaping
+a newline can reach past the end of a line, so a token of `text` crosses
+an edge of the changed lines only if the base token there does, or if it
+does not close within them. `lex_edit` takes one of three paths:
 - the window: the changed lines lex on their own and no base token
   crosses either edge; the window holds their tokens;
 - lex to the end: a base token crosses the end of the changed lines, or
@@ -85,7 +90,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import accumulate, compress, count, repeat
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from ..errors import ParseError
@@ -120,16 +125,14 @@ COMMENT_KINDS = frozenset({LINE_COMMENT, BLOCK_COMMENT})
 
 _WHITESPACE = " \t\r\n\f\x0b"
 
-# One match per token, with the whitespace before it. The whitespace
-# prefix must stay possessive: with a plain `*`, whitespace backtracks
-# into the last alternative. The symbols are written as one alternative
-# per first character, each trying its longer forms first, which matches
-# what `_SYMBOLS` in longest-first order would. Each bare opener right
-# after a comment or literal, and the two alternatives after the number,
-# match only where a lexical error is; see the module docstring.
+# One match per token, with the whitespace after it; `_BLANKS` matches the
+# whitespace before the first token. The symbols are written as one
+# alternative per first character, each trying its longer forms first,
+# which matches what `_SYMBOLS` in longest-first order would. Each bare
+# opener right after a comment or literal, and the two alternatives after
+# the number, match only where a lexical error is; see the module docstring.
 _TOKEN_RE = re.compile(
     r"""
-    [ \t\r\n\f\x0b]*+
     (?: [A-Za-z_$][\w$]*
       | (?!//|/\*|\.\d)
         (?: [(){}\[\];,@?~] | ::? | \.(?:\.\.)? | -[>=-]? | \+[+=]? | <<?=?
@@ -147,10 +150,11 @@ _TOKEN_RE = re.compile(
       | [\w$]+
       | .
     )
-    | [ \t\r\n\f\x0b]++\Z
+    [ \t\r\n\f\x0b]*+
     """,
     re.VERBOSE | re.DOTALL,
 )
+_BLANKS = re.compile(r"[ \t\r\n\f\x0b]*+")
 
 _UNTERMINATED = {
     "/*": "unterminated block comment",
@@ -227,16 +231,28 @@ class Tokens:
     `end(i)`, its start plus the length of its text.
 
     `len()` is the token count; `tokens[i]` (an int, negative allowed) and
-    iteration build `Token`s. `newlines` is built on first use.
+    iteration build `Token`s. The source's `lines` and their `newlines`
+    offsets are built together on first use. The `starts` of `lex_edit`'s
+    tokens are built on first read, from the base's and the window's.
     """
 
-    __slots__ = ("source", "texts", "starts", "mask", "_newlines")
+    __slots__ = ("source", "texts", "_starts", "mask", "_splice", "_lines", "_newlines")
 
-    def __init__(self, source: str, texts: list[str], starts: list[int], mask: bytearray):
+    def __init__(
+        self,
+        source: str,
+        texts: list[str],
+        starts: Optional[list[int]],
+        mask: bytearray,
+        splice: Optional[tuple[list[int], int, list[int], int, int]] = None,
+    ):
         self.source = source
         self.texts = texts
-        self.starts = starts
+        self._starts = starts
         self.mask = mask
+        # `(base starts, first, window starts, last, shift)` while `starts` is unbuilt.
+        self._splice = splice
+        self._lines: Optional[list[str]] = None
         self._newlines: Optional[list[int]] = None
 
     def __len__(self) -> int:
@@ -252,12 +268,37 @@ class Tokens:
         return map(self.__getitem__, range(len(self.texts)))
 
     @property
+    def starts(self) -> list[int]:
+        """Each token's offset in the source."""
+        if self._starts is None:
+            base, first, window, last, shift = self._splice
+            self._starts = base[:first] + window + list(map(add, base[last:], repeat(shift)))
+            self._splice = None
+        return self._starts
+
+    @property
+    def lines(self) -> list[str]:
+        """The source split at its newlines."""
+        if self._lines is None:
+            self._lines = self.source.split("\n")
+        return self._lines
+
+    @property
     def newlines(self) -> list[int]:
         """The offsets of the source's newlines, in order."""
         if self._newlines is None:
-            lengths = map(len, self.source.split("\n")[:-1])
+            lengths = map(len, self.lines[:-1])
             self._newlines = list(map(add, accumulate(lengths), count()))
         return self._newlines
+
+    def line_start(self, k: int) -> int:
+        """The offset where the source's line `k` (0-based) starts, or
+        would start for `k` one past its last line."""
+        if not k:
+            return 0
+        if k == len(self.lines):
+            return len(self.source) + 1
+        return self.newlines[k - 1] + 1
 
     def end(self, i: int) -> int:
         """The offset just after token `i`."""
@@ -307,48 +348,48 @@ def lex_edit(base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
 
     Only the lines where `text` differs from `base_tokens.source` are
     lexed, when that is exact; see the module docstring for the three
-    paths. Raises `tokenize(text)`'s ParseError.
+    paths. The base's lines and their offsets are read from `base_tokens`,
+    and the returned tokens' `starts` are built on first read, so the work
+    besides the window is copying the base's texts and mask around it.
+    Raises `tokenize(text)`'s ParseError.
     """
-    base = base_tokens.source
-    old = base.split("\n")
+    old = base_tokens.lines
     prefix, suffix = common_affixes(old, text.split("\n"))
     starts, end = base_tokens.starts, base_tokens.end
-    start = sum(map(len, old[:prefix])) + prefix
+    start = base_tokens.line_start(prefix)
     first = bisect_left(starts, start)
     if first and end(first - 1) > start:
         return 0, len(base_tokens), tokenize(text)
-    tail = sum(map(len, old[len(old) - suffix :])) + suffix - 1 if suffix else 0
-    base_end = len(base) - tail
+    base_end = base_tokens.line_start(len(old) - suffix) if suffix else len(base_tokens.source)
+    shift = len(text) - len(base_tokens.source)
     last = bisect_left(starts, base_end, lo=first)
     window = None
     if not (last and end(last - 1) > base_end):
         try:
-            window = _lex(text, start, len(text) - tail)
+            window = _lex(text, start, base_end + shift)
         except ParseError:
             pass
     if window is None:
         last = len(base_tokens)
         window = _lex(text, start, len(text))
     texts, mask = base_tokens.texts, base_tokens.mask
-    shift = len(text) - len(base)
     return first, last, Tokens(
         text,
         texts[:first] + window.texts + texts[last:],
-        starts[:first] + window.starts + list(map(add, starts[last:], repeat(shift))),
+        None,
         mask[:first] + window.mask + mask[last:],
+        (starts, first, window.starts, last, shift),
     )
 
 
 def _lex(source: str, pos: int, endpos: int) -> Tokens:
     """The tokens of `source[pos:endpos]`, with offsets, lines and columns
     in the whole source, provided `pos` is the start of a line there."""
+    pos = _BLANKS.match(source, pos, endpos).end()
     matches = _TOKEN_RE.findall(source, pos, endpos)
-    ends = list(accumulate(map(len, matches), initial=pos))
-    del ends[0]
-    texts = list(map(str.lstrip, matches, repeat(_WHITESPACE)))
-    if texts and not texts[-1]:  # the whitespace that ends the input
-        texts.pop()
-    starts = list(map(sub, ends, map(len, texts)))
+    starts = list(accumulate(map(len, matches), initial=pos))
+    starts.pop()
+    texts = list(map(str.rstrip, matches, repeat(_WHITESPACE)))
     n = len(texts)
     tokens = Tokens(source, texts, starts, bytearray(n))
     if not (_ASCII_ERRORS.isdisjoint(texts) and source.isascii()):
@@ -357,6 +398,8 @@ def _lex(source: str, pos: int, endpos: int) -> Tokens:
         i = bisect_left(starts, m.start())
         if i < n and starts[i] == m.start():
             tokens.mask[i] = 1
+            if texts[i][1] == "/":  # a line comment may end in blanks or `\r`
+                texts[i] = matches[i].partition("\n")[0]
     return tokens
 
 

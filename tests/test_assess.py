@@ -504,10 +504,65 @@ def _classified(classify_fn, candidates, reference, test):
         return type(exc), str(exc)
 
 
+# References with comments on the lines next to an edit, at their starts
+# and ends, and across lines, in LF and CRLF forms.
+COMMENTED_REFERENCES = [
+    base.replace("\n", eol)
+    for eol in ["\n", "\r\n"]
+    for base in [
+        "int f() {\n    // lead\n    int a = 1; /* mid */\n    return a + b; // tail\n}",
+        "/* head */ int f() { // open\n    /* one\n       two */ return a;\n    // last\n}",
+        "// only\nint f() {\n    return a; }  // end  ",
+        "int f() {\n    /* a */ int c = 0; /* b */\n    // c\n    return c; /* d\n */ }\n",
+    ]
+]
+
+_COMMENT_PIECES = ["// c", "// d ", "/* c */", "/* d */", " ", "\t", "/*", "*/"]
+
+
+@st.composite
+def _recommented(draw, reference):
+    """The reference with its comments changed, removed or added on some
+    lines, and maybe a line edit, in the reference's line endings or the
+    other's."""
+    eol = "\r\n" if "\r\n" in reference else "\n"
+    lines = reference.split(eol)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        line = lines[at]
+        action = draw(st.sampled_from(["strip", "recomment", "append", "prepend", "edit"]))
+        if action == "strip" and "//" in line:
+            lines[at] = line[: line.index("//")]
+        elif action == "recomment":
+            lines[at] = line.replace("/* mid */", "/* other */").replace("// ", "//x ")
+        elif action == "append":
+            lines[at] = line + " " + draw(st.sampled_from(_COMMENT_PIECES))
+        elif action == "prepend":
+            lines[at] = draw(st.sampled_from(_COMMENT_PIECES)) + " " + line
+        else:
+            piece = draw(st.sampled_from([*_EDIT_PIECES, *_COMMENT_PIECES]))
+            column = draw(st.integers(0, len(line)))
+            lines[at] = line[:column] + piece + line[column:]
+    return draw(st.sampled_from([eol, "\n", "\r\n"])).join(lines)
+
+
+@st.composite
+def _commented_classify_inputs(draw):
+    reference = draw(st.sampled_from(COMMENTED_REFERENCES))
+    texts = draw(st.lists(_recommented(reference), min_size=1, max_size=6))
+    candidates = [CandidatePatch(rank, "raw", reconstructed=text) for rank, text in enumerate(texts)]
+    return candidates, reference, _fake_test if draw(st.booleans()) else None
+
+
 class TestClassifyMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(inputs=_classify_inputs())
     def test_same_verdicts_or_error(self, inputs):
+        assert _classified(classify, *inputs) == _classified(oracle_classify, *inputs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_commented_classify_inputs())
+    def test_comments_at_the_edges_of_the_edit(self, inputs):
         assert _classified(classify, *inputs) == _classified(oracle_classify, *inputs)
 
 

@@ -17,9 +17,11 @@ from repairkit.assess import AssessmentVerdict, RatingStore, SemanticRating, has
 from repairkit.bench import (
     AggregateRow,
     AggregateTable,
+    BugManifestEntry,
     RecordStore,
     RunRecord,
     aggregate,
+    load_function,
     load_manifest,
     rank_curve,
     report,
@@ -134,6 +136,65 @@ class TestLoadManifest:
         path.write_text(json.dumps([_entry()]))
         with pytest.raises(ManifestError):
             load_manifest(path, profile="imaginary")
+
+
+def _load(tmp_path, content, span):
+    """`load_function` on a file holding `content`: the function's text,
+    or the ManifestError text."""
+    (tmp_path / "F.java").write_text(content, encoding="utf-8", newline="")
+    entry = BugManifestEntry("b1", str(tmp_path), "F.java", span, (1, 1), "r", "true")
+    try:
+        return load_function(entry).text
+    except ManifestError as exc:
+        return str(exc)
+
+
+def _load_by_line_count(root, span):
+    """`load_function`'s outcome on the file `_load` wrote, by counting its
+    lines first, then slicing the span out of it."""
+    content = (root / "F.java").read_text(encoding="utf-8")
+    line_count = content.count("\n") + 1
+    start, end = span
+    if end > line_count:
+        return (
+            f"manifest entry b1: function span {start}..{end} runs past the end "
+            f"of F.java ({line_count} lines)"
+        )
+    return "\n".join(content.split("\n")[start - 1 : end])
+
+
+class TestLoadFunction:
+    @pytest.mark.parametrize(
+        "content, span, outcome",
+        [
+            ("a\nb\nc", (2, 4), "manifest entry b1: function span 2..4 runs past the end of F.java (3 lines)"),
+            ("a\nb\nc\n", (2, 5), "manifest entry b1: function span 2..5 runs past the end of F.java (4 lines)"),
+            ("a\nb\nc", (1, 40), "manifest entry b1: function span 1..40 runs past the end of F.java (3 lines)"),
+            ("", (1, 2), "manifest entry b1: function span 1..2 runs past the end of F.java (1 lines)"),
+            ("a\nb\nc", (2, 3), "b\nc"),  # ends on the last line
+            ("a\nb\nc\n", (2, 4), "b\nc\n"),  # the empty line after the final newline
+            ("a\r\nb\r\nc", (1, 3), "a\nb\nc"),  # read with universal newlines
+            ("a\nb\nc", (2, 2), "b"),
+        ],
+        ids=[
+            "past-no-final-newline", "past-final-newline", "far-past", "past-empty-file",
+            "last-line", "last-empty-line", "crlf", "inner-line",
+        ],
+    )
+    def test_span_against_the_file(self, tmp_path, content, span, outcome):
+        assert _load(tmp_path, content, span) == outcome == _load_by_line_count(tmp_path, span)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lines=st.lists(st.sampled_from(["", "x", "  int a;", "\r", "}"]), min_size=1, max_size=8),
+        start=st.integers(1, 10),
+        length=st.integers(0, 4),
+    )
+    def test_same_as_counting_the_lines_first(self, lines, start, length):
+        content = "\n".join(lines)
+        span = (start, start + length)
+        with tempfile.TemporaryDirectory() as root:
+            assert _load(Path(root), content, span) == _load_by_line_count(Path(root), span)
 
 
 class TestRunBenchmark:
@@ -457,6 +518,83 @@ class TestRunBenchmark:
                 RecordStore(path).load()
             assert info.value.line == 1
             assert str(info.value).endswith("ValueError: rank -3: candidate ranks start at 0")
+
+
+# Each mode of a loopback backend that answers with a broken body: its
+# status, the body, the `Content-Length` it claims (a longer one cuts the
+# body short), and the error its bugs record after the retries.
+HOSTILE_BODIES = {
+    "not-utf8": (
+        200, b'{"outputs": ["\xff"]}', 18,
+        "BackendError: backend error 200: malformed backend response: "
+        "not UTF-8 (invalid start byte at byte 14)",
+    ),
+    "cut-short": (
+        200, b'{"outputs":', 100,
+        "BackendError: backend error 200: malformed backend response: "
+        "IncompleteRead(11 bytes read, 89 more expected)",
+    ),
+    "error-cut-short": (
+        503, b"overloaded", 100,
+        "BackendError: backend error 503: IncompleteRead(10 bytes read, 90 more expected)",
+    ),
+}
+
+
+@pytest.fixture()
+def hostile_backend(request):
+    """A loopback server answering every request with a mode of
+    HOSTILE_BODIES; yields its URL, a list of the requests it answered and
+    the error the mode's bugs record."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    status, body, length, error = HOSTILE_BODIES[request.param]
+    requests = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            requests.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(length))
+            self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):  # quiet
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    try:
+        yield f"http://{host}:{port}/", requests, error
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class TestHostileBackend:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("hostile_backend", list(HOSTILE_BODIES), indirect=True)
+    def test_broken_body_fails_each_bug_once_after_retries(
+        self, bench_fixture, hostile_backend, tmp_path, monkeypatch, workers
+    ):
+        monkeypatch.setattr(gen, "_sleep", lambda s: None)
+        manifest_path, _, _ = bench_fixture
+        manifest = load_manifest(manifest_path)[:3]
+        url, requests, error = hostile_backend
+        store = RecordStore(tmp_path / "records.jsonl")
+        config = GenerationConfig(backend=url, retries=1, timeout=10)
+        records = run_benchmark(manifest, PAIR, config, store=store, workers=workers, run_tests=False)
+        assert [(r.bug_id, r.error, r.candidates) for r in records] == [
+            (e.bug_id, error, []) for e in manifest
+        ]
+        assert len(requests) == 2 * len(manifest)  # each bug tried, then retried once
+        lines = store.path.read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["bug_id"] for line in lines) == [e.bug_id for e in manifest]
 
 
 _curve_verdicts = st.builds(

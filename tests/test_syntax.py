@@ -554,7 +554,12 @@ _LEX_PIECES = [
 @st.composite
 def _lexer_inputs(draw):
     pieces = draw(st.lists(st.sampled_from(_LEX_PIECES), max_size=24))
-    glue = draw(st.lists(st.sampled_from(["", " ", "\n"]), min_size=len(pieces)))
+    glue = draw(
+        st.lists(
+            st.sampled_from(["", " ", "\n", "\t", " \n", "\r\n", "\f", "\x0b"]),
+            min_size=len(pieces),
+        )
+    )
     return "".join(p + g for p, g in zip(pieces, glue))
 
 
@@ -621,6 +626,37 @@ class TestLexerMatchesReference:
         outcome = _lex(tokenize, source)
         assert outcome == _lex(reference_tokenize, source)
         assert outcome[0] == "ParseError" and outcome[1].endswith(f": {message}")
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "x; // c \ny",
+            "x; // c\t\ny",
+            "x; // c\f\ny",
+            "x; // c\x0b\ny",
+            "x; // c\r\ny",
+            "x; // c \t\f\x0b\r\n\n  y // d \r\n",
+            "//\t\n//\r\n// \f",
+            "x; // c \t",  # a comment that ends the input
+            "x; // c\r",
+            "x; //\x0b",
+            "",
+            " ",
+            " \t\r\n\f\x0b \n",
+            "\n\n",
+        ],
+        ids=[
+            "space", "tab", "form-feed", "vertical-tab", "cr", "blanks-then-lines",
+            "bare-comments", "end-blanks", "end-cr", "end-vertical-tab", "empty",
+            "blank", "all-blanks", "newlines",
+        ],
+    )
+    def test_line_comments_that_end_in_blanks(self, source):
+        outcome = _lex(tokenize, source)
+        assert outcome == _lex(reference_tokenize, source)
+        assert [text for _, text, *_ in outcome if text.startswith("//")] == [
+            line[line.index("//") :] for line in source.split("\n") if "//" in line
+        ]
 
     def test_shift_operators_are_never_folded(self):
         texts = [t.text for t in tokenize("a >>>= b >> c >>= 1 << 2 <<= 3")]
@@ -987,6 +1023,10 @@ class TestTokenizeEditMatchesTokenize:
             ("a\nb", "a", "window"),
             ("b", "a\nb", "window"),
             ("a\r\nb", "a\r\n/* c\r\n*/ b", "window"),
+            # the window ends right after a line comment with trailing blanks
+            ("int a; // c \t\f\nint b;", "int x; // c \t\f\nint b;", "window"),
+            ("int a; // c \r\nint b;", "int x; // d \x0b\r\nint b;", "window"),
+            ("int a;\nint b; // c  ", "int a;\nint x; // c  ", "window"),
             ("a\nb", "a\nb ²", "fallback"),  # a lexical error
             # a base comment across the first changed line's start
             ("int a; /* one\ntwo */ int b;", "int a; /* one\nTWO */ int b;", "full"),
@@ -1185,6 +1225,60 @@ class TestParsesEditMatchesParse:
     def test_edit_outside_any_block_is_undecided(self):
         base = "class C {\n    int x = 1;\n    int y = 2;\n}"
         assert _verdicts(base, "class C {\n    int x = 1;\n    int y = ;\n}") == (None, True)
+
+
+# --------------------------------------------------------------------------
+# lex_edit's offsets, built on first read, against tokenize's
+
+def _starts_after(base, base_tokens, text, read):
+    """The `starts` of `lex_edit`'s tokens for `text`, read first or after
+    the reads `classify` makes, or None when `text` does not lex."""
+    try:
+        first, last, tokens = lex_edit(base_tokens, text)
+    except ParseError:
+        return None
+    if read in ("key", "parses_edit"):
+        tokens.key()
+        tokens.key(first, len(tokens) - len(base_tokens) + last)
+    if read == "parses_edit":
+        parses_edit(parse(base, base_tokens), first, last, tokens)
+    starts = tokens.starts
+    assert tokens.starts is starts  # built once
+    return starts
+
+
+def _tokenize_starts(text):
+    try:
+        return tokenize(text).starts
+    except ParseError:
+        return None
+
+
+class TestLazyStartsMatchTokenize:
+    @settings(max_examples=300, deadline=None)
+    @given(edit=_line_edits(), read=st.sampled_from(["first", "key"]))
+    def test_line_edits(self, edit, read):
+        base, base_tokens, text = edit
+        assert _starts_after(base, base_tokens, text, read) == _tokenize_starts(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edit=_statement_edits(), read=st.sampled_from(["first", "key", "parses_edit"]))
+    def test_statement_edits(self, edit, read):
+        base, text = edit
+        assert _starts_after(base, tokenize(base), text, read) == _tokenize_starts(text)
+
+    def test_a_parse_error_after_the_window_reads_the_offsets(self):
+        base = "int f() {\n    return a;\n}\nint g() {\n    return b;\n}"
+        text = base.replace("return a;", "return a")  # the error is at the `}` after it
+        first, last, tokens = lex_edit(tokenize(base), text)
+        assert tokens._starts is None
+        with pytest.raises(ParseError) as lazy:
+            parse(text, tokens)
+        with pytest.raises(ParseError) as whole:
+            parse(text)
+        assert (str(lazy.value), lazy.value.line, lazy.value.column) == (
+            str(whole.value), whole.value.line, whole.value.column
+        ) == ("3:1: expected ';' (found '}')", 3, 1)
 
 
 # --------------------------------------------------------------------------

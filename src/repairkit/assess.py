@@ -567,7 +567,7 @@ def apply_ratings(
 
     Only resolved labels are copied; pending candidates stay unlabeled. A
     resolved 'incorrect' on an exact-match candidate contradicts ground
-    truth and raises.
+    truth and raises InvalidRating.
     """
     out = []
     for verdict in verdicts:
@@ -575,10 +575,13 @@ def apply_ratings(
         if resolved == PENDING:
             out.append(verdict)
         else:
-            out.append(
-                AssessmentVerdict(
-                    verdict.rank, verdict.parse_ok, verdict.plausible, verdict.exact,
-                    verdict.ast, resolved,
+            try:
+                out.append(
+                    AssessmentVerdict(
+                        verdict.rank, verdict.parse_ok, verdict.plausible, verdict.exact,
+                        verdict.ast, resolved,
+                    )
                 )
-            )
+            except ValueError as exc:  # the one rule a label can break: exact rated incorrect
+                raise InvalidRating(f"{bug_id}#{verdict.rank}: {exc}") from None
     return out

@@ -165,7 +165,7 @@ def _record_to_json(record: RunRecord) -> dict:
 
 def _record_from_json(data: dict, shared: dict) -> RunRecord:
     """The record of one decoded row; `shared` maps each verdict row seen
-    before, by content, to the verdict built from it."""
+    before, by content, to the verdict decoded from it."""
     data["candidates"] = [CandidatePatch(**row) for row in data["candidates"]]
     verdicts = []
     for row in data["verdicts"]:
@@ -174,18 +174,18 @@ def _record_from_json(data: dict, shared: dict) -> RunRecord:
             # the length fixes where each part starts.
             key = (*row, *row.values(), *map(type, row.values()))
             verdict = shared[key]
-        except KeyError:
-            verdict = AssessmentVerdict(**row)
-            if _SHAREABLE.issuperset(map(type, row.values())):  # no float, null or list
-                shared[key] = verdict
-        except (AttributeError, TypeError):  # not an object, or an unhashable value
-            verdict = AssessmentVerdict(**row)
+        except (KeyError, AttributeError, TypeError):
+            # a new row; `decode` refuses one that is not an object or cannot be hashed
+            verdict = shared[key] = decode(AssessmentVerdict, row)
         verdicts.append(verdict)
     data["verdicts"] = verdicts
-    return RunRecord(**data)
+    record = RunRecord(**data)
+    for name in ("bug_id", "pair"):  # a `type` test: `decode` costs 0.7 µs a field
+        if type(getattr(record, name)) is not str:
+            decode(str, getattr(record, name), name)  # which refuses it
+    return record
 
 
-_SHAREABLE = frozenset((str, int, bool))
 _encode_record = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 

@@ -190,7 +190,7 @@ def _cmd_dataset(args, config) -> int:
 
 
 def _function_named(path: str, name: str):
-    """The first function called `name` in the file; None after printing an error."""
+    """The first function called `name` in the file; ConfigError if none is."""
     from .syntax import SourceFile, extract_functions
 
     try:
@@ -200,16 +200,13 @@ def _function_named(path: str, name: str):
     for fn in extract_functions(source):
         if fn.name == name:
             return fn
-    print(f"error: no function named {name!r} in {path}", file=sys.stderr)
-    return None
+    raise ConfigError(f"no function named {name!r} in {path}")
 
 
 def _cmd_show(args, config) -> int:
     from .representations import InputKind, OutputKind, Region, build_input, build_output
 
     fn = _function_named(args.file, args.function)
-    if fn is None:
-        return 1
     region = args.region if args.region is not None else Region(1, fn.line_count)
     kind = args.kind.upper()
     if kind in InputKind.__members__:
@@ -217,15 +214,11 @@ def _cmd_show(args, config) -> int:
         return 0
     if kind in OutputKind.__members__:
         if not args.fixed_file:
-            print("error: --fixed-file is required for OR kinds", file=sys.stderr)
-            return 1
+            raise ConfigError("--fixed-file is required for OR kinds")
         fixed = _function_named(args.fixed_file, args.function)
-        if fixed is None:
-            return 1
         print(build_output(fn, fixed, region, OutputKind(kind)))
         return 0
-    print(f"error: unknown representation kind {args.kind!r}", file=sys.stderr)
-    return 1
+    raise ConfigError(f"unknown representation kind {args.kind!r}")
 
 
 def _cmd_repair(args, config) -> int:

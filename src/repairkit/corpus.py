@@ -345,9 +345,9 @@ def count_tokens(text: str, tokenizer_id: str = "approximate") -> int:
     "approximate" is the hermetic built-in: maximal runs of word
     characters, runs of whitespace, and single punctuation characters each
     count as one token. "external:<command>" pipes the text to a command
-    that prints a count; a command that does not split, cannot be started,
-    exits non-zero or prints no integer raises ConfigError. Any other id
-    raises UnknownTokenizer.
+    that prints a count; a command that is empty or does not split, cannot
+    be started, exits non-zero or prints no integer raises ConfigError. Any
+    other id raises UnknownTokenizer.
     """
     if tokenizer_id == "approximate":
         return len(_APPROX_TOKEN_RE.findall(text))
@@ -355,10 +355,12 @@ def count_tokens(text: str, tokenizer_id: str = "approximate") -> int:
         import shlex
         import subprocess
 
-        command = tokenizer_id[len("external:") :]
         try:
+            command = shlex.split(tokenizer_id[len("external:") :])
+            if not command:
+                raise ValueError("no command")
             result = subprocess.run(
-                shlex.split(command),
+                command,
                 input=text,
                 capture_output=True,
                 text=True,

@@ -82,7 +82,7 @@ class DuplicateRating(RepairKitError):
     """A rating for this (bug, candidate, rater, round) already exists."""
 
 
-class InvalidRating(RepairKitError):
+class InvalidRating(RepairKitError, ValueError):
     """A rating violates the rating protocol (e.g. tiebreak without disagreement)."""
 
 

@@ -148,9 +148,10 @@ def _http_complete(url: str, config: GenerationConfig, prompt: str) -> list[str]
             "stop": list(config.stop_tokens),
         }
     ).encode("utf-8")
-    request = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"}
-    )
+    try:
+        request = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
+    except ValueError as exc:  # a URL urllib cannot parse
+        raise BackendUnreachable(f"{url}: {exc}") from exc
     try:
         with urllib.request.urlopen(request, timeout=config.timeout) as response:
             payload = response.read().decode("utf-8")

@@ -10,7 +10,7 @@ the differential tests in `test_assess.py`, `test_bench.py`,
 - `jsonl.read_rows` from before it decoded a line with `raw_decode`: every
   non-blank line through `json.loads(line.decode("utf-8"))`;
 - the record store's row decoder from before a load shared one verdict
-  among equal verdict rows: every row built field by field;
+  among equal verdict rows: every verdict row decoded on its own;
 - `bench.rank_curve` from before it picked the metric's attribute once: a
   closure call per verdict;
 - `jsonl.mend_tail` from before it read only the last line: the whole file.
@@ -23,6 +23,7 @@ from repairkit.assess import (
     CORRECT, FIRST, PASS, PENDING, TIEBREAK, UNLABELED, AssessmentVerdict,
 )
 from repairkit.bench import AggregateRow, AggregateTable, RunRecord
+from repairkit.config import decode
 from repairkit.errors import DuplicateRating, InvalidRating, StoreError
 from repairkit.gen import CandidatePatch
 
@@ -50,9 +51,10 @@ def oracle_read_rows(path, make):
 
 
 def oracle_record_from_json(data):
-    """One record row, each candidate and verdict built from its own row."""
+    """One record row, each candidate built and each verdict decoded from its
+    own row."""
     data["candidates"] = [CandidatePatch(**row) for row in data["candidates"]]
-    data["verdicts"] = [AssessmentVerdict(**row) for row in data["verdicts"]]
+    data["verdicts"] = [decode(AssessmentVerdict, row) for row in data["verdicts"]]
     return RunRecord(**data)
 
 

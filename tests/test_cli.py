@@ -1,4 +1,5 @@
 """CLI commands, exit codes, and configuration precedence."""
+import ast
 import json
 from pathlib import Path
 
@@ -687,3 +688,180 @@ class TestToolConfig:
             mock.close()
         assert status == 0
         assert "IR4xOR2,1,1,1,1,1,0" in capsys.readouterr().out
+
+
+# --------------------------------------------------------------------------
+# one refusal path: every bad input ends in one `error:` line from `main`
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repairkit"
+
+
+def _record_line(bug_id="b", pair="IR4xOR2", **verdict):
+    """A record row whose one verdict is an exact match, unless `verdict`
+    says otherwise."""
+    verdict = {"ast": True, "exact": True, "parse_ok": True, "plausible": "pass", "rank": 0,
+               **verdict}
+    candidate = {"rank": 0, "raw_output": "x", "reconstructed": "x"}
+    return json.dumps({"bug_id": bug_id, "candidates": [candidate], "pair": pair, "prompt": "",
+                       "verdicts": [verdict]})
+
+
+def _store(tmp_path, *lines):
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+def _manifest(tmp_path, bug_ids=("b",)):
+    """A manifest of bugs in one small project."""
+    root = tmp_path / "project"
+    root.mkdir()
+    (root / "Lib.java").write_text("class Lib {\n    int f(int a) {\n        return a - 1;\n    }\n}\n")
+    entries = [
+        {"bug_id": bug_id, "project_root": str(root), "file": "Lib.java",
+         "function_span": [2, 4], "region": [2, 2], "test_command": "true",
+         "reference": "    int f(int a) {\n        return a + 1;\n    }"}
+        for bug_id in bug_ids
+    ]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    return str(path)
+
+
+def _rated_incorrect_twice(tmp_path):
+    ratings = str(tmp_path / "ratings.jsonl")
+    for rater in ("alice", "bob"):
+        assert main(["rate", "--store", ratings, "--bug", "b", "--rank", "0",
+                     "--label", "incorrect", "--rater", rater]) == 0
+    return ratings
+
+
+def _verdict_of_another_type(tmp_path, diff_corpus):
+    store = _store(tmp_path, _record_line(parse_ok="no", exact="no", ast="no"))
+    return ["report", "--store", store], f"{store}:1: TypeError: ast must be true or false, not 'no'"
+
+
+def _pair_of_another_type(tmp_path, diff_corpus):
+    store = _store(tmp_path, _record_line("a"), _record_line("b", pair=5))
+    return ["report", "--store", store], f"{store}:2: TypeError: pair must be a string, not 5"
+
+
+def _bug_id_of_another_type(tmp_path, diff_corpus):
+    store = _store(tmp_path, _record_line(["a"]))
+    return ["report", "--store", store], f"{store}:1: TypeError: bug_id must be a string, not ['a']"
+
+
+def _exact_match_rated_incorrect_in_report(tmp_path, diff_corpus):
+    store = _store(tmp_path, _record_line())
+    argv = ["report", "--store", store, "--ratings", _rated_incorrect_twice(tmp_path)]
+    return argv, "b#0: an exact match cannot be semantically incorrect"
+
+
+def _exact_match_rated_incorrect_in_repair(tmp_path, diff_corpus):
+    store = _store(tmp_path, _record_line())
+    argv = ["repair", "--manifest", _manifest(tmp_path), "--pair", "IR4xOR2", "--store", store,
+            "--ratings", _rated_incorrect_twice(tmp_path)]
+    return argv, "b#0: an exact match cannot be semantically incorrect"
+
+
+def _empty_tokenizer(tokenizer):
+    def case(tmp_path, diff_corpus):
+        argv = ["dataset", "--corpus", str(diff_corpus), "--pair", "IR4xOR2",
+                "--out", str(tmp_path / "data.jsonl"), "--tokenizer", tokenizer]
+        return argv, f"tokenizer {tokenizer!r}: no command"
+
+    return case
+
+
+def _show(function, kind, message):
+    def case(tmp_path, diff_corpus):
+        path = tmp_path / "Sample.java"
+        path.write_text("class Sample {\n    int twice(int x) {\n        return x + x;\n    }\n}\n")
+        argv = ["show", "--file", str(path), "--function", function, "--kind", kind]
+        return argv, message.format(path=path)
+
+    return case
+
+
+REFUSALS = {
+    "verdict-of-another-type": _verdict_of_another_type,
+    "pair-of-another-type": _pair_of_another_type,
+    "bug-id-of-another-type": _bug_id_of_another_type,
+    "exact-rated-incorrect-report": _exact_match_rated_incorrect_in_report,
+    "exact-rated-incorrect-repair": _exact_match_rated_incorrect_in_repair,
+    "empty-tokenizer": _empty_tokenizer("external:"),
+    "blank-tokenizer": _empty_tokenizer("external: "),
+    "show-unknown-function": _show("missing", "IR1", "no function named 'missing' in {path}"),
+    "show-or-without-fixed-file": _show("twice", "OR2", "--fixed-file is required for OR kinds"),
+    "show-unknown-kind": _show("twice", "XR9", "unknown representation kind 'XR9'"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_bad_input_is_one_error_line(self, tmp_path, diff_corpus, capsys, case):
+        argv, message = REFUSALS[case](tmp_path, diff_corpus)
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "data.jsonl").exists()
+
+    @pytest.mark.parametrize("url", ["not a url", "http://[::1"])
+    def test_a_backend_url_urllib_cannot_parse_is_a_record_per_bug(
+        self, tmp_path, monkeypatch, capsys, url
+    ):
+        from repairkit import gen
+        from repairkit.bench import RecordStore
+
+        monkeypatch.setattr(gen, "_sleep", lambda seconds: None)
+        store = tmp_path / "records.jsonl"
+        argv = ["repair", "--manifest", _manifest(tmp_path, ("a", "b")), "--pair", "IR4xOR2",
+                "--backend", url, "--store", str(store), "--no-tests"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error:" not in err
+        records = RecordStore(store).load()
+        assert sorted(records) == ["a", "b"]
+        for record in records.values():
+            assert record.error.startswith(f"BackendUnreachable: {url}: ")
+
+
+def _prints_an_error(node: ast.Call) -> bool:
+    """Whether `node` is a `print` call whose first argument is text that
+    starts with `error:`."""
+    if not (isinstance(node.func, ast.Name) and node.func.id == "print" and node.args):
+        return False
+    text = node.args[0]
+    if isinstance(text, ast.JoinedStr) and text.values:
+        text = text.values[0]
+    return isinstance(text, ast.Constant) and str(text.value).startswith("error:")
+
+
+class _ErrorPrints(ast.NodeVisitor):
+    """The function around each `print` of an `error:` text."""
+
+    def __init__(self):
+        self.where, self.found = ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if _prints_an_error(node):
+            self.found.append(self.where[-1])
+        self.generic_visit(node)
+
+
+def test_only_cli_main_prints_an_error():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        visitor = _ErrorPrints()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += [(path.relative_to(SRC).as_posix(), where) for where in visitor.found]
+    assert found == [("cli.py", "main")]

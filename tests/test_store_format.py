@@ -218,25 +218,39 @@ def test_dropped_stores_close_their_files(tmp_path):
     assert open_fds() == before
 
 
-def test_equal_verdict_rows_load_as_one_value(tmp_path):
-    row = {"ast": False, "exact": False, "parse_ok": True, "plausible": "pass", "rank": 0}
+_ROW = {"ast": False, "exact": False, "parse_ok": True, "plausible": "pass", "rank": 0}
+
+
+def _store_of_verdicts(tmp_path, verdicts):
+    """A record store holding one record per (bug id, verdict row)."""
     candidates = [{"rank": 0, "raw_output": "x", "reconstructed": "x"}]
     lines = [
         {"bug_id": bug_id, "pair": "IR4xOR2", "prompt": "", "candidates": candidates,
          "verdicts": [verdict]}
-        for bug_id, verdict in (("a", row), ("b", row), ("c", {**row, "parse_ok": 1}))
+        for bug_id, verdict in verdicts
     ]
     path = tmp_path / "records.jsonl"
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
-    records = RecordStore(path).load()
+    return path
+
+
+def test_equal_verdict_rows_load_as_one_value(tmp_path):
+    records = RecordStore(_store_of_verdicts(tmp_path, [("a", _ROW), ("b", dict(_ROW))])).load()
     assert records["a"].verdicts[0] is records["b"].verdicts[0]
-    assert records["c"].verdicts[0].parse_ok == 1
-    assert type(records["c"].verdicts[0].parse_ok) is int
+
+
+def test_a_verdict_row_of_another_json_type_is_refused_at_its_line(tmp_path):
+    rows = [("a", _ROW), ("b", _ROW), ("c", {**_ROW, "parse_ok": 1})]
+    path = _store_of_verdicts(tmp_path, rows)
+    with pytest.raises(StoreError) as refused:
+        RecordStore(path).load()
+    assert refused.value.line == 3
+    assert str(refused.value) == f"{path}:3: TypeError: parse_ok must be true or false, not 1"
 
 
 # Values a verdict row may hold besides plain ones: some equal a bool or an
-# int of another type (1.0, -0.0), one equals nothing (NaN). A verdict shared
-# by content must still take the row's own values and types.
+# int of another type (1.0, -0.0), one equals nothing (NaN). A load refuses
+# each, and a verdict shared by content must never stand in for one.
 _ODD = [1.0, 0.0, -0.0, float("nan"), None, [], [0]]
 _FLAG = [True, False, 1, 0] * 2 + _ODD
 
@@ -249,16 +263,24 @@ def _constructs(row: dict) -> bool:
     return True
 
 
-_verdict_rows = st.fixed_dictionaries(
-    {
-        "rank": st.sampled_from([0, 1, 2] * 3 + [True, False, "0", *_ODD]),
-        "parse_ok": st.sampled_from(_FLAG),
-        "plausible": st.sampled_from(["pass", "fail", "not-run"]),
-        "exact": st.sampled_from(_FLAG),
-        "ast": st.sampled_from(_FLAG),
-    },
-    optional={"semantic": st.sampled_from(["unlabeled", "correct", "incorrect"])},
-).filter(_constructs)
+def _verdict_rows_of(ranks: list, flags: list):
+    return st.fixed_dictionaries(
+        {
+            "rank": st.sampled_from(ranks),
+            "parse_ok": st.sampled_from(flags),
+            "plausible": st.sampled_from(["pass", "fail", "not-run"]),
+            "exact": st.sampled_from(flags),
+            "ast": st.sampled_from(flags),
+        },
+        optional={"semantic": st.sampled_from(["unlabeled", "correct", "incorrect"])},
+    ).filter(_constructs)
+
+
+# Half the rows well typed, so that most files share verdicts before any
+# twin is refused; the other half may hold any value above.
+_verdict_rows = _verdict_rows_of([0, 1, 2], [True, False]) | _verdict_rows_of(
+    [0, 1, 2] * 3 + [True, False, "0", *_ODD], _FLAG
+)
 
 
 def _twins(value) -> list:
@@ -282,16 +304,18 @@ def _bad(row: dict, how: str):
 
 @st.composite
 def _record_files(draw) -> bytes:
-    """Records whose verdict rows come from a small pool of valid rows: a
-    row, and rows that differ from one before them in one value's type
-    alone, or not at all, some with their keys in another order. The last
-    record may hold a bad row, or no verdict list."""
+    """Records whose verdict rows come from a small pool of rows that
+    `AssessmentVerdict` takes: a row, and rows that differ from one before
+    them in one value's type alone, or not at all, some with their keys in
+    another order. A row with a value not of its annotated JSON type is
+    refused at its line. The last record may hold a bad row, or no verdict
+    list."""
     base = draw(_verdict_rows)
     pool = [base]
     for _ in range(draw(st.sampled_from([2, 3, 4]))):
         twin = dict(draw(st.sampled_from(pool)))
         key = draw(st.sampled_from(sorted(twin)))
-        twin[key] = draw(st.sampled_from(_twins(twin[key])))
+        twin[key] = draw(st.sampled_from([twin[key], *_twins(twin[key])]))
         if draw(st.sampled_from([False] * 3 + [True])):
             twin = dict(reversed(twin.items()))
         if _constructs(twin):

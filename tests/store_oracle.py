@@ -20,7 +20,7 @@ import logging
 from dataclasses import replace
 
 from repairkit.assess import (
-    CORRECT, FIRST, PASS, PENDING, TIEBREAK, UNLABELED, AssessmentVerdict,
+    CORRECT, FIRST, INCORRECT, PASS, PENDING, TIEBREAK, UNLABELED, AssessmentVerdict,
 )
 from repairkit.bench import AggregateRow, AggregateTable, RunRecord
 from repairkit.config import decode
@@ -102,7 +102,12 @@ def _oracle_apply_ratings(bug_id, verdicts, store):
     out = []
     for verdict in verdicts:
         resolved = oracle_resolve_semantic(store, bug_id, verdict.rank)
-        out.append(verdict if resolved == PENDING else replace(verdict, semantic=resolved))
+        if resolved == PENDING:
+            out.append(verdict)
+        elif verdict.exact and resolved == INCORRECT:
+            raise InvalidRating(f"{bug_id}#{verdict.rank}: an exact match rated incorrect")
+        else:
+            out.append(replace(verdict, semantic=resolved))
     return out
 
 

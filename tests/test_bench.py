@@ -859,8 +859,8 @@ _aggregate_ratings = st.lists(
 def _table_or_error(fn, *args):
     try:
         return fn(*args)
-    except ValueError:  # an exact match rated incorrect: InvalidRating, or the oracle's
-        return ValueError
+    except ValueError as exc:  # an exact match rated incorrect
+        return type(exc)
 
 
 class TestAggregateMatchesOracle:
@@ -886,6 +886,19 @@ class TestAggregateMatchesOracle:
         assert _table_or_error(aggregate, records, store, universe) == _table_or_error(
             oracle_aggregate, records, oracle_store, universe
         )
+
+    def test_exact_match_rated_incorrect_is_the_same_error(self):
+        # The draws above seldom resolve 'incorrect' on an exact match.
+        record = RunRecord(
+            "b0", "IR4xOR2", "prompt", [CandidatePatch(0, "raw", reconstructed="x")],
+            [AssessmentVerdict(0, True, "pass", True, True, "unlabeled")],
+        )
+        store, oracle_store = RatingStore(), ListRatingStore()
+        for rater in ("r1", "r2"):
+            store.add(SemanticRating("b0", 0, rater, "incorrect"))
+            oracle_store.add(SemanticRating("b0", 0, rater, "incorrect"))
+        assert _table_or_error(aggregate, [record], store) is InvalidRating
+        assert _table_or_error(oracle_aggregate, [record], oracle_store) is InvalidRating
 
 
 # Text JSON escapes, text it writes as is when not ASCII, and line breaks

@@ -224,11 +224,8 @@ def function_pairs_from_files(
         # The fix must be confined to the one function: replacing its lines
         # inside the before file has to reproduce the after file exactly.
         buggy, fixed = before_fns[changed[0]], after_fns[changed[0]]
-        spliced = (
-            before.lines[: buggy.start_line - 1]
-            + fixed.lines
-            + before.lines[buggy.end_line :]
-        )
+        lines = before.lines
+        spliced = lines[: buggy.start_line - 1] + fixed.lines + lines[buggy.end_line :]
         if "\n".join(spliced) != after.content:
             return []
     return [

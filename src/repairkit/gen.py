@@ -94,26 +94,27 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     are retried with exponential backoff up to config.retries extra
     attempts, then surface as BackendUnreachable / BackendError /
     BackendTimeout. A 4xx status other than 408 (timeout) or 429 (too many
-    requests) is permanent and raises at once. A response that is not an
-    ordered iterable (`None`, a number, a string, a mapping, a set), or an
-    output that is not a string with a UTF-8 form, which no store could
-    write, is a malformed response (BackendError).
+    requests) is permanent and raises at once, as does a URL urllib cannot
+    parse. A response that is not an ordered iterable (`None`, a number, a
+    string, a mapping, a set), or an output that is not a string with a
+    UTF-8 form, which no store could write, is malformed (BackendError).
     """
     backend = config.backend
     if backend is None:
         raise BackendUnreachable("no backend configured")
+    request = None if hasattr(backend, "complete") else _http_request(str(backend), config, prompt)
     last: Exception | None = None
     for attempt in range(config.retries + 1):
         if attempt:
             _sleep(config.retry_base_delay * (2 ** (attempt - 1)))
         try:
-            if hasattr(backend, "complete"):
+            if request is None:
                 outputs = backend.complete(
                     prompt, config.num_candidates, config.max_new_tokens,
                     list(config.stop_tokens),
                 )
             else:
-                outputs = _http_complete(str(backend), config, prompt)
+                outputs = _http_complete(request, config.timeout)
             if isinstance(outputs, (str, Mapping, Set)) or not hasattr(outputs, "__iter__"):
                 raise BackendError(
                     200, f"malformed backend response: {type(outputs).__name__}, not a list"
@@ -134,10 +135,8 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     raise last
 
 
-def _http_complete(url: str, config: GenerationConfig, prompt: str) -> list[str]:
-    import http.client
-    import socket
-    import urllib.error
+def _http_request(url: str, config: GenerationConfig, prompt: str):
+    """The POST request for `prompt`, built once for all attempts."""
     import urllib.request
 
     body = json.dumps(
@@ -149,17 +148,28 @@ def _http_complete(url: str, config: GenerationConfig, prompt: str) -> list[str]
         }
     ).encode("utf-8")
     try:
-        request = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
-    except ValueError as exc:  # a URL urllib cannot parse
+        return urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
+    except ValueError as exc:
         raise BackendUnreachable(f"{url}: {exc}") from exc
+
+
+def _http_complete(request, timeout: float) -> list[str]:
+    """One attempt at `request`, its body read until `timeout` s after it began."""
+    import http.client
+    import socket
+    import urllib.error
+    import urllib.request
+
+    deadline = time.monotonic() + timeout
     try:
-        with urllib.request.urlopen(request, timeout=config.timeout) as response:
-            payload = response.read().decode("utf-8")
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            payload = _read_body(response, deadline, timeout).decode("utf-8")
     except urllib.error.HTTPError as exc:
-        try:
-            body = exc.read().decode("utf-8", "replace")
-        except (http.client.HTTPException, OSError) as cut:  # cut short or timed out
-            body = repr(cut)
+        with exc:  # closes the connection a slow body leaves open
+            try:
+                body = _read_body(exc, deadline, timeout).decode("utf-8", "replace")
+            except (http.client.HTTPException, OSError, BackendTimeout) as cut:  # short or slow
+                body = repr(cut)
         raise BackendError(exc.code, body) from exc
     except (socket.timeout, TimeoutError) as exc:
         raise BackendTimeout(str(exc)) from exc
@@ -167,7 +177,7 @@ def _http_complete(url: str, config: GenerationConfig, prompt: str) -> list[str]
         reason = getattr(exc, "reason", exc)
         if isinstance(reason, (socket.timeout, TimeoutError)):
             raise BackendTimeout(str(reason)) from exc
-        raise BackendUnreachable(f"{url}: {reason}") from exc
+        raise BackendUnreachable(f"{request.full_url}: {reason}") from exc
     except http.client.HTTPException as exc:  # such as a body cut short
         raise BackendError(200, f"malformed backend response: {exc!r}") from exc
     except UnicodeDecodeError as exc:
@@ -181,6 +191,20 @@ def _http_complete(url: str, config: GenerationConfig, prompt: str) -> list[str]
     except (ValueError, KeyError, TypeError):
         raise BackendError(200, f"malformed backend response: {payload[:200]}")
     return outputs
+
+
+def _read_body(response, deadline: float, timeout: float) -> bytes:
+    """`response`'s body, read in pieces until `time.monotonic()` passes `deadline`."""
+    import http.client
+
+    pieces = []
+    while piece := response.read1(1 << 16):
+        pieces.append(piece)
+        if time.monotonic() > deadline:
+            raise BackendTimeout(f"response body not read within {timeout} s")
+    if response.length:  # cut short of its Content-Length
+        raise http.client.IncompleteRead(b"".join(pieces), response.length)
+    return b"".join(pieces)
 
 
 # --------------------------------------------------------------------------

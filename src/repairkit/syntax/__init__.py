@@ -91,7 +91,7 @@ def extract_functions(file: SourceFile) -> list[SourceFunction]:
     Bodies nested inside another function (local classes, anonymous classes,
     lambdas) belong to their enclosing declaration and are not listed.
     """
-    return _functions(file, parse(file.content))
+    return _functions(parse(file.content))
 
 
 def extract_functions_of_edit(
@@ -114,17 +114,15 @@ def extract_functions_of_edit(
     `extract_functions(after)` raises.
     """
     tokens = tokenize(before.content)
-    tree = parse(before.content, tokens)
-    old = before.lines
-    nodes = list(_function_nodes(tree))
-    before_fns = [_source_function(node, old) for node in nodes]
+    nodes = list(_function_nodes(parse(before.content, tokens)))
+    before_fns = list(map(_source_function, nodes))
     first, last, edited = lex_edit(tokens, after.content)
     for k, node in enumerate(nodes):
         if node.first < first and last <= node.last:
             if parses_edit(node, first, last, edited):
                 return before_fns, _moved(before_fns, k, before, after)
             break
-    return before_fns, _functions(after, parse(after.content, edited))
+    return before_fns, _functions(parse(after.content, edited))
 
 
 def _moved(
@@ -149,18 +147,18 @@ def _moved(
     )
 
 
-def _functions(file: SourceFile, tree: Node) -> list[SourceFunction]:
-    """The functions of `file`, whose parse is `tree`."""
-    lines = file.lines
-    return [_source_function(node, lines) for node in _function_nodes(tree)]
+def _functions(tree: Node) -> list[SourceFunction]:
+    """The functions of a file, whose parse is `tree`."""
+    return list(map(_source_function, _function_nodes(tree)))
 
 
-def _source_function(node: SyntaxNode, lines: list[str]) -> SourceFunction:
+def _source_function(node: SyntaxNode) -> SourceFunction:
+    """The function `node` declares, its text cut from its tokens' lines."""
     return SourceFunction(
         name=_declared_name(node),
         start_line=node.start_line,
         end_line=node.end_line,
-        text="\n".join(lines[node.start_line - 1 : node.end_line]),
+        text="\n".join(node.tokens.lines[node.start_line - 1 : node.end_line]),
     )
 
 

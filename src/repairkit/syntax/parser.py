@@ -18,21 +18,21 @@ The parser reads two parallel sequences of a `Tokens`: `texts`, and
 `mask`, which marks the comments. Its cursor is a token index, `peek()`
 returns the text of a significant token ahead, and a leaf is appended to
 its node as that token's index; no `Token` is built unless a `ParseError`
-needs a position or the source is a lone token. A node's span and lines are read from the token lists
-when asked (see `tree.SyntaxNode`).
+needs a position or the source is a lone token. A node's span and lines
+are read from the token lists when asked (see `tree.SyntaxNode`).
 
 Most tokens sit in flat runs: the leaves of a delimiter group, of a
 simple statement up to its `;`, or of a declaration's header, member
-prefix, method tail, type parameters or enum constants. `_take_run` walks
-every such run with a local index, tests each token's text only against
-the texts that end the run, and appends the run's leaves to the node as
-one range; a comment just before a nested group's opener goes into that
-group, as its first leaf. It returns at the stop, and the caller parses a
-nested group by a recursive call, never with a stack of its own, so the
-parser still takes one frame per nesting level. `_take_until` walks the
-runs that end at given texts outside any group, such as a statement's `;`
-or the `{` of a type's body, and rejects a closer or another `;` on the
-way; groups, member prefixes and enum constants call `_take_run` directly.
+prefix, method tail, type parameters or enum constants. `_walk` walks a
+run and the groups nested in it in one loop with a local index, testing
+each token's text only against the texts that end the run or open a
+group, and appends the leaves to the node as ranges. A group's node
+starts with the comments just before its opener, and a recursive call
+walks its inside, so the parser takes one frame per group nesting level
+and keeps no stack of its own. A comment just before a `{` that ends a
+run goes to the body or block that the `{` opens. Statements take two
+frames per block or `if` level: `parse_block` passes the text of each
+statement's first significant token to `parse_statement`.
 
 Every choice the parser makes reads the texts of the significant tokens
 and nothing else: no offset, line or comment. So whether a source parses,
@@ -98,21 +98,26 @@ _SEALED_FOLLOWERS = frozenset({"class", "interface", "@", "sealed", "non"})
 
 _GROUP_KINDS = {"(": "paren_group", "[": "bracket_group", "{": "brace_group"}
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
-# The texts that end a flat run of leaves: a group's opener or a closer,
-# and for a statement also `;`. No comment has one of these texts.
-_DELIMITERS = frozenset("()[]{}")
-_STATEMENT_STOPS = _DELIMITERS | {";"}
 _CLOSING = frozenset(")]}")
-# The ends of the runs `_take_until` walks, each with its run's stops.
+# The ends of the runs `_take_until` and `_finish_simple` walk, each with
+# the texts its walk stops at: the ends, a closer and a `;`.
 _SEMICOLON = frozenset(";")
 _BODY = frozenset("{")
 _METHOD_TAIL_ENDS = frozenset({"{", ";", "default"})
 _ANGLES = frozenset("<>")
 _UNTIL_STOPS = {
-    ends: ends | _STATEMENT_STOPS for ends in (_SEMICOLON, _BODY, _METHOD_TAIL_ENDS, _ANGLES)
+    ends: ends | _CLOSING | _SEMICOLON for ends in (_SEMICOLON, _BODY, _METHOD_TAIL_ENDS, _ANGLES)
 }
+_STATEMENT_STOPS = _UNTIL_STOPS[_SEMICOLON]
 # What ends a run of enum constants; a stray `)` or `]` there is a leaf.
-_ENUM_CONSTANT_STOPS = frozenset("([{};")
+_ENUM_CONSTANT_STOPS = frozenset("};")
+_PARAMETERS = frozenset("(")
+# The texts a walk with the given stops reacts to: its stops and the
+# openers of the groups it parses. No comment has one of these texts.
+_MARKS = {
+    stops: stops.union(_GROUP_KINDS)
+    for stops in (_CLOSING, _ENUM_CONSTANT_STOPS, _PARAMETERS, *_UNTIL_STOPS.values())
+}
 # The texts that end a member's header at delimiter depth 0.
 _MEMBER_STOPS = frozenset("(=;{")
 _SIMPLE_STATEMENTS = frozenset({"return", "throw", "break", "continue", "assert"})
@@ -187,90 +192,104 @@ class _Parser:
 
     # ---- delimiter groups ---------------------------------------------
 
-    def parse_group(self) -> SyntaxNode:
-        """The delimiter group that opens at the next significant token.
-
-        The comments before its opener are its first leaves. A nested group
-        is parsed by a recursive call, so each nesting level takes one frame.
-        """
-        texts, mask = self.texts, self.mask
+    def parse_group(self, opener: Optional[str] = None) -> SyntaxNode:
+        """The delimiter group that opens at the next significant token, which
+        must be `opener` if given; the comments before it are its first leaves."""
+        texts, mask, n = self.texts, self.mask, self.n
         j = self.i
-        while mask[j]:
+        while j < n and mask[j]:
             j += 1
+        if opener is not None and (j == n or texts[j] != opener):
+            raise self.error(f"expected {opener!r}")
         opener = texts[j]
-        closer = _CLOSERS[opener]
-        kids = list(range(self.i, j + 1))
+        kids = [j] if j == self.i else list(range(self.i, j + 1))
         self.i = j + 1
-        while True:
-            stop = self._take_run(kids, _DELIMITERS)
-            if stop == self.n:
-                raise self._eof_error(f"unbalanced {opener!r}")
-            text = texts[stop]
-            if text == closer:
-                kids.append(stop)
-                self.i = stop + 1
-                return SyntaxNode(_GROUP_KINDS[opener], kids, self.tokens)
-            if text not in _GROUP_KINDS:
-                raise self.error(f"mismatched {text!r}")
-            kids.append(self.parse_group())
+        end = self._walk(kids, _CLOSING)
+        if end == n or texts[end] != _CLOSERS[opener]:
+            raise self._unclosed(opener, end)
+        kids.append(end)
+        self.i = end + 1
+        return SyntaxNode(_GROUP_KINDS[opener], kids, self.tokens)
 
-    def _take_run(self, kids: list, stops: frozenset[str]) -> int:
-        """Append the leaves before the next token whose text is in `stops`
-        to `kids`, and return that token's index, or the token count.
+    def _unclosed(self, opener: str, end: int) -> ParseError:
+        """The error for a group whose walk stopped at `end`, not its closer."""
+        if end == self.n:
+            return self._eof_error(f"unbalanced {opener!r}")
+        return self.error(f"mismatched {self.texts[end]!r}")
 
-        The cursor is left at the stop, or, when the stop opens a group, at
-        the comments just before it, which go into that group. The caller
-        takes the stop, so a nested group is parsed in the caller's frame.
-        """
-        texts, n = self.texts, self.n
+    def _walk(self, kids: list, stops: frozenset[str]) -> int:
+        """Append leaves and groups to `kids` up to the next token outside a
+        group whose text is in `stops`, and return its index, or the token
+        count. A group's inside is walked by a recursive call. The cursor is
+        left at the stop, or at the comments just before it if it opens a
+        group, which go with it."""
+        texts, mask, n = self.texts, self.mask, self.n
+        marks = _MARKS[stops]
         start = self.i
-        for stop in range(start, n):
-            if texts[stop] in stops:
-                break
-        else:
-            stop = n
-        j = stop
-        if j < n and texts[j] in _GROUP_KINDS:
-            mask = self.mask
-            while j > start and mask[j - 1]:
-                j -= 1
-        kids += range(start, j)
-        self.i = j
-        return stop
+        while True:
+            for stop in range(start, n):
+                if texts[stop] in marks:
+                    break
+            else:
+                kids += range(start, n)
+                self.i = n
+                return n
+            text = texts[stop]
+            j = stop
+            if text in _GROUP_KINDS:
+                while j > start and mask[j - 1]:
+                    j -= 1
+            kids += range(start, j)
+            if text in stops:
+                self.i = j
+                return stop
+            group = [stop] if j == stop else list(range(j, stop + 1))
+            self.i = stop + 1
+            end = self._walk(group, _CLOSING)
+            if end == n or texts[end] != _CLOSERS[text]:
+                raise self._unclosed(text, end)
+            group.append(end)
+            kids.append(SyntaxNode(_GROUP_KINDS[text], group, self.tokens))
+            start = end + 1
 
     def _take_until(self, kids: list, ends: frozenset[str], message: str) -> str:
         """Append leaves and groups to `kids` up to the next token outside a
         group whose text is in `ends`, and return that text; the token is
         not taken. A closer, or a `;` not in `ends`, raises ParseError with
         `message`, as does the end of input."""
-        texts, stops = self.texts, _UNTIL_STOPS[ends]
-        while True:
-            stop = self._take_run(kids, stops)
-            if stop == self.n:
-                raise self._eof_error(message)
-            text = texts[stop]
-            if text in ends:
-                return text
-            if text not in _GROUP_KINDS:
-                raise self.error(message)
-            kids.append(self.parse_group())
+        stop = self._walk(kids, _UNTIL_STOPS[ends])
+        if stop == self.n or self.texts[stop] not in ends:
+            raise self.error(message)
+        return self.texts[stop]
 
     # ---- statements ----------------------------------------------------
 
     def parse_block(self) -> SyntaxNode:
-        kids: list = []
-        self.expect("{", kids)
+        texts, mask, n = self.texts, self.mask, self.n
+        i = self.i
+        while i < n and mask[i]:
+            i += 1
+        if i == n or texts[i] != "{":
+            raise self.error("expected '{'")
+        kids = [i] if i == self.i else list(range(self.i, i + 1))
+        self.i = i + 1
         while True:
-            text = self.peek()
-            if text is None:
+            i = self.i
+            while i < n and mask[i]:
+                i += 1
+            if i == n:
                 raise self._eof_error("expected '}'")
+            text = texts[i]
             if text == "}":
-                self.take_leaf(kids)
+                if i > self.i:  # comments before the `}`
+                    kids += range(self.i, i)
+                kids.append(i)
+                self.i = i + 1
                 return SyntaxNode("block", kids, self.tokens)
-            kids.append(self.parse_statement())
+            kids.append(self.parse_statement(text))
 
-    def parse_statement(self) -> SyntaxNode:
-        text = self.peek()
+    def parse_statement(self, text: Optional[str]) -> SyntaxNode:
+        """The statement that starts with `text`, the next significant one."""
         if text is None:
             raise self._eof_error("expected statement")
         if text == "{":
@@ -293,14 +312,21 @@ class _Parser:
                 if self._modifier_run_opens_type():
                     return self.parse_declaration()
                 return self._finish_simple("statement", [])
-        elif _kind(text) == IDENTIFIER:
-            if text == "record" and self._looks_like_record():
-                return self.parse_declaration()  # a local record
-            if self.peek(1) == ":":
-                kids = []
-                self.take_leaf(kids)  # label
-                self.take_leaf(kids)  # ':'
-                kids.append(self.parse_statement())
+        elif text == "record" and self._looks_like_record():
+            return self.parse_declaration()  # a local record
+        else:
+            # A label: a name, then `:`.
+            mask, n = self.mask, self.n
+            j = self.i
+            while mask[j]:
+                j += 1
+            j += 1
+            while j < n and mask[j]:
+                j += 1
+            if j < n and self.texts[j] == ":" and _kind(text) == IDENTIFIER:
+                kids = list(range(self.i, j + 1))
+                self.i = j + 1
+                kids.append(self.parse_statement(self.peek()))
                 return SyntaxNode("labeled_statement", kids, self.tokens)
         return self._finish_simple("statement", [])
 
@@ -319,24 +345,21 @@ class _Parser:
 
     def _finish_simple(self, kind: str, kids: list) -> SyntaxNode:
         """Consume a run of tokens and groups up to and including ';'."""
-        self._take_until(kids, _SEMICOLON, "expected ';'")
-        kids.append(self.i)
-        self.i += 1
+        stop = self._walk(kids, _STATEMENT_STOPS)
+        if stop == self.n or self.texts[stop] != ";":
+            raise self.error("expected ';'")
+        kids.append(stop)
+        self.i = stop + 1
         return SyntaxNode(kind, kids, self.tokens)
-
-    def _parse_paren(self, kids: list) -> None:
-        if self.peek() != "(":
-            raise self.error("expected '('")
-        kids.append(self.parse_group())
 
     def _parse_if(self) -> SyntaxNode:
         kids: list = []
         self.take_leaf(kids)
-        self._parse_paren(kids)
-        kids.append(self.parse_statement())
+        kids.append(self.parse_group("("))
+        kids.append(self.parse_statement(self.peek()))
         if self.peek() == "else":
             self.take_leaf(kids)
-            kids.append(self.parse_statement())
+            kids.append(self.parse_statement(self.peek()))
         return SyntaxNode("if_statement", kids, self.tokens)
 
     def _parse_loop(self) -> SyntaxNode:
@@ -344,28 +367,24 @@ class _Parser:
         kids: list = []
         self.take_leaf(kids)
         kind = f"{self.texts[kids[-1]]}_statement"
-        self._parse_paren(kids)
-        kids.append(self.parse_statement())
+        kids.append(self.parse_group("("))
+        kids.append(self.parse_statement(self.peek()))
         return SyntaxNode(kind, kids, self.tokens)
 
     def _parse_do(self) -> SyntaxNode:
         kids: list = []
         self.take_leaf(kids)
-        kids.append(self.parse_statement())
-        if self.peek() != "while":
-            raise self.error("expected 'while'")
-        self.take_leaf(kids)
-        self._parse_paren(kids)
+        kids.append(self.parse_statement(self.peek()))
+        self.expect("while", kids)
+        kids.append(self.parse_group("("))
         self.expect(";", kids)
         return SyntaxNode("do_statement", kids, self.tokens)
 
     def _parse_switch(self) -> SyntaxNode:
         kids: list = []
         self.take_leaf(kids)
-        self._parse_paren(kids)
-        if self.peek() != "{":
-            raise self.error("expected '{'")
-        kids.append(self.parse_group())
+        kids.append(self.parse_group("("))
+        kids.append(self.parse_group("{"))
         return SyntaxNode("switch_statement", kids, self.tokens)
 
     def _parse_try(self) -> SyntaxNode:
@@ -377,7 +396,7 @@ class _Parser:
         while self.peek() == "catch":
             ckids: list = []
             self.take_leaf(ckids)
-            self._parse_paren(ckids)
+            ckids.append(self.parse_group("("))
             ckids.append(self.parse_block())
             kids.append(SyntaxNode("catch_clause", ckids, self.tokens))
         if self.peek() == "finally":
@@ -390,7 +409,7 @@ class _Parser:
     def _parse_synchronized(self) -> SyntaxNode:
         kids: list = []
         self.take_leaf(kids)
-        self._parse_paren(kids)
+        kids.append(self.parse_group("("))
         kids.append(self.parse_block())
         return SyntaxNode("synchronized_statement", kids, self.tokens)
 
@@ -399,7 +418,7 @@ class _Parser:
     def parse_declaration(self, fragment: bool = False) -> SyntaxNode:
         kids: list = []
         if fragment and self.peek() in STATEMENT_KEYWORDS:
-            return self.parse_statement()
+            return self.parse_statement(self.peek())
         self._parse_annotations_and_modifiers(kids)
         text = self.peek()
         if text is None:
@@ -501,18 +520,11 @@ class _Parser:
         if flavor == "enum":
             # The constants, up to a `;` or the body's `}`, which
             # `_parse_members` takes.
-            texts = self.texts
-            while True:
-                stop = self._take_run(body, _ENUM_CONSTANT_STOPS)
-                if stop == self.n:
-                    raise self._eof_error("expected '}'")
-                text = texts[stop]
-                if text == "}":
-                    break
-                if text == ";":
-                    self.take_leaf(body)
-                    break
-                body.append(self.parse_group())
+            stop = self._walk(body, _ENUM_CONSTANT_STOPS)
+            if stop == self.n:
+                raise self._eof_error("expected '}'")
+            if self.texts[stop] == ";":
+                self.take_leaf(body)
         kids.append(self._parse_members("enum_body" if flavor == "enum" else "class_body", body))
         kind = "annotation_declaration" if flavor == "annotation" else f"{flavor}_declaration"
         return SyntaxNode(kind, kids, self.tokens)
@@ -568,10 +580,8 @@ class _Parser:
             # A constructor has nothing but its name before the parameter
             # list; a method carries return-type tokens in front of it.
             is_ctor = self._count_significant(at) == 1
-            # Before `at`, the first `(` at depth 0, only `[` opens a group.
-            while self._take_run(kids, _DELIMITERS) != at:
-                kids.append(self.parse_group())
-            kids.append(self.parse_group())  # parameter list
+            self._walk(kids, _PARAMETERS)  # up to `at`, the first `(` at depth 0
+            kids.append(self.parse_group())
             self._finish_method_tail(kids)
             kind = "constructor_declaration" if is_ctor else "method_declaration"
             return SyntaxNode(kind, kids, self.tokens)
@@ -713,7 +723,7 @@ def parses_edit(tree: Node, first: int, last: int, tokens: Tokens) -> Optional[b
                 return True
             if at > target or tokens.texts[at] == "}":
                 return None
-            parser.parse_statement()
+            parser.parse_statement(tokens.texts[at])
     except ParseError:
         return False
     except RecursionError:

@@ -597,6 +597,89 @@ class TestHostileBackend:
         assert sorted(json.loads(line)["bug_id"] for line in lines) == [e.bug_id for e in manifest]
 
 
+DRIP_DELAY = 0.2  # seconds between the bytes of a dripped body
+# The status of a dripping backend's answers, and the error its bugs
+# record under a 1 s timeout: an error status keeps its code.
+DRIPPED_ERRORS = {
+    200: "BackendTimeout: response body not read within 1.0 s",
+    503: "BackendError: backend error 503: "
+    "BackendTimeout('response body not read within 1.0 s')",
+}
+
+
+@pytest.fixture()
+def dripping_backend(request):
+    """A loopback server that answers every request with a status of
+    DRIPPED_ERRORS and a whole JSON body, one byte every DRIP_DELAY
+    seconds; yields its URL and the error its bugs record."""
+    status = request.param
+    import threading
+    import time
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    body = b'{"outputs": ["        return a + b;"]}'
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Connection", "close")
+            self.end_headers()
+            try:
+                for k in range(len(body)):
+                    self.wfile.write(body[k : k + 1])
+                    time.sleep(DRIP_DELAY)
+            except OSError:  # the client gave up
+                pass
+
+        def log_message(self, *args):  # quiet
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    try:
+        yield f"http://{host}:{port}/", DRIPPED_ERRORS[status]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class TestDrippingBackend:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dripping_backend", list(DRIPPED_ERRORS), indirect=True)
+    def test_a_dripping_body_times_out_within_the_timeout(
+        self, bench_fixture, dripping_backend, tmp_path, monkeypatch, workers
+    ):
+        import time
+
+        durations = []
+        complete = gen._http_complete
+
+        def timed(request, timeout):
+            start = time.monotonic()
+            try:
+                return complete(request, timeout)
+            finally:
+                durations.append(time.monotonic() - start)
+
+        monkeypatch.setattr(gen, "_http_complete", timed)
+        manifest_path, _, _ = bench_fixture
+        manifest = load_manifest(manifest_path)[:2]
+        url, error = dripping_backend
+        store = RecordStore(tmp_path / "records.jsonl")
+        config = GenerationConfig(backend=url, retries=0, timeout=1.0)
+        records = run_benchmark(manifest, PAIR, config, store=store, workers=workers, run_tests=False)
+        assert [(r.bug_id, r.error, r.candidates) for r in records] == [
+            (e.bug_id, error, []) for e in manifest
+        ]
+        assert len(durations) == len(manifest)
+        assert max(durations) < config.timeout + 0.3, durations
+
+
 _curve_verdicts = st.builds(
     AssessmentVerdict,
     rank=st.integers(0, 12) | st.sampled_from([True, False, 1.0]),

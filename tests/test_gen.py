@@ -120,6 +120,15 @@ class TestRequestCandidates:
             request_candidates(config, "p")
         assert sleeps == [0.5, 1.0, 2.0]  # exponential backoff, bounded retries
 
+    @pytest.mark.parametrize("url", ["not a url", "http://[::1"])
+    def test_a_url_urllib_cannot_parse_is_not_retried(self, monkeypatch, url):
+        sleeps = []
+        monkeypatch.setattr(gen, "_sleep", sleeps.append)
+        with pytest.raises(BackendUnreachable) as err:
+            request_candidates(GenerationConfig(backend=url, retries=3), "p")
+        assert str(err.value).startswith(f"{url}: ")
+        assert sleeps == []
+
     def test_retry_then_success(self, monkeypatch):
         monkeypatch.setattr(gen, "_sleep", lambda s: None)
 

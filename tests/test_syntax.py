@@ -365,6 +365,13 @@ class TestNormalize:
         assert depth > 400
         assert _preorder(normalize(tree)) == _preorder(tree)
 
+    @pytest.mark.parametrize("nested", ["blocks", "ifs"])
+    def test_statements_nest_past_400_levels(self, nested):
+        """Each block or `if` level takes two frames of the parser."""
+        depth, tree = _deepest_nesting(_NESTED_STATEMENTS[nested])
+        assert depth > 400
+        assert _preorder(normalize(tree)) == _preorder(tree)
+
 
 def _recursive_normalize(node):
     """`_normalize` as it was: a generator per level, which exhausts the
@@ -381,13 +388,20 @@ def _nested(depth):
     return "int f() { return " + "( /* c */ " * depth + "1" + ")" * depth + "; }"
 
 
-def _deepest_nesting():
-    """The deepest `_nested` source that parses here, and its tree."""
-    low, high, tree = 0, 5000, parse(_nested(0))  # _nested(5000) does not parse
+# Methods whose bodies nest `depth` blocks, or chain `depth` `if (a)`s.
+_NESTED_STATEMENTS = {
+    "blocks": lambda depth: "void f() { " + "{ " * depth + "x(); " + "} " * depth + "}",
+    "ifs": lambda depth: "void f() { " + "if (a) " * depth + "x(); }",
+}
+
+
+def _deepest_nesting(nested=_nested):
+    """The deepest `nested` source that parses here, and its tree."""
+    low, high, tree = 0, 5000, parse(nested(0))  # nested(5000) does not parse
     while high - low > 1:
         middle = (low + high) // 2
         try:
-            low, tree = middle, parse(_nested(middle))
+            low, tree = middle, parse(nested(middle))
         except ParseError:
             high = middle
     return low, tree
@@ -1362,12 +1376,55 @@ def _comment_opens_a_group(source):
     )
 
 
+_BREAKABLE = ("(", ")", "[", "]", "{", "}", ";")
+_DELIMITED_BASES = [
+    s for s in (*EDIT_BASES, DECLARATIONS) if any(t.text in _BREAKABLE for t in tokenize(s))
+]
+
+
+@st.composite
+def _broken_delimiters(draw):
+    """A known source with one `(`, `)`, `[`, `]`, `{`, `}` or `;` dropped,
+    doubled or swapped for another of them, maybe with a comment just
+    before it, and maybe cut just after it."""
+    source = draw(st.sampled_from(_DELIMITED_BASES))
+    token = draw(st.sampled_from([t for t in tokenize(source) if t.text in _BREAKABLE]))
+    text = draw(
+        st.sampled_from(["", token.text * 2, *(b for b in _BREAKABLE if b != token.text)])
+    )
+    comment = draw(st.sampled_from(["", *_COMMENTS]))
+    cut = draw(st.integers(0, 3)) == 0
+    return source[: token.start] + comment + text + ("" if cut else source[token.end :])
+
+
+def _parse_error(source):
+    """The text of the ParseError `parse` raises on `source`, or ''."""
+    try:
+        parse(source)
+    except ParseError as exc:
+        return str(exc)
+    return ""
+
+
 class TestParseMatchesReference:
     @settings(max_examples=500, deadline=None)
     @given(source=st.one_of(_lexer_inputs(), _mutated_classes(), _commented_openers()))
     @example(source='void m() { 1: x; "s": y(); default: z(); a: b(); }')  # not labels
     def test_same_tree_or_error(self, source):
         assert _tree_or_error(parse, source) == _tree_or_error(reference_parse, source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(source=_broken_delimiters())
+    def test_same_tree_or_error_with_a_delimiter_broken(self, source):
+        assert _tree_or_error(parse, source) == _tree_or_error(reference_parse, source)
+
+    @pytest.mark.parametrize("message", ["expected ';'", "mismatched", "unbalanced", "expected '}'"])
+    def test_broken_delimiters_reach_each_error_exit(self, message):
+        find(
+            _broken_delimiters(),
+            lambda source: message in _parse_error(source),
+            settings=settings(database=None, phases=[Phase.generate], max_examples=300),
+        )
 
     def test_comments_before_openers_are_generated(self):
         find(

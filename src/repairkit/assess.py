@@ -23,6 +23,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
+from .config import decode
 from .errors import (
     DegenerateMarginals,
     DuplicateRating,
@@ -419,10 +420,11 @@ class RatingStore:
     the store is dropped, so the file must not be replaced while a live
     store holds it. A crash mid-append can leave an unterminated last line:
     loading skips it with a warning and the first `add` cuts it off. A
-    load admits each stored rating by `add`'s rules, so a rank that is not
-    an int or is negative, a second rating by one rater of one candidate in
-    one round, or a tiebreak where the first round did not disagree is a
-    `StoreError` at its line.
+    load admits each stored rating by `add`'s rules, so a bug id or rater
+    that is not a string, a rank that is not an int or is negative, a
+    second rating by one rater of one candidate in one round, or a
+    tiebreak where the first round did not disagree is a `StoreError` at
+    its line.
     """
 
     def __init__(self, path: Optional[Path | str] = None):
@@ -440,10 +442,14 @@ class RatingStore:
         return rating
 
     def _admit(self, rating: SemanticRating) -> tuple[str, int, str]:
-        """The index key of `rating`, once it passes `add`'s rules: an int
-        rank of at least 0, one rating per rater of a candidate in a round,
-        and a tiebreak only where the first round disagreed."""
+        """The index key of `rating`, once it passes `add`'s rules: a string
+        bug id and rater, an int rank of at least 0, one rating per rater of
+        a candidate in a round, and a tiebreak only where the first round
+        disagreed."""
         bug_id, rank, stage = rating.bug_id, rating.rank, rating.round
+        if type(bug_id) is not str or type(rating.rater) is not str:
+            decode(str, bug_id, "bug_id")  # which words the refusal
+            decode(str, rating.rater, "rater")
         if rank < 0:
             raise InvalidRating(f"rank {rank} of {bug_id}: candidate ranks start at 0")
         if type(rank) is not int:  # True and 1.0 would index as candidate #1

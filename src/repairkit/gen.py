@@ -20,6 +20,7 @@ from .errors import (
     BackendTimeout,
     BackendUnreachable,
     BadTemplate,
+    RepairKitError,
 )
 from .representations import (
     DEFAULT_MARKERS,
@@ -98,6 +99,9 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     parse. A response that is not an ordered iterable (`None`, a number, a
     string, a mapping, a set), or an output that is not a string with a
     UTF-8 form, which no store could write, is malformed (BackendError).
+    Any other exception from an in-process backend, raised by `complete` or
+    while iterating what it returned, is a BackendError with status 500,
+    unless it is a RepairKitError.
     """
     backend = config.backend
     if backend is None:
@@ -131,6 +135,10 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
             last = exc
         except (BackendUnreachable, BackendTimeout) as exc:
             last = exc
+        except RepairKitError:
+            raise
+        except Exception as exc:  # an in-process backend's own failure
+            last = BackendError(500, f"{type(exc).__name__}: {exc}")
     assert last is not None
     raise last
 

@@ -30,9 +30,14 @@ group, and appends the leaves to the node as ranges. A group's node
 starts with the comments just before its opener, and a recursive call
 walks its inside, so the parser takes one frame per group nesting level
 and keeps no stack of its own. A comment just before a `{` that ends a
-run goes to the body or block that the `{` opens. Statements take two
-frames per block or `if` level: `parse_block` passes the text of each
-statement's first significant token to `parse_statement`.
+run goes to the body or block that the `{` opens.
+
+Statements take two frames per block or `if` level: `parse_block` passes
+the text of each statement's first significant token to
+`parse_statement`. For a statement that starts with a keyword,
+`parse_statement` takes the keyword and builds the node, named
+`<keyword>_statement`; the keyword's method in `_KEYWORD_STATEMENTS`
+only appends what follows the keyword.
 
 Every choice the parser makes reads the texts of the significant tokens
 and nothing else: no offset, line or comment. So whether a source parses,
@@ -86,11 +91,6 @@ from .tree import COMPILATION_UNIT, Node, SyntaxNode
 MODIFIER_WORDS = frozenset(
     """public protected private static final abstract native synchronized
     transient volatile strictfp default""".split()
-)
-
-STATEMENT_KEYWORDS = frozenset(
-    """if while do for switch try synchronized return throw break continue
-    assert new this super""".split()
 )
 
 # What may follow a `sealed` or `non-sealed` modifier, besides a modifier.
@@ -299,19 +299,16 @@ class _Parser:
             self.take_leaf(kids)
             return SyntaxNode("empty_statement", kids, self.tokens)
         if text in KEYWORDS:
-            compound = _COMPOUND_STATEMENTS.get(text)
-            if compound is not None:
-                return compound(self)
-            if text in _SIMPLE_STATEMENTS:
+            rest = _KEYWORD_STATEMENTS.get(text)
+            if rest is not None:
                 kids = []
                 self.take_leaf(kids)
-                return self._finish_simple(f"{text}_statement", kids)
-            if text in _TYPE_WORDS:
+                rest(self, kids)
+                return SyntaxNode(f"{text}_statement", kids, self.tokens)
+            if text in _TYPE_WORDS or (
+                text in ("final", "abstract", "static") and self._modifier_run_opens_type()
+            ):
                 return self.parse_declaration()
-            if text in ("final", "abstract", "static"):
-                if self._modifier_run_opens_type():
-                    return self.parse_declaration()
-                return self._finish_simple("statement", [])
         elif text == "record" and self._looks_like_record():
             return self.parse_declaration()  # a local record
         else:
@@ -328,7 +325,9 @@ class _Parser:
                 self.i = j + 1
                 kids.append(self.parse_statement(self.peek()))
                 return SyntaxNode("labeled_statement", kids, self.tokens)
-        return self._finish_simple("statement", [])
+        kids = []
+        self._finish_simple(kids)
+        return SyntaxNode("statement", kids, self.tokens)
 
     def _modifier_run_opens_type(self) -> bool:
         ahead = 0
@@ -343,75 +342,56 @@ class _Parser:
                 text == "record" and self._looks_like_record(ahead)
             )
 
-    def _finish_simple(self, kind: str, kids: list) -> SyntaxNode:
-        """Consume a run of tokens and groups up to and including ';'."""
+    def _finish_simple(self, kids: list) -> None:
+        """Append a run of tokens and groups up to and including ';'."""
         stop = self._walk(kids, _STATEMENT_STOPS)
         if stop == self.n or self.texts[stop] != ";":
             raise self.error("expected ';'")
         kids.append(stop)
         self.i = stop + 1
-        return SyntaxNode(kind, kids, self.tokens)
 
-    def _parse_if(self) -> SyntaxNode:
-        kids: list = []
-        self.take_leaf(kids)
+    def _parse_if(self, kids: list) -> None:
         kids.append(self.parse_group("("))
         kids.append(self.parse_statement(self.peek()))
         if self.peek() == "else":
             self.take_leaf(kids)
             kids.append(self.parse_statement(self.peek()))
-        return SyntaxNode("if_statement", kids, self.tokens)
 
-    def _parse_loop(self) -> SyntaxNode:
-        """A `while` or `for` statement, named after its keyword."""
-        kids: list = []
-        self.take_leaf(kids)
-        kind = f"{self.texts[kids[-1]]}_statement"
+    def _parse_loop(self, kids: list) -> None:
+        """The rest of a `while` or `for` statement."""
         kids.append(self.parse_group("("))
         kids.append(self.parse_statement(self.peek()))
-        return SyntaxNode(kind, kids, self.tokens)
 
-    def _parse_do(self) -> SyntaxNode:
-        kids: list = []
-        self.take_leaf(kids)
+    def _parse_do(self, kids: list) -> None:
         kids.append(self.parse_statement(self.peek()))
         self.expect("while", kids)
         kids.append(self.parse_group("("))
         self.expect(";", kids)
-        return SyntaxNode("do_statement", kids, self.tokens)
 
-    def _parse_switch(self) -> SyntaxNode:
-        kids: list = []
-        self.take_leaf(kids)
+    def _parse_switch(self, kids: list) -> None:
         kids.append(self.parse_group("("))
         kids.append(self.parse_group("{"))
-        return SyntaxNode("switch_statement", kids, self.tokens)
 
-    def _parse_try(self) -> SyntaxNode:
-        kids: list = []
-        self.take_leaf(kids)
+    def _parse_try(self, kids: list) -> None:
         if self.peek() == "(":
             kids.append(self.parse_group())
         kids.append(self.parse_block())
         while self.peek() == "catch":
             ckids: list = []
             self.take_leaf(ckids)
-            ckids.append(self.parse_group("("))
-            ckids.append(self.parse_block())
+            self._parse_guarded_block(ckids)
             kids.append(SyntaxNode("catch_clause", ckids, self.tokens))
         if self.peek() == "finally":
             fkids: list = []
             self.take_leaf(fkids)
             fkids.append(self.parse_block())
             kids.append(SyntaxNode("finally_clause", fkids, self.tokens))
-        return SyntaxNode("try_statement", kids, self.tokens)
 
-    def _parse_synchronized(self) -> SyntaxNode:
-        kids: list = []
-        self.take_leaf(kids)
+    def _parse_guarded_block(self, kids: list) -> None:
+        """A parenthesized group, then a block: the rest of a `synchronized`
+        statement or of a catch clause."""
         kids.append(self.parse_group("("))
         kids.append(self.parse_block())
-        return SyntaxNode("synchronized_statement", kids, self.tokens)
 
     # ---- declarations --------------------------------------------------
 
@@ -586,7 +566,8 @@ class _Parser:
             kind = "constructor_declaration" if is_ctor else "method_declaration"
             return SyntaxNode(kind, kids, self.tokens)
         if shape in ("=", ";"):
-            return self._finish_simple("field_declaration", kids)
+            self._finish_simple(kids)
+            return SyntaxNode("field_declaration", kids, self.tokens)
         if shape == "{" and self._count_significant(at) == 1 and _kind(self.peek()) == IDENTIFIER:
             # A record's compact canonical constructor: its name, then its body.
             self.take_leaf(kids)
@@ -628,14 +609,11 @@ class _Parser:
             text = self.peek()
             if text is None:
                 break
-            if text == "package":
-                pk: list = []
-                self.take_leaf(pk)
-                kids.append(self._finish_simple("package_declaration", pk))
-            elif text == "import":
-                ik: list = []
-                self.take_leaf(ik)
-                kids.append(self._finish_simple("import_declaration", ik))
+            if text == "package" or text == "import":
+                line: list = []
+                self.take_leaf(line)
+                self._finish_simple(line)
+                kids.append(SyntaxNode(f"{text}_declaration", line, self.tokens))
             elif text == ";":
                 self.take_leaf(kids)
             else:
@@ -646,16 +624,21 @@ class _Parser:
         return SyntaxNode(COMPILATION_UNIT, kids, self.tokens)
 
 
-# The statements that start with a keyword and have a parser of their own.
-_COMPOUND_STATEMENTS = {
+# The statements that start with a keyword, each with the method that
+# appends what follows its keyword.
+_KEYWORD_STATEMENTS = {
     "if": _Parser._parse_if,
     "while": _Parser._parse_loop,
     "do": _Parser._parse_do,
     "for": _Parser._parse_loop,
     "switch": _Parser._parse_switch,
     "try": _Parser._parse_try,
-    "synchronized": _Parser._parse_synchronized,
+    "synchronized": _Parser._parse_guarded_block,
+    **dict.fromkeys(_SIMPLE_STATEMENTS, _Parser._finish_simple),
 }
+
+# The keywords that start a statement, not a declaration, in a fragment.
+STATEMENT_KEYWORDS = frozenset(_KEYWORD_STATEMENTS).union(("new", "this", "super"))
 
 
 def parse(source: str, tokens: Optional[Tokens] = None) -> Node:

@@ -696,9 +696,9 @@ def _outcome(store, rating):
     return "accepted"
 
 
-def _stored_rating(rank, rater, label, stage="first"):
+def _stored_rating(rank, rater, label, stage="first", bug_id="b"):
     return json.dumps(
-        {"bug_id": "b", "label": label, "rank": rank, "rater": rater, "round": stage,
+        {"bug_id": bug_id, "label": label, "rank": rank, "rater": rater, "round": stage,
          "timestamp": 1.0}
     )
 
@@ -731,6 +731,17 @@ REFUSED_AT_LOAD = {
         [_stored_rating(1, "alice", CORRECT), _stored_rating(1.0, "bob", CORRECT)],
         2,
         "InvalidRating: rank 1.0 of b: candidate ranks are integers",
+    ),
+    # Neither would match a string bug id or rater.
+    "int-bug-id": (
+        [_stored_rating(0, "alice", CORRECT, bug_id=5)],
+        1,
+        "TypeError: bug_id must be a string, not 5",
+    ),
+    "int-rater": (
+        [_stored_rating(0, "alice", CORRECT), _stored_rating(0, 7, CORRECT)],
+        2,
+        "TypeError: rater must be a string, not 7",
     ),
 }
 
@@ -765,6 +776,8 @@ class TestRatingRulesAtLoad:
             (SemanticRating("b", "0", "bob", CORRECT), TypeError),
             (SemanticRating("b", False, "bob", CORRECT), InvalidRating),
             (SemanticRating("b", 0.0, "bob", CORRECT), InvalidRating),
+            (SemanticRating(5, 0, "bob", CORRECT), TypeError),
+            (SemanticRating("b", 0, 7, CORRECT), TypeError),
         ]:
             with pytest.raises(error):
                 store.add(rating)

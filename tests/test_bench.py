@@ -479,6 +479,38 @@ class TestRunBenchmark:
         assert [outcome(r) for r in records[1:]] == [outcome(r) for r in want[1:]]
         assert all(r.candidates and r.error is None for r in records[1:])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("where", ["complete", "iteration"])
+    def test_backend_that_raises_fails_its_bug_not_the_run(
+        self, bench_fixture, tmp_path, monkeypatch, where, workers
+    ):
+        monkeypatch.setattr(gen, "_sleep", lambda s: None)  # retried as any 5xx answer
+        manifest_path, mock, _ = bench_fixture
+        manifest = load_manifest(manifest_path)[:6]
+
+        def broken():
+            yield "        return a + b;"
+            raise RuntimeError("model crashed")
+
+        class Raising:
+            def complete(self, prompt, n, max_new_tokens, stop):
+                if "combine1(" not in prompt:
+                    return mock.complete(prompt, n, max_new_tokens, stop)
+                if where == "complete":
+                    raise RuntimeError("model crashed")
+                return broken()
+
+        store = RecordStore(tmp_path / "records.jsonl")
+        config = GenerationConfig(backend=Raising(), retries=1)
+        records = run_benchmark(
+            manifest, PAIR, config, store=store, workers=workers, run_tests=False
+        )
+        crashed = "BackendError: backend error 500: RuntimeError: model crashed"
+        assert [(r.bug_id, r.error) for r in records] == [
+            (e.bug_id, crashed if e.bug_id == "e2e-01" else None) for e in manifest
+        ]
+        assert sorted(RecordStore(store.path).load()) == [e.bug_id for e in manifest]
+
     def test_deeply_nested_candidate_is_scored(self, bench_fixture):
         manifest_path, mock, _ = bench_fixture
         manifest = load_manifest(manifest_path)[:2]

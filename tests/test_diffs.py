@@ -1,5 +1,6 @@
 """Unified diff construction, parsing, and fuzzy application."""
 import difflib
+import functools
 import random
 
 import pytest
@@ -227,6 +228,26 @@ def test_property_render_is_difflib_body_plus_marker(a, b, context):
     assert UnifiedDiff.parse(diff.render()) == diff
     assert apply_diff(diff, a) == b
     assert apply_diff(UnifiedDiff.parse(diff.render()), a) == b
+
+
+def test_render_is_difflib_body_with_autojunk_off(monkeypatch):
+    """From 200 lines on, difflib's default autojunk stops matching a line
+    that fills more than 1% of the new text; `make_unified_diff` matches
+    every line."""
+    a = "x\n" * 200
+    b = "x\n" * 100 + "y\n" + "x\n" * 100
+
+    def body():
+        lines = difflib.unified_diff(a.splitlines(keepends=True), b.splitlines(keepends=True))
+        return "".join(list(lines)[2:])
+
+    diff = make_unified_diff(a, b, 3)
+    assert apply_diff(UnifiedDiff.parse(diff.render()), a) == b
+    assert diff.render() != body()
+    monkeypatch.setattr(
+        difflib, "SequenceMatcher", functools.partial(difflib.SequenceMatcher, autojunk=False)
+    )
+    assert diff.render() == body()
 
 
 # Each message lands verbatim in a record's `reconstruct_error`. The window

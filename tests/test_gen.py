@@ -157,6 +157,37 @@ class TestRequestCandidates:
             request_candidates(GenerationConfig(backend=Failing(), retries=1), "p")
         assert err.value.status == 503
 
+    def test_an_in_process_failure_is_a_retried_500(self, monkeypatch):
+        monkeypatch.setattr(gen, "_sleep", lambda s: None)
+
+        class Crashing:
+            calls = 0
+
+            def complete(self, prompt, n, max_new_tokens, stop):
+                self.calls += 1
+                raise ZeroDivisionError("division by zero")
+
+        backend = Crashing()
+        with pytest.raises(BackendError) as err:
+            request_candidates(GenerationConfig(backend=backend, retries=2), "p")
+        assert str(err.value) == "backend error 500: ZeroDivisionError: division by zero"
+        assert backend.calls == 3
+
+    def test_an_interrupt_escapes_at_once(self, monkeypatch):
+        monkeypatch.setattr(gen, "_sleep", lambda s: None)
+
+        class Interrupted:
+            calls = 0
+
+            def complete(self, prompt, n, max_new_tokens, stop):
+                self.calls += 1
+                raise KeyboardInterrupt
+
+        backend = Interrupted()
+        with pytest.raises(KeyboardInterrupt):
+            request_candidates(GenerationConfig(backend=backend, retries=2), "p")
+        assert backend.calls == 1
+
     @pytest.mark.parametrize("status, calls", [(404, 1), (429, 3), (503, 3)])
     def test_only_transient_statuses_are_retried(self, monkeypatch, status, calls):
         monkeypatch.setattr(gen, "_sleep", lambda s: None)

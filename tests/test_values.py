@@ -14,7 +14,7 @@ import pickle
 from dataclasses import MISSING, FrozenInstanceError, field, fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repairkit.representations import Region
@@ -123,6 +123,7 @@ def test_frozen_builds_what_the_stdlib_builds(cls):
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(call=_calls(cls))
+    @example(call=((None,) * (len(fields(cls)) + 1), {}))  # one positional too many
     def check(call):
         args, kwargs = call
         value, error = _build(cls, args, kwargs)

@@ -25,6 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .assess import (
     CORRECT,
     DEFAULT_TEST_TIMEOUT,
+    NOT_RUN,
     PASS,
     UNLABELED,
     AssessmentVerdict,
@@ -46,10 +47,11 @@ from .errors import (
     InvalidRegion,
     MalformedOutput,
     ManifestError,
+    ManifestFileError,
     RepairKitError,
 )
 from .gen import CandidatePatch, GenerationConfig, request_candidates
-from .jsonl import Appender, read_rows
+from .jsonl import Appender, encode_row, read_rows
 from .representations import (
     DEFAULT_MARKERS,
     Markers,
@@ -90,11 +92,11 @@ def load_manifest(
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise ManifestError(str(path), f"unreadable manifest: {exc}")
+        raise ManifestFileError(path, f"unreadable: {exc}")
     if not isinstance(raw, list):
-        raise ManifestError(str(path), "manifest must be a JSON list")
+        raise ManifestFileError(path, "must be a JSON list")
     if profile is not None and profile not in PROFILES:
-        raise ManifestError(str(path), f"unknown profile: {profile}")
+        raise ManifestFileError(path, f"unknown profile: {profile}")
     denylist = frozenset(PROFILES[profile]) if profile else frozenset()
     entries: list[BugManifestEntry] = []
     seen: set[str] = set()
@@ -186,9 +188,6 @@ def _record_from_json(data: dict, shared: dict) -> RunRecord:
     return record
 
 
-_encode_record = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-
-
 class RecordStore:
     """Append-only JSONL store of run records; safe for threaded appends.
 
@@ -215,7 +214,7 @@ class RecordStore:
         return records
 
     def append(self, record: RunRecord) -> None:
-        line = _encode_record(_record_to_json(record))
+        line = encode_row(_record_to_json(record))
         with self._lock:
             self._appender.append(line)
 
@@ -293,7 +292,7 @@ def run_bug(
         verdicts = classify(candidates, entry.reference, test)
         error = None
     except (RepairKitError, OSError) as exc:  # OSError: the project could not be copied
-        verdicts = [AssessmentVerdict(c.rank, False, "not-run", False, False) for c in candidates]
+        verdicts = [AssessmentVerdict(c.rank, False, NOT_RUN, False, False) for c in candidates]
         error = f"{type(exc).__name__}: {exc}"
         if isinstance(exc, shutil.Error) and exc.args and isinstance(exc.args[0], list):
             # copytree lists (source, copy, reason); the copy's path is random

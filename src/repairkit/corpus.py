@@ -8,7 +8,6 @@ hyperparameters. This module never runs training.
 """
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
@@ -25,7 +24,7 @@ from .errors import (
     RegionMismatch,
     UnknownTokenizer,
 )
-from .jsonl import read_rows
+from .jsonl import encode_row, read_rows
 from .representations import (
     DEFAULT_MARKERS,
     Markers,
@@ -442,7 +441,7 @@ def _write_samples(samples: Iterable[TrainingSample], fh) -> int:
     count = 0
     for sample in samples:
         record = {**vars(sample), "pair": str(sample.pair)}
-        fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+        fh.write(encode_row(record) + "\n")
         count += 1
     return count
 

@@ -23,28 +23,26 @@ _NO_NEWLINE = "\\ No newline at end of file"
 
 @frozen
 class Hunk:
-    """Header ranges and body lines; a line's element is `line[1:]`."""
+    """Start lines and tagged body lines, which the header's lengths count;
+    a line's element is `line[1:]`."""
 
     old_start: int
-    old_len: int
     new_start: int
-    new_len: int
     lines: tuple[str, ...]
+
+    @property
+    def old_len(self) -> int:
+        return sum(line[0] in " -" for line in self.lines)
+
+    @property
+    def new_len(self) -> int:
+        return sum(line[0] in " +" for line in self.lines)
 
     def old_elements(self) -> list[str]:
         return [line[1:] for line in self.lines if line[0] in " -"]
 
     def new_elements(self) -> list[str]:
         return [line[1:] for line in self.lines if line[0] in " +"]
-
-    def validate(self) -> None:
-        old_n = sum(1 for line in self.lines if line[0] in " -")
-        new_n = sum(1 for line in self.lines if line[0] in " +")
-        if old_n != self.old_len or new_n != self.new_len:
-            raise MalformedOutput(
-                f"hunk body ({old_n}/{new_n} lines) does not match header "
-                f"(-{self.old_start},{self.old_len} +{self.new_start},{self.new_len})"
-            )
 
 
 @frozen
@@ -74,7 +72,7 @@ class UnifiedDiff:
         # Tolerate leading blank lines and optional ---/+++ file headers.
         while i < len(lines) and not lines[i].strip():
             i += 1
-        while i < len(lines) and lines[i].startswith(("--- ", "+++ ", "---", "+++")):
+        while i < len(lines) and lines[i].startswith(("---", "+++")):
             i += 1
         hunks: list[Hunk] = []
         while i < len(lines):
@@ -90,8 +88,8 @@ class UnifiedDiff:
             new_len = int(m.group(4)) if m.group(4) is not None else 1
             i += 1
             body: list[str] = []
-            want_old, want_new = old_len, new_len
-            while i < len(lines) and (want_old > 0 or want_new > 0):
+            old_n = new_n = 0
+            while i < len(lines) and (old_n < old_len or new_n < new_len):
                 raw = lines[i]
                 if raw == _NO_NEWLINE:
                     body[-1:] = [body[-1].removesuffix("\n")] if body else []
@@ -100,20 +98,21 @@ class UnifiedDiff:
                 tag = raw[0] if raw else " "
                 if tag not in " -+":
                     raise MalformedOutput(f"unexpected line in hunk body: {raw!r}")
-                if tag in " -":
-                    want_old -= 1
-                if tag in " +":
-                    want_new -= 1
+                old_n += tag != "+"
+                new_n += tag != "-"
                 body.append((raw or " ") + "\n")
                 i += 1
-            if want_old > 0 or want_new > 0:
+            if old_n < old_len or new_n < new_len:
                 raise MalformedOutput("hunk body shorter than header counts")
+            if old_n != old_len or new_n != new_len:
+                raise MalformedOutput(
+                    f"hunk body ({old_n}/{new_n} lines) does not match header "
+                    f"(-{old_start},{old_len} +{new_start},{new_len})"
+                )
             if i < len(lines) and lines[i] == _NO_NEWLINE and body:
                 body[-1] = body[-1].removesuffix("\n")
                 i += 1
-            hunk = Hunk(old_start, old_len, new_start, new_len, tuple(body))
-            hunk.validate()
-            hunks.append(hunk)
+            hunks.append(Hunk(old_start, new_start, tuple(body)))
         _check_ordering(hunks)
         return cls(tuple(hunks))
 
@@ -125,10 +124,11 @@ def _range(start: int, length: int) -> str:
 def _check_ordering(hunks: list[Hunk]) -> None:
     prev_end = 0
     for hunk in hunks:
-        begin = hunk.old_start - 1 if hunk.old_len else hunk.old_start
+        old_len = hunk.old_len
+        begin = hunk.old_start - 1 if old_len else hunk.old_start
         if begin < prev_end:
             raise MalformedOutput("hunks overlap or are out of order")
-        prev_end = begin + hunk.old_len
+        prev_end = begin + old_len
 
 
 def make_unified_diff(a: str, b: str, context: int = 3) -> UnifiedDiff:
@@ -150,15 +150,7 @@ def make_unified_diff(a: str, b: str, context: int = 3) -> UnifiedDiff:
                 body.extend("+" + el for el in bl[j1:j2])
         i1, i2 = group[0][1], group[-1][2]
         j1, j2 = group[0][3], group[-1][4]
-        hunks.append(
-            Hunk(
-                old_start=i1 + 1 if i2 > i1 else i1,
-                old_len=i2 - i1,
-                new_start=j1 + 1 if j2 > j1 else j1,
-                new_len=j2 - j1,
-                lines=tuple(body),
-            )
-        )
+        hunks.append(Hunk(i1 + 1 if i2 > i1 else i1, j1 + 1 if j2 > j1 else j1, tuple(body)))
     return UnifiedDiff(tuple(hunks))
 
 
@@ -177,7 +169,7 @@ def apply_diff(diff: UnifiedDiff, a: str, fuzz: int = 0) -> str:
     for index, hunk in enumerate(diff.hunks):
         old = hunk.old_elements()
         new = hunk.new_elements()
-        want = hunk.old_start - 1 if hunk.old_len else hunk.old_start
+        want = hunk.old_start - 1 if old else hunk.old_start
         if not old:
             if want < prev_end or want > len(src):
                 raise HunkApplyFailure(index, "insertion point out of range")

@@ -95,10 +95,18 @@ class DegenerateMarginals(RepairKitError):
 
 
 class ManifestError(RepairKitError):
+    label = "manifest entry"  # then the entry's index or bug id
+
     def __init__(self, entry: object, reason: str):
-        super().__init__(f"manifest entry {entry}: {reason}")
+        super().__init__(f"{self.label} {entry}: {reason}")
         self.entry = entry
         self.reason = reason
+
+
+class ManifestFileError(ManifestError):
+    """A manifest file is unreadable or not a JSON list; `entry` is its path."""
+
+    label = "manifest"
 
 
 class AggregateInvariantError(RepairKitError):

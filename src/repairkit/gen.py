@@ -86,6 +86,14 @@ _sleep = time.sleep  # patchable in tests
 # Client errors that no retry can cure.
 _PERMANENT_STATUSES = frozenset(range(400, 500)) - {408, 429}
 
+# A response body is read up to num_candidates x max_new_tokens x
+# _BYTES_PER_TOKEN bytes, plus _ENVELOPE_BYTES for `{"outputs": [...]}`,
+# each output's quotes and comma, and any fields a backend adds. A token is
+# a few bytes of text, seldom over 16, and JSON escaping writes a byte as at
+# most six (`\u00XX`), so 128 bytes holds a long token escaped whole.
+_BYTES_PER_TOKEN = 128
+_ENVELOPE_BYTES = 1 << 16
+
 
 def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     """Ask the backend for up to num_candidates ranked outputs.
@@ -107,6 +115,7 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     if backend is None:
         raise BackendUnreachable("no backend configured")
     request = None if hasattr(backend, "complete") else _http_request(str(backend), config, prompt)
+    cap = config.num_candidates * config.max_new_tokens * _BYTES_PER_TOKEN + _ENVELOPE_BYTES
     last: Exception | None = None
     for attempt in range(config.retries + 1):
         if attempt:
@@ -118,7 +127,7 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
                     list(config.stop_tokens),
                 )
             else:
-                outputs = _http_complete(request, config.timeout)
+                outputs = _http_complete(request, config.timeout, cap)
             if isinstance(outputs, (str, Mapping, Set)) or not hasattr(outputs, "__iter__"):
                 raise BackendError(
                     200, f"malformed backend response: {type(outputs).__name__}, not a list"
@@ -161,8 +170,8 @@ def _http_request(url: str, config: GenerationConfig, prompt: str):
         raise BackendUnreachable(f"{url}: {exc}") from exc
 
 
-def _http_complete(request, timeout: float) -> list[str]:
-    """One attempt at `request`, its body read until `timeout` s after it began."""
+def _http_complete(request, timeout: float, cap: int) -> list[str]:
+    """One attempt at `request`, its body read for `timeout` s and up to `cap` bytes."""
     import http.client
     import socket
     import urllib.error
@@ -171,11 +180,11 @@ def _http_complete(request, timeout: float) -> list[str]:
     deadline = time.monotonic() + timeout
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            payload = _read_body(response, deadline, timeout).decode("utf-8")
+            payload = _read_body(response, deadline, timeout, cap).decode("utf-8")
     except urllib.error.HTTPError as exc:
         with exc:  # closes the connection a slow body leaves open
             try:
-                body = _read_body(exc, deadline, timeout).decode("utf-8", "replace")
+                body = _read_body(exc, deadline, timeout, cap).decode("utf-8", "replace")
             except (http.client.HTTPException, OSError, BackendTimeout) as cut:  # short or slow
                 body = repr(cut)
         raise BackendError(exc.code, body) from exc
@@ -201,18 +210,21 @@ def _http_complete(request, timeout: float) -> list[str]:
     return outputs
 
 
-def _read_body(response, deadline: float, timeout: float) -> bytes:
-    """`response`'s body, read in pieces until `time.monotonic()` passes `deadline`."""
+def _read_body(response, deadline: float, timeout: float, cap: int) -> bytes:
+    """`response`'s body, read in pieces until `time.monotonic()` passes
+    `deadline`; a body over `cap` bytes is an error with the response's status."""
     import http.client
 
-    pieces = []
+    body = bytearray()
     while piece := response.read1(1 << 16):
-        pieces.append(piece)
+        body += piece
+        if len(body) > cap:
+            raise BackendError(response.code, f"malformed backend response: body over {cap} bytes")
         if time.monotonic() > deadline:
             raise BackendTimeout(f"response body not read within {timeout} s")
     if response.length:  # cut short of its Content-Length
-        raise http.client.IncompleteRead(b"".join(pieces), response.length)
-    return b"".join(pieces)
+        raise http.client.IncompleteRead(bytes(body), response.length)
+    return bytes(body)
 
 
 # --------------------------------------------------------------------------

@@ -29,6 +29,9 @@ T = TypeVar("T")
 log = logging.getLogger(__name__)
 
 _raw_decode = json.JSONDecoder().raw_decode
+# A row's line, keys sorted and text unescaped; built once, since json.dumps
+# with settings builds an encoder per call.
+encode_row = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 _BLOCK = 1 << 13  # bytes `mend_tail` reads at a time, back from the end
 
 

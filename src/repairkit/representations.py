@@ -14,7 +14,8 @@ back into a full candidate function.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable
 
 from .config import DEFAULT_STOP_TOKENS, Markers
 from .diffs import UnifiedDiff, apply_diff, make_unified_diff
@@ -129,18 +130,18 @@ def _indent_of(line: str) -> str:
     return line[: len(line) - len(line.lstrip())]
 
 
-def _region_indent(lines: Sequence[str], region: Region) -> str:
+def _cut(fn: SourceFunction, region: Region) -> tuple[list[str], list[str], list[str]]:
+    """`fn`'s lines before, inside and after `region`, which must fit `fn`."""
+    lines = fn.lines
+    region.validate(len(lines))
+    start = region.start_line - 1
+    return lines[:start], lines[start : region.end_line], lines[region.end_line :]
+
+
+def _region_indent(before: list[str], span: list[str], after: list[str]) -> str:
     """Indentation for inserted markers: first non-blank affected line,
     falling back to the line after the region, then the line before."""
-    span = lines[region.start_line - 1 : region.end_line]
-    for line in span:
-        if line.strip():
-            return _indent_of(line)
-    after = lines[region.end_line :] if not region.is_empty else lines[region.start_line - 1 :]
-    for line in after:
-        if line.strip():
-            return _indent_of(line)
-    for line in reversed(lines[: region.start_line - 1]):
+    for line in chain(span, after, reversed(before)):
         if line.strip():
             return _indent_of(line)
     return ""
@@ -162,31 +163,21 @@ def build_input(
     """
     if kind is InputKind.IR1:
         return fn.text
-    lines = fn.lines
-    region.validate(len(lines))
-    before = lines[: region.start_line - 1]
-    span = lines[region.start_line - 1 : region.end_line]
-    after = lines[region.end_line :]
-    indent = _region_indent(lines, region)
+    before, span, after = _cut(fn, region)
+    indent = _region_indent(before, span, after)
     if kind is InputKind.IR2:
-        rendered = (
-            before
-            + [indent + markers.start_comment]
-            + span
-            + [indent + markers.end_comment]
-            + after
-        )
+        marked = [indent + markers.start_comment, *span, indent + markers.end_comment]
     elif kind is InputKind.IR3:
-        rendered = before + [indent + markers.fill_token] + after
+        marked = [indent + markers.fill_token]
     elif kind is InputKind.IR4:
         commented = [
             (indent + markers.comment_prefix + line.strip()).rstrip() for line in span
         ]
         header = [indent + markers.buggy_header] if span else []
-        rendered = before + header + commented + [indent + markers.fill_token] + after
+        marked = header + commented + [indent + markers.fill_token]
     else:  # pragma: no cover - closed enumeration
         raise ValueError(f"unknown input kind: {kind}")
-    return "\n".join(rendered)
+    return "\n".join(before + marked + after)
 
 
 def fixed_region_lines(
@@ -198,11 +189,8 @@ def fixed_region_lines(
     the change cannot be expressed as a chunk replacement and
     RegionMismatch is raised rather than silently widening the region.
     """
-    blines = buggy.lines
-    region.validate(len(blines))
+    prefix, _, suffix = _cut(buggy, region)
     flines = fixed.lines
-    prefix = blines[: region.start_line - 1]
-    suffix = blines[region.end_line :]
     if len(flines) < len(prefix) + len(suffix):
         raise RegionMismatch("fix removes lines outside the region")
     if flines[: len(prefix)] != prefix:
@@ -264,11 +252,7 @@ def reconstruct(
     if pair.output is OutputKind.OR1:
         return text
     if pair.output is OutputKind.OR2:
-        lines = fn.lines
-        region.validate(len(lines))
-        chunk = text.split("\n") if text else []
-        return "\n".join(
-            lines[: region.start_line - 1] + chunk + lines[region.end_line :]
-        )
+        before, _, after = _cut(fn, region)
+        return "\n".join(before + (text.split("\n") if text else []) + after)
     diff = UnifiedDiff.parse(text)
     return apply_diff(diff, fn.text, fuzz=DIFF_APPLY_FUZZ)

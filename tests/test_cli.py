@@ -261,6 +261,26 @@ class TestRepairCommand:
         assert mock.calls == calls and store.read_bytes() == data
         assert resumed == first
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"a": 1}', "must be a JSON list"),
+            ("{not json", "unreadable: Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+            (None, "unreadable: [Errno 2] No such file or directory: '{path}'"),
+        ],
+        ids=["not-a-list", "not-json", "missing"],
+    )
+    def test_bad_manifest_file_is_named_not_an_entry(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "m.json"
+        if text is not None:
+            path.write_text(text)
+        status = main(["repair", "--manifest", str(path), "--pair", "IR4xOR2", "--no-tests"])
+        assert status == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: manifest {path}: {reason.format(path=path)}\n"
+
     def test_missing_backend_warns_and_exits_zero(self, bench_fixture, capsys):
         manifest_path, _, _ = bench_fixture
         status = main(

@@ -248,6 +248,17 @@ def test_a_verdict_row_of_another_json_type_is_refused_at_its_line(tmp_path):
     assert str(refused.value) == f"{path}:3: TypeError: parse_ok must be true or false, not 1"
 
 
+def test_a_record_with_fewer_verdicts_than_candidates_is_refused_at_its_line(tmp_path):
+    candidates = [{"rank": rank, "raw_output": "x", "reconstructed": "x"} for rank in range(3)]
+    row = {"bug_id": "a", "pair": "IR4xOR2", "prompt": "", "candidates": candidates,
+           "verdicts": [{**_ROW, "rank": 0}, {**_ROW, "rank": 1}]}
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(StoreError) as refused:
+        RecordStore(path).load()
+    assert str(refused.value) == f"{path}:1: ValueError: one verdict per candidate required"
+
+
 # Values a verdict row may hold besides plain ones: some equal a bool or an
 # int of another type (1.0, -0.0), one equals nothing (NaN). A load refuses
 # each, and a verdict shared by content must never stand in for one.

@@ -1426,6 +1426,24 @@ class TestParseMatchesReference:
             settings=settings(database=None, phases=[Phase.generate], max_examples=300),
         )
 
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            ("if (x)", "1:7: expected statement"),
+            ("@a. class X {}", "1:5: expected annotation name (found 'class')"),
+            ("enum E { A", "1:11: expected '}'"),
+            ("@a.b.C class X {}", ""),
+        ],
+    )
+    def test_rare_exits_match_reference(self, source, error):
+        assert _parse_error(source) == error
+        assert _tree_or_error(parse, source) == _tree_or_error(reference_parse, source)
+
+    def test_qualified_annotation_heads_its_class(self):
+        tree = parse("@a.b.C class X {}")
+        assert tree.kind == "class_declaration"
+        assert tree.children[0].kind == "annotation"
+
     def test_comments_before_openers_are_generated(self):
         find(
             _commented_openers(),

@@ -113,40 +113,62 @@ def hash_tree(root: Path | str) -> str:
     return digest.hexdigest()
 
 
-def _run(command, workdir: Path, timeout: float) -> tuple[str, str]:
-    """Run a command; on timeout, kill every process it started.
+def _run(
+    command, workdir: Optional[Path], timeout: float, input: Optional[str] = None
+) -> tuple[Optional[int], str, str]:
+    """Run `command`: its exit status (None if still running after `timeout`
+    seconds), stdout and stderr, decoded as UTF-8 with universal newlines.
 
-    The command leads a session of its own, so killing its process group
-    also ends the children a shell or a build tool left running.
+    A string runs through the shell. The command leads a session of its
+    own, reads `input` or else `/dev/null`, and writes to unnamed temporary
+    files, so no full pipe can stall it and no child that holds its output
+    can hold the caller. Once it exits, times out or an exception such as
+    an interrupt arrives, its whole process group is killed before it is
+    reaped, while the group id is still its own. Needs Linux 5.3 or later
+    for the pidfd that waits; elsewhere it raises OSError.
     """
+    import select
     import signal
     import subprocess
+    import tempfile
 
-    with subprocess.Popen(
-        command,
-        shell=isinstance(command, str),
-        cwd=workdir,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        errors="replace",  # a suite may print bytes its locale cannot decode
-        start_new_session=True,
-    ) as proc:
-        try:
-            stdout, stderr = proc.communicate(timeout=timeout)
-        except BaseException as exc:
-            # Also on an interrupt: a terminal's Ctrl-C no longer reaches
-            # the command's own session.
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:  # the whole group had already exited
-                pass
-            if not isinstance(exc, subprocess.TimeoutExpired):
-                raise
-            stdout, stderr = proc.communicate()
-            return "timeout", stdout + stderr
-    outcome = PASS if proc.returncode == 0 else FAIL
-    return outcome, stdout + stderr
+    if not hasattr(os, "pidfd_open"):
+        raise OSError("running a command needs Linux (os.pidfd_open)")
+    with (
+        open(os.devnull, "w+b") if input is None else tempfile.TemporaryFile() as stdin,
+        tempfile.TemporaryFile() as stdout,
+        tempfile.TemporaryFile() as stderr,
+    ):
+        stdin.write((input or "").encode("utf-8"))
+        stdin.seek(0)
+        proc = subprocess.Popen(
+            command, shell=isinstance(command, str), cwd=workdir, start_new_session=True,
+            stdin=stdin, stdout=stdout, stderr=stderr,
+        )
+        try:  # a pidfd polls readable once the command exits, and leaves it unreaped
+            with open(os.pidfd_open(proc.pid), "rb", buffering=0) as pidfd:
+                watch = select.poll()
+                watch.register(pidfd, select.POLLIN)
+                exited = bool(watch.poll(max(timeout, 0) * 1000))  # a negative one waits for good
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        output = []
+        for file in (stdout, stderr):
+            file.seek(0)
+            output.append(_normalize_eol(file.read().decode("utf-8", "replace")))
+    return (proc.returncode if exited else None), *output
+
+
+def _output(command, timeout: float, input: Optional[str] = None) -> str:
+    """The stdout of `command` as `_run` runs it in the current directory;
+    ValueError if it is still running after `timeout` seconds or exits non-zero."""
+    status, stdout, _ = _run(command, None, timeout, input)
+    if status is None:
+        raise ValueError(f"still running after {timeout:g} s")
+    if status:
+        raise ValueError(f"exited with status {status}")
+    return stdout
 
 
 def _splice(original: str, location: FunctionLocation, candidate: str) -> str:
@@ -186,6 +208,11 @@ def check_plausible(
     after, and must be bit-identical. Raises SpliceError when the file is
     missing or outside the copy, the line range is stale, or the tree
     changed.
+
+    The suite runs as `_run` runs a command: stdin is `/dev/null`, and
+    when the command exits or `spec.timeout` passes, every process left in
+    its group is killed before the copy is deleted. The outcome is
+    "timeout" in the second case, else pass or fail by the exit status.
     """
     import shutil
     import tempfile
@@ -205,10 +232,11 @@ def check_plausible(
         if copy.is_symlink():
             copy.unlink()
         copy.write_text(spliced, encoding="utf-8")
-        outcome, output = _run(spec.command, workdir, spec.timeout)
+        status, stdout, stderr = _run(spec.command, workdir, spec.timeout)
     if hash_tree(project_root) != before_hash:
         raise SpliceError(f"project tree changed under {project_root}")
-    return TestRun(outcome, output)
+    outcome = "timeout" if status is None else PASS if status == 0 else FAIL
+    return TestRun(outcome, stdout + stderr)
 
 
 # --------------------------------------------------------------------------
@@ -473,12 +501,6 @@ class RatingStore:
 
     def __iter__(self):
         return iter(self._ratings)
-
-    def first_round(self, bug_id: str, rank: int) -> list[SemanticRating]:
-        return list(self._by_round.get((bug_id, rank, FIRST), ()))
-
-    def tiebreaks(self, bug_id: str, rank: int) -> list[SemanticRating]:
-        return list(self._by_round.get((bug_id, rank, TIEBREAK), ()))
 
     def add(self, rating: SemanticRating) -> None:
         key = self._admit(rating)

@@ -15,7 +15,6 @@ import logging
 import math
 import operator
 import shutil
-import subprocess
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -32,6 +31,7 @@ from .assess import (
     FunctionLocation,
     RatingStore,
     TestSpec,
+    _output,
     apply_ratings,
     check_plausible,
     classify,
@@ -238,9 +238,25 @@ def load_function(entry: BugManifestEntry) -> SourceFunction:
     return SourceFunction(entry.bug_id, start, end, "\n".join(lines[start - 1 : end]))
 
 
+# A Defects4J or HumanEval-Java checkout copies or clones one project in
+# seconds to minutes; one still running after half an hour is taken as hung.
+CHECKOUT_TIMEOUT = 1800.0
+_checkout_locks: dict[str, threading.Lock] = {}  # one per project root
+
+
 def _ensure_checkout(entry: BugManifestEntry) -> None:
-    if entry.checkout and not Path(entry.project_root).exists():
-        subprocess.run(entry.checkout, shell=True, check=True, capture_output=True)
+    """Run the checkout of a missing project root once; bugs that share the
+    root wait for it. A checkout that fails or hangs leaves no root behind."""
+    root = entry.project_root
+    if not entry.checkout or Path(root).exists():
+        return
+    with _checkout_locks.setdefault(root, threading.Lock()):
+        if not Path(root).exists():  # unless a checkout made it while this bug waited
+            try:
+                _output(entry.checkout, CHECKOUT_TIMEOUT)
+            except ValueError as exc:
+                shutil.rmtree(root, ignore_errors=True)  # a partial tree is no project
+                raise ManifestError(entry.bug_id, f"checkout {exc}") from None
 
 
 def run_bug(
@@ -260,7 +276,7 @@ def run_bug(
     try:
         _ensure_checkout(entry)
         fn = load_function(entry)
-    except (OSError, UnicodeDecodeError, ManifestError, subprocess.SubprocessError) as exc:
+    except (OSError, UnicodeDecodeError, ManifestError) as exc:
         return RunRecord(
             entry.bug_id, str(pair), "", [], [], error=f"project setup failed: {exc}"
         )

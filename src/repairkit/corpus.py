@@ -334,36 +334,36 @@ def exclude_leakage(
 
 _APPROX_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|\s+|[^\sA-Za-z0-9_]")
 
+# A tokenizer CLI counts one sample in well under a second, its vocabulary
+# load included; one still running after a minute is taken as hung.
+TOKENIZER_TIMEOUT = 60.0
+
 
 def count_tokens(text: str, tokenizer_id: str = "approximate") -> int:
     """Deterministic token count under the named tokenizer.
 
     "approximate" is the hermetic built-in: maximal runs of word
     characters, runs of whitespace, and single punctuation characters each
-    count as one token. "external:<command>" pipes the text to a command
-    that prints a count; a command that is empty or does not split, cannot
-    be started, exits non-zero or prints no integer raises ConfigError. Any
+    count as one token. "external:<command>" gives the text to a command
+    on its stdin and reads the count it prints on stdout; `assess._run`
+    runs it, so nothing it starts outlives it. A command that is empty or
+    does not split, cannot be started, exits non-zero, still runs after
+    TOKENIZER_TIMEOUT seconds or prints no integer raises ConfigError. Any
     other id raises UnknownTokenizer.
     """
     if tokenizer_id == "approximate":
         return len(_APPROX_TOKEN_RE.findall(text))
     if tokenizer_id.startswith("external:"):
         import shlex
-        import subprocess
+
+        from .assess import _output
 
         try:
             command = shlex.split(tokenizer_id[len("external:") :])
             if not command:
                 raise ValueError("no command")
-            result = subprocess.run(
-                command,
-                input=text,
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            return int(result.stdout.strip())
-        except (OSError, subprocess.CalledProcessError, ValueError) as exc:
+            return int(_output(command, TOKENIZER_TIMEOUT, text).strip())
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"tokenizer {tokenizer_id!r}: {exc}") from None
     raise UnknownTokenizer(tokenizer_id)
 

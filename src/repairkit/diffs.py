@@ -49,10 +49,6 @@ class Hunk:
 class UnifiedDiff:
     hunks: tuple[Hunk, ...] = ()
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.hunks
-
     def render(self) -> str:
         parts: list[str] = []
         for hunk in self.hunks:

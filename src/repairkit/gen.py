@@ -14,7 +14,7 @@ import time
 from collections.abc import Mapping, Set
 from typing import Callable, Optional, Sequence
 
-from .config import DEFAULT_STOP_TOKENS, Backend, GenerationConfig  # the first two are re-exported
+from .config import DEFAULT_STOP_TOKENS, Backend, GenerationConfig, decode  # first two re-exported
 from .errors import (
     BackendError,
     BackendTimeout,
@@ -105,8 +105,9 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     BackendTimeout. A 4xx status other than 408 (timeout) or 429 (too many
     requests) is permanent and raises at once, as does a URL urllib cannot
     parse. A response that is not an ordered iterable (`None`, a number, a
-    string, a mapping, a set), or an output that is not a string with a
-    UTF-8 form, which no store could write, is malformed (BackendError).
+    string, a mapping, a set), an output that is not a string, named by its
+    index, or a string with no UTF-8 form, which no store could write, is
+    malformed (BackendError).
     Any other exception from an in-process backend, raised by `complete` or
     while iterating what it returned, is a BackendError with status 500,
     unless it is a RepairKitError.
@@ -135,8 +136,13 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
             outputs = list(outputs)[: config.num_candidates]
             try:
                 "".join(outputs).encode("utf-8")
-            except (TypeError, UnicodeEncodeError):  # not a str, or a lone "\ud800"
+            except UnicodeEncodeError:  # a lone "\ud800"
                 raise BackendError(200, "malformed backend response: output is not UTF-8 text")
+            except TypeError:  # not a str: `decode` names the first misfit
+                try:
+                    decode(tuple[str, ...], outputs, "outputs")
+                except TypeError as exc:
+                    raise BackendError(200, f"malformed backend response: {exc}") from None
             return outputs
         except BackendError as exc:
             if exc.status in _PERMANENT_STATUSES:

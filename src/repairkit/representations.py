@@ -94,10 +94,6 @@ class Region:
     end_line: int
 
     @property
-    def is_empty(self) -> bool:
-        return self.end_line < self.start_line
-
-    @property
     def line_count(self) -> int:
         return max(0, self.end_line - self.start_line + 1)
 

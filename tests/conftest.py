@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -393,6 +395,41 @@ def make_bench_fixture(root: Path) -> tuple[Path, MockBackend, dict[str, str]]:
 @pytest.fixture()
 def bench_fixture(tmp_path):
     return make_bench_fixture(tmp_path / "bench")
+
+
+# --------------------------------------------------------------------------
+# processes a command leaves behind
+
+def _group_running(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, group = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except OSError:  # gone in between
+            continue
+        if int(group) == pgid and state != "Z":
+            return True
+    return False
+
+
+def group_left_running(pgid: int, wait: float = 2.0) -> bool:
+    """True when a process of group `pgid` is still running, not a zombie,
+    after up to `wait` seconds.
+
+    A SIGKILL takes effect when its target next runs, so this polls. The
+    group id alone (`os.killpg(pgid, 0)`) cannot tell: a killed child whose
+    parent has exited stays a zombie in the group until init reaps it, and
+    an init that reaps nothing keeps it there.
+    """
+    deadline = time.monotonic() + wait
+    while _group_running(pgid):
+        if time.monotonic() > deadline:
+            return True
+        time.sleep(0.02)
+    return False
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,8 @@ def oracle_region_indent(lines: Sequence[str], region: Region) -> str:
     for line in span:
         if line.strip():
             return _indent_of(line)
-    after = lines[region.end_line :] if not region.is_empty else lines[region.start_line - 1 :]
+    empty = region.end_line < region.start_line
+    after = lines[region.start_line - 1 :] if empty else lines[region.end_line :]
     for line in after:
         if line.strip():
             return _indent_of(line)

@@ -3,8 +3,10 @@ import json
 import logging
 import os
 import shlex
+import signal
 import sys
 import tempfile
+import threading
 import time
 import zlib
 from pathlib import Path
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classify_oracle import oracle_classify
+from conftest import group_left_running
 from store_oracle import ListRatingStore, oracle_resolve_semantic
 from repairkit import assess
 from repairkit.assess import (
@@ -222,6 +225,55 @@ class TestCheckPlausible:
         project, _, spec = _project(tmp_path)
         with pytest.raises(SpliceError):
             check_plausible(project, FunctionLocation("Gone.java", 1, 1), GOOD, spec)
+
+
+class TestRunner:
+    """What `check_plausible`'s runner leaves behind: nothing."""
+
+    def test_detached_child_is_gone_when_the_verdict_returns(self, tmp_path):
+        project, location, _ = _project(tmp_path)
+        pgid = tmp_path / "pgid"
+        command = f"sleep 30 >/dev/null 2>&1 & echo $$ > {shlex.quote(str(pgid))}; exit 0"
+        run = check_plausible(project, location, GOOD, TestSpec(command=command, timeout=30))
+        assert run.outcome == PASS
+        assert not group_left_running(int(pgid.read_text()))
+
+    def test_child_holding_stdout_does_not_hold_the_verdict(self, tmp_path):
+        project, location, _ = _project(tmp_path)
+        pgid = tmp_path / "pgid"
+        command = f"sleep 30 & echo $$ > {shlex.quote(str(pgid))}; exit 0"
+        started = time.monotonic()
+        run = check_plausible(project, location, GOOD, TestSpec(command=command, timeout=5))
+        assert (run.outcome, time.monotonic() - started < 1) == (PASS, True)
+        assert not group_left_running(int(pgid.read_text()))
+
+    def test_suite_that_reads_stdin_gets_end_of_file(self, tmp_path):
+        project, location, _ = _project(tmp_path)
+        spec = TestSpec(command="cat; echo read to the end", timeout=30)
+        started = time.monotonic()
+        run = check_plausible(project, location, GOOD, spec)
+        assert (run.outcome, run.output) == (PASS, "read to the end\n")
+        assert time.monotonic() - started < 5
+
+    def test_interrupt_while_waiting_kills_the_group(self, tmp_path):
+        pgid = tmp_path / "pgid"
+        command = "sleep 30 & echo $$ > pgid.tmp && mv pgid.tmp pgid; wait"
+        waiting = threading.get_ident()
+
+        def interrupt():  # a Ctrl-C, which reaches the waiting thread
+            give_up = time.monotonic() + 10
+            while not pgid.exists() and time.monotonic() < give_up:
+                time.sleep(0.01)
+            signal.pthread_kill(waiting, signal.SIGINT)
+
+        thread = threading.Thread(target=interrupt)
+        thread.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                assess._run(command, tmp_path, 30)
+        finally:
+            thread.join()
+        assert not group_left_running(int(pgid.read_text()))
 
 
 class TestVerdictInvariants:
@@ -802,17 +854,15 @@ class TestRatingStoreMatchesOracle:
             assert all(r.timestamp != 0.0 for r in store)
             for current in (store, RatingStore(path)):  # as added, and reloaded
                 assert _fields(current) == _fields(oracle.ratings)
+                # Each round's index entry holds what the oracle's scan finds,
+                # in order, and the index holds no rating twice.
+                assert sum(map(len, current._by_round.values())) == len(current)
                 for bug_id in BUGS:
                     for rank in RANKS:
-                        first = current.first_round(bug_id, rank)
-                        assert _fields(first) == _fields(oracle.first_round(bug_id, rank))
-                        assert _fields(current.tiebreaks(bug_id, rank)) == _fields(
-                            oracle.tiebreaks(bug_id, rank)
-                        )
-                        first.clear()  # a fresh list each call
-                        assert len(current.first_round(bug_id, rank)) == len(
-                            oracle.first_round(bug_id, rank)
-                        )
+                        rounds = ((FIRST, oracle.first_round), (TIEBREAK, oracle.tiebreaks))
+                        for stage, scan in rounds:
+                            indexed = current._by_round.get((bug_id, rank, stage), [])
+                            assert _fields(indexed) == _fields(scan(bug_id, rank))
                         assert resolve_semantic(current, bug_id, rank) == (
                             oracle_resolve_semantic(oracle, bug_id, rank)
                         )

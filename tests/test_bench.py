@@ -4,15 +4,17 @@ import json
 import logging
 import os
 import random
+import shlex
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repairkit import gen
+from repairkit import bench, gen
 from repairkit.assess import AssessmentVerdict, RatingStore, SemanticRating, hash_tree
 from repairkit.bench import (
     AggregateRow,
@@ -37,6 +39,7 @@ from repairkit.errors import (
 )
 from repairkit.gen import CandidatePatch, GenerationConfig
 from repairkit.representations import ReprPair
+from conftest import group_left_running
 from store_oracle import ListRatingStore, oracle_aggregate, oracle_rank_curve
 
 PAIR = ReprPair.parse("IR4xOR2")
@@ -279,6 +282,93 @@ class TestRunBenchmark:
         records = run_benchmark(manifest, PAIR, GenerationConfig(backend=mock))
         assert records[0].error is None
         assert any(v.exact for v in records[0].verdicts)
+
+    @staticmethod
+    def _sharing(tmp_path, entries, checkout):
+        """A manifest of `entries` whose projects are one missing root that
+        `checkout` makes."""
+        shared = tmp_path / "shared"
+        for index, entry in enumerate(entries):
+            entry.update(bug_id=f"shared-{index}", project_root=str(shared), checkout=checkout)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(entries))
+        return load_manifest(path)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bugs_sharing_a_project_run_its_checkout_once(self, bench_fixture, tmp_path, workers):
+        manifest_path, mock, _ = bench_fixture
+        first = json.loads(manifest_path.read_text())[0]
+        log = tmp_path / "checkout.log"
+        checkout = (
+            f"echo run >> {shlex.quote(str(log))}; sleep 0.5; "
+            f"mkdir {shlex.quote(str(tmp_path / 'shared'))} && "
+            f"cp -r {shlex.quote(first['project_root'])}/. {shlex.quote(str(tmp_path / 'shared'))}"
+        )
+        manifest = self._sharing(tmp_path, [dict(first), dict(first)], checkout)
+        records = run_benchmark(
+            manifest, PAIR, GenerationConfig(backend=mock), workers=workers, run_tests=False
+        )
+        assert [r.error for r in records] == [None, None]
+        assert log.read_text() == "run\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hung_checkout_fails_each_bug_within_its_bound(
+        self, bench_fixture, tmp_path, monkeypatch, workers
+    ):
+        monkeypatch.setattr(bench, "CHECKOUT_TIMEOUT", 0.5)
+        manifest_path, mock, _ = bench_fixture
+        first = json.loads(manifest_path.read_text())[0]
+        pgids = tmp_path / "pgids"
+        # The root it starts is removed, so no later bug runs against it.
+        checkout = f"cd {shlex.quote(str(tmp_path))}; mkdir -p shared; echo $$ >> pgids; sleep 30"
+        manifest = self._sharing(tmp_path, [dict(first), dict(first)], checkout)
+        started = time.monotonic()
+        records = run_benchmark(manifest, PAIR, GenerationConfig(backend=mock), workers=workers)
+        assert time.monotonic() - started < 2
+        assert [r.error for r in records] == [
+            f"project setup failed: manifest entry {r.bug_id}: checkout still running after 0.5 s"
+            for r in records
+        ]
+        assert mock.calls == 0
+        assert not (tmp_path / "shared").exists()
+        for pgid in pgids.read_text().split():
+            assert not group_left_running(int(pgid))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_checkout_leaves_no_partial_root(self, bench_fixture, tmp_path, workers):
+        manifest_path, mock, _ = bench_fixture
+        first = json.loads(manifest_path.read_text())[0]
+        checkout = f"cd {shlex.quote(str(tmp_path))}; echo run >> checkout.log; mkdir shared; exit 3"
+        manifest = self._sharing(tmp_path, [dict(first), dict(first)], checkout)
+        records = run_benchmark(manifest, PAIR, GenerationConfig(backend=mock), workers=workers)
+        assert [r.error for r in records] == [
+            f"project setup failed: manifest entry {r.bug_id}: checkout exited with status 3"
+            for r in records
+        ]
+        assert not (tmp_path / "shared").exists()
+        assert (tmp_path / "checkout.log").read_text() == "run\nrun\n"  # each bug tried it
+
+    def test_checkouts_of_different_projects_overlap(self, bench_fixture, tmp_path):
+        """Each checkout waits up to 5 s for the other to start: run one at
+        a time, the first would give up and fail."""
+        manifest_path, mock, _ = bench_fixture
+        first = json.loads(manifest_path.read_text())[0]
+        source, entries = shlex.quote(first["project_root"]), []
+        for name, other in (("a", "b"), ("b", "a")):
+            checkout = (
+                f"cd {shlex.quote(str(tmp_path))}; touch {name}.started; "
+                f"for i in $(seq 50); do [ -e {other}.started ] && break; sleep 0.1; done; "
+                f"[ -e {other}.started ] && mkdir {name} && cp -r {source}/. {name}"
+            )
+            entries.append(
+                dict(first, bug_id=name, project_root=str(tmp_path / name), checkout=checkout)
+            )
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(entries))
+        records = run_benchmark(
+            load_manifest(path), PAIR, GenerationConfig(backend=mock), workers=2, run_tests=False
+        )
+        assert [r.error for r in records] == [None, None]
 
     @pytest.mark.parametrize("escape", ["absolute", "dotdot", "symlink"])
     def test_plausibility_never_writes_outside_its_copy(

@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import stat
+import time
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -31,6 +32,7 @@ from repairkit.corpus import (
     render_training_config,
 )
 from repairkit.errors import (
+    ConfigError,
     CorpusLayoutError,
     MixedPairDataset,
     ParseError,
@@ -64,7 +66,7 @@ class TestDeriveRegion:
         fixed = _fn("a\nb\nc\nd\nNEW\ne\nf")
         region = derive_region(buggy, fixed)
         assert region == Region(5, 4)
-        assert region.is_empty
+        assert region.end_line < region.start_line
 
     def test_identical_functions_rejected(self):
         with pytest.raises(ValueError):
@@ -601,6 +603,24 @@ class TestCountTokens:
         tokenizer = f"external:{sys.executable} {script}"
         text = "three word tokens"
         assert count_tokens(text, tokenizer) == len(text.split()) == 3
+
+    def test_external_tokenizer_counts_a_megabyte(self):
+        # The tool echoes all its input to stderr before it prints a count:
+        # a runner that fed stdin without reading both pipes would stall.
+        text = "word " * 200_000
+        assert count_tokens(text, 'external:sh -c "tee /dev/stderr | wc -w"') == 200_000
+
+    def test_hung_external_tokenizer_is_a_config_error(self, monkeypatch):
+        monkeypatch.setattr(corpus, "TOKENIZER_TIMEOUT", 0.5)
+        started = time.monotonic()
+        with pytest.raises(ConfigError, match=r"^tokenizer 'external:sleep 30': still running"):
+            count_tokens("x", "external:sleep 30")
+        assert time.monotonic() - started < 2
+
+    def test_external_tokenizer_without_a_pidfd_is_a_config_error(self, monkeypatch):
+        monkeypatch.delattr(os, "pidfd_open")  # as on a host other than Linux
+        with pytest.raises(ConfigError, match=r"^tokenizer 'external:wc -w': .* needs Linux"):
+            count_tokens("x", "external:wc -w")
 
 
 class TestBuildAndEmit:

@@ -23,8 +23,8 @@ def _reference_hunks(a: str, b: str, n: int) -> list[str]:
 
 class TestMake:
     def test_identical_texts_empty_diff(self):
-        assert make_unified_diff(TEN, TEN, 3).is_empty
-        assert make_unified_diff("", "", 1).is_empty
+        assert make_unified_diff(TEN, TEN, 3).hunks == ()
+        assert make_unified_diff("", "", 1).hunks == ()
 
     def test_one_change_context_1_is_three_line_window(self):
         b = TEN.replace("line 5", "LINE 5")
@@ -130,7 +130,7 @@ class TestParseFormat:
             UnifiedDiff.parse("this is not a diff")
 
     def test_empty_text_is_empty_diff(self):
-        assert UnifiedDiff.parse("").is_empty
+        assert UnifiedDiff.parse("").hunks == ()
 
     def test_file_headers_tolerated(self):
         text = "--- a/X.java\n+++ b/X.java\n@@ -1,1 +1,1 @@\n-old\n+new\n"

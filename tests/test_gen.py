@@ -29,6 +29,7 @@ FN = SourceFunction.from_text(
     "safeDiv",
 )
 REGION = Region(3, 3)
+LONE_SURROGATE = "        return a\ud800 + b;"  # a str with no UTF-8 form
 
 
 class TestPrompts:
@@ -205,8 +206,16 @@ class TestRequestCandidates:
         assert backend.calls == calls
 
     @pytest.mark.parametrize("wire", ["in-process", "http"])
-    @pytest.mark.parametrize("bad", [None, 7, "        return a\ud800 + b;"])
-    def test_output_that_is_not_utf8_text_is_malformed(self, monkeypatch, bad, wire):
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            pytest.param(None, "outputs[1] must be a string, not None", id="None"),
+            pytest.param(7, "outputs[1] must be a string, not 7", id="7"),
+            pytest.param(["a"], "outputs[1] must be a string, not ['a']", id="list"),
+            pytest.param(LONE_SURROGATE, "output is not UTF-8 text", id=LONE_SURROGATE),
+        ],
+    )
+    def test_output_that_is_not_utf8_text_is_malformed(self, monkeypatch, bad, reason, wire):
         monkeypatch.setattr(gen, "_sleep", lambda s: None)
         mock = MockBackend({"b": ["        return a + b;", bad]})
         mock.bind_prompt("b", "p")
@@ -216,7 +225,7 @@ class TestRequestCandidates:
                 request_candidates(GenerationConfig(backend=backend, retries=1, timeout=10), "p")
         finally:
             mock.close()
-        assert err.value.status == 200 and "malformed backend response" in str(err.value)
+        assert (err.value.status, err.value.body) == (200, f"malformed backend response: {reason}")
         assert mock.calls == 2  # retried as any malformed response
 
     @pytest.mark.parametrize(

@@ -68,7 +68,7 @@ class TestRegion:
         regions = enumerate_regions(fn)
         assert len(regions) == 10  # n(n+1)/2 for n=4
         assert regions == sorted(regions, key=lambda r: (r.start_line, r.end_line))
-        assert all(not r.is_empty for r in regions)
+        assert all(r.end_line >= r.start_line for r in regions)
 
     def test_single_line_function(self):
         assert len(enumerate_regions(SourceFunction.from_text("x;", "f"))) == 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import math
 import operator
 import shutil
 import threading
@@ -24,6 +23,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .assess import (
     CORRECT,
     DEFAULT_TEST_TIMEOUT,
+    MAX_TIMEOUT_MS,
     NOT_RUN,
     PASS,
     UNLABELED,
@@ -122,8 +122,9 @@ def _parse_entry(index: int, item: object) -> BugManifestEntry:
     file = Path(entry.file)
     if file.is_absolute() or ".." in file.parts:
         raise ManifestError(index, f"file must be a path inside project_root: {entry.file!r}")
-    if entry.timeout is not None and not 0 < entry.timeout < math.inf:
-        raise ManifestError(index, f"timeout must be positive and finite: {entry.timeout!r}")
+    if entry.timeout is not None and not 0 < entry.timeout * 1000 <= MAX_TIMEOUT_MS:
+        bound = f"at most {MAX_TIMEOUT_MS / 1000} s (2^31-1 ms)"
+        raise ManifestError(index, f"timeout must be positive and {bound}: {entry.timeout!r}")
     start, end = entry.function_span
     if not 1 <= start <= end:
         raise ManifestError(index, "bad function span")

@@ -34,7 +34,7 @@ from .representations import (
     build_output,
     valid_pair,
 )
-from .syntax import SourceFile, SourceFunction, extract_functions_of_edit
+from .syntax import SourceFile, SourceFunction, changed_functions
 from .syntax.tokens import common_affixes
 from .values import frozen
 
@@ -129,8 +129,27 @@ class _Unit:
     files: tuple[tuple[str, Optional[Path], Optional[Path]], ...]  # (relpath, before, after)
 
 
-_DIFF_PATH_RE = re.compile(r"^(?:---|\+\+\+) (?:[ab]/)?(\S+)")
+# A header names its file up to a tab (git adds one after a name with a
+# space, GNU diff one before the timestamp), or in C quotes, as git writes
+# a name with a quote, a backslash, a control or a non-ASCII byte.
+_DIFF_PATH_RE = re.compile(r'^(?:---|\+\+\+) (?:"((?:[^"\\]|\\.)*)"|([^\t]+))')
+_C_ESCAPE_RE = re.compile(rb"\\([0-3][0-7]{2}|.)")
+_C_ESCAPES = dict(zip(b'abtnvfr"\\', b'\a\b\t\n\v\f\r"\\'))
 _DEV_NULL = "/dev/null"
+
+
+def _header_path(match: re.Match) -> str:
+    """The path a `---` or `+++` header names, unquoted and without its
+    `a/` or `b/` prefix; octal escapes are the bytes of its UTF-8 text."""
+    quoted, path = match.groups()
+    if quoted is not None:
+        path = _C_ESCAPE_RE.sub(_c_unescape, quoted.encode()).decode("utf-8", "replace")
+    return path[2:] if path[:2] in ("a/", "b/") else path
+
+
+def _c_unescape(match: re.Match) -> bytes:
+    code = match[1]
+    return bytes([int(code, 8) if len(code) == 3 else _C_ESCAPES.get(code[0], code[0])])
 
 
 def _diff_layout_units(root: Path) -> list[_Unit]:
@@ -142,7 +161,7 @@ def _diff_layout_units(root: Path) -> list[_Unit]:
             m = _DIFF_PATH_RE.match(line)
             if m is None:
                 continue
-            path = m.group(1)
+            path = _header_path(m)
             if line[0] == "-":
                 old = path
                 if path != _DEV_NULL:
@@ -213,29 +232,15 @@ def function_pairs_from_files(
     """
     if before.content == after.content:
         return []
-    before_fns, after_fns = extract_functions_of_edit(before, after)
-    if len(before_fns) != len(after_fns):
-        return []
-    changed = [
-        i for i in range(len(before_fns)) if before_fns[i].text != after_fns[i].text
-    ]
-    if len(changed) == 1:
-        # The fix must be confined to the one function: replacing its lines
-        # inside the before file has to reproduce the after file exactly.
-        buggy, fixed = before_fns[changed[0]], after_fns[changed[0]]
-        lines = before.lines
-        spliced = lines[: buggy.start_line - 1] + fixed.lines + lines[buggy.end_line :]
-        if "\n".join(spliced) != after.content:
-            return []
     return [
         FunctionPair(
-            id=f"{provenance}:{before_fns[i].name}",
-            buggy=before_fns[i],
-            fixed=after_fns[i],
-            region=derive_region(before_fns[i], after_fns[i]),
+            id=f"{provenance}:{buggy.name}",
+            buggy=buggy,
+            fixed=fixed,
+            region=derive_region(buggy, fixed),
             provenance=provenance,
         )
-        for i in changed
+        for buggy, fixed in changed_functions(before, after) or ()
     ]
 
 

@@ -6,7 +6,9 @@ and offsets, and the parser reads its texts. A tree's interior nodes are
 which `children`, `walk()` and `leaves()` build `Token`s on demand; a
 source of one token parses to that token alone. The tree without its
 comment leaves follows from the texts of the other leaves alone: AST
-match compares `ast_key`s.
+match compares `ast_key`s. `changed_functions` pairs the functions an
+edit of a file changed, parsing the after file only where it changed
+when the edit stays inside one function's body.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ __all__ = [
     "tokenize",
     "lex_edit",
     "extract_functions",
-    "extract_functions_of_edit",
+    "changed_functions",
     "ast_key",
     "ast_equal",
     "ParseError",
@@ -94,57 +96,53 @@ def extract_functions(file: SourceFile) -> list[SourceFunction]:
     return _functions(parse(file.content))
 
 
-def extract_functions_of_edit(
+def changed_functions(
     before: SourceFile, after: SourceFile
-) -> tuple[list[SourceFunction], list[SourceFunction]]:
-    """`extract_functions` of both versions of an edited file.
+) -> list[tuple[SourceFunction, SourceFunction]] | None:
+    """The `(before, after)` pair of each function whose text the edit
+    changed, in source order, matched by position.
 
-    The before file is lexed and parsed once, and the after file is lexed
-    against it only where it changed (`lex_edit`). When the changed tokens
-    lie inside one before function F and `parses_edit`, given F's subtree,
-    finds that the statements they change still parse, the after file's
-    tree is the before file's with those statements replaced inside a
-    block of F. Its functions are then the before file's, with F's end and
-    every later function moved by the change in line count. Searching
-    inside F, not the whole file, is what makes that hold: the block
-    re-parsed is F's body or a block nested in it, where no listed
-    function can appear, vanish or be renamed. Any other edit, a signature
-    edit included, parses the after file whole from the tokens `lex_edit`
-    gave. Raises the before file's ParseError, or the one
-    `extract_functions(after)` raises.
+    None when the edit adds or removes a function, or changes exactly one
+    function and also a line outside it. The before file is lexed and
+    parsed once, and the after file is lexed against it only where it
+    changed (`lex_edit`). When the changed tokens lie inside one before
+    function F and `parses_edit`, given F's subtree, finds that the
+    statements they change still parse, the after file's tree is the
+    before file's with those statements replaced inside a block of F, and
+    F's `}` lies in the unchanged lines after the edit: F is the one
+    changed function and no line outside it changed. Searching inside F,
+    not the whole file, is what makes that hold: the block re-parsed is
+    F's body or a block nested in it, where no listed function can
+    appear, vanish or be renamed. Any other edit, a signature edit
+    included, parses the after file whole from the tokens `lex_edit` gave
+    and compares the two lists. Raises the before file's ParseError, or
+    the one `extract_functions(after)` raises.
     """
     tokens = tokenize(before.content)
     nodes = list(_function_nodes(parse(before.content, tokens)))
-    before_fns = list(map(_source_function, nodes))
     first, last, edited = lex_edit(tokens, after.content)
-    for k, node in enumerate(nodes):
+    for node in nodes:
         if node.first < first and last <= node.last:
             if parses_edit(node, first, last, edited):
-                return before_fns, _moved(before_fns, k, before, after)
+                buggy = _source_function(node)
+                end = buggy.end_line + after.content.count("\n") - before.content.count("\n")
+                text = after.slice_lines(buggy.start_line, end)
+                return [(buggy, SourceFunction(buggy.name, buggy.start_line, end, text))]
             break
-    return before_fns, _functions(parse(after.content, edited))
-
-
-def _moved(
-    fns: list[SourceFunction], k: int, before: SourceFile, after: SourceFile
-) -> list[SourceFunction]:
-    """`fns` of `before` as functions of `after`, where only the lines
-    inside `fns[k]` changed."""
-    delta = after.content.count("\n") - before.content.count("\n")
-    edited = fns[k]
-    end = edited.end_line + delta
-    return (
-        fns[:k]
-        + [
-            SourceFunction(
-                edited.name, edited.start_line, end, after.slice_lines(edited.start_line, end)
-            )
-        ]
-        + [
-            SourceFunction(f.name, f.start_line + delta, f.end_line + delta, f.text)
-            for f in fns[k + 1 :]
-        ]
-    )
+    before_fns = list(map(_source_function, nodes))
+    after_fns = _functions(parse(after.content, edited))
+    if len(before_fns) != len(after_fns):
+        return None
+    pairs = [(b, a) for b, a in zip(before_fns, after_fns) if b.text != a.text]
+    if len(pairs) == 1:
+        # The fix must be confined to the one function: replacing its lines
+        # inside the before file has to reproduce the after file exactly.
+        buggy, fixed = pairs[0]
+        lines = before.lines
+        spliced = lines[: buggy.start_line - 1] + fixed.lines + lines[buggy.end_line :]
+        if "\n".join(spliced) != after.content:
+            return None
+    return pairs
 
 
 def _functions(tree: Node) -> list[SourceFunction]:

@@ -110,7 +110,10 @@ class TestLoadManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
-    @pytest.mark.parametrize("timeout, expected", [("60", 60.0), (None, None), (2.5, 2.5)])
+    @pytest.mark.parametrize(
+        "timeout, expected",
+        [("60", 60.0), (None, None), (2.5, 2.5), (2147483.647, 2147483.647)],
+    )
     def test_timeout_is_read_as_seconds(self, tmp_path, timeout, expected):
         path = tmp_path / "m.json"
         path.write_text(json.dumps([_entry(timeout=timeout)]))
@@ -122,6 +125,15 @@ class TestLoadManifest:
         path = tmp_path / "m.json"
         path.write_text(json.dumps([_entry(timeout=timeout)]))
         with pytest.raises(ManifestError):
+            load_manifest(path)
+
+    # The runner waits with `select.poll`, which takes at most 2^31-1 ms;
+    # a longer timeout loaded and then raised OverflowError from every run.
+    @pytest.mark.parametrize("timeout", [3000000, "3e6", 2147483.648])
+    def test_timeout_past_the_runners_longest_wait_rejected(self, tmp_path, timeout):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([_entry(timeout=timeout)]))
+        with pytest.raises(ManifestError, match=r"at most 2147483\.647 s \(2\^31-1 ms\)"):
             load_manifest(path)
 
     def test_defects4j_profile_applies_leakage_denylist(self, tmp_path):

@@ -211,6 +211,34 @@ class TestIngest:
         assert (stats.units, stats.parse_failures, stats.not_single_function) == (1, 0, 1)
         assert caplog.records == []
 
+    # git ends a name holding a space with a tab and C-quotes a non-ASCII
+    # one; GNU diff puts a tab before the timestamp.
+    @pytest.mark.parametrize(
+        "rel, header",
+        [
+            ("src/My File.java", "--- a/src/My File.java\t\n+++ b/src/My File.java\t\n"),
+            ("src/Caf\u00e9.java", '--- "a/src/Caf\\303\\251.java"\n+++ "b/src/Caf\\303\\251.java"\n'),
+            (
+                "src/D.java",
+                "--- a/src/D.java\t2024-01-01 00:00:00.000000000 +0000\n"
+                "+++ b/src/D.java\t2024-01-02 00:00:00.000000000 +0000\n",
+            ),
+        ],
+        ids=["space", "quoted", "timestamp"],
+    )
+    def test_diff_header_names_as_git_and_diff_write_them(self, tmp_path, rel, header):
+        root = tmp_path / "mega"
+        before = "class D {\n    int f() {\n        return 1;\n    }\n}\n"
+        for side, text in (("before", before), ("after", before.replace("return 1", "return 2"))):
+            (root / side / rel).parent.mkdir(parents=True)
+            (root / side / rel).write_text(text, encoding="utf-8")
+        (root / "u1.diff").write_text(
+            header + "@@ -3,1 +3,1 @@\n-        return 1;\n+        return 2;\n", encoding="utf-8"
+        )
+        stats = PipelineStats()
+        assert [p.id for p in ingest_diff_corpus(root, stats)] == ["u1:f"]
+        assert (stats.units, stats.parse_failures, stats.ingested) == (1, 0, 1)
+
     def test_named_missing_file_is_an_io_failure(self, tmp_path, caplog):
         root = tmp_path / "mega"
         (root / "before").mkdir(parents=True)
@@ -266,7 +294,20 @@ def _outcome(call):
 
 
 def _whole(before: SourceFile, after: SourceFile):
-    return extract_functions(before), extract_functions(after)
+    """`changed_functions` with both files parsed whole: the functions
+    matched by position, None when their counts differ or when one
+    function changed and replacing its lines in the before file does not
+    give the after file."""
+    before_fns, after_fns = extract_functions(before), extract_functions(after)
+    if len(before_fns) != len(after_fns):
+        return None
+    pairs = [(b, a) for b, a in zip(before_fns, after_fns) if b.text != a.text]
+    if len(pairs) == 1:
+        (buggy, fixed), lines = pairs[0], before.lines
+        spliced = lines[: buggy.start_line - 1] + fixed.lines + lines[buggy.end_line :]
+        if "\n".join(spliced) != after.content:
+            return None
+    return pairs
 
 
 def _both_paths(before_text: str, after_text: str):
@@ -279,7 +320,7 @@ def _both_paths(before_text: str, after_text: str):
     before, after = SourceFile("X.java", before_text), SourceFile("X.java", after_text)
     with mock.patch.object(syntax, "parse", wraps=syntax.parse) as parse:
         result = _outcome(lambda: function_pairs_from_files(before, after, "p"))
-    with mock.patch.object(corpus, "extract_functions_of_edit", _whole):
+    with mock.patch.object(corpus, "changed_functions", _whole):
         reference = _outcome(lambda: function_pairs_from_files(before, after, "p"))
     if any(call.args[0] == after_text for call in parse.call_args_list):
         path = "fallback"
@@ -449,6 +490,55 @@ class TestAfterFileParsedWhereChanged:
 
         check()
         assert taken["fast"] and taken["fallback"]
+
+    def test_method_class_edits_match_full_parse(self):
+        taken: Counter = Counter()
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(_edited_method_class())
+        def check(pair):
+            path, result, reference = _both_paths(*pair)
+            assert result == reference
+            taken[path] += 1
+
+        check()
+        assert taken["fast"]
+
+
+_STATEMENTS = [
+    "x += {n};", "return a + {n};", "if (a > {n}) {{ a--; }}", "run({n}); // call",
+    "/* note */ go({n});", "for (int i = 0; i < {n}; i++) {{", "}}",
+]
+
+# Lines an edit of a class of methods may insert, besides its own lines.
+_METHOD_EDIT_LINES = [
+    "", "    }", "        a++;", "    int h(int a) {", "    @Deprecated", "    // note",
+    "    /* open", "    */", "        return 0;", "class Y {", "}", "    int k() { return 1; }",
+]
+
+
+@st.composite
+def _edited_method_class(draw):
+    """(before, after): a class of 2-6 methods, and one edit anywhere in it
+    that replaces, inserts or deletes 0-3 lines."""
+    members = []
+    for n in range(draw(st.integers(2, 6))):
+        lines = draw(st.sampled_from([[], ["    // line comment"], ["    /* block", "     */"]]))
+        lines = lines + ["    @Override"] * draw(st.booleans()) + [f"    int m{n}(int a) {{"]
+        body = draw(st.lists(st.sampled_from(_STATEMENTS[:5]), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            body += [_STATEMENTS[5], *body[:1], _STATEMENTS[6]]
+        lines += ["        " + statement.format(n=n) for statement in body]
+        members.append("\n".join(lines + ["    }"]))
+    gaps = draw(st.lists(st.sampled_from(["\n", "\n\n", "\n\n\n"]), min_size=len(members)))
+    source = "class X {\n" + "".join(m + gap for m, gap in zip(members, gaps)) + "}\n"
+    lines = source.split("\n")
+    at = draw(st.integers(0, len(lines)))
+    stop = draw(st.integers(at, min(len(lines), at + 3)))
+    statements = ["        " + statement.format(n=9) for statement in _STATEMENTS[:5]]
+    pool = st.one_of(st.sampled_from(statements), st.sampled_from(lines + _METHOD_EDIT_LINES))
+    added = draw(st.lists(pool, max_size=3))
+    return source, "\n".join(lines[:at] + added + lines[stop:])
 
 
 _METHODS = [

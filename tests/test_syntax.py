@@ -10,19 +10,21 @@ from hypothesis import strategies as st
 from normalize_oracle import NormalizedNode, _normalize, normalize
 from reference_lexer import reference_tokenize
 from reference_parser import reference_parse
+from repairkit import syntax
 from repairkit.assess import classify
 from repairkit.errors import ParseError
 from repairkit.gen import CandidatePatch
 from repairkit.syntax import (
     FUNCTION_KINDS,
     SourceFile,
+    SourceFunction,
     SyntaxNode,
     Token,
     Tokens,
     ast_equal,
     ast_key,
+    changed_functions,
     extract_functions,
-    extract_functions_of_edit,
     lex_edit,
     parse,
     parses_edit,
@@ -319,9 +321,22 @@ class TestExtractFunctions:
         before = "class J {\n    int f(int a) {\n        return a + 1;\n    }\n}\n"
         after = SourceFile("J.java", before.replace("int f(int a)", "long f(long a)"))
         with mock.patch.object(java_parser, "tokenize", wraps=tokenize) as lexed:
-            _, after_fns = extract_functions_of_edit(SourceFile("J.java", before), after)
+            pairs = changed_functions(SourceFile("J.java", before), after)
         assert after.content not in [call.args[0] for call in lexed.call_args_list]
-        assert after_fns == extract_functions(after)
+        [(_, fixed)] = pairs
+        assert [fixed] == extract_functions(after)
+
+    def test_body_edit_builds_only_the_edited_functions_pair(self):
+        methods = [f"    int m{n}(int a) {{\n        return a + {n};\n    }}\n" for n in range(7)]
+        before = SourceFile("K.java", "class K {\n" + "\n".join(methods) + "}\n")
+        after = SourceFile("K.java", before.content.replace("a + 3;", "a - 3;\n        a++;"))
+        built = mock.patch.object(syntax, "SourceFunction", wraps=SourceFunction)
+        lines = mock.patch.object(SourceFile, "lines", new_callable=mock.PropertyMock)
+        with built as source_function, lines as file_lines:
+            [(buggy, fixed)] = changed_functions(before, after)
+        assert source_function.call_count == 2
+        file_lines.assert_not_called()  # no spliced file checks the confinement
+        assert (buggy, fixed) == (extract_functions(before)[3], extract_functions(after)[3])
 
 
 class TestNormalize:

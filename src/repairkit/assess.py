@@ -113,9 +113,6 @@ def hash_tree(root: Path | str) -> str:
     return digest.hexdigest()
 
 
-MAX_TIMEOUT_MS = 2**31 - 1  # the longest wait `select.poll` accepts, about 24.8 days
-
-
 def _run(
     command, workdir: Optional[Path], timeout: float, input: Optional[str] = None
 ) -> tuple[Optional[int], str, str]:

@@ -23,7 +23,6 @@ from typing import Iterable, Optional, Sequence, Union
 from .assess import (
     CORRECT,
     DEFAULT_TEST_TIMEOUT,
-    MAX_TIMEOUT_MS,
     NOT_RUN,
     PASS,
     UNLABELED,
@@ -36,7 +35,8 @@ from .assess import (
     check_plausible,
     classify,
 )
-from .config import DEFAULT_LEAKAGE_BUGS, PROFILES, REPORT_FORMATS, decode  # first re-exported
+from .config import DEFAULT_LEAKAGE_BUGS, PROFILES, REPORT_FORMATS  # re-exported
+from .config import check_timeout, decode
 from .errors import (
     AggregateInvariantError,
     BackendError,
@@ -117,14 +117,13 @@ def _parse_entry(index: int, item: object) -> BugManifestEntry:
         entry = decode(BugManifestEntry, item)
         if isinstance(entry.timeout, str):  # "60" reads as 60.0
             entry = replace(entry, timeout=float(entry.timeout))
+        if entry.timeout is not None:
+            check_timeout(entry.timeout)
     except (TypeError, ValueError) as exc:
         raise ManifestError(index, str(exc))
     file = Path(entry.file)
     if file.is_absolute() or ".." in file.parts:
         raise ManifestError(index, f"file must be a path inside project_root: {entry.file!r}")
-    if entry.timeout is not None and not 0 < entry.timeout * 1000 <= MAX_TIMEOUT_MS:
-        bound = f"at most {MAX_TIMEOUT_MS / 1000} s (2^31-1 ms)"
-        raise ManifestError(index, f"timeout must be positive and {bound}: {entry.timeout!r}")
     start, end = entry.function_span
     if not 1 <= start <= end:
         raise ManifestError(index, "bad function span")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, is_dataclass
@@ -27,6 +26,15 @@ from .errors import ConfigError
 
 ENV_CONFIG = "REPAIR_CONFIG"
 ENV_BACKEND_URL = "REPAIR_BACKEND_URL"
+
+MAX_TIMEOUT_MS = 2**31 - 1  # the longest wait `select.poll` accepts, about 24.8 days
+
+
+def check_timeout(timeout: float) -> None:
+    """Raise ValueError unless `timeout` is positive and at most MAX_TIMEOUT_MS."""
+    if not 0 < timeout * 1000 <= MAX_TIMEOUT_MS:
+        bound = f"at most {MAX_TIMEOUT_MS / 1000} s (2^31-1 ms)"
+        raise ValueError(f"timeout must be positive and {bound}: {timeout!r}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +82,7 @@ class GenerationConfig:
             raise ValueError("num_candidates must be >= 1")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
-        if not 0 < self.timeout < math.inf:
-            raise ValueError("timeout must be a positive finite number of seconds")
+        check_timeout(self.timeout)
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.retry_base_delay < 0:

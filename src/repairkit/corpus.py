@@ -157,7 +157,7 @@ def _diff_layout_units(root: Path) -> list[_Unit]:
     for diff_file in sorted(root.glob("*.diff")) + sorted(root.glob("*.patch")):
         sides: dict[str, tuple[bool, bool]] = {}  # relpath -> (in before, in after)
         old = None  # the path of the last `---` header
-        for line in diff_file.read_text(encoding="utf-8", errors="replace").splitlines():
+        for line in diff_file.read_text(encoding="utf-8", errors="replace").split("\n"):
             m = _DIFF_PATH_RE.match(line)
             if m is None:
                 continue

@@ -1,10 +1,11 @@
 """Unified diff construction, parsing, and fuzzy application.
 
 The wire format is the standard `@@ -a,b +c,d @@` hunk syntax without file
-headers (headers are tolerated on input and skipped). A hunk line is its tag
-(' ', '-' or '+') followed by its text, with its "\\n" if it has one; a line
-without one is rendered with the `\\ No newline at end of file` marker after
-it, so texts that do not end with a newline round-trip exactly.
+headers (headers are tolerated on input and skipped). Lines end at "\\n"
+only. A hunk line is its tag (' ', '-' or '+') followed by its text, with
+its "\\n" if it has one; a line without one is rendered with the
+`\\ No newline at end of file` marker after it, so texts that do not end
+with a newline round-trip exactly.
 
 Line matching during construction uses difflib's SequenceMatcher; hunk
 grouping, rendering, parsing, and application are implemented here.
@@ -19,6 +20,7 @@ from .values import frozen
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 _NO_NEWLINE = "\\ No newline at end of file"
+_LINE_RE = re.compile(r".*+\n|.++")  # a line with its "\n", or the last line without one
 
 
 @frozen
@@ -131,7 +133,7 @@ def make_unified_diff(a: str, b: str, context: int = 3) -> UnifiedDiff:
     """Line diff from a to b with the given context width; empty when a == b."""
     if context < 0:
         raise ValueError("context must be >= 0")
-    al, bl = a.splitlines(keepends=True), b.splitlines(keepends=True)
+    al, bl = _LINE_RE.findall(a), _LINE_RE.findall(b)
     matcher = SequenceMatcher(None, al, bl, autojunk=False)
     hunks: list[Hunk] = []
     for group in matcher.get_grouped_opcodes(context):
@@ -159,7 +161,7 @@ def apply_diff(diff: UnifiedDiff, a: str, fuzz: int = 0) -> str:
     HunkApplyFailure with its index; nothing is applied unless every hunk
     applies (the function is pure, so failure simply leaves `a` unused).
     """
-    src = a.splitlines(keepends=True)
+    src = _LINE_RE.findall(a)
     splices: list[tuple[int, int, list[str]]] = []
     prev_end = 0
     for index, hunk in enumerate(diff.hunks):

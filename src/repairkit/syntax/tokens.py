@@ -62,21 +62,19 @@ base's lines and their offsets are split once and kept on the base
 `Tokens`, and the returned `starts` are built on first read, which nothing
 in `classify` does unless a `ParseError` needs a position: so the work
 for an edit is the window's, and copying the base's texts and mask
-around it. The window starts at a line start: the first line that
-differs. Only a block comment, a text block, or a string or char escaping
-a newline can reach past the end of a line, so a token of `text` crosses
-an edge of the changed lines only if the base token there does, or if it
-does not close within them. `lex_edit` takes one of three paths:
-- the window: the changed lines lex on their own and no base token
-  crosses either edge; the window holds their tokens;
-- lex to the end: a base token crosses the end of the changed lines, or
-  they do not lex on their own; the window holds the tokens from the
-  first changed line to the end of `text`, and `last = len(base_tokens)`.
-  This is exact, since no token crosses the window start, and a
-  `ParseError` it raises is the one `tokenize(text)` raises, with the same
-  line and column: the lines before lexed in the base;
-- full: a base token crosses the start of the changed lines; `tokens` is
-  `tokenize(text)`, with `first = 0` and `last = len(base_tokens)`.
+around it. Only a block comment, a text block, or a string or char
+escaping a newline can reach past the end of a line, so a token of `text`
+crosses the end of the changed lines only if the base token there does,
+or if it does not close within them. The window starts at the first line
+that differs or, while a base token crosses that start, at the line
+where that token starts: a line start that no token crosses, as the text
+before it is the base's. `lex_edit` takes one of two paths:
+- the window: it lexes on its own to the end of the changed lines, and
+  no base token crosses that end;
+- lex to the end: otherwise, the window runs to the end of `text`, and
+  `last = len(base_tokens)`. A `ParseError` it raises is the one
+  `tokenize(text)` raises, with the same line and column: the lines
+  before lexed in the base.
 
 One deliberate quirk: `>` is always lexed as a single-character token and
 never folded into `>>`, `>>>`, `>>=` or `>>>=`. Generic type closers may
@@ -347,8 +345,8 @@ def lex_edit(base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
     `base_tokens[first:last]` and keeps the base tokens around them.
 
     Only the lines where `text` differs from `base_tokens.source` are
-    lexed, when that is exact; see the module docstring for the three
-    paths. The base's lines and their offsets are read from `base_tokens`,
+    lexed, and those of a base token crossing into them (see the module
+    docstring). The base's lines and offsets are read from `base_tokens`,
     and the returned tokens' `starts` are built on first read, so the work
     besides the window is copying the base's texts and mask around it.
     Raises `tokenize(text)`'s ParseError.
@@ -358,8 +356,9 @@ def lex_edit(base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
     starts, end = base_tokens.starts, base_tokens.end
     start = base_tokens.line_start(prefix)
     first = bisect_left(starts, start)
-    if first and end(first - 1) > start:
-        return 0, len(base_tokens), tokenize(text)
+    while first and end(first - 1) > start:  # from the line where that token starts
+        start = base_tokens.line_start(base_tokens.line(starts[first - 1]) - 1)
+        first = bisect_left(starts, start, hi=first)
     base_end = base_tokens.line_start(len(old) - suffix) if suffix else len(base_tokens.source)
     shift = len(text) - len(base_tokens.source)
     last = bisect_left(starts, base_end, lo=first)

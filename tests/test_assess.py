@@ -11,6 +11,7 @@ import time
 import zlib
 from pathlib import Path
 from functools import partial
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -56,6 +57,7 @@ from repairkit.errors import (
 )
 from repairkit.gen import CandidatePatch
 from repairkit.syntax import parser, parses_edit, tokenize
+from test_syntax import edits_inside_tokens
 
 PY = shlex.quote(sys.executable)
 
@@ -606,6 +608,26 @@ def _commented_classify_inputs(draw):
     return candidates, reference, _fake_test if draw(st.booleans()) else None
 
 
+# References with a block comment, a text block, a string escaping a
+# newline, and a comment that starts on a line another one ends on.
+SPANNING_REFERENCES = [
+    "int f() {\n    /* one\n       two */ int a = 1;\n    return a + b;\n}",
+    'int f() {\n    String t = """\n        one\n        two\n        """;\n    return t.length();\n}',
+    'int f() {\n    String s = "a\\\n    b";\n    return s.length();\n}',
+    "/** Doc.\n *\n */ int f() { /* a\n */ /* b\n c */\n    return a;\n}",
+]
+
+
+@st.composite
+def _spanning_classify_inputs(draw):
+    """Candidates whose first changed line starts inside a reference token."""
+    reference = draw(st.sampled_from(SPANNING_REFERENCES))
+    edits = edits_inside_tokens(st.just(reference), _EDIT_PIECES)
+    texts = draw(st.lists(edits.map(itemgetter(1)), min_size=1, max_size=4))
+    candidates = [CandidatePatch(rank, "raw", reconstructed=text) for rank, text in enumerate(texts)]
+    return candidates, reference, _fake_test if draw(st.booleans()) else None
+
+
 class TestClassifyMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(inputs=_classify_inputs())
@@ -615,6 +637,11 @@ class TestClassifyMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(inputs=_commented_classify_inputs())
     def test_comments_at_the_edges_of_the_edit(self, inputs):
+        assert _classified(classify, *inputs) == _classified(oracle_classify, *inputs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=_spanning_classify_inputs())
+    def test_edits_inside_tokens(self, inputs):
         assert _classified(classify, *inputs) == _classified(oracle_classify, *inputs)
 
 

@@ -633,6 +633,13 @@ class TestToolConfig:
         with pytest.raises(ConfigError, match="^bad config value: "):
             load_tool_config(str(path), env={})
 
+    def test_timeout_past_the_longest_wait_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"generation": {"timeout": 1e10}}))
+        bound = r"at most 2147483\.647 s \(2\^31-1 ms\): 10000000000\.0$"
+        with pytest.raises(ConfigError, match="^bad config value: timeout must be positive and " + bound):
+            load_tool_config(str(path), env={})
+
     @pytest.mark.parametrize(
         "generation", [{"retries": -1}, {"timeout": -1}], ids=["retries", "timeout"]
     )

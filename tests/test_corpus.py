@@ -44,6 +44,7 @@ from repairkit.syntax import SourceFile, SourceFunction, extract_functions
 
 from conftest import CORPUS_EXPECTED
 from test_parse_golden import SOURCES as GOLDEN_SOURCES
+from test_syntax import edits_inside_tokens
 
 
 def _fn(text: str) -> SourceFunction:
@@ -239,6 +240,23 @@ class TestIngest:
         assert [p.id for p in ingest_diff_corpus(root, stats)] == ["u1:f"]
         assert (stats.units, stats.parse_failures, stats.ingested) == (1, 0, 1)
 
+    # str.splitlines also breaks at U+2028, which a Java string may hold.
+    def test_header_scan_breaks_lines_at_newline_only(self, tmp_path):
+        root = tmp_path / "mega"
+        before = 'class A {\n    int f() {\n        String s = "x\u2028--- a/Evil.java";\n'
+        before += "        return 1;\n    }\n}\n"
+        for side, text in (("before", before), ("after", before.replace("return 1", "return 2"))):
+            (root / side).mkdir(parents=True)
+            (root / side / "A.java").write_text(text, encoding="utf-8")
+        (root / "u1.diff").write_text(
+            "--- a/A.java\n+++ b/A.java\n@@ -3,2 +3,2 @@\n"
+            '         String s = "x\u2028--- a/Evil.java";\n-        return 1;\n+        return 2;\n',
+            encoding="utf-8",
+        )
+        stats = PipelineStats()
+        assert [p.id for p in ingest_diff_corpus(root, stats)] == ["u1:f"]
+        assert (stats.units, stats.parse_failures, stats.ingested) == (1, 0, 1)
+
     def test_named_missing_file_is_an_io_failure(self, tmp_path, caplog):
         root = tmp_path / "mega"
         (root / "before").mkdir(parents=True)
@@ -402,6 +420,11 @@ _BOUNDARY = {
     ),
     "blank_line_between_functions": (_BASE, _BASE.replace("\n\n", "\n\n\n"), "fallback"),
     "unbalanced_braces": (_BASE, _BASE.replace("return a + 1;", "if (a > 0) {"), "fallback"),
+    "edit_inside_a_block_comment": (
+        _BASE.replace("        return a", "        /* one\n           two */\n        return a"),
+        _BASE.replace("        return a", "        /* one\n           three */\n        return a"),
+        "fast",
+    ),
 }
 
 
@@ -503,6 +526,38 @@ class TestAfterFileParsedWhereChanged:
 
         check()
         assert taken["fast"]
+
+    def test_edits_inside_tokens_match_full_parse(self):
+        taken: Counter = Counter()
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(edits_inside_tokens(_spanning_class(), _TOKEN_PIECES))
+        def check(pair):
+            path, result, reference = _both_paths(*pair)
+            assert result == reference
+            taken[path] += 1
+
+        check()
+        assert taken["fast"] and taken["fallback"]
+
+
+# Methods whose bodies hold a block comment, a text block or a string
+# across lines.
+_SPANNING_METHODS = [
+    "    void c{n}() {{\n        /* block\n           comment */ run({n});\n    }}",
+    '    String b{n}() {{\n        return """\n            text {n}\n            """;\n    }}',
+    '    int e{n}() {{\n        String s = "a\\\n            b{n}";\n        return s.length();\n    }}',
+]
+
+# Pieces an edit inside such a token may insert.
+_TOKEN_PIECES = ["x", " ", "*/", "/*", '"""', '"', "\\", "}", "{", "return 0;", "// c"]
+
+
+@st.composite
+def _spanning_class(draw):
+    """A generated class with one of `_SPANNING_METHODS` first."""
+    method = draw(st.sampled_from(_SPANNING_METHODS)).format(n=9)
+    return draw(_generated_class()).replace("{\n", "{\n" + method + "\n\n", 1)
 
 
 _STATEMENTS = [

@@ -201,7 +201,15 @@ def test_seeded_random_round_trips():
             assert apply_diff(UnifiedDiff.parse(diff.render()), a) == b
 
 
-# Every terminator str.splitlines splits on that a Java file may hold.
+def _lf_lines(text: str) -> list[str]:
+    """`text` cut after each "\\n", the one line end a diff knows."""
+    lines = [line + "\n" for line in text.split("\n")]
+    lines[-1] = lines[-1][:-1]
+    return lines if lines[-1] else lines[:-1]
+
+
+# Every terminator str.splitlines splits on that a Java file may hold; all
+# but "\n" stay inside a line.
 _TERMINATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85"]
 _TERMINATED = st.builds(
     str.__add__, st.sampled_from(["a", "b", "c", "", " d"]), st.sampled_from(_TERMINATORS)
@@ -217,9 +225,7 @@ _TEXTS = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(a=_TEXTS, b=_TEXTS, context=st.sampled_from([0, 1, 3]))
 def test_property_render_is_difflib_body_plus_marker(a, b, context):
-    body = list(
-        difflib.unified_diff(a.splitlines(keepends=True), b.splitlines(keepends=True), n=context)
-    )[2:]  # drop the ---/+++ file headers
+    body = list(difflib.unified_diff(_lf_lines(a), _lf_lines(b), n=context))[2:]  # no headers
     diff = make_unified_diff(a, b, context)
     assert diff.render() == "".join(
         line if line.endswith("\n") else f"{line}\n\\ No newline at end of file\n"

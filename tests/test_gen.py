@@ -269,6 +269,14 @@ class TestRequestCandidates:
         with pytest.raises(ValueError):
             GenerationConfig(num_candidates=0)
 
+    # A socket timeout past 2^31-1 ms overflowed inside urllib, and the
+    # OverflowError read as a server error that was retried.
+    @pytest.mark.parametrize("timeout", [2147483.648, 1e10, float("inf"), float("nan")])
+    def test_timeout_past_the_longest_wait_is_refused(self, timeout):
+        with pytest.raises(ValueError, match=r"at most 2147483\.647 s \(2\^31-1 ms\)"):
+            GenerationConfig(backend="http://127.0.0.1:9/", timeout=timeout, retries=0)
+        assert GenerationConfig(timeout=2147483.647).timeout == 2147483.647
+
 
 class TestCandidatePatch:
     def test_exactly_one_outcome_field(self):

@@ -1,6 +1,7 @@
 """Input/output representations, pairing rules, and reconstruction."""
 import pytest
 
+from repairkit.corpus import derive_region
 from repairkit.errors import (
     HunkApplyFailure,
     InvalidRegion,
@@ -289,6 +290,26 @@ class TestReconstruct:
         diff = "@@ -1,1 +1,1 @@\n-not in here\n+replacement\n"
         with pytest.raises(HunkApplyFailure):
             reconstruct(BUGGY, REGION, ReprPair.parse("IR1xOR3"), diff)
+
+
+# Java takes `\f` as whitespace and allows the others in comments and
+# strings; a diff counts lines at "\n" only, as a `Region` does.
+@pytest.mark.parametrize(
+    "separator", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_diffs_count_lines_at_newline_only(separator):
+    buggy = SourceFunction.from_text(
+        f"void f() {{\n    int x = 1;{separator} // page\n    int y = 2;\n    return;\n}}", "f"
+    )
+    fixed = SourceFunction.from_text(buggy.text.replace("2", "3"), "f")
+    region = derive_region(buggy, fixed)
+    assert region == Region(3, 3) and len(buggy.lines) == 5
+    or3 = build_output(buggy, fixed, region, OutputKind.OR3)
+    or4 = build_output(buggy, fixed, region, OutputKind.OR4)
+    assert or3.startswith("@@ -1,5 +1,5 @@\n") and or3.count("No newline") == 1
+    assert or4.startswith("@@ -2,3 +2,3 @@\n") and "No newline" not in or4
+    for tag, output in (("IR1xOR3", or3), ("IR1xOR4", or4)):
+        assert reconstruct(buggy, region, ReprPair.parse(tag), output) == fixed.text
 
 
 class TestRoundTripCorpus:

@@ -956,6 +956,9 @@ SPANNING_TOKENS = (
 
 EDIT_BASES = [*RESPACE_SOURCES, BENCH_STYLE_CLASS, *REFORMAT_SOURCES, SPANNING_TOKENS]
 
+# The bases with a token across lines.
+SPANNING_BASES = [base for base in EDIT_BASES if any("\n" in t for t in tokenize(base).texts)]
+
 _EDIT_PIECES = [
     *_LEX_PIECES,
     "*/", "\r", " \t", "日本", "/* open", "close */", "// tail",
@@ -992,6 +995,28 @@ def _line_edits(draw, bases=EDIT_BASES):
     return base, tokenize(base), _edit_lines(draw, base, draw(st.integers(1, 3)))
 
 
+@st.composite
+def edits_inside_tokens(draw, bases, pieces=_EDIT_PIECES):
+    """`(base, text)`: a base that lexes and a copy whose first changed
+    line starts inside a base token, such as a block comment, a text block
+    or a string escaping a newline, where `lex_edit` starts its window at
+    that token's line. A piece goes into that line, then up to two more
+    edits into it or the lines after it."""
+    base = draw(bases)
+    tokens = tokenize(base)
+    inside = sorted({k for t in tokens for k in range(t.line, t.line + t.text.count("\n"))})
+    assume(inside)
+    at = draw(st.sampled_from(inside))
+    lines = base.split("\n")
+    column = draw(st.integers(0, len(lines[at])))
+    piece = "".join(draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=3)))
+    lines[at] = lines[at][:column] + piece + lines[at][column:]
+    tail = _edit_lines(draw, "\n".join(lines[at:]), draw(st.integers(0, 2)), pieces)
+    text = "\n".join(lines[:at] + [tail])
+    assume(len(os.path.commonprefix([base.split("\n"), text.split("\n")])) in inside)
+    return base, text
+
+
 def _spliced(base, base_tokens, text):
     """`lex_edit`'s tokens, which must be the base's before the window and
     the base's after it moved to their place in `text`."""
@@ -1020,17 +1045,13 @@ def _window_end(base, text):
 
 
 def _edit_path(base, base_tokens, text):
-    """Which way `lex_edit` lexed `text`: its changed lines alone
-    ("window"), from their start to the end of `text` ("fallback"), or
-    whole ("full")."""
-    with mock.patch.object(token_module, "tokenize", wraps=tokenize) as full:
-        with mock.patch.object(token_module, "_lex", wraps=token_module._lex) as lex:
-            try:
-                lex_edit(base_tokens, text)
-            except ParseError:
-                pass
-    if full.called:
-        return "full"
+    """Which way `lex_edit` lexed `text`: to the end of its changed lines
+    ("window"), or to the end of `text` ("fallback")."""
+    with mock.patch.object(token_module, "_lex", wraps=token_module._lex) as lex:
+        try:
+            lex_edit(base_tokens, text)
+        except ParseError:
+            pass
     if lex.call_count == 1 and lex.call_args.args[2] == _window_end(base, text):
         return "window"
     return "fallback"
@@ -1058,7 +1079,9 @@ class TestTokenizeEditMatchesTokenize:
             ("int a;\nint b; // c  ", "int a;\nint x; // c  ", "window"),
             ("a\nb", "a\nb ²", "fallback"),  # a lexical error
             # a base comment across the first changed line's start
-            ("int a; /* one\ntwo */ int b;", "int a; /* one\nTWO */ int b;", "full"),
+            ("int a; /* one\ntwo */ int b;", "int a; /* one\nTWO */ int b;", "window"),
+            # and a comment across the start of the line where that one starts
+            ("/* a\n */ /* b\n c */ int x;", "/* a\n */ /* b\n C */ int x;", "window"),
             # a base comment, then a string, across the last changed line's end
             ("int a; /* one\ntwo */ int b;", "int A;\ntwo */ int b;", "fallback"),
             ('String s = "a\\\nb";', 'int x;\nb";', "fallback"),
@@ -1073,13 +1096,31 @@ class TestTokenizeEditMatchesTokenize:
         assert _lex(lambda t: _spliced(base, base_tokens, t), text) == _lex(tokenize, text)
         assert _edit_path(base, base_tokens, text) == path
 
-    @pytest.mark.parametrize("path", ["window", "fallback", "full"])
+    @pytest.mark.parametrize("path", ["window", "fallback"])
     def test_edits_take_each_path(self, path):
         find(
             _line_edits([SPANNING_TOKENS]),
             lambda edit: _edit_path(*edit) == path,
             settings=settings(database=None, phases=[Phase.generate], max_examples=300),
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(edit=edits_inside_tokens(st.sampled_from(SPANNING_BASES)))
+    def test_edits_inside_tokens(self, edit):
+        base, text = edit
+        base_tokens = tokenize(base)
+        assert _lex(lambda t: _spliced(base, base_tokens, t), text) == _lex(tokenize, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edit=_line_edits([SPANNING_TOKENS]))
+    def test_never_lexes_the_whole_text(self, edit):
+        _, base_tokens, text = edit
+        with mock.patch.object(token_module, "tokenize", wraps=tokenize) as whole:
+            try:
+                lex_edit(base_tokens, text)
+            except ParseError:
+                pass
+        assert not whole.called
 
     @pytest.mark.parametrize(
         "text,lexed",

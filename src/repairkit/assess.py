@@ -427,7 +427,7 @@ _RATING_LAYOUT = "{%s}" % _encoder.item_separator.join(
 
 
 def _rating_line(rating: SemanticRating) -> str:
-    """`_encode_rating(vars(rating))`, filled into `_RATING_LAYOUT` when
+    """`_encode_rating(rating._asdict())`, filled into `_RATING_LAYOUT` when
     every field has exactly its annotated type and the float is finite."""
     values = _rating_values(rating)
     if tuple(map(type, values)) == _RATING_TYPES:
@@ -435,7 +435,7 @@ def _rating_line(rating: SemanticRating) -> str:
             return _RATING_LAYOUT % tuple(map(operator.call, _RATING_LITERALS, values))
         except ValueError:  # not finite, or an int past str()'s digit limit
             pass
-    return _encode_rating(vars(rating))
+    return _encode_rating(rating._asdict())
 
 
 class RatingStore:

@@ -62,7 +62,7 @@ from .representations import (
     valid_pair,
 )
 from .syntax import SourceFunction
-from .values import frozen
+from .values import frozen, with_asdict
 
 log = logging.getLogger(__name__)
 
@@ -141,7 +141,8 @@ def _parse_entry(index: int, item: object) -> BugManifestEntry:
 # --------------------------------------------------------------------------
 # run records
 
-@dataclass
+@with_asdict
+@dataclass(slots=True)
 class RunRecord:
     bug_id: str
     pair: str
@@ -157,11 +158,11 @@ class RunRecord:
 
 
 def _record_to_json(record: RunRecord) -> dict:
-    # vars(), not asdict(): asdict deep-copies every value, 8x slower per record
+    # _asdict(), not dataclasses.asdict(): that deep-copies every value, 8x slower per record
     return {
-        **vars(record),
-        "candidates": [vars(c) for c in record.candidates],
-        "verdicts": [vars(v) for v in record.verdicts],
+        **record._asdict(),
+        "candidates": [c._asdict() for c in record.candidates],
+        "verdicts": [v._asdict() for v in record.verdicts],
     }
 
 

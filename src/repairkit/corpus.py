@@ -157,8 +157,9 @@ def _diff_layout_units(root: Path) -> list[_Unit]:
     for diff_file in sorted(root.glob("*.diff")) + sorted(root.glob("*.patch")):
         sides: dict[str, tuple[bool, bool]] = {}  # relpath -> (in before, in after)
         old = None  # the path of the last `---` header
-        for line in diff_file.read_text(encoding="utf-8", errors="replace").split("\n"):
-            m = _DIFF_PATH_RE.match(line)
+        # lines end at "\n" alone: a lone "\r" inside a context line starts no header
+        for line in diff_file.read_bytes().decode("utf-8", "replace").split("\n"):
+            m = _DIFF_PATH_RE.match(line.removesuffix("\r"))
             if m is None:
                 continue
             path = _header_path(m)
@@ -445,7 +446,7 @@ def emit_dataset(samples: Iterable[TrainingSample], out: Path | str) -> int:
 def _write_samples(samples: Iterable[TrainingSample], fh) -> int:
     count = 0
     for sample in samples:
-        record = {**vars(sample), "pair": str(sample.pair)}
+        record = {**sample._asdict(), "pair": str(sample.pair)}
         fh.write(encode_row(record) + "\n")
         count += 1
     return count
@@ -468,7 +469,7 @@ def render_training_config(config: TrainingConfig = TrainingConfig()) -> str:
     field in field order; the target layers are joined by commas."""
     return "".join(
         f"{key} = {','.join(value) if key == 'target_layers' else value}\n"
-        for key, value in vars(config).items()
+        for key, value in config._asdict().items()
     )
 
 

@@ -10,6 +10,7 @@ many ranked candidates it wants.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from collections.abc import Mapping, Set
 from typing import Callable, Optional, Sequence
@@ -177,15 +178,38 @@ def _http_request(url: str, config: GenerationConfig, prompt: str):
 
 
 def _http_complete(request, timeout: float, cap: int) -> list[str]:
-    """One attempt at `request`, its body read for `timeout` s and up to `cap` bytes."""
+    """One attempt at `request`, over within `timeout` s, its body read up
+    to `cap` bytes."""
     import http.client
     import socket
     import urllib.error
     import urllib.request
 
     deadline = time.monotonic() + timeout
+    sockets = []  # the attempt's, shut down at the deadline, so that a blocked read returns
+
+    def shut_down():
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # closed already
+                pass
+
+    class Connection(http.client.HTTPConnection):
+        def connect(self):
+            super().connect()
+            sockets.append(self.sock)
+            if time.monotonic() > deadline:  # the timer, which fires after it, may have run
+                shut_down()
+
+    class Handler(urllib.request.HTTPHandler):  # an https URL keeps urllib's own
+        def http_open(self, req):
+            return self.do_open(Connection, req)
+
+    timer = threading.Timer(timeout, shut_down)
+    timer.start()
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
+        with urllib.request.build_opener(Handler).open(request, timeout=timeout) as response:
             payload = _read_body(response, deadline, timeout, cap).decode("utf-8")
     except urllib.error.HTTPError as exc:
         with exc:  # closes the connection a slow body leaves open
@@ -196,17 +220,22 @@ def _http_complete(request, timeout: float, cap: int) -> list[str]:
         raise BackendError(exc.code, body) from exc
     except (socket.timeout, TimeoutError) as exc:
         raise BackendTimeout(str(exc)) from exc
-    except (urllib.error.URLError, ConnectionError, OSError) as exc:
+    except (urllib.error.URLError, ConnectionError, OSError, http.client.HTTPException) as exc:
+        if time.monotonic() > deadline:  # its socket was shut down mid-read
+            raise BackendTimeout(f"response not read within {timeout} s") from exc
         reason = getattr(exc, "reason", exc)
         if isinstance(reason, (socket.timeout, TimeoutError)):
             raise BackendTimeout(str(reason)) from exc
-        raise BackendUnreachable(f"{request.full_url}: {reason}") from exc
-    except http.client.HTTPException as exc:  # such as a body cut short
+        if isinstance(exc, OSError):
+            raise BackendUnreachable(f"{request.full_url}: {reason}") from exc
+        # such as a body cut short
         raise BackendError(200, f"malformed backend response: {exc!r}") from exc
     except UnicodeDecodeError as exc:
         raise BackendError(
             200, f"malformed backend response: not UTF-8 ({exc.reason} at byte {exc.start})"
         ) from exc
+    finally:
+        timer.cancel()
     try:
         outputs = json.loads(payload)["outputs"]
         if not isinstance(outputs, list):  # request_candidates checks each output
@@ -227,7 +256,9 @@ def _read_body(response, deadline: float, timeout: float, cap: int) -> bytes:
         if len(body) > cap:
             raise BackendError(response.code, f"malformed backend response: body over {cap} bytes")
         if time.monotonic() > deadline:
-            raise BackendTimeout(f"response body not read within {timeout} s")
+            break
+    if time.monotonic() > deadline:  # also where the shutdown at the deadline ended the read
+        raise BackendTimeout(f"response body not read within {timeout} s")
     if response.length:  # cut short of its Content-Length
         raise http.client.IncompleteRead(bytes(body), response.length)
     return bytes(body)

@@ -257,6 +257,32 @@ class TestIngest:
         assert [p.id for p in ingest_diff_corpus(root, stats)] == ["u1:f"]
         assert (stats.units, stats.parse_failures, stats.ingested) == (1, 0, 1)
 
+    # A lone "\r" inside a line starts no header; a CRLF line's "\r" is not
+    # part of the name its header gives.
+    @pytest.mark.parametrize(
+        "comment, eol",
+        [("/* x\r--- a/Evil.java */", "\n"), ("/* x */", "\r\n")],
+        ids=["lone-cr", "crlf"],
+    )
+    def test_header_scan_ends_lines_at_newline_and_drops_one_cr(
+        self, tmp_path, caplog, comment, eol
+    ):
+        root = tmp_path / "mega"
+        before = f"class A {{\n    int f() {{\n        {comment}\n        return 1;\n    }}\n}}\n"
+        for side, text in (("before", before), ("after", before.replace("return 1", "return 2"))):
+            (root / side).mkdir(parents=True)
+            (root / side / "A.java").write_bytes(text.encode())
+        diff = [
+            "--- a/A.java", "+++ b/A.java", "@@ -3,2 +3,2 @@",
+            f"         {comment}", "-        return 1;", "+        return 2;", "",
+        ]
+        (root / "u1.diff").write_bytes(eol.join(diff).encode())
+        stats = PipelineStats()
+        with caplog.at_level(logging.WARNING, logger="repairkit.corpus"):
+            assert [p.id for p in ingest_diff_corpus(root, stats)] == ["u1:f"]
+        assert (stats.units, stats.parse_failures, stats.ingested) == (1, 0, 1)
+        assert caplog.records == []
+
     def test_named_missing_file_is_an_io_failure(self, tmp_path, caplog):
         root = tmp_path / "mega"
         (root / "before").mkdir(parents=True)

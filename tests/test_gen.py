@@ -4,6 +4,7 @@ import pytest
 import repairkit.gen as gen
 from repairkit.errors import (
     BackendError,
+    BackendTimeout,
     BackendUnreachable,
     BadTemplate,
     InvalidRegion,
@@ -276,6 +277,40 @@ class TestRequestCandidates:
         with pytest.raises(ValueError, match=r"at most 2147483\.647 s \(2\^31-1 ms\)"):
             GenerationConfig(backend="http://127.0.0.1:9/", timeout=timeout, retries=0)
         assert GenerationConfig(timeout=2147483.647).timeout == 2147483.647
+
+    # Each header read was bounded alone, so a server that dripped its
+    # status line and headers held a 1 s attempt for their whole 2.8 s.
+    def test_a_dripping_status_line_and_headers_time_out_within_the_timeout(self):
+        import socket
+        import threading
+        import time
+
+        head = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\nX: y\r\n\r\n"
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def drip():
+            connection, _ = server.accept()
+            with connection:
+                connection.recv(1 << 16)
+                try:
+                    for k in range(len(head)):
+                        connection.sendall(head[k : k + 1])
+                        time.sleep(0.05)
+                except OSError:  # the client gave up
+                    pass
+
+        thread = threading.Thread(target=drip)
+        thread.start()
+        try:
+            url = "http://127.0.0.1:%d/" % server.getsockname()[1]
+            start = time.monotonic()
+            with pytest.raises(BackendTimeout):
+                request_candidates(GenerationConfig(backend=url, timeout=1.0, retries=0), "p")
+            assert time.monotonic() - start < 1.5
+        finally:
+            thread.join(5)
+            server.close()
+        assert not thread.is_alive()
 
 
 class TestCandidatePatch:

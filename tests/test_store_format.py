@@ -361,7 +361,10 @@ def _loaded(load, path):
     except StoreError as exc:
         return (exc.path, exc.line, str(exc))
     return [
-        (repr(record), [[type(value) for value in vars(v).values()] for v in record.verdicts])
+        (
+            repr(record),
+            [[type(getattr(v, f.name)) for f in dataclasses.fields(v)] for v in record.verdicts],
+        )
         for record in records.values()
     ]
 
@@ -420,9 +423,8 @@ def _line(encode):
 
 
 def _assert_same_line(rating):
-    assert _line(lambda: assess._rating_line(rating)) == _line(
-        lambda: assess._encode_rating(vars(rating))
-    )
+    row = {f.name: getattr(rating, f.name) for f in dataclasses.fields(rating)}
+    assert _line(lambda: assess._rating_line(rating)) == _line(lambda: assess._encode_rating(row))
 
 
 def _plain(rank=0, timestamp=1.5, text="b"):

@@ -4,19 +4,25 @@ Each `@frozen` class in the package gets a twin made by
 `dataclasses.make_dataclass(..., frozen=True)` with the same name, fields,
 defaults and `__post_init__`. The twin is the oracle: both are called with
 the same generated arguments, well-formed or not, and must accept or reject
-them alike and build values that read alike.
+them alike and build values that read alike. The values those arguments
+build, and the run records built the same way, keep their fields in slots
+and read them back through `_asdict()`.
 """
 import ast
 import dataclasses
 import importlib
 import inspect
 import pickle
+import tracemalloc
+import weakref
 from dataclasses import MISSING, FrozenInstanceError, field, fields
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repairkit.bench import RunRecord
+from repairkit.gen import CandidatePatch
 from repairkit.representations import Region
 from repairkit.syntax import SourceFunction
 from repairkit.values import frozen
@@ -153,6 +159,44 @@ def test_frozen_builds_what_the_stdlib_builds(cls):
     assert {"accepted", "TypeError"} <= reached
     if hasattr(cls, "__post_init__"):
         assert reached - {"accepted", "TypeError"}, "no value reached __post_init__'s rejection"
+
+
+@pytest.mark.parametrize("cls", [*FROZEN, RunRecord], ids=lambda cls: cls.__qualname__)
+def test_values_keep_their_fields_in_slots(cls):
+    names = tuple(f.name for f in fields(cls))
+    assert cls.__slots__ == names
+    built = []
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(call=_calls(cls))
+    def check(call):
+        value, _ = _build(cls, *call)
+        if value is None:
+            return
+        built.append(value)
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(value)
+        row = value._asdict()
+        want = {f.name: getattr(value, f.name) for f in fields(value)}
+        assert list(row) == list(want) == list(names)
+        assert all(row[name] is want[name] for name in names)
+        assert value._asdict() is not row
+
+    check()
+    assert built, "no generated call built a value"
+
+
+def test_ten_thousand_candidates_take_at_most_100_bytes_each():
+    # about 72 B a value in slots (the list's pointer included), 248 B with an instance dict
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        values = [CandidatePatch(1, "raw", "fixed") for _ in range(10_000)]
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert size <= 100 * len(values)
 
 
 @pytest.mark.parametrize(

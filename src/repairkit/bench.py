@@ -387,13 +387,10 @@ class AggregateRow:
     semantic: int
     pending: int
 
-    @property
-    def monotonic(self) -> bool:
-        ordered = self.exact <= self.ast <= self.semantic <= self.universe
-        return ordered and self.plausible <= self.universe
-
     def check(self) -> None:
-        if not self.monotonic:
+        """Raise unless exact <= ast <= semantic <= universe and plausible <= universe."""
+        ordered = self.exact <= self.ast <= self.semantic <= self.universe
+        if not (ordered and self.plausible <= self.universe):
             raise AggregateInvariantError(
                 f"{self.label}: exact={self.exact} ast={self.ast} "
                 f"semantic={self.semantic} plausible={self.plausible} "
@@ -415,8 +412,9 @@ def aggregate(
 
     The semantic column counts bugs with an AST-matching or rated-correct
     candidate; bugs whose best candidates are plausible but unrated are
-    reported separately as pending. The exact <= ast <= semantic <=
-    universe ordering is asserted on every aggregate produced.
+    reported separately as pending. A row that breaks the exact <= ast <=
+    semantic <= universe ordering, as a `universe` below the counts does,
+    raises AggregateInvariantError (`AggregateRow.check`).
     """
     by_pair: dict[str, list[RunRecord]] = {}
     for record in records:
@@ -492,26 +490,16 @@ _HEADERS = ("Representation", "Bugs", "Plausible", "Exact", "AST", "Semantic", "
 
 
 def report(table: AggregateTable, fmt: str = "plain") -> str:
-    """Deterministic rendering of an aggregate table.
-
-    Tables violating the metric ordering render with a warning banner
-    instead of failing, so damaged stores can still be inspected.
-    """
+    """Deterministic rendering of an aggregate table. `aggregate` refuses a
+    row that breaks the metric ordering, so a table is rendered as it is."""
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown report format: {fmt!r} (expected {REPORT_FORMATS})")
-    warnings = [row.label for row in table.rows if not row.monotonic]
-    banner = (
-        "WARNING: metric ordering violated (exact <= ast <= semantic <= bugs) "
-        f"in rows: {', '.join(warnings)}\n"
-        if warnings
-        else ""
-    )
     cells = [
         [str(getattr(row, column)) for column in _COLUMNS] for row in table.rows
     ]
     if fmt == "delimited":
         lines = [",".join(_HEADERS)] + [",".join(row) for row in cells]
-        return banner + "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n"
     widths = [
         max([len(header)] + [len(row[i]) for row in cells])
         for i, header in enumerate(_HEADERS)
@@ -522,4 +510,4 @@ def report(table: AggregateTable, fmt: str = "plain") -> str:
         lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
     else:
         lines = ["  ".join(row) for row in padded]
-    return banner + "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"

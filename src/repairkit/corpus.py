@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .config import DEFAULT_LEAKAGE_BUGS, CorpusFilterConfig  # the first is re-exported
+from .config import DEFAULT_LEAKAGE_BUGS, CorpusFilterConfig, decode  # the first is re-exported
 from .errors import (
     ConfigError,
     CorpusLayoutError,
@@ -458,10 +458,14 @@ def load_dataset(path: Path | str) -> list[TrainingSample]:
     return list(read_rows(path, _sample_of_row))
 
 
+# A dataset row's fields and their JSON types; `pair` holds the pair's tag.
+_SAMPLE_ROW = {"id": str, "pair": str, "input": str, "output": str, "token_count": int}
+
+
 def _sample_of_row(row: dict) -> TrainingSample:
-    return TrainingSample(
-        row["id"], ReprPair.parse(row["pair"]), row["input"], row["output"], row["token_count"]
-    )
+    fields = {name: decode(kind, row[name], name) for name, kind in _SAMPLE_ROW.items()}
+    fields["pair"] = ReprPair.parse(fields["pair"])
+    return TrainingSample(**fields)
 
 
 def render_training_config(config: TrainingConfig = TrainingConfig()) -> str:

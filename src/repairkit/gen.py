@@ -178,8 +178,9 @@ def _http_request(url: str, config: GenerationConfig, prompt: str):
 
 
 def _http_complete(request, timeout: float, cap: int) -> list[str]:
-    """One attempt at `request`, over within `timeout` s, its body read up
-    to `cap` bytes."""
+    """One attempt at `request`, its body read up to `cap` bytes. Its socket,
+    http or https, is shut down `timeout` s after the start; name resolution
+    and a TLS handshake come first, bounded by the resolver and by `ssl`."""
     import http.client
     import socket
     import urllib.error
@@ -195,16 +196,16 @@ def _http_complete(request, timeout: float, cap: int) -> list[str]:
             except OSError:  # closed already
                 pass
 
-    class Connection(http.client.HTTPConnection):
-        def connect(self):
-            super().connect()
-            sockets.append(self.sock)
-            if time.monotonic() > deadline:  # the timer, which fires after it, may have run
-                shut_down()
+    class Handler(urllib.request.HTTPHandler, urllib.request.HTTPSHandler):
+        def do_open(self, http_class, req, **kwargs):  # for either scheme's connection class
+            class Connection(http_class):
+                def connect(self):
+                    super().connect()
+                    sockets.append(self.sock)
+                    if time.monotonic() >= deadline:  # the timer may have fired before it
+                        shut_down()
 
-    class Handler(urllib.request.HTTPHandler):  # an https URL keeps urllib's own
-        def http_open(self, req):
-            return self.do_open(Connection, req)
+            return super().do_open(Connection, req, **kwargs)
 
     timer = threading.Timer(timeout, shut_down)
     timer.start()
@@ -215,19 +216,14 @@ def _http_complete(request, timeout: float, cap: int) -> list[str]:
         with exc:  # closes the connection a slow body leaves open
             try:
                 body = _read_body(exc, deadline, timeout, cap).decode("utf-8", "replace")
-            except (http.client.HTTPException, OSError, BackendTimeout) as cut:  # short or slow
+            except (http.client.HTTPException, BackendTimeout) as cut:  # short or slow
                 body = repr(cut)
         raise BackendError(exc.code, body) from exc
-    except (socket.timeout, TimeoutError) as exc:
-        raise BackendTimeout(str(exc)) from exc
-    except (urllib.error.URLError, ConnectionError, OSError, http.client.HTTPException) as exc:
-        if time.monotonic() > deadline:  # its socket was shut down mid-read
+    except (OSError, http.client.HTTPException) as exc:
+        if time.monotonic() >= deadline:  # its socket was shut down, or a read timed out
             raise BackendTimeout(f"response not read within {timeout} s") from exc
-        reason = getattr(exc, "reason", exc)
-        if isinstance(reason, (socket.timeout, TimeoutError)):
-            raise BackendTimeout(str(reason)) from exc
         if isinstance(exc, OSError):
-            raise BackendUnreachable(f"{request.full_url}: {reason}") from exc
+            raise BackendUnreachable(f"{request.full_url}: {getattr(exc, 'reason', exc)}") from exc
         # such as a body cut short
         raise BackendError(200, f"malformed backend response: {exc!r}") from exc
     except UnicodeDecodeError as exc:
@@ -246,20 +242,23 @@ def _http_complete(request, timeout: float, cap: int) -> list[str]:
 
 
 def _read_body(response, deadline: float, timeout: float, cap: int) -> bytes:
-    """`response`'s body, read in pieces until `time.monotonic()` passes
-    `deadline`; a body over `cap` bytes is an error with the response's status."""
+    """`response`'s body, read until its connection ends, as the shutdown at
+    `deadline` makes it; over `cap` bytes, an error with the response's
+    status, and cut short by a close or a reset, an IncompleteRead."""
     import http.client
 
     body = bytearray()
-    while piece := response.read1(1 << 16):
-        body += piece
-        if len(body) > cap:
-            raise BackendError(response.code, f"malformed backend response: body over {cap} bytes")
-        if time.monotonic() > deadline:
-            break
-    if time.monotonic() > deadline:  # also where the shutdown at the deadline ended the read
+    try:
+        while len(body) <= cap and (piece := response.read1(1 << 16)):
+            body += piece
+        short = response.length  # the bytes of its Content-Length not read
+    except OSError:  # a reset, or the shutdown at the deadline
+        short = True
+    if len(body) > cap:
+        raise BackendError(response.code, f"malformed backend response: body over {cap} bytes")
+    if time.monotonic() >= deadline:
         raise BackendTimeout(f"response body not read within {timeout} s")
-    if response.length:  # cut short of its Content-Length
+    if short:
         raise http.client.IncompleteRead(bytes(body), response.length)
     return bytes(body)
 

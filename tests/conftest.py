@@ -398,6 +398,31 @@ def bench_fixture(tmp_path):
 
 
 # --------------------------------------------------------------------------
+# loopback backends over http and https
+
+# A self-signed certificate for IP:127.0.0.1, valid until 2126, made by
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes \
+#     -keyout loopback_key.pem -out loopback_cert.pem -days 36500 \
+#     -subj /CN=127.0.0.1 -addext subjectAltName=IP:127.0.0.1
+LOOPBACK_CERT = Path(__file__).parent / "loopback_cert.pem"
+LOOPBACK_KEY = Path(__file__).parent / "loopback_key.pem"
+
+
+def serve_over(scheme: str, monkeypatch):
+    """What wraps a loopback server's listening socket for `scheme`, http or
+    https. An https client trusts LOOPBACK_CERT through SSL_CERT_FILE,
+    which each default context reads when it is made."""
+    if scheme == "http":
+        return lambda sock: sock
+    import ssl
+
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(LOOPBACK_CERT, LOOPBACK_KEY)
+    monkeypatch.setenv("SSL_CERT_FILE", str(LOOPBACK_CERT))
+    return lambda sock: context.wrap_socket(sock, server_side=True)
+
+
+# --------------------------------------------------------------------------
 # processes a command leaves behind
 
 def _group_running(pgid: int) -> bool:

@@ -39,7 +39,7 @@ from repairkit.errors import (
 )
 from repairkit.gen import CandidatePatch, GenerationConfig
 from repairkit.representations import ReprPair
-from conftest import group_left_running
+from conftest import group_left_running, serve_over
 from store_oracle import ListRatingStore, oracle_aggregate, oracle_rank_curve
 
 PAIR = ReprPair.parse("IR4xOR2")
@@ -421,6 +421,24 @@ class TestRunBenchmark:
         assert records[1].error is None
         assert [v.plausible for v in records[1].verdicts] == ["pass"]
 
+    def test_a_test_that_writes_into_the_project_fails_its_bug(self, bench_fixture):
+        """A test command that writes into the project itself, through its
+        absolute path, changes the tree `check_plausible` hashes: the bug
+        gets one record with that error and not-run verdicts, and the next
+        bug is still run."""
+        manifest_path, mock, _ = bench_fixture
+        first, second = load_manifest(manifest_path)[:2]
+        stray = Path(first.project_root) / "Stray.java"
+        first = dataclasses.replace(first, test_command=f"touch {shlex.quote(str(stray))}")
+        for entry in (first, second):
+            mock.fixture_map[entry.bug_id] = ["        return b + a;"]  # tested, not exact
+        records = run_benchmark([first, second], PAIR, GenerationConfig(backend=mock))
+        assert [r.bug_id for r in records] == ["e2e-00", "e2e-01"]
+        assert records[0].error == f"SpliceError: project tree changed under {first.project_root}"
+        assert [v.plausible for v in records[0].verdicts] == ["not-run"]
+        assert stray.exists() and records[1].error is None
+        assert [v.plausible for v in records[1].verdicts] == ["pass"]
+
     def test_invalid_pair_rejected(self, bench_fixture):
         manifest_path, mock, _ = bench_fixture
         manifest = load_manifest(manifest_path)
@@ -672,7 +690,19 @@ HOSTILE_BODIES = {
         503, b"overloaded", 100,
         "BackendError: backend error 503: IncompleteRead(10 bytes read, 90 more expected)",
     ),
+    # the body cut short as above, by a reset in place of a close: it was
+    # a BackendUnreachable, "[Errno 104] Connection reset by peer"
+    "reset": (
+        200, b'{"outputs":', 100,
+        "BackendError: backend error 200: malformed backend response: "
+        "IncompleteRead(11 bytes read, 89 more expected)",
+    ),
 }
+for _body in (b'{"nope": 1}', b'{"outputs": "abc"}', b'"abc"', b"null"):  # no `outputs` list
+    HOSTILE_BODIES[_body.decode()] = (
+        200, _body, len(_body),
+        f"BackendError: backend error 200: malformed backend response: {_body.decode()}",
+    )
 # A body one byte over the cap of a default request: 10 candidates x 512
 # tokens x 128 bytes, plus a 64 KiB envelope. An error status keeps its code.
 OVERSIZED = b'{"outputs": ["' + b"x" * (720_897 - 17) + b'"]}'
@@ -689,6 +719,8 @@ def hostile_backend(request):
     """A loopback server answering every request with a mode of
     HOSTILE_BODIES; yields its URL, a list of the requests it answered and
     the error the mode's bugs record."""
+    import socket
+    import struct
     import threading
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -707,6 +739,10 @@ def hostile_backend(request):
                 self.wfile.write(body)
             except OSError:  # the client stopped reading at its cap
                 pass
+            if request.param == "reset":  # closed at once under SO_LINGER 0: a reset, no FIN
+                linger = struct.pack("ii", 1, 0)
+                self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+                self.connection.close()
 
         def log_message(self, *args):  # quiet
             pass
@@ -753,12 +789,18 @@ DRIPPED_ERRORS = {
 }
 
 
+# (scheme, status) of each dripping backend; the error is the same over both.
+DRIPS = [pytest.param(("http", status), id=str(status)) for status in DRIPPED_ERRORS] + [
+    pytest.param(("https", status), id=f"https-{status}") for status in DRIPPED_ERRORS
+]
+
+
 @pytest.fixture()
-def dripping_backend(request):
-    """A loopback server that answers every request with a status of
-    DRIPPED_ERRORS and a whole JSON body, one byte every DRIP_DELAY
+def dripping_backend(request, monkeypatch):
+    """A loopback server, over a scheme and with a status of DRIPS, that
+    answers every request with a whole JSON body, one byte every DRIP_DELAY
     seconds; yields its URL and the error its bugs record."""
-    status = request.param
+    scheme, status = request.param
     import threading
     import time
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -784,11 +826,12 @@ def dripping_backend(request):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.socket = serve_over(scheme, monkeypatch)(server.socket)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address
     try:
-        yield f"http://{host}:{port}/", DRIPPED_ERRORS[status]
+        yield f"{scheme}://{host}:{port}/", DRIPPED_ERRORS[status]
     finally:
         server.shutdown()
         server.server_close()
@@ -796,7 +839,7 @@ def dripping_backend(request):
 
 class TestDrippingBackend:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("dripping_backend", list(DRIPPED_ERRORS), indirect=True)
+    @pytest.mark.parametrize("dripping_backend", DRIPS, indirect=True)
     def test_a_dripping_body_times_out_within_the_timeout(
         self, bench_fixture, dripping_backend, tmp_path, monkeypatch, workers
     ):
@@ -1233,9 +1276,3 @@ class TestReport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             report(self.TABLE, "yaml")
-
-    def test_violating_table_renders_warning_banner(self):
-        broken = AggregateTable(
-            (AggregateRow("x", universe=1, plausible=0, exact=2, ast=1, semantic=1, pending=0),)
-        )
-        assert report(broken, "plain").startswith("WARNING:")

@@ -204,6 +204,14 @@ class TestShowCommand:
              "--kind", "IR3", "--region", "1:99"]
         ) == 1
 
+    @pytest.mark.parametrize("region", ["3", "3-5", "a:b", "1:2:3"])
+    def test_region_that_is_not_start_end_is_a_usage_error(self, java_file, capsys, region):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["show", "--file", str(java_file), "--function", "twice",
+                  "--kind", "IR3", "--region", region])
+        assert exit_info.value.code == 2
+        assert f"{region!r} is not a region (expected START:END" in capsys.readouterr().err
+
 
 class TestRepairCommand:
     def test_smoke_run_full_exact_table(self, bench_fixture, tmp_path, capsys):
@@ -355,6 +363,7 @@ class TestRepairCommand:
             ["--workers", "0"],
             ["--workers", "-2"],
             ["--workers", "two"],
+            ["--pair", "IR4-OR2"],  # a second --pair, after the valid one above
         ],
     )
     def test_bad_repair_values_exit_2_before_any_backend_call(
@@ -558,9 +567,20 @@ class TestExportTrainConfig:
         assert main(["export-train-config", "--out", str(out)]) == 0
         assert out.read_text() == golden("train_config.txt")
 
+    # A field of the wrong type was passed through: a pair of 5 ended in an
+    # AttributeError traceback, and input 5 or token_count "many" was written.
     @pytest.mark.parametrize(
         "bad_line,reason",
-        [("{bad", "JSONDecodeError"), ('{"id": "u2", "input": "x", "output": "y"}', "KeyError")],
+        [
+            ("{bad", "JSONDecodeError"),
+            ('{"id": "u2", "input": "x", "output": "y"}', "KeyError"),
+            ('{"id": "u2", "pair": 5, "input": "x", "output": "y", "token_count": 2}',
+             "TypeError: pair must be a string, not 5"),
+            ('{"id": "u2", "pair": "IR4xOR2", "input": 5, "output": "y", "token_count": "many"}',
+             "TypeError: input must be a string, not 5"),
+            ('{"id": "u2", "pair": "IR4xOR2", "input": "x", "output": "y", "token_count": "many"}',
+             "TypeError: token_count must be an integer, not 'many'"),
+        ],
     )
     def test_corrupt_dataset_is_an_error(self, tmp_path, capsys, bad_line, reason):
         row = {"id": "u1", "input": "x", "output": "y", "pair": "IR4xOR2", "token_count": 2}
@@ -569,7 +589,8 @@ class TestExportTrainConfig:
         out = tmp_path / "train.cfg"
         status = main(["export-train-config", "--out", str(out), "--dataset", str(dataset)])
         assert status == 1
-        assert capsys.readouterr().err.startswith(f"error: {dataset}:2: {reason}: ")
+        err, line = capsys.readouterr().err, f"error: {dataset}:2: {reason}"
+        assert err.startswith(f"{line}: ") or err == f"{line}\n"
         assert not out.exists()
 
 
@@ -778,6 +799,22 @@ def _bug_id_of_another_type(tmp_path, diff_corpus):
     return ["report", "--store", store], f"{store}:1: TypeError: bug_id must be a string, not ['a']"
 
 
+def _config_file(text, message):
+    def case(tmp_path, diff_corpus):
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        return ["--config", str(path), "report", "--store", _store(tmp_path)], message
+
+    return case
+
+
+def _universe_below_the_counts(tmp_path, diff_corpus):
+    """`aggregate` refuses the row, so `report` never shows it."""
+    store = _store(tmp_path, _record_line("a"), _record_line("b"))
+    argv = ["report", "--store", store, "--universe", "1"]
+    return argv, "IR4xOR2: exact=2 ast=2 semantic=2 plausible=2 universe=1"
+
+
 def _exact_match_rated_incorrect_in_report(tmp_path, diff_corpus):
     store = _store(tmp_path, _record_line())
     argv = ["report", "--store", store, "--ratings", _rated_incorrect_twice(tmp_path)]
@@ -814,6 +851,12 @@ REFUSALS = {
     "verdict-of-another-type": _verdict_of_another_type,
     "pair-of-another-type": _pair_of_another_type,
     "bug-id-of-another-type": _bug_id_of_another_type,
+    "universe-below-the-counts": _universe_below_the_counts,
+    "config-not-json": _config_file(
+        "{generation", "config file is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "config-not-an-object": _config_file("[1, 2]", "config file must hold a JSON object"),
     "exact-rated-incorrect-report": _exact_match_rated_incorrect_in_report,
     "exact-rated-incorrect-repair": _exact_match_rated_incorrect_in_repair,
     "empty-tokenizer": _empty_tokenizer("external:"),

@@ -25,6 +25,8 @@ from repairkit.representations import (
 )
 from repairkit.syntax import SourceFunction
 
+from conftest import serve_over
+
 FN = SourceFunction.from_text(
     "int safeDiv(int a, int b) {\n    if (b == 0) return 0;\n    return a / b;\n}",
     "safeDiv",
@@ -279,34 +281,50 @@ class TestRequestCandidates:
         assert GenerationConfig(timeout=2147483.647).timeout == 2147483.647
 
     # Each header read was bounded alone, so a server that dripped its
-    # status line and headers held a 1 s attempt for their whole 2.8 s.
-    def test_a_dripping_status_line_and_headers_time_out_within_the_timeout(self):
+    # status line and headers held a 1 s attempt for their whole 2.8 s, as
+    # urllib's own https handler still did after http was bounded; a silent
+    # https server gave urllib's "The read operation timed out".
+    @pytest.mark.parametrize(
+        "mode, error",
+        [("drip", "response body not read within 1.0 s"),
+         ("silent", "response not read within 1.0 s")],
+        ids=["drip", "silent"],
+    )
+    @pytest.mark.parametrize("scheme", ["http", "https"])
+    def test_a_dripping_status_line_and_headers_time_out_within_the_timeout(
+        self, monkeypatch, scheme, mode, error
+    ):
+        """As does a server that answers nothing."""
         import socket
         import threading
         import time
 
         head = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\nX: y\r\n\r\n"
-        server = socket.create_server(("127.0.0.1", 0))
+        server = serve_over(scheme, monkeypatch)(socket.create_server(("127.0.0.1", 0)))
 
-        def drip():
+        def answer():
             connection, _ = server.accept()
             with connection:
-                connection.recv(1 << 16)
+                connection.settimeout(5)
                 try:
-                    for k in range(len(head)):
+                    connection.recv(1 << 16)
+                    for k in range(len(head) if mode == "drip" else 0):
                         connection.sendall(head[k : k + 1])
                         time.sleep(0.05)
+                    while connection.recv(1 << 16):  # until the client gives up
+                        pass
                 except OSError:  # the client gave up
                     pass
 
-        thread = threading.Thread(target=drip)
+        thread = threading.Thread(target=answer)
         thread.start()
         try:
-            url = "http://127.0.0.1:%d/" % server.getsockname()[1]
+            url = "%s://127.0.0.1:%d/" % (scheme, server.getsockname()[1])
             start = time.monotonic()
-            with pytest.raises(BackendTimeout):
+            with pytest.raises(BackendTimeout) as info:
                 request_candidates(GenerationConfig(backend=url, timeout=1.0, retries=0), "p")
             assert time.monotonic() - start < 1.5
+            assert str(info.value) == error
         finally:
             thread.join(5)
             server.close()

@@ -15,11 +15,10 @@ over the first round.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import time
-import typing
 from collections import Counter
+from json.encoder import encode_basestring_ascii as _text
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -403,39 +402,28 @@ class SemanticRating:
             raise ValueError(f"bad round: {self.round}")
 
 
-_encoder = json.JSONEncoder(sort_keys=True)
-_encode_rating = _encoder.encode  # json.dumps builds one per call
+_encode_rating = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
 
 
-def _finite_repr(value: float) -> str:
-    if value - value:  # NaN or an infinity, which the encoder writes as a name
-        raise ValueError(value)
-    return float.__repr__(value)
-
-
-# How the encoder writes a value of exactly each of these types.
-_LITERALS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: _finite_repr}
-_RATING_FIELDS = sorted(SemanticRating.__dataclass_fields__)
-_rating_values = operator.attrgetter(*_RATING_FIELDS)
-_RATING_TYPES = tuple(map(typing.get_type_hints(SemanticRating).get, _RATING_FIELDS))
-_RATING_LITERALS = tuple(_LITERALS[kind] for kind in _RATING_TYPES)
-# The encoder's line for a rating, with a `%s` where each value goes.
-_RATING_LAYOUT = "{%s}" % _encoder.item_separator.join(
-    json.encoder.encode_basestring_ascii(name) + _encoder.key_separator + "%s"
-    for name in _RATING_FIELDS
-)
-
-
-def _rating_line(rating: SemanticRating) -> str:
-    """`_encode_rating(rating._asdict())`, filled into `_RATING_LAYOUT` when
-    every field has exactly its annotated type and the float is finite."""
-    values = _rating_values(rating)
-    if tuple(map(type, values)) == _RATING_TYPES:
+def _rating_line(r: SemanticRating) -> str:
+    """`_encode_rating(r._asdict())`, written out directly when the four
+    text fields are exactly `str`, `rank` exactly `int` and `timestamp` a
+    finite `float`."""
+    if (
+        type(r.bug_id) is type(r.rater) is type(r.label) is type(r.round) is str
+        and type(r.rank) is int
+        and type(r.timestamp) is float
+        and not r.timestamp - r.timestamp  # NaN or an infinity, which the encoder writes as a name
+    ):
         try:
-            return _RATING_LAYOUT % tuple(map(operator.call, _RATING_LITERALS, values))
-        except ValueError:  # not finite, or an int past str()'s digit limit
+            return (
+                f'{{"bug_id": {_text(r.bug_id)}, "label": {_text(r.label)}, '
+                f'"rank": {int.__repr__(r.rank)}, "rater": {_text(r.rater)}, '
+                f'"round": {_text(r.round)}, "timestamp": {float.__repr__(r.timestamp)}}}'
+            )
+        except ValueError:  # an int past str()'s digit limit
             pass
-    return _encode_rating(rating._asdict())
+    return _encode_rating(r._asdict())
 
 
 class RatingStore:
@@ -449,10 +437,10 @@ class RatingStore:
     store holds it. A crash mid-append can leave an unterminated last line:
     loading skips it with a warning and the first `add` cuts it off. A
     load admits each stored rating by `add`'s rules, so a bug id or rater
-    that is not a string, a rank that is not an int or is negative, a
-    second rating by one rater of one candidate in one round, or a
-    tiebreak where the first round did not disagree is a `StoreError` at
-    its line.
+    that is not a string, a timestamp that is not a number, a rank that is
+    not an int or is negative, a second rating by one rater of one
+    candidate in one round, or a tiebreak where the first round did not
+    disagree is a `StoreError` at its line.
     """
 
     def __init__(self, path: Optional[Path | str] = None):
@@ -471,13 +459,15 @@ class RatingStore:
 
     def _admit(self, rating: SemanticRating) -> tuple[str, int, str]:
         """The index key of `rating`, once it passes `add`'s rules: a string
-        bug id and rater, an int rank of at least 0, one rating per rater of
-        a candidate in a round, and a tiebreak only where the first round
-        disagreed."""
+        bug id and rater, a number for a timestamp, an int rank of at least
+        0, one rating per rater of a candidate in a round, and a tiebreak
+        only where the first round disagreed."""
         bug_id, rank, stage = rating.bug_id, rating.rank, rating.round
         if type(bug_id) is not str or type(rating.rater) is not str:
             decode(str, bug_id, "bug_id")  # which words the refusal
             decode(str, rating.rater, "rater")
+        if type(rating.timestamp) not in (int, float):  # so not a bool either
+            decode(float, rating.timestamp, "timestamp")
         if rank < 0:
             raise InvalidRating(f"rank {rank} of {bug_id}: candidate ranks start at 0")
         if type(rank) is not int:  # True and 1.0 would index as candidate #1
@@ -545,9 +535,6 @@ class KappaResult:
     kappa: float
     observed_agreement: float
     items: int
-
-    def __float__(self) -> float:
-        return self.kappa
 
 
 def cohen_kappa(store: RatingStore, rater_a: str, rater_b: str) -> KappaResult:

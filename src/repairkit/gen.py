@@ -105,10 +105,10 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     attempts, then surface as BackendUnreachable / BackendError /
     BackendTimeout. A 4xx status other than 408 (timeout) or 429 (too many
     requests) is permanent and raises at once, as does a URL urllib cannot
-    parse. A response that is not an ordered iterable (`None`, a number, a
-    string, a mapping, a set), an output that is not a string, named by its
-    index, or a string with no UTF-8 form, which no store could write, is
-    malformed (BackendError).
+    parse or whose scheme is not http or https. A response that is not an
+    ordered iterable (`None`, a number, a string, a mapping, a set), an
+    output that is not a string, named by its index, or a string with no
+    UTF-8 form, which no store could write, is malformed (BackendError).
     Any other exception from an in-process backend, raised by `complete` or
     while iterating what it returned, is a BackendError with status 500,
     unless it is a RepairKitError.
@@ -172,9 +172,12 @@ def _http_request(url: str, config: GenerationConfig, prompt: str):
         }
     ).encode("utf-8")
     try:
-        return urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
+        request = urllib.request.Request(url, body, {"Content-Type": "application/json"})
     except ValueError as exc:
         raise BackendUnreachable(f"{url}: {exc}") from exc
+    if request.type not in ("http", "https"):  # urllib would also open file:, data: and ftp:
+        raise BackendUnreachable(f"{url}: not an http:// or https:// URL")
+    return request
 
 
 def _http_complete(request, timeout: float, cap: int) -> list[str]:
@@ -295,8 +298,6 @@ class MockBackend:
         bug_id = self._prompts.get(prompt)
         if bug_id is None and self._resolve is not None:
             bug_id = self._resolve(prompt)
-        if bug_id is None and prompt in self.fixture_map:
-            bug_id = prompt
         outputs = self.fixture_map.get(bug_id or "", [])
         return list(outputs)[:n]
 

@@ -775,10 +775,10 @@ def _outcome(store, rating):
     return "accepted"
 
 
-def _stored_rating(rank, rater, label, stage="first", bug_id="b"):
+def _stored_rating(rank, rater, label, stage="first", bug_id="b", timestamp=1.0):
     return json.dumps(
         {"bug_id": bug_id, "label": label, "rank": rank, "rater": rater, "round": stage,
-         "timestamp": 1.0}
+         "timestamp": timestamp}
     )
 
 
@@ -822,6 +822,22 @@ REFUSED_AT_LOAD = {
         2,
         "TypeError: rater must be a string, not 7",
     ),
+    # Each would load, and `kappa` would read the store.
+    "text-timestamp": (
+        [_stored_rating(0, "alice", CORRECT), _stored_rating(0, "bob", CORRECT, timestamp="now")],
+        2,
+        "TypeError: timestamp must be a number, not 'now'",
+    ),
+    "null-timestamp": (
+        [_stored_rating(0, "alice", CORRECT, timestamp=None)],
+        1,
+        "TypeError: timestamp must be a number, not None",
+    ),
+    "bool-timestamp": (
+        [_stored_rating(0, "alice", CORRECT, timestamp=True)],
+        1,
+        "TypeError: timestamp must be a number, not True",
+    ),
 }
 
 
@@ -857,6 +873,8 @@ class TestRatingRulesAtLoad:
             (SemanticRating("b", 0.0, "bob", CORRECT), InvalidRating),
             (SemanticRating(5, 0, "bob", CORRECT), TypeError),
             (SemanticRating("b", 0, 7, CORRECT), TypeError),
+            (SemanticRating("b", 0, "bob", CORRECT, timestamp="yesterday"), TypeError),
+            (SemanticRating("b", 0, "bob", CORRECT, timestamp=None), TypeError),
         ]:
             with pytest.raises(error):
                 store.add(rating)

@@ -72,6 +72,20 @@ class TestDatasetCommand:
         assert "argument --max-length:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_max_length_drops_the_samples_over_it(self, diff_corpus, tmp_path, capsys):
+        out = tmp_path / "data.jsonl"
+        argv = ["dataset", "--corpus", str(diff_corpus), "--pair", "IR4xOR2", "--out", str(out)]
+        assert main(argv) == 0
+        counts = sorted(json.loads(line)["token_count"] for line in out.read_text().splitlines())
+        capsys.readouterr()
+        cap = counts[len(counts) // 2]  # a sample of at least `cap` tokens goes
+        assert main([*argv, "--max-length", str(cap)]) == 0
+        over = sum(count >= cap for count in counts)
+        assert 0 < over < len(counts)
+        dropped = CORPUS_EXPECTED["dropped_over_length"] + over
+        assert f" dropped_over_length={dropped} " in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == len(counts) - over
+
     def test_empty_corpus_emits_zero_and_exits_zero(self, tmp_path, capsys):
         root = tmp_path / "empty"
         (root / "before").mkdir(parents=True)
@@ -289,6 +303,58 @@ class TestRepairCommand:
         assert out == ""
         assert err == f"error: manifest {path}: {reason.format(path=path)}\n"
 
+    @pytest.mark.parametrize("flag, kept", [([], 3), (["--num-candidates", "1"], 1)])
+    def test_num_candidates_caps_the_candidates_of_each_record(
+        self, bench_fixture, tmp_path, flag, kept
+    ):
+        from repairkit.bench import RecordStore
+
+        manifest_path, mock, chunks = bench_fixture
+        for bug_id, chunk in chunks.items():
+            mock.fixture_map[bug_id] = [chunk] * 3
+        store = tmp_path / "records.jsonl"
+        url = mock.serve()
+        try:
+            assert main(["repair", "--manifest", str(manifest_path), "--pair", "IR4xOR2",
+                         "--backend", url, "--store", str(store), "--no-tests", *flag]) == 0
+        finally:
+            mock.close()
+        records = RecordStore(store).load()
+        assert len(records) == len(chunks)
+        assert {len(record.candidates) for record in records.values()} == {kept}
+
+    def test_workers_sets_the_runs_parallelism_and_not_its_records(
+        self, bench_fixture, tmp_path, monkeypatch, capsys
+    ):
+        from repairkit import bench
+
+        manifest_path, mock, chunks = bench_fixture
+        run_benchmark, workers = bench.run_benchmark, []
+
+        def spy(*args, **kwargs):
+            workers.append(kwargs["workers"])
+            return run_benchmark(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_benchmark", spy)
+        outs, records = [], []
+        url = mock.serve()
+        try:
+            for count in ("1", "2"):
+                store = tmp_path / f"records-{count}.jsonl"
+                assert main(["repair", "--manifest", str(manifest_path), "--pair", "IR4xOR2",
+                             "--backend", url, "--store", str(store), "--no-tests",
+                             "--workers", count, "--format", "delimited"]) == 0
+                outs.append(capsys.readouterr().out)
+                records.append({
+                    bug_id: (record.candidates, record.verdicts, record.error)
+                    for bug_id, record in bench.RecordStore(store).load().items()
+                })
+        finally:
+            mock.close()
+        assert workers == [1, 2]
+        assert len(records[0]) == len(chunks)
+        assert records[0] == records[1] and outs[0] == outs[1]
+
     def test_missing_backend_warns_and_exits_zero(self, bench_fixture, capsys):
         manifest_path, _, _ = bench_fixture
         status = main(
@@ -433,7 +499,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # Line 2 of a store, broken three ways: not JSON, a value the row's class
 # rejects, and a key it does not have; for ratings, also a second rating of
-# line 1's candidate by line 1's rater.
+# line 1's candidate by line 1's rater, and a timestamp that is not a number.
 _RATING = (
     '{"bug_id": "b", "label": "%s", "rank": 0, "rater": "x", "round": "first", '
     '"timestamp": 1.0%s}'
@@ -445,6 +511,14 @@ BAD_RATING_LINES = {
     "second-rating": (
         '{"bug_id": "Math-5", "label": "correct", "rank": 2, "rater": "alice", '
         '"round": "first", "timestamp": 1.0}'
+    ),
+    "text-timestamp": (
+        '{"bug_id": "b", "label": "correct", "rank": 0, "rater": "x", "round": "first", '
+        '"timestamp": "yesterday"}'
+    ),
+    "null-timestamp": (
+        '{"bug_id": "b", "label": "correct", "rank": 0, "rater": "x", "round": "first", '
+        '"timestamp": null}'
     ),
 }
 _RECORD = (
@@ -878,18 +952,24 @@ class TestRefusals:
         assert "Traceback" not in captured.err
         assert not (tmp_path / "data.jsonl").exists()
 
-    @pytest.mark.parametrize("url", ["not a url", "http://[::1"])
+    @pytest.mark.parametrize(
+        "url",
+        ["not a url", "http://[::1", "file:///dev/null", "data:application/json,{}",
+         "ftp://127.0.0.1:9/x"],
+    )
     def test_a_backend_url_urllib_cannot_parse_is_a_record_per_bug(
         self, tmp_path, monkeypatch, capsys, url
     ):
         from repairkit import gen
         from repairkit.bench import RecordStore
 
-        monkeypatch.setattr(gen, "_sleep", lambda seconds: None)
+        sleeps = []
+        monkeypatch.setattr(gen, "_sleep", sleeps.append)
         store = tmp_path / "records.jsonl"
         argv = ["repair", "--manifest", _manifest(tmp_path, ("a", "b")), "--pair", "IR4xOR2",
                 "--backend", url, "--store", str(store), "--no-tests"]
         assert main(argv) == 0
+        assert sleeps == []  # refused at once, not retried
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error:" not in err
         records = RecordStore(store).load()

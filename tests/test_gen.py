@@ -124,7 +124,11 @@ class TestRequestCandidates:
             request_candidates(config, "p")
         assert sleeps == [0.5, 1.0, 2.0]  # exponential backoff, bounded retries
 
-    @pytest.mark.parametrize("url", ["not a url", "http://[::1"])
+    @pytest.mark.parametrize(
+        "url",
+        ["not a url", "http://[::1", "file:///dev/null", "data:application/json,{}",
+         "ftp://127.0.0.1:9/x"],
+    )
     def test_a_url_urllib_cannot_parse_is_not_retried(self, monkeypatch, url):
         sleeps = []
         monkeypatch.setattr(gen, "_sleep", sleeps.append)

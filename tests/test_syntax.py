@@ -376,8 +376,9 @@ class TestNormalize:
         assert _preorder(normalize(tree)) == _preorder(tree)
 
     def test_deepest_nesting_that_parses(self):
+        """Each parenthesis level takes one frame of the parser."""
         depth, tree = _deepest_nesting()
-        assert depth > 400
+        assert depth > 800
         assert _preorder(normalize(tree)) == _preorder(tree)
 
     @pytest.mark.parametrize("nested", ["blocks", "ifs"])

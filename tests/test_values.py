@@ -183,6 +183,8 @@ def test_values_keep_their_fields_in_slots(cls):
         assert all(row[name] is want[name] for name in names)
         assert value._asdict() is not row
 
+    if cls is RunRecord:  # drawn lists seldom have the one length its `__post_init__` requires
+        check = example(call=(("b", "IR4xOR2", "", [], []), {}))(check)
     check()
     assert built, "no generated call built a value"
 

@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .config import decode
 from .errors import (
-    DegenerateMarginals,
     DuplicateRating,
     InvalidRating,
     NoOverlap,
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .gen import CandidatePatch
 from .jsonl import Appender, read_rows
-from .syntax import lex_edit, parse, parses_edit, tokenize
+from .syntax import lex_window, parse, parses_edit, splice, tokenize
 from .values import frozen
 
 PASS = "pass"
@@ -289,21 +288,21 @@ def classify(
 
     Each candidate is assessed as an edit of the reference. The
     reference's line endings are normalized once per call for the exact
-    check, and it is lexed, keyed and parsed once per call, at the first
+    check, and it is lexed and parsed once per call, at the first
     candidate that is neither failed nor an exact match, and never when
     there is none. Each such candidate is lexed once, before its test run,
-    by `lex_edit` against the reference, so only the lines where it
-    differs are lexed, and the other tokens are the reference's. Its key
-    is the texts of its non-comment tokens: the reference's key with the
-    window's in place of those of the reference tokens it replaced, whose
-    ends are counted in the reference's comment mask. The key decides the
-    rest:
+    by `lex_window` against the reference, so only the lines where it
+    differs are lexed, and the other tokens are the reference's. It is
+    token-equal to the reference when the texts of the window's
+    non-comment tokens are those of the reference tokens they replace;
+    only a candidate that is not has its tokens spliced (`splice`). The
+    texts of the non-comment tokens, its key, decide the rest:
     - A candidate whose key equals that of a candidate tested earlier in
       the call shares that candidate's test verdict and is not tested.
       This assumes a suite's outcome ignores comments and whitespace.
-    - A candidate whose key equals the reference's is parsable exactly
-      when the reference is, since the parser reads token texts only, and
-      is not parsed itself.
+    - A candidate token-equal to the reference is parsable exactly when
+      the reference is, since the parser reads token texts only, and is
+      not parsed itself.
     - Any other candidate that lexes is parsable as `parses_edit` decides
       by re-parsing the statements it changed in the reference's tree, or,
       when that cannot decide or the reference does not parse, as a whole
@@ -312,7 +311,7 @@ def classify(
     verdicts = []
     ref_lf = _normalize_eol(reference)
     ref_read = False
-    ref_tokens = ref_key = ref_tree = ref_error = None
+    ref_tokens = ref_tree = ref_error = None
     tested: dict[tuple[str, ...], str] = {}  # key -> plausible verdict
     for candidate in candidates:
         if candidate.reconstructed is None:
@@ -330,38 +329,38 @@ def classify(
             ref_read = True
             try:
                 ref_tokens = tokenize(reference)
-                ref_key = ref_tokens.key()
                 ref_tree = parse(reference, ref_tokens)
             except ParseError as exc:
                 ref_error = exc
+        tokens = None  # the candidate's, unless it does not lex or is token-equal
+        same = False  # token-equal to the reference
         try:
             if ref_tokens is None:
                 tokens = tokenize(text)
-                key = tokens.key()
             else:
-                first, last, tokens = lex_edit(ref_tokens, text)
-                # The reference's key, with the window's in place of the
-                # non-comment texts among `ref_tokens[first:last]`.
-                mask = ref_tokens.mask
-                key = (
-                    ref_key[: first - mask.count(1, 0, first)]
-                    + tokens.key(first, len(tokens) - len(ref_tokens) + last)
-                    + ref_key[last - mask.count(1, 0, last) :]
-                )
+                first, last, window = lex_window(ref_tokens, text)
+                same = window.key() == ref_tokens.key(first, last)
+                if not same:
+                    tokens = splice(ref_tokens, first, last, window)
         except ParseError:
-            key = None
+            pass
         if test is None:
             plausible = NOT_RUN
-        elif key in tested:
-            plausible = tested[key]
         else:
-            plausible = PASS if test(text).outcome == PASS else FAIL
-            if key is not None:
-                tested[key] = plausible
-        if key is None:
-            parse_ok = False
-        elif key == ref_key:
+            if same:
+                key = ref_tokens.key()
+            else:
+                key = None if tokens is None else tokens.key()
+            if key in tested:
+                plausible = tested[key]
+            else:
+                plausible = PASS if test(text).outcome == PASS else FAIL
+                if key is not None:
+                    tested[key] = plausible
+        if same:
             parse_ok = ref_tree is not None
+        elif tokens is None:
+            parse_ok = False
         else:
             parse_ok = None
             if ref_tree is not None:
@@ -376,7 +375,7 @@ def classify(
         if parse_ok and plausible != FAIL:
             if ref_tree is None:
                 raise ref_error
-            ast = key == ref_key
+            ast = same
         verdicts.append(
             AssessmentVerdict(candidate.rank, parse_ok, plausible, False, ast)
         )
@@ -542,8 +541,8 @@ def cohen_kappa(store: RatingStore, rater_a: str, rater_b: str) -> KappaResult:
 
     kappa = (p_o - p_e) / (1 - p_e), with p_o the observed agreement and
     p_e the chance agreement from each rater's marginal label frequencies.
-    Perfect agreement with degenerate marginals (p_e = 1) returns 1;
-    imperfect agreement with p_e = 1 is undefined and raises.
+    p_e is 1 only when both raters gave every co-rated item one and the
+    same label, so that p_o is 1 too, and kappa is 1 there.
     """
     by_item: dict[tuple[str, int], dict[str, str]] = {}
     for rating in store:
@@ -565,11 +564,7 @@ def cohen_kappa(store: RatingStore, rater_a: str, rater_b: str) -> KappaResult:
         (marg_a[label] / n) * (marg_b[label] / n) for label in set(marg_a) | set(marg_b)
     )
     if expected >= 1.0:
-        if observed == 1.0:
-            return KappaResult(1.0, 1.0, n)
-        raise DegenerateMarginals(
-            f"chance agreement is 1 but observed agreement is {observed:.4f}"
-        )
+        return KappaResult(1.0, observed, n)
     kappa = (observed - expected) / (1.0 - expected)
     return KappaResult(kappa, observed, n)
 

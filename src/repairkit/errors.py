@@ -90,10 +90,6 @@ class NoOverlap(RepairKitError):
     """The two raters share no co-rated items."""
 
 
-class DegenerateMarginals(RepairKitError):
-    """Chance agreement is 1 while observed agreement is not; kappa undefined."""
-
-
 class ManifestError(RepairKitError):
     label = "manifest entry"  # then the entry's index or bug id
 

@@ -21,7 +21,6 @@ from .errors import (
     BackendTimeout,
     BackendUnreachable,
     BadTemplate,
-    RepairKitError,
 )
 from .representations import (
     DEFAULT_MARKERS,
@@ -110,8 +109,8 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     output that is not a string, named by its index, or a string with no
     UTF-8 form, which no store could write, is malformed (BackendError).
     Any other exception from an in-process backend, raised by `complete` or
-    while iterating what it returned, is a BackendError with status 500,
-    unless it is a RepairKitError.
+    while iterating what it returned, a RepairKitError of another kind
+    (such as a ParseError) included, is a BackendError with status 500.
     """
     backend = config.backend
     if backend is None:
@@ -151,8 +150,6 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
             last = exc
         except (BackendUnreachable, BackendTimeout) as exc:
             last = exc
-        except RepairKitError:
-            raise
         except Exception as exc:  # an in-process backend's own failure
             last = BackendError(500, f"{type(exc).__name__}: {exc}")
     assert last is not None

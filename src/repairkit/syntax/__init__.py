@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..errors import ParseError
 from ..values import frozen
 from .parser import parse, parses_edit
-from .tokens import IDENTIFIER, Token, Tokens, _kind, lex_edit, tokenize
+from .tokens import IDENTIFIER, Token, Tokens, _kind, lex_edit, lex_window, splice, tokenize
 from .tree import Node, SyntaxNode, ast_key
 
 __all__ = [
@@ -28,6 +28,8 @@ __all__ = [
     "parses_edit",
     "tokenize",
     "lex_edit",
+    "lex_window",
+    "splice",
     "extract_functions",
     "changed_functions",
     "ast_key",

@@ -136,12 +136,12 @@ class _Parser:
     # ---- token cursor -------------------------------------------------
 
     def _eof_error(self, message: str) -> ParseError:
-        if self.texts:
-            last = self.tokens[-1]
-            tail = last.text.split("\n")[-1]
-            col = len(tail) + (last.column if "\n" not in last.text else 1)
-            return ParseError(message, last.end_line, col)
-        return ParseError(message, 1, 1)
+        """The error just past the last token; a source of no tokens parses
+        without error, so there is one."""
+        last = self.tokens[-1]
+        tail = last.text.split("\n")[-1]
+        col = len(tail) + (last.column if "\n" not in last.text else 1)
+        return ParseError(message, last.end_line, col)
 
     def error(self, message: str) -> ParseError:
         j = self._next_significant_index()
@@ -405,10 +405,8 @@ class _Parser:
             raise self._eof_error("expected declaration")
         if text in _TYPE_WORDS:
             return self._parse_type_declaration(kids, text)
-        if text == "@":
-            if self.peek(1) == "interface":
-                return self._parse_type_declaration(kids, "annotation")
-            raise self.error("expected annotation or declaration")
+        if text == "@":  # the modifiers stop at an `@` only before `interface`
+            return self._parse_type_declaration(kids, "annotation")
         if text == "record" and self._looks_like_record():
             return self._parse_type_declaration(kids, "record")
         if text == "{":

@@ -52,23 +52,28 @@ is exactly what the regex `\\w` matches, plus `$`. A character for which
 `str.isdigit` holds but that is not a Unicode decimal digit, such as `²`,
 starts a malformed number literal.
 
-`lex_edit(base_tokens, text)` lexes a text that shares most lines with
+`lex_window(base_tokens, text)` lexes a text that shares most lines with
 an already lexed source, such as a candidate patch and its reference fix,
-only where the two differ. It returns `(first, last, tokens)`: `tokens` is
-`tokenize(text)`, and `base_tokens[first:last]` are the base tokens it
-replaced. It lexes a window of `text` and joins it with the base tokens
-around it; those after the window move by the change in length. The
-base's lines and their offsets are split once and kept on the base
-`Tokens`, and the returned `starts` are built on first read, which nothing
-in `classify` does unless a `ParseError` needs a position: so the work
-for an edit is the window's, and copying the base's texts and mask
-around it. Only a block comment, a text block, or a string or char
-escaping a newline can reach past the end of a line, so a token of `text`
-crosses the end of the changed lines only if the base token there does,
-or if it does not close within them. The window starts at the first line
-that differs or, while a base token crosses that start, at the line
-where that token starts: a line start that no token crosses, as the text
-before it is the base's. `lex_edit` takes one of two paths:
+only where the two differ. It returns `(first, last, window)`: the tokens
+of `window`, a `Tokens` of `text` that covers the changed lines, replace
+`base_tokens[first:last]` in `tokenize(text)`, and the base tokens around
+them stay, those after the window moved by the change in length. So a
+caller that asks only whether the edit changed a token text, as
+`classify` does first, compares the key of `window` with that of
+`base_tokens[first:last]` and builds nothing else.
+`splice(base_tokens, first, last, window)` builds the whole `Tokens` of
+`text` from them, copying the base's texts and mask around the window;
+its `starts` are built on first read, which nothing in `classify` does
+unless a `ParseError` needs a position. `lex_edit(base_tokens, text)` is
+the two in turn, `(first, last, splice(...))`. The base's lines and their
+offsets are split once and kept on the base `Tokens`, so the work for an
+edit is its window's. Only a block comment, a text block, or a string or
+char escaping a newline can reach past the end of a line, so a token of
+`text` crosses the end of the changed lines only if the base token there
+does, or if it does not close within them. The window starts at the
+first line that differs or, while a base token crosses that start, at
+the line where that token starts: a line start that no token crosses, as
+the text before it is the base's. `lex_window` takes one of two paths:
 - the window: it lexes on its own to the end of the changed lines, and
   no base token crosses that end;
 - lex to the end: otherwise, the window runs to the end of `text`, and
@@ -230,7 +235,7 @@ class Tokens:
 
     `len()` is the token count; `tokens[i]` (an int, negative allowed) and
     iteration build `Token`s. The source's `lines` and their `newlines`
-    offsets are built together on first use. The `starts` of `lex_edit`'s
+    offsets are built together on first use. The `starts` of `splice`'s
     tokens are built on first read, from the base's and the window's.
     """
 
@@ -340,15 +345,14 @@ def common_affixes(a: list[str], b: list[str]) -> tuple[int, int]:
     return prefix, suffix
 
 
-def lex_edit(base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
-    """`(first, last, tokenize(text))`, where `text` replaces
-    `base_tokens[first:last]` and keeps the base tokens around them.
+def lex_window(base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
+    """`(first, last, window)`, where the tokens of `window`, a lexed piece
+    of `text`, replace `base_tokens[first:last]` in `tokenize(text)` and
+    the base tokens around them stay.
 
     Only the lines where `text` differs from `base_tokens.source` are
     lexed, and those of a base token crossing into them (see the module
-    docstring). The base's lines and offsets are read from `base_tokens`,
-    and the returned tokens' `starts` are built on first read, so the work
-    besides the window is copying the base's texts and mask around it.
+    docstring). The base's lines and offsets are read from `base_tokens`.
     Raises `tokenize(text)`'s ParseError.
     """
     old = base_tokens.lines
@@ -360,25 +364,39 @@ def lex_edit(base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
         start = base_tokens.line_start(base_tokens.line(starts[first - 1]) - 1)
         first = bisect_left(starts, start, hi=first)
     base_end = base_tokens.line_start(len(old) - suffix) if suffix else len(base_tokens.source)
-    shift = len(text) - len(base_tokens.source)
     last = bisect_left(starts, base_end, lo=first)
-    window = None
     if not (last and end(last - 1) > base_end):
         try:
-            window = _lex(text, start, base_end + shift)
+            return first, last, _lex(text, start, base_end + len(text) - len(base_tokens.source))
         except ParseError:
             pass
-    if window is None:
-        last = len(base_tokens)
-        window = _lex(text, start, len(text))
+    return first, len(base_tokens), _lex(text, start, len(text))
+
+
+def splice(base_tokens: Tokens, first: int, last: int, window: Tokens) -> Tokens:
+    """`tokenize(window.source)`, from what `lex_window(base_tokens,
+    window.source)` returned: the window's tokens in place of
+    `base_tokens[first:last]`. The `starts` are built on first read, so the
+    work is copying the base's texts and mask around the window."""
     texts, mask = base_tokens.texts, base_tokens.mask
-    return first, last, Tokens(
-        text,
+    shift = len(window.source) - len(base_tokens.source)
+    return Tokens(
+        window.source,
         texts[:first] + window.texts + texts[last:],
         None,
         mask[:first] + window.mask + mask[last:],
-        (starts, first, window.starts, last, shift),
+        (base_tokens.starts, first, window.starts, last, shift),
     )
+
+
+def lex_edit(base_tokens: Tokens, text: str) -> tuple[int, int, Tokens]:
+    """`(first, last, tokenize(text))`, where `text` replaces
+    `base_tokens[first:last]` and keeps the base tokens around them: the
+    window `lex_window` lexes, spliced into the base. Raises
+    `tokenize(text)`'s ParseError.
+    """
+    first, last, window = lex_window(base_tokens, text)
+    return first, last, splice(base_tokens, first, last, window)
 
 
 def _lex(source: str, pos: int, endpos: int) -> Tokens:

@@ -46,7 +46,6 @@ from repairkit.assess import (
     resolve_semantic,
 )
 from repairkit.errors import (
-    DegenerateMarginals,
     DuplicateRating,
     InvalidRating,
     NoOverlap,
@@ -371,16 +370,16 @@ class TestClassify:
     @pytest.fixture
     def work(self, monkeypatch):
         """The texts classify lexes in full, those it lexes against the
-        reference, the sources it parses whole, and the verdicts of
-        `parses_edit`, in order.
+        reference, those whose tokens it splices, the sources it parses
+        whole, and the verdicts of `parses_edit`, in order.
 
         A parse that lexes its source again would show in `lexed` too.
         """
-        work = SimpleNamespace(lexed=[], edited=[], parsed=[], decided=[])
+        work = SimpleNamespace(lexed=[], edited=[], spliced=[], parsed=[], decided=[])
 
-        def logged(fn, log, position):
+        def logged(fn, log, position, read=lambda arg: arg):
             def wrapper(*args):
-                log.append(args[position])
+                log.append(read(args[position]))
                 return fn(*args)
 
             return wrapper
@@ -390,7 +389,9 @@ class TestClassify:
             return work.decided[-1]
 
         monkeypatch.setattr(assess, "tokenize", logged(assess.tokenize, work.lexed, 0))
-        monkeypatch.setattr(assess, "lex_edit", logged(assess.lex_edit, work.edited, 1))
+        monkeypatch.setattr(assess, "lex_window", logged(assess.lex_window, work.edited, 1))
+        spliced = logged(assess.splice, work.spliced, 3, lambda window: window.source)
+        monkeypatch.setattr(assess, "splice", spliced)
         monkeypatch.setattr(parser, "tokenize", logged(parser.tokenize, work.lexed, 0))
         monkeypatch.setattr(assess, "parse", logged(assess.parse, work.parsed, 0))
         monkeypatch.setattr(assess, "parses_edit", deciding)
@@ -419,6 +420,9 @@ class TestClassify:
         # The reference is lexed in full once, each candidate once against it.
         assert work.lexed == [REFERENCE]
         assert work.edited == [reformatted, renamed, unbalanced, commented, truncated, unlexable]
+        # Only the candidates whose tokens differ from the reference's are
+        # spliced; those token-equal to it, and the one that does not lex, never.
+        assert work.spliced == [renamed, unbalanced, truncated]
         # The reference is parsed whole once. Of the candidates whose tokens
         # differ from the reference's, only the one whose edit cannot be
         # re-parsed alone is parsed whole; one that does not lex never is.
@@ -434,12 +438,13 @@ class TestClassify:
         ]
         classify(candidates, REFERENCE, None)
         assert (work.lexed, work.edited, work.parsed) == ([REFERENCE], [renamed], [REFERENCE])
-        assert work.decided == [True]
+        assert work.spliced == [renamed] and work.decided == [True]
         work.lexed.clear()
         work.edited.clear()
+        work.spliced.clear()
         work.parsed.clear()
         classify([candidates[0], candidates[2]], REFERENCE, None)
-        assert work.lexed == work.edited == work.parsed == []
+        assert work.lexed == work.edited == work.spliced == work.parsed == []
 
     def test_token_equal_candidates_are_tested_once(self, tmp_path):
         project, location, spec = _project(tmp_path)
@@ -964,7 +969,26 @@ class TestCohenKappa:
         store = self._store([(CORRECT, CORRECT), (CORRECT, CORRECT)])
         assert cohen_kappa(store, "a", "b").kappa == 1.0
 
-    def test_degenerate_marginals_error_is_guarded(self):
-        # p_e = 1 with p_o < 1 cannot arise from a consistent two-rater
-        # store; the branch exists defensively and raises this error type.
-        assert issubclass(DegenerateMarginals, Exception)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([CORRECT, INCORRECT]), st.sampled_from([CORRECT, INCORRECT])),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_kappa_is_defined_for_every_overlap(self, pairs):
+        # Chance agreement reaches 1 only when both raters gave every item
+        # one and the same label, and then they agree on every item.
+        result = cohen_kappa(self._store(pairs), "a", "b")
+        n = len(pairs)
+        chance = sum(
+            sum(a == label for a, _ in pairs) / n * (sum(b == label for _, b in pairs) / n)
+            for label in (CORRECT, INCORRECT)
+        )
+        assert result.items == n
+        assert result.observed_agreement == sum(a == b for a, b in pairs) / n
+        if chance == 1.0:
+            assert (result.kappa, result.observed_agreement) == (1.0, 1.0)
+        else:
+            assert -1.0 <= result.kappa <= 1.0

@@ -35,6 +35,7 @@ from repairkit.errors import (
     DuplicateRating,
     InvalidRating,
     ManifestError,
+    ParseError,
     StoreError,
 )
 from repairkit.gen import CandidatePatch, GenerationConfig
@@ -604,20 +605,42 @@ class TestRunBenchmark:
     def test_backend_that_raises_fails_its_bug_not_the_run(
         self, bench_fixture, tmp_path, monkeypatch, where, workers
     ):
-        monkeypatch.setattr(gen, "_sleep", lambda s: None)  # retried as any 5xx answer
+        self._one_backend_failure(
+            bench_fixture, tmp_path, monkeypatch, where, workers, RuntimeError("model crashed")
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "error", [ParseError("model crashed", 3, 4), ConfigError("model crashed")],
+        ids=["ParseError", "ConfigError"],
+    )
+    def test_a_toolkit_error_from_the_backend_fails_its_bug_not_the_run(
+        self, bench_fixture, tmp_path, monkeypatch, error, workers
+    ):
+        # A toolkit error that an in-process backend raises is the backend's
+        # failure as any other exception is, not one about this bug or run.
+        self._one_backend_failure(bench_fixture, tmp_path, monkeypatch, "complete", workers, error)
+
+    @staticmethod
+    def _one_backend_failure(bench_fixture, tmp_path, monkeypatch, where, workers, error):
+        """Bug e2e-01's backend raises `error` in `complete` or while its
+        outputs are read: that bug's record holds the retried 500, and every
+        other bug is scored."""
+        sleeps = []
+        monkeypatch.setattr(gen, "_sleep", sleeps.append)  # retried as any 5xx answer
         manifest_path, mock, _ = bench_fixture
         manifest = load_manifest(manifest_path)[:6]
 
         def broken():
             yield "        return a + b;"
-            raise RuntimeError("model crashed")
+            raise error
 
         class Raising:
             def complete(self, prompt, n, max_new_tokens, stop):
                 if "combine1(" not in prompt:
                     return mock.complete(prompt, n, max_new_tokens, stop)
                 if where == "complete":
-                    raise RuntimeError("model crashed")
+                    raise error
                 return broken()
 
         store = RecordStore(tmp_path / "records.jsonl")
@@ -625,11 +648,12 @@ class TestRunBenchmark:
         records = run_benchmark(
             manifest, PAIR, config, store=store, workers=workers, run_tests=False
         )
-        crashed = "BackendError: backend error 500: RuntimeError: model crashed"
+        crashed = f"BackendError: backend error 500: {type(error).__name__}: {error}"
         assert [(r.bug_id, r.error) for r in records] == [
             (e.bug_id, crashed if e.bug_id == "e2e-01" else None) for e in manifest
         ]
         assert sorted(RecordStore(store.path).load()) == [e.bug_id for e in manifest]
+        assert sleeps == [config.retry_base_delay]
 
     def test_deeply_nested_candidate_is_scored(self, bench_fixture):
         manifest_path, mock, _ = bench_fixture

@@ -2,9 +2,10 @@
 planted answers.
 
 `benchmarks/run.py` is imported as it is, and `run.measure` runs each
-gated workload at the tiny size without tracing, and repair-plausible
-traced, so that its per-layer counts pin the test harness's work per
-candidate. The planted answers are what a
+gated workload at the tiny size without tracing, and repair-offline and
+repair-plausible traced, so that their per-layer counts pin what the
+traced spans see and the test harness's work per candidate. The planted
+answers are what a
 frontend change can break without a unit test noticing: dataset samples,
 repair verdicts and rating tables all come out of the lexer and parser.
 No timing is asserted.
@@ -26,6 +27,22 @@ def test_tiny_run_gives_the_planted_answers(name, tmp_path):
     )
     assert context["problems"] == []
     assert correct and failed == 0 and attempted > 0
+
+
+def test_tiny_traced_offline_run_sees_every_candidate(tmp_path):
+    # Each planted bug has ten candidates under each of the two pairs: under
+    # IR1xOR3 one diff's context matches nowhere and one's header counts
+    # exceed its body, so 18 of 20 reconstruct. The spans that read 0.9 there
+    # and time `classify` and `reconstruct` are the ones the per-layer
+    # metrics of these two functions are read from.
+    correct, attempted, failed, metrics, context = run.measure(
+        "repair-offline", 7, 0.05, True, "tiny", tmp_path
+    )
+    assert context["problems"] == []
+    assert correct and failed == 0 and attempted > 0
+    assert metrics["representations.reconstruct.ok_ratio"][0] == pytest.approx(0.9)
+    assert metrics["representations.reconstruct.self_s"][0] > 0
+    assert metrics["assess.classify.self_s"][0] > 0
 
 
 def test_tiny_traced_plausible_run_tests_three_of_five_candidates(tmp_path):

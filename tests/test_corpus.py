@@ -806,6 +806,15 @@ class TestBuildAndEmit:
         assert samples == []
         assert stats.over_length == 1
 
+    def test_fix_outside_a_given_region_is_counted_not_written(self):
+        from repairkit.corpus import FunctionPair
+
+        buggy, fixed = _fn("a();\nbug();\nc();"), _fn("a();\nfixed();\nchanged();")
+        pair = FunctionPair("s", buggy, fixed, Region(2, 2), "s")  # the fix also changes line 3
+        stats = PipelineStats()
+        assert list(build_dataset([pair], ReprPair.parse("IR2xOR2"), stats=stats)) == []
+        assert (stats.region_mismatch, stats.emitted) == (1, 0)
+
     def test_ir4_sample_contains_fill_and_commented_lines(self):
         from repairkit.corpus import FunctionPair
 

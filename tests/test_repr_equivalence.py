@@ -1,7 +1,9 @@
 """One region cut and counted hunk lengths give what the code before them
 gave: the same rendered inputs, OR2 targets and reconstructions, the same
 hunks and diff text, and the same exception class and message, checked
-against `representations_oracle.py`."""
+against `representations_oracle.py`. `reconstruct`, which prepares each
+function once for its candidates, gives what a call that prepares it
+afresh gives."""
 import operator
 import re
 
@@ -21,9 +23,12 @@ from representations_oracle import (
     oracle_render,
 )
 from repairkit.diffs import UnifiedDiff, apply_diff, make_unified_diff
-from repairkit.errors import MalformedOutput
+from repairkit import representations
+from repairkit.config import DEFAULT_STOP_TOKENS
+from repairkit.errors import InvalidRegion, MalformedOutput
 from repairkit.representations import (
     DEFAULT_MARKERS,
+    VALID_PAIRS,
     InputKind,
     Markers,
     OutputKind,
@@ -245,3 +250,76 @@ def test_parse_and_apply_match_oracle(case, fuzz):
     assert _rows(new[1].hunks) == _rows(old[1])
     assert new[1].render() == oracle_render(old[1])
     assert _outcome(apply_diff, new[1], a, fuzz) == _outcome(oracle_apply_diff, old[1], a, fuzz)
+
+
+# --------------------------------------------------------------------------
+# reconstruct, prepared once per function, against a fresh preparation
+
+_PAIRS = sorted(VALID_PAIRS, key=str)
+_EVERY_PAIR = [ReprPair(i, o) for i in InputKind for o in OutputKind]
+_STOPS = [DEFAULT_STOP_TOKENS, ("x =",), ()]
+
+
+@st.composite
+def _reconstruct_calls(draw):
+    """One to twelve `reconstruct` calls that switch between two functions
+    at random, as bugs run by two workers interleave. A call has a valid
+    pair, or now and then any pair, and a raw output: a chunk for OR1 and
+    OR2, a diff against another text, mutated up to twice, for OR3 and OR4,
+    and a stop token and text after it now and then; and stop tokens."""
+    cases = [draw(_function_and_region()) for _ in range(2)]
+    if draw(st.booleans()):  # the one function with two regions
+        cases[1] = (cases[0][0], cases[1][1])
+    calls = []
+    for _ in range(draw(st.integers(1, 12))):
+        fn, region = draw(st.sampled_from(cases))
+        pair = draw(st.one_of(st.sampled_from(_PAIRS), st.sampled_from(_EVERY_PAIR)))
+        if pair.output in (OutputKind.OR3, OutputKind.OR4):
+            other = "\n".join(draw(_LINES))
+            context = 3 if pair.output is OutputKind.OR3 else 1
+            lines = make_unified_diff(fn.text, other, context).render().split("\n")
+            for mutate in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2)):
+                mutate(draw, lines)
+            raw = "\n".join(lines)
+        else:
+            raw = "\n".join(draw(st.lists(_LINE, max_size=4)))
+        raw += draw(st.sampled_from(["", "</s>\nx = 1;"]))
+        calls.append((fn, region, pair, raw, draw(st.sampled_from(_STOPS))))
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reconstruct_calls())
+def test_memoised_reconstruct_matches_a_fresh_preparation(calls):
+    memoised = [_outcome(reconstruct, *call) for call in calls]
+    fresh = []
+    for call in calls:
+        representations._reconstructor.cache_clear()
+        fresh.append(_outcome(reconstruct, *call))
+    assert memoised == fresh
+
+
+def test_a_functions_candidates_share_one_preparation():
+    fn = _fn("int f() {", "    return a - b;", "}")
+    chunk = ReprPair(InputKind.IR3, OutputKind.OR2)
+    representations._reconstructor.cache_clear()
+    texts = [reconstruct(fn, Region(2, 2), chunk, f"    return a + {k};") for k in range(10)]
+    assert texts[3] == "int f() {\n    return a + 3;\n}"
+    assert representations._reconstructor.cache_info()[:2] == (9, 1)  # hits, misses
+
+
+@pytest.mark.parametrize(
+    "region, pair, error, message",
+    [
+        (Region(2, 2), ReprPair(InputKind.IR1, OutputKind.OR2), ValueError,
+         "invalid representation pair: IR1xOR2"),
+        (Region(2, 5), ReprPair(InputKind.IR3, OutputKind.OR2), InvalidRegion,
+         "region end 5 beyond function line count 3"),
+    ],
+    ids=["pair", "region"],
+)
+def test_a_bad_pair_or_region_raises_on_every_candidate(region, pair, error, message):
+    fn = _fn("int f() {", "    return a - b;", "}")
+    for k in range(3):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            reconstruct(fn, region, pair, f"    return a + {k};")

@@ -26,6 +26,7 @@ from repairkit.syntax import (
     changed_functions,
     extract_functions,
     lex_edit,
+    lex_window,
     parse,
     parses_edit,
 )
@@ -62,6 +63,48 @@ class TestParse:
     def test_unbalanced_brace(self):
         with pytest.raises(ParseError):
             parse("int f() { if (x) { y(); }")
+
+    @pytest.mark.parametrize(
+        "source, message, line, column",
+        [
+            # a block that `try`, `synchronized` or `catch` must open
+            ("class A { void f() { try x; } }", "expected '{' (found 'x')", 1, 26),
+            ("void f() {\n    synchronized (x) y;\n}", "expected '{' (found 'y')", 2, 22),
+            ("void f() { try {} catch (E e) }", "expected '{' (found '}')", 1, 31),
+            # a run of modifiers that the end of input cuts short opens no type
+            ("class A { void f() { final", "expected ';'", 1, 27),
+            ("void f() {\n  static final /* c */", "expected ';'", 2, 23),
+        ],
+        ids=["try", "synchronized", "catch", "final", "static-final"],
+    )
+    def test_error_message_and_position(self, source, message, line, column):
+        for call in (parse, lambda text: extract_functions(SourceFile("A.java", text))):
+            with pytest.raises(ParseError) as err:
+                call(source)
+            assert (str(err.value), err.value.line, err.value.column) == (
+                f"{line}:{column}: {message}", line, column
+            )
+
+    def test_non_without_dash_sealed_is_a_type_name(self):
+        tree = parse("class A { non x; non - y; sealed z; non - sealed class B {} }")
+        body = tree.children[-1]
+        members = [(m.kind, [t.text for t in m.leaves()][:3]) for m in body.children[1:-1]]
+        assert members == [
+            ("field_declaration", ["non", "x", ";"]),
+            ("field_declaration", ["non", "-", "y"]),
+            ("field_declaration", ["sealed", "z", ";"]),
+            ("class_declaration", ["non", "-", "sealed"]),
+        ]
+
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self):
+        # Where the limit falls depends on the caller's stack, so the error
+        # is placed at one of the openers rather than at a fixed column.
+        source = "class A {\n    int x = " + "(" * 5000 + "1" + ")" * 5000 + ";\n}"
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        error = err.value
+        assert str(error) == f"2:{error.column}: nesting too deep (found '(')"
+        assert error.line == 2 and source.split("\n")[1][error.column - 1] == "("
 
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):
@@ -1018,6 +1061,21 @@ def edits_inside_tokens(draw, bases, pieces=_EDIT_PIECES):
     return base, text
 
 
+# Pieces that change no token text, unless they land inside a token or
+# comment out what follows them.
+_NEUTRAL_PIECES = ["", " ", "\t", "\r", "/* c */", "// c"]
+
+
+@st.composite
+def _token_neutral_or_line_edits(draw):
+    """`(base, text)`: a base that lexes and a copy with one to three line
+    edits, of pieces that mostly leave its token texts as they were or of
+    any pieces."""
+    base, _, _ = draw(_line_edits())
+    pieces = draw(st.sampled_from([_NEUTRAL_PIECES, _EDIT_PIECES]))
+    return base, _edit_lines(draw, base, draw(st.integers(1, 3)), pieces)
+
+
 def _spliced(base, base_tokens, text):
     """`lex_edit`'s tokens, which must be the base's before the window and
     the base's after it moved to their place in `text`."""
@@ -1122,6 +1180,21 @@ class TestTokenizeEditMatchesTokenize:
             except ParseError:
                 pass
         assert not whole.called
+
+    @settings(max_examples=400, deadline=None)
+    @given(edit=_token_neutral_or_line_edits())
+    @example(edit=("int f() {\n  return a + b;\n}", "int f() {\n  return a+b; // c\n}"))
+    @example(edit=("int f() {\n  return a + b;\n}", "int f() {\n  return a - b;\n}"))
+    @example(edit=("int a; /* one\ntwo */ int b;", "int a; /* ONE\ntwo */ int b;"))
+    def test_window_key_decides_token_equality(self, edit):
+        """The window's key equals the key of the base tokens it replaces
+        exactly when the whole texts' keys are equal."""
+        base, text = edit
+        assume(_lexes(text))
+        base_tokens = tokenize(base)
+        first, last, window = lex_window(base_tokens, text)
+        same = window.key() == base_tokens.key(first, last)
+        assert same == (tokenize(text).key() == base_tokens.key())
 
     @pytest.mark.parametrize(
         "text,lexed",

@@ -83,8 +83,8 @@ def build_chat_prompt(
 
 _sleep = time.sleep  # patchable in tests
 
-# Client errors that no retry can cure.
-_PERMANENT_STATUSES = frozenset(range(400, 500)) - {408, 429}
+# Redirects, which are not followed, and client errors: no retry cures them.
+_PERMANENT_STATUSES = frozenset(range(300, 500)) - {408, 429}
 
 # A response body is read up to num_candidates x max_new_tokens x
 # _BYTES_PER_TOKEN bytes, plus _ENVELOPE_BYTES for `{"outputs": [...]}`,
@@ -102,9 +102,9 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
     preferred candidate); fewer outputs than requested is allowed. Errors
     are retried with exponential backoff up to config.retries extra
     attempts, then surface as BackendUnreachable / BackendError /
-    BackendTimeout. A 4xx status other than 408 (timeout) or 429 (too many
-    requests) is permanent and raises at once, as does a URL urllib cannot
-    parse or whose scheme is not http or https. A response that is not an
+    BackendTimeout. A 3xx or 4xx status other than 408 (timeout) or 429 (too
+    many requests) is permanent and raises at once, as does a URL that no
+    attempt could send (see `_http_request`). A response that is not an
     ordered iterable (`None`, a number, a string, a mapping, a set), an
     output that is not a string, named by its index, or a string with no
     UTF-8 form, which no store could write, is malformed (BackendError).
@@ -157,9 +157,23 @@ def request_candidates(config: GenerationConfig, prompt: str) -> list[str]:
 
 
 def _http_request(url: str, config: GenerationConfig, prompt: str):
-    """The POST request for `prompt`, built once for all attempts."""
-    import urllib.request
+    """What an attempt sends for `prompt`, built once for all attempts: the
+    URL, its connection class, host and port, path, and the POST body. A URL
+    that no attempt could send raises BackendUnreachable."""
+    from http.client import HTTPConnection, HTTPSConnection
+    from urllib.parse import urlsplit, urlunsplit
 
+    url = url.strip()  # as urllib ignored it
+    try:
+        parts = urlsplit(url)
+        parts.port  # a ValueError unless a number in 0-65535, if any
+    except ValueError as exc:
+        raise BackendUnreachable(f"{url}: {exc}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:  # RFC 9110 needs a host
+        raise BackendUnreachable(f"{url}: not an http:// or https:// URL")
+    path = urlunsplit(("", "", parts.path, parts.query, ""))
+    if " " in url or not url.isprintable() or not path.isascii():  # http.client sends none
+        raise BackendUnreachable(f"{url}: holds a space, a control character or a non-ASCII path")
     body = json.dumps(
         {
             "prompt": prompt,
@@ -168,13 +182,8 @@ def _http_request(url: str, config: GenerationConfig, prompt: str):
             "stop": list(config.stop_tokens),
         }
     ).encode("utf-8")
-    try:
-        request = urllib.request.Request(url, body, {"Content-Type": "application/json"})
-    except ValueError as exc:
-        raise BackendUnreachable(f"{url}: {exc}") from exc
-    if request.type not in ("http", "https"):  # urllib would also open file:, data: and ftp:
-        raise BackendUnreachable(f"{url}: not an http:// or https:// URL")
-    return request
+    connection = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+    return url, connection, parts.netloc.rpartition("@")[2], path, body  # as host[:port]
 
 
 def _http_complete(request, timeout: float, cap: int) -> list[str]:
@@ -183,9 +192,8 @@ def _http_complete(request, timeout: float, cap: int) -> list[str]:
     and a TLS handshake come first, bounded by the resolver and by `ssl`."""
     import http.client
     import socket
-    import urllib.error
-    import urllib.request
 
+    url, connection_class, host, path, body = request
     deadline = time.monotonic() + timeout
     sockets = []  # the attempt's, shut down at the deadline, so that a blocked read returns
 
@@ -196,34 +204,29 @@ def _http_complete(request, timeout: float, cap: int) -> list[str]:
             except OSError:  # closed already
                 pass
 
-    class Handler(urllib.request.HTTPHandler, urllib.request.HTTPSHandler):
-        def do_open(self, http_class, req, **kwargs):  # for either scheme's connection class
-            class Connection(http_class):
-                def connect(self):
-                    super().connect()
-                    sockets.append(self.sock)
-                    if time.monotonic() >= deadline:  # the timer may have fired before it
-                        shut_down()
-
-            return super().do_open(Connection, req, **kwargs)
-
+    connection = connection_class(host, timeout=timeout)
     timer = threading.Timer(timeout, shut_down)
     timer.start()
     try:
-        with urllib.request.build_opener(Handler).open(request, timeout=timeout) as response:
+        connection.connect()
+        sockets.append(connection.sock)
+        if time.monotonic() >= deadline:  # the timer may have fired before it
+            shut_down()
+        headers = {"Content-Type": "application/json", "Connection": "close"}
+        connection.request("POST", path, body, headers)
+        with connection.getresponse() as response:
+            if not 200 <= response.status < 300:
+                try:
+                    error = _read_body(response, deadline, timeout, cap).decode("utf-8", "replace")
+                except (http.client.HTTPException, BackendTimeout) as cut:  # short or slow
+                    error = repr(cut)
+                raise BackendError(response.status, error)
             payload = _read_body(response, deadline, timeout, cap).decode("utf-8")
-    except urllib.error.HTTPError as exc:
-        with exc:  # closes the connection a slow body leaves open
-            try:
-                body = _read_body(exc, deadline, timeout, cap).decode("utf-8", "replace")
-            except (http.client.HTTPException, BackendTimeout) as cut:  # short or slow
-                body = repr(cut)
-        raise BackendError(exc.code, body) from exc
     except (OSError, http.client.HTTPException) as exc:
         if time.monotonic() >= deadline:  # its socket was shut down, or a read timed out
             raise BackendTimeout(f"response not read within {timeout} s") from exc
         if isinstance(exc, OSError):
-            raise BackendUnreachable(f"{request.full_url}: {getattr(exc, 'reason', exc)}") from exc
+            raise BackendUnreachable(f"{url}: {exc}") from exc
         # such as a body cut short
         raise BackendError(200, f"malformed backend response: {exc!r}") from exc
     except UnicodeDecodeError as exc:
@@ -232,6 +235,7 @@ def _http_complete(request, timeout: float, cap: int) -> list[str]:
         ) from exc
     finally:
         timer.cancel()
+        connection.close()
     try:
         outputs = json.loads(payload)["outputs"]
         if not isinstance(outputs, list):  # request_candidates checks each output
@@ -255,7 +259,7 @@ def _read_body(response, deadline: float, timeout: float, cap: int) -> bytes:
     except OSError:  # a reset, or the shutdown at the deadline
         short = True
     if len(body) > cap:
-        raise BackendError(response.code, f"malformed backend response: body over {cap} bytes")
+        raise BackendError(response.status, f"malformed backend response: body over {cap} bytes")
     if time.monotonic() >= deadline:
         raise BackendTimeout(f"response body not read within {timeout} s")
     if short:

@@ -893,6 +893,115 @@ class TestDrippingBackend:
         assert max(durations) < config.timeout + 0.3, durations
 
 
+# Where each redirecting backend's 302 points: a path on the same server,
+# which answers a GET there with a good body, or an ftp:// server that
+# drips a byte every 0.05 s. urllib followed both: the first as a GET with
+# no prompt, whose outputs became the bug's candidates, the second for
+# 12 s of a 2 s attempt.
+REDIRECTS = ["same-server", "ftp-drip"]
+
+
+@pytest.fixture()
+def redirecting_backend(request):
+    """A loopback server that answers every POST with a 302 to a Location
+    of REDIRECTS; yields its URL, the methods of the requests it got and
+    the connections its ftp server accepted."""
+    import socket
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    ftp = socket.create_server(("127.0.0.1", 0))
+    accepted = []
+
+    def drip():
+        while True:
+            try:
+                connection, _ = ftp.accept()
+            except OSError:  # closed
+                return
+            accepted.append(connection)
+            with connection:
+                try:
+                    for byte in b"220" + b"-" * 55 + b"\r\n":
+                        connection.sendall(bytes([byte]))
+                        time.sleep(0.05)
+                except OSError:  # the client gave up
+                    pass
+
+    methods = []
+    location = {"same-server": "/other", "ftp-drip": "ftp://127.0.0.1:%d/x" % ftp.getsockname()[1]}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            methods.append("POST")
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(302)
+            self.send_header("Location", location[request.param])
+            self.send_header("Content-Length", "5")
+            self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(b"moved")
+
+        def do_GET(self):
+            methods.append("GET")
+            body = b'{"outputs": ["        return a + b;"]}'
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):  # quiet
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threads = [threading.Thread(target=server.serve_forever, daemon=True),
+               threading.Thread(target=drip, daemon=True)]
+    for thread in threads:
+        thread.start()
+    host, port = server.server_address
+    try:
+        yield f"http://{host}:{port}/", methods, accepted
+    finally:
+        server.shutdown()
+        server.server_close()
+        ftp.shutdown(socket.SHUT_RDWR)  # wakes its accept, as a close does not
+        ftp.close()
+        threads[1].join(10)
+
+
+class TestRedirectingBackend:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("redirecting_backend", REDIRECTS, indirect=True)
+    def test_a_redirect_fails_each_bug_at_once(
+        self, bench_fixture, redirecting_backend, tmp_path, monkeypatch, workers
+    ):
+        durations = []
+        complete = gen._http_complete
+
+        def timed(*args):
+            start = time.monotonic()
+            try:
+                return complete(*args)
+            finally:
+                durations.append(time.monotonic() - start)
+
+        monkeypatch.setattr(gen, "_http_complete", timed)
+        monkeypatch.setattr(gen, "_sleep", lambda s: None)
+        manifest_path, _, _ = bench_fixture
+        manifest = load_manifest(manifest_path)[:2]
+        url, methods, accepted = redirecting_backend
+        store = RecordStore(tmp_path / "records.jsonl")
+        config = GenerationConfig(backend=url, retries=2, timeout=2.0)
+        records = run_benchmark(manifest, PAIR, config, store=store, workers=workers, run_tests=False)
+        assert [(r.bug_id, r.error, r.candidates) for r in records] == [
+            (e.bug_id, "BackendError: backend error 302: moved", []) for e in manifest
+        ]
+        assert methods == ["POST"] * len(manifest)  # not retried, and no GET followed
+        assert accepted == []
+        assert max(durations) < config.timeout / 4, durations
+
+
 _curve_verdicts = st.builds(
     AssessmentVerdict,
     rank=st.integers(0, 12) | st.sampled_from([True, False, 1.0]),

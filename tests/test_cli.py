@@ -955,7 +955,8 @@ class TestRefusals:
     @pytest.mark.parametrize(
         "url",
         ["not a url", "http://[::1", "file:///dev/null", "data:application/json,{}",
-         "ftp://127.0.0.1:9/x"],
+         "ftp://127.0.0.1:9/x", "http://127.0.0.1:9/a b", "http://127.0.0.1:abc/",
+         "http://127.0.0.1:70000/", "http:///nohost"],
     )
     def test_a_backend_url_urllib_cannot_parse_is_a_record_per_bug(
         self, tmp_path, monkeypatch, capsys, url

@@ -127,7 +127,8 @@ class TestRequestCandidates:
     @pytest.mark.parametrize(
         "url",
         ["not a url", "http://[::1", "file:///dev/null", "data:application/json,{}",
-         "ftp://127.0.0.1:9/x"],
+         "ftp://127.0.0.1:9/x", "http://127.0.0.1:9/a b", "http://127.0.0.1:abc/",
+         "http://127.0.0.1:70000/", "http:///nohost", "http://127.0.0.1:9/caf\u00e9"],
     )
     def test_a_url_urllib_cannot_parse_is_not_retried(self, monkeypatch, url):
         sleeps = []
@@ -136,6 +137,85 @@ class TestRequestCandidates:
             request_candidates(GenerationConfig(backend=url, retries=3), "p")
         assert str(err.value).startswith(f"{url}: ")
         assert sleeps == []
+
+    def test_surrounding_whitespace_is_ignored(self):
+        mock = MockBackend({"b": ["first"]})
+        mock.bind_prompt("b", "p")
+        url = mock.serve()
+        try:
+            config = GenerationConfig(backend=f" \t{url}\n", timeout=10)
+            assert request_candidates(config, "p") == ["first"]
+        finally:
+            mock.close()
+
+    def test_any_2xx_status_is_an_answer(self):
+        import threading
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        body = b'{"outputs": ["created"]}'
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(201)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):  # quiet
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            url = "http://127.0.0.1:%d/" % server.server_address[1]
+            config = GenerationConfig(backend=url, retries=0, timeout=10)
+            assert request_candidates(config, "p") == ["created"]
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_a_connect_that_outlasts_the_timeout_sends_nothing(self, monkeypatch):
+        """The socket a slow connect returns is shut down before the request."""
+        import socket
+        import threading
+        import time
+
+        server = socket.create_server(("127.0.0.1", 0))
+        received = []
+
+        def answer():
+            connection, _ = server.accept()
+            with connection:
+                connection.settimeout(5)
+                try:
+                    while piece := connection.recv(1 << 16):  # until the client gives up
+                        received.append(piece)
+                except OSError:  # the client gave up
+                    pass
+
+        create_connection = socket.create_connection
+
+        def slow_connection(*args, **kwargs):
+            sock = create_connection(*args, **kwargs)
+            time.sleep(0.7)
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", slow_connection)
+        thread = threading.Thread(target=answer)
+        thread.start()
+        try:
+            url = "http://127.0.0.1:%d/" % server.getsockname()[1]
+            start = time.monotonic()
+            with pytest.raises(BackendTimeout) as info:
+                request_candidates(GenerationConfig(backend=url, timeout=0.5, retries=0), "p")
+            assert time.monotonic() - start < 1.2
+            assert str(info.value) == "response not read within 0.5 s"
+        finally:
+            thread.join(5)
+            server.close()
+        assert not thread.is_alive()
+        assert received == []
 
     def test_retry_then_success(self, monkeypatch):
         monkeypatch.setattr(gen, "_sleep", lambda s: None)
@@ -196,7 +276,7 @@ class TestRequestCandidates:
             request_candidates(GenerationConfig(backend=backend, retries=2), "p")
         assert backend.calls == 1
 
-    @pytest.mark.parametrize("status, calls", [(404, 1), (429, 3), (503, 3)])
+    @pytest.mark.parametrize("status, calls", [(302, 1), (404, 1), (429, 3), (503, 3)])
     def test_only_transient_statuses_are_retried(self, monkeypatch, status, calls):
         monkeypatch.setattr(gen, "_sleep", lambda s: None)
 

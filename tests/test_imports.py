@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # The stdlib modules that only rare paths need: the HTTP client, the mock
 # backend's server, the thread pool of a parallel run and the tree hash of
 # the plausibility harness.
-RARE = frozenset({"urllib.request", "http.server", "socket", "concurrent.futures", "hashlib"})
+RARE = frozenset({"http.client", "http.server", "socket", "concurrent.futures", "hashlib"})
 
 SHOW_MODULES = "\nimport sys\nprint('\\n' + ' '.join(sorted(sys.modules)))\n"
 

@@ -134,6 +134,11 @@ class TestParse:
         assert tree.kind == "compilation_unit"
         assert tree.children == []
 
+    def test_a_node_reads_as_its_kind_and_token_span(self):
+        tree = parse("class A { void f() {} }")
+        assert repr(tree) == "SyntaxNode('class_declaration', tokens 0..9)"
+        assert repr(parse("")) == "SyntaxNode('compilation_unit', tokens 0..-1)"
+
     def test_leaves_cover_all_tokens(self):
         source = "class A { int f(int x) { return x + 1; } // done\n}"
         leaves = list(parse(source).leaves())
@@ -232,6 +237,10 @@ class TestExtractFunctions:
         fns = extract_functions(src)
         assert [f.name for f in fns] == ["f", "g"]
         assert fns[0].end_line < fns[1].start_line
+
+    def test_a_one_token_source_has_no_functions(self):
+        assert isinstance(parse(";"), Token)  # a lone token, not a node
+        assert extract_functions(SourceFile("E.java", ";")) == []
 
     def test_line_ranges_round_trip(self):
         src = SourceFile(

@@ -439,7 +439,8 @@ class RatingStore:
     that is not a string, a timestamp that is not a number, a rank that is
     not an int or is negative, a second rating by one rater of one
     candidate in one round, or a tiebreak where the first round did not
-    disagree is a `StoreError` at its line.
+    disagree is a `StoreError` at its line. A row becomes its rating
+    through `SemanticRating._from_row`, so exactly as `SemanticRating(**row)`.
     """
 
     def __init__(self, path: Optional[Path | str] = None):
@@ -452,7 +453,7 @@ class RatingStore:
                 self._ratings = list(read_rows(self.path, self._load))
 
     def _load(self, row: dict) -> SemanticRating:
-        rating = SemanticRating(**row)
+        rating = SemanticRating._from_row(row)
         self._by_round.setdefault(self._admit(rating), []).append(rating)
         return rating
 

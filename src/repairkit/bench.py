@@ -169,7 +169,7 @@ def _record_to_json(record: RunRecord) -> dict:
 def _record_from_json(data: dict, shared: dict) -> RunRecord:
     """The record of one decoded row; `shared` maps each verdict row seen
     before, by content, to the verdict decoded from it."""
-    data["candidates"] = [CandidatePatch(**row) for row in data["candidates"]]
+    data["candidates"] = list(map(CandidatePatch._from_row, data["candidates"]))
     verdicts = []
     for row in data["verdicts"]:
         try:
@@ -182,10 +182,10 @@ def _record_from_json(data: dict, shared: dict) -> RunRecord:
             verdict = shared[key] = decode(AssessmentVerdict, row)
         verdicts.append(verdict)
     data["verdicts"] = verdicts
-    record = RunRecord(**data)
-    for name in ("bug_id", "pair"):  # a `type` test: `decode` costs 0.7 µs a field
-        if type(getattr(record, name)) is not str:
-            decode(str, getattr(record, name), name)  # which refuses it
+    record = RunRecord._from_row(data)
+    if type(record.bug_id) is not str or type(record.pair) is not str:  # `decode` costs 0.7 µs
+        decode(str, record.bug_id, "bug_id")  # which refuses the first that is not a string
+        decode(str, record.pair, "pair")
     return record
 
 
@@ -198,7 +198,8 @@ class RecordStore:
     mid-append can leave an unterminated last line: `load` skips it with a
     warning and the first `append` cuts it off, so a fragment is never
     followed by another line. Each `load` builds one verdict per distinct
-    verdict row and shares it among the records that hold that row.
+    verdict row and shares it among the records that hold that row, and
+    builds every candidate and record at load by their `_from_row`.
     """
 
     def __init__(self, path: Path | str):
@@ -419,13 +420,15 @@ def aggregate(
     by_pair: dict[str, list[RunRecord]] = {}
     for record in records:
         by_pair.setdefault(record.pair, []).append(record)
+    # an unrated bug's verdicts all resolve to pending, which leaves them as they are
+    rated = {bug_id for bug_id, _, _ in ratings._by_round} if ratings is not None else ()
     rows = []
     for pair_tag in sorted(by_pair):
         group = by_pair[pair_tag]
         plausible = exact = ast = semantic = pending = 0
         for record in group:
             verdicts = record.verdicts
-            if ratings is not None:
+            if rated and record.bug_id in rated:
                 verdicts = apply_ratings(record.bug_id, verdicts, ratings)
             has_plausible = has_exact = has_ast = has_semantic = has_pending = False
             for v in verdicts:

@@ -10,6 +10,7 @@ many ranked candidates it wants.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from collections.abc import Mapping, Set
@@ -164,16 +165,19 @@ def _http_request(url: str, config: GenerationConfig, prompt: str):
     from urllib.parse import urlsplit, urlunsplit
 
     url = url.strip()  # as urllib ignored it
+    shown = re.sub(r"^([^/?#]*?//)[^/?#]*@", r"\1***@", url)  # no userinfo: records keep errors
     try:
         parts = urlsplit(url)
         parts.port  # a ValueError unless a number in 0-65535, if any
     except ValueError as exc:
-        raise BackendUnreachable(f"{url}: {exc}") from exc
+        raise BackendUnreachable(f"{shown}: {exc}") from exc
     if parts.scheme not in ("http", "https") or not parts.hostname:  # RFC 9110 needs a host
-        raise BackendUnreachable(f"{url}: not an http:// or https:// URL")
+        raise BackendUnreachable(f"{shown}: not an http:// or https:// URL")
+    if "@" in parts.netloc:
+        raise BackendUnreachable(f"{shown}: carries a user name or password, which is never sent")
     path = urlunsplit(("", "", parts.path, parts.query, ""))
     if " " in url or not url.isprintable() or not path.isascii():  # http.client sends none
-        raise BackendUnreachable(f"{url}: holds a space, a control character or a non-ASCII path")
+        raise BackendUnreachable(f"{shown}: holds a space, a control character or a non-ASCII path")
     body = json.dumps(
         {
             "prompt": prompt,
@@ -183,7 +187,7 @@ def _http_request(url: str, config: GenerationConfig, prompt: str):
         }
     ).encode("utf-8")
     connection = HTTPSConnection if parts.scheme == "https" else HTTPConnection
-    return url, connection, parts.netloc.rpartition("@")[2], path, body  # as host[:port]
+    return url, connection, parts.netloc, path, body  # netloc is host[:port]
 
 
 def _http_complete(request, timeout: float, cap: int) -> list[str]:

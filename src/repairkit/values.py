@@ -22,8 +22,12 @@ The contract:
   `__post_init__` rejects raises exactly what it raised before.
 - The generated `_asdict()` returns a new dict of the value's fields, in
   field order, without copying the field values: what `vars()` returned
-  before slots, at the cost of one dict display. `with_asdict` gives a
-  plain dataclass the same method.
+  before slots, at the cost of one dict display.
+- The generated static `_from_row(row)` is `cls(**row)`, the same value or
+  an exception of the same type and message, by one positional call
+  `cls(row["f1"], ...)` when `row` is exactly a `dict` with one key per
+  field; on a `KeyError` there, or for any other row, it calls
+  `cls(**row)`. `with_asdict` gives a plain dataclass both methods.
 - A field the generated `__init__` would not reproduce (a
   `default_factory`, `kw_only` or `init=False`) is a `TypeError` when the
   class is made, never a silent difference. An `InitVar` is not a field:
@@ -73,9 +77,16 @@ def frozen(cls: type) -> type:
 
 def with_asdict(cls: type) -> type:
     """Give the dataclass `cls` an `_asdict()` that returns its fields as a
-    new dict, in field order, by one generated dict display."""
-    items = [f"    {f.name!r}: self.{f.name}," for f in dataclasses.fields(cls)]
+    new dict, in field order, by one generated dict display, and the
+    `_from_row(row)` that builds one from a row of its fields."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    items = [f"    {name!r}: self.{name}," for name in names]
     cls._asdict = _define(cls, "_asdict", ["self"], ["  return {", *items, "  }"], {})
+    body = [f"  if type(row) is dict and len(row) == {len(names)}:",
+            f"    try: return cls({', '.join(f'row[{name!r}]' for name in names)})",
+            "    except KeyError: pass  # a key swapped for an unknown one",
+            "  return cls(**row)"]
+    cls._from_row = staticmethod(_define(cls, "_from_row", ["row"], body, {"cls": cls}))
     return cls
 
 

@@ -1247,18 +1247,22 @@ def _records(draw):
     return records
 
 
-_aggregate_ratings = st.lists(
-    st.builds(
-        SemanticRating,
-        bug_id=st.sampled_from(["b0", "b1", "b2"]),
-        rank=st.integers(0, 3),
-        rater=st.sampled_from(["r1", "r2", "r3"]),
-        label=st.sampled_from(["correct", "incorrect"]),
-        round=st.sampled_from(["first", "tiebreak"]),
-        timestamp=st.just(1.0),
-    ),
-    max_size=40,
-)
+def _ratings_of(bug_ids):
+    return st.lists(
+        st.builds(
+            SemanticRating,
+            bug_id=st.sampled_from(bug_ids),
+            rank=st.integers(0, 3),
+            rater=st.sampled_from(["r1", "r2", "r3"]),
+            label=st.sampled_from(["correct", "incorrect"]),
+            round=st.sampled_from(["first", "tiebreak"]),
+            timestamp=st.just(1.0),
+        ),
+        max_size=40,
+    )
+
+
+_aggregate_ratings = _ratings_of(["b0", "b1", "b2"])
 
 
 def _table_or_error(fn, *args):
@@ -1304,6 +1308,43 @@ class TestAggregateMatchesOracle:
             oracle_store.add(SemanticRating("b0", 0, rater, "incorrect"))
         assert _table_or_error(aggregate, [record], store) is InvalidRating
         assert _table_or_error(oracle_aggregate, [record], oracle_store) is InvalidRating
+
+    @staticmethod
+    def _assert_same_table(records, ratings, path=None):
+        """The two tables under the ratings `add` takes; with `path` the
+        store is reopened, so that its ratings come through its load."""
+        store, oracle_store = RatingStore(path), ListRatingStore()
+        for rating in ratings:
+            try:
+                store.add(rating)
+            except (DuplicateRating, InvalidRating):
+                continue
+            oracle_store.add(rating)
+        if path is not None:
+            store = RatingStore(path)
+            assert list(store) == oracle_store.ratings
+        assert _table_or_error(aggregate, records, store) == _table_or_error(
+            oracle_aggregate, records, oracle_store
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=_records(), ratings=_aggregate_ratings)
+    def test_same_table_from_a_reopened_store(self, records, ratings):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._assert_same_table(records, ratings, Path(tmp) / "ratings.jsonl")
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=_records(), ratings=_ratings_of(["b0", "b7", "gone"]))
+    def test_same_table_with_ratings_of_bugs_without_records(self, records, ratings):
+        self._assert_same_table(records, ratings)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=_records().filter(lambda records: any(r.bug_id != "b0" for r in records)),
+        ratings=_ratings_of(["b0"]),
+    )
+    def test_same_table_with_records_of_bugs_nobody_rated(self, records, ratings):
+        self._assert_same_table(records, ratings)
 
 
 # Text JSON escapes, text it writes as is when not ASCII, and line breaks

@@ -2,9 +2,10 @@
 planted answers.
 
 `benchmarks/run.py` is imported as it is, and `run.measure` runs each
-gated workload at the tiny size without tracing, and repair-offline and
-repair-plausible traced, so that their per-layer counts pin what the
-traced spans see and the test harness's work per candidate. The planted
+gated workload at the tiny size without tracing, and repair-offline,
+repair-plausible and ratings-report traced, so that their per-layer
+counts pin what the traced spans see, the test harness's work per
+candidate and the store loads the spans time. The planted
 answers are what a
 frontend change can break without a unit test noticing: dataset samples,
 repair verdicts and rating tables all come out of the lexer and parser.
@@ -58,3 +59,16 @@ def test_tiny_traced_plausible_run_tests_three_of_five_candidates(tmp_path):
     assert correct and failed == 0 and attempted > 0
     assert metrics["assess.check_plausible.per_candidate"][0] == pytest.approx(0.6)
     assert metrics["assess.hash_tree.per_tested_candidate"][0] == pytest.approx(2.0)
+
+
+def test_tiny_traced_ratings_run_sees_the_load_path(tmp_path):
+    # The spans the ratings layer's per-layer metrics are read from: the
+    # rating store's load runs in its constructor, and `aggregate` applies
+    # the ratings that load indexed.
+    correct, attempted, failed, metrics, context = run.measure(
+        "ratings-report", 7, 0.05, True, "tiny", tmp_path
+    )
+    assert context["problems"] == []
+    assert correct and failed == 0 and attempted > 0
+    for name in ("bench.RecordStore.load", "assess.RatingStore.load", "bench.aggregate"):
+        assert metrics[f"{name}.self_s"][0] > 0, name

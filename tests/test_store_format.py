@@ -320,7 +320,8 @@ def _record_files(draw) -> bytes:
     them in one value's type alone, or not at all, some with their keys in
     another order. A row with a value not of its annotated JSON type is
     refused at its line. The last record may hold a bad row, or no verdict
-    list."""
+    list. A record row holds five keys, all seven or seven with one swapped
+    for an unknown key (`_record_keys`)."""
     base = draw(_verdict_rows)
     pool = [base]
     for _ in range(draw(st.sampled_from([2, 3, 4]))):
@@ -350,8 +351,26 @@ def _record_files(draw) -> bytes:
             {"rank": r, "raw_output": "x", "reconstructed": "x"}
             for r in range(len(row["verdicts"] or ()))
         ]
-        lines.append(json.dumps(row).encode("utf-8") + b"\n")
+        lines.append(json.dumps(draw(_record_keys(row))).encode("utf-8") + b"\n")
     return b"".join(lines)
+
+
+@st.composite
+def _record_keys(draw, row: dict) -> dict:
+    """`row` with its five keys, all seven (`timings` and `error` added),
+    or seven with one swapped for an unknown key: the rows that reach a
+    record's positional build and the ones that fall back from it."""
+    how = draw(st.sampled_from(["five", "seven", "seven", "swapped"]))
+    if how == "five":
+        return row
+    row = {
+        **row,
+        "timings": draw(st.sampled_from([{}, {"generate_s": 0.5, "assess_s": 1.0}])),
+        "error": draw(st.sampled_from([None, "BackendTimeout: timed out"])),
+    }
+    if how == "swapped":
+        row["mood"] = row.pop(draw(st.sampled_from(["bug_id", "prompt", "timings", "error"])))
+    return row
 
 
 def _loaded(load, path):
@@ -469,6 +488,7 @@ _rating_rows = st.fixed_dictionaries(
         {k: v for k, v in row.items() if k != "timestamp"},
         {k: v for k, v in row.items() if k != "rater"},
         {**row, "mood": "sure"},
+        {**{k: v for k, v in row.items() if k != "timestamp"}, "mood": "sure"},  # swapped
         dict(reversed(row.items())),
     ])
 )
@@ -526,6 +546,7 @@ _candidate_rows = st.fixed_dictionaries(
         {k: v for k, v in row.items() if k != "reconstruct_error"},
         {k: v for k, v in row.items() if k != "raw_output"},
         {**row, "mood": "sure"},
+        {**{k: v for k, v in row.items() if k != "reconstruct_error"}, "mood": "sure"},  # swapped
         {**row, "reconstructed": "y", "reconstruct_error": "E"},  # both texts set
         {**row, "reconstructed": None, "reconstruct_error": None},  # neither
         None,
@@ -546,7 +567,7 @@ def _candidate_record_files(draw) -> bytes:
         ]
         row = {"bug_id": f"b{i}", "pair": "IR4xOR2", "prompt": "", "candidates": candidates,
                "verdicts": verdicts}
-        lines.append(json.dumps(row).encode("utf-8") + b"\n")
+        lines.append(json.dumps(draw(_record_keys(row))).encode("utf-8") + b"\n")
     return b"".join(lines)
 
 

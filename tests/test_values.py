@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repairkit.assess import SemanticRating
 from repairkit.bench import RunRecord
 from repairkit.gen import CandidatePatch
 from repairkit.representations import Region
@@ -232,3 +233,77 @@ def test_values_imports_nothing_from_the_package():
         node for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("repairkit"))
     ]
+
+
+# --------------------------------------------------------------------------
+# `_from_row` against `cls(**row)`
+
+class _Row(dict):
+    """A dict that is not exactly a `dict`."""
+
+
+class _Shadowed(dict):
+    """A dict whose items read differently through `[]` than through `**`."""
+
+    def __getitem__(self, key):
+        return "shadowed"
+
+
+def _field_values(cls):
+    # values of each field's type, and of other types
+    of_field = {
+        "candidates": st.lists(st.builds(CandidatePatch, st.integers(0, 3), st.just("raw"),
+                                         st.just("x")), max_size=2),
+        "verdicts": st.lists(st.none(), max_size=2),
+        "timings": st.dictionaries(st.just("generate_s"), st.floats(0, 1)),
+    }
+    return {f.name: of_field.get(f.name, _of(f)) | VALUES for f in fields(cls)}
+
+
+@st.composite
+def _rows(draw, cls):
+    """Rows with exactly the fields, some missing, one more or one swapped
+    for an unknown key, in any order and of any type."""
+    values = _field_values(cls)
+    row = {name: draw(values[name]) for name in values}
+    how = draw(st.sampled_from(["exact"] * 4 + ["missing", "extra", "swapped"]))
+    names = sorted(row)
+    if how == "missing":
+        for name in draw(st.lists(st.sampled_from(names), min_size=1, unique=True)):
+            del row[name]
+    elif how == "extra":
+        row["mood"] = draw(VALUES)
+    elif how == "swapped":
+        row[draw(st.sampled_from(["mood", 0, None]))] = row.pop(draw(st.sampled_from(names)))
+    if draw(st.booleans()):
+        row = dict(draw(st.permutations(list(row.items()))))
+    kind = draw(st.sampled_from([dict] * 6 + [_Row, _Shadowed, "nondict"]))
+    if kind == "nondict":
+        return draw(st.sampled_from([None, [], list(row), list(row.items()), "row", 7]))
+    return kind(row)
+
+
+def _made(make, row):
+    """The value's repr and field types, or the exception's type and message."""
+    try:
+        value = make(row)
+    except Exception as exc:  # `cls(**row)` decides which exceptions are right
+        return type(exc), str(exc)
+    return repr(value), [type(getattr(value, f.name)) for f in fields(value)]
+
+
+@pytest.mark.parametrize(
+    "cls", [CandidatePatch, SemanticRating, RunRecord], ids=lambda cls: cls.__qualname__
+)
+def test_from_row_builds_what_keywords_build(cls):
+    reached = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(row=_rows(cls))
+    def check(row):
+        made = _made(cls._from_row, row)
+        assert made == _made(lambda row: cls(**row), row)
+        reached.add(made[0] if isinstance(made[0], type) else "accepted")
+
+    check()
+    assert {"accepted", TypeError} <= reached

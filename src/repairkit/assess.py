@@ -205,7 +205,8 @@ def check_plausible(
     symlinked directory) is refused. The project tree is hashed before and
     after, and must be bit-identical. Raises SpliceError when the file is
     missing or outside the copy, the line range is stale, or the tree
-    changed.
+    changed. A project that cannot be copied raises `shutil.Error` with a
+    `source: reason` for each file that failed, joined by "; ".
 
     The suite runs as `_run` runs a command: stdin is `/dev/null`, and
     when the command exits or `spec.timeout` passes, every process left in
@@ -223,7 +224,13 @@ def check_plausible(
     before_hash = hash_tree(project_root)
     with tempfile.TemporaryDirectory(prefix="repairkit-plausible-") as tmp:
         workdir = Path(tmp) / project_root.name
-        shutil.copytree(project_root, workdir, symlinks=True)
+        try:
+            shutil.copytree(project_root, workdir, symlinks=True)
+        except shutil.Error as exc:
+            # copytree lists (source, copy, reason); the copy's path is random
+            raise shutil.Error(
+                "; ".join(f"{src}: {str(why).replace(dst, src)}" for src, dst, why in exc.args[0])
+            ) from None
         copy = workdir / location.file
         if not copy.parent.resolve().is_relative_to(workdir.resolve()):
             raise SpliceError(f"{location.file} is outside the project")

@@ -312,11 +312,6 @@ def run_bug(
     except (RepairKitError, OSError) as exc:  # OSError: the project could not be copied
         verdicts = [AssessmentVerdict(c.rank, False, NOT_RUN, False, False) for c in candidates]
         error = f"{type(exc).__name__}: {exc}"
-        if isinstance(exc, shutil.Error) and exc.args and isinstance(exc.args[0], list):
-            # copytree lists (source, copy, reason); the copy's path is random
-            error = "Error: " + "; ".join(
-                f"{src}: {str(why).replace(dst, src)}" for src, dst, why in exc.args[0]
-            )
     finished = time.monotonic()
     return RunRecord(
         entry.bug_id,

@@ -82,6 +82,8 @@ class GenerationConfig:
             raise ValueError("num_candidates must be >= 1")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
+        if "" in self.stop_tokens:
+            raise ValueError("stop_tokens must not hold an empty string")
         check_timeout(self.timeout)
         if self.retries < 0:
             raise ValueError("retries must be >= 0")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from difflib import SequenceMatcher
-from typing import Callable
+from functools import lru_cache
 
 from .errors import HunkApplyFailure, MalformedOutput
 from .values import frozen
@@ -162,56 +162,40 @@ def apply_diff(diff: UnifiedDiff, a: str, fuzz: int = 0) -> str:
     HunkApplyFailure with its index; nothing is applied unless every hunk
     applies (the function is pure, so failure simply leaves `a` unused).
     """
-    return _applier(a, fuzz)(diff)
+    src = _source_lines(a)
+    out: list[str] = []
+    cursor = 0  # where the last hunk placed ends in `src`
+    for index, hunk in enumerate(diff.hunks):
+        old = hunk.old_elements()
+        want = hunk.old_start - 1 if old else hunk.old_start
+
+        def matches(pos: int) -> bool:
+            return cursor <= pos <= len(src) - len(old) and src[pos : pos + len(old)] == old
+
+        if matches(want):
+            found = want
+        elif not old:
+            raise HunkApplyFailure(index, "insertion point out of range")
+        else:
+            found = None
+            for dist in range(1, fuzz + 1):
+                hits = [p for p in (want - dist, want + dist) if p >= 0 and matches(p)]
+                if len(hits) > 1:
+                    raise HunkApplyFailure(index, "ambiguous context match")
+                if hits:
+                    found = hits[0]
+                    break
+            if found is None:
+                raise HunkApplyFailure(index)
+        out.extend(src[cursor:found])
+        out.extend(hunk.new_elements())
+        cursor = found + len(old)
+    out.extend(src[cursor:])
+    return "".join(out)
 
 
-def _applier(a: str, fuzz: int) -> Callable[[UnifiedDiff], str]:
-    """`apply_diff(·, a, fuzz)`, with `a` split into the lines hunks match
-    against once, for every diff applied to it."""
-    src = _LINE_RE.findall(a)
-
-    def apply(diff: UnifiedDiff) -> str:
-        splices: list[tuple[int, int, list[str]]] = []
-        prev_end = 0
-        for index, hunk in enumerate(diff.hunks):
-            old = hunk.old_elements()
-            new = hunk.new_elements()
-            want = hunk.old_start - 1 if old else hunk.old_start
-            if not old:
-                if want < prev_end or want > len(src):
-                    raise HunkApplyFailure(index, "insertion point out of range")
-                splices.append((want, want, new))
-                prev_end = want
-                continue
-
-            def matches(pos: int) -> bool:
-                return (
-                    prev_end <= pos <= len(src) - len(old)
-                    and src[pos : pos + len(old)] == old
-                )
-
-            if matches(want):
-                found = want
-            else:
-                found = None
-                for dist in range(1, fuzz + 1):
-                    hits = [p for p in (want - dist, want + dist) if p >= 0 and matches(p)]
-                    if len(hits) > 1:
-                        raise HunkApplyFailure(index, "ambiguous context match")
-                    if hits:
-                        found = hits[0]
-                        break
-                if found is None:
-                    raise HunkApplyFailure(index)
-            splices.append((found, found + len(old), new))
-            prev_end = found + len(old)
-        out: list[str] = []
-        cursor = 0
-        for start, end, new in splices:
-            out.extend(src[cursor:start])
-            out.extend(new)
-            cursor = end
-        out.extend(src[cursor:])
-        return "".join(out)
-
-    return apply
+@lru_cache(maxsize=16)
+def _source_lines(a: str) -> list[str]:
+    """`a` split into the lines hunks match against; kept for the last 16
+    texts, since a bug's candidate diffs all apply to one function."""
+    return _LINE_RE.findall(a)

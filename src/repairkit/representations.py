@@ -16,10 +16,10 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .config import DEFAULT_STOP_TOKENS, Markers
-from .diffs import UnifiedDiff, _applier, make_unified_diff
+from .diffs import UnifiedDiff, apply_diff, make_unified_diff
 from .errors import InvalidRegion, RegionMismatch
 from .syntax import SourceFunction
 from .values import frozen
@@ -127,8 +127,11 @@ def _indent_of(line: str) -> str:
     return line[: len(line) - len(line.lstrip())]
 
 
+@lru_cache(maxsize=16)
 def _cut(fn: SourceFunction, region: Region) -> tuple[list[str], list[str], list[str]]:
-    """`fn`'s lines before, inside and after `region`, which must fit `fn`."""
+    """`fn`'s lines before, inside and after `region`, which must fit `fn`.
+    Kept for the last 16 calls, as a bug's candidates share them, so the
+    lists are shared too: a caller builds new lists and changes none."""
     lines = fn.lines
     region.validate(len(lines))
     start = region.start_line - 1
@@ -242,31 +245,13 @@ def reconstruct(
     the region; OR3/OR4 outputs are decoded as unified diffs and applied
     with fuzzy context matching. Raises MalformedOutput, HunkApplyFailure,
     or InvalidRegion.
-
-    The work that depends on the function alone (the pair check, the cut
-    around the region, the lines a diff applies to) is done once for all
-    the candidates of one function, and kept for the last 16 functions.
     """
-    return _reconstructor(fn, region, pair, tuple(stop_tokens))(model_output)
-
-
-@lru_cache(maxsize=16)
-def _reconstructor(
-    fn: SourceFunction, region: Region, pair: ReprPair, stop_tokens: tuple[str, ...]
-) -> Callable[[str], str]:
-    """`reconstruct(fn, region, pair, ·, stop_tokens)`. An error is raised
-    here, and so not kept, or by the function returned."""
     if not valid_pair(pair):
         raise ValueError(f"invalid representation pair: {pair}")
+    text = clean_model_output(model_output, stop_tokens)
     if pair.output is OutputKind.OR1:
-        return lambda raw: clean_model_output(raw, stop_tokens)
+        return text
     if pair.output is OutputKind.OR2:
         before, _, after = _cut(fn, region)
-
-        def into_region(raw: str) -> str:
-            text = clean_model_output(raw, stop_tokens)
-            return "\n".join(before + (text.split("\n") if text else []) + after)
-
-        return into_region
-    apply = _applier(fn.text, DIFF_APPLY_FUZZ)
-    return lambda raw: apply(UnifiedDiff.parse(clean_model_output(raw, stop_tokens)))
+        return "\n".join(before + (text.split("\n") if text else []) + after)
+    return apply_diff(UnifiedDiff.parse(text), fn.text, DIFF_APPLY_FUZZ)

@@ -1,27 +1,42 @@
 """The region cut and diff hunks as they were before one helper cut every
-region and a hunk's lengths were counted from its lines: the oracle of
+region and a hunk's lengths were counted from its lines, and `reconstruct`
+as it was when it prepared each function in a closure: the oracle of
 `test_repr_equivalence.py`.
 
 Each function here splits, validates and slices a function on its own, and
 `OracleHunk` stores its header lengths next to its lines, checked by
-`validate()` once the parser has read its body. The code is kept as it was,
-renamed; the public functions of `repairkit.representations` and
-`repairkit.diffs` must give the same bytes, the same hunks, and the same
-exception class and message.
+`validate()` once the parser has read its body. `oracle_reconstruct` is the
+closure-building `reconstruct` with its `lru_cache` left out, so every call
+prepares afresh. The code is kept as it was, renamed; the public functions
+of `repairkit.representations` and `repairkit.diffs` must give the same
+bytes, the same hunks, and the same exception class and message.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
+from repairkit.config import DEFAULT_STOP_TOKENS
+from repairkit.diffs import UnifiedDiff
 from repairkit.errors import HunkApplyFailure, MalformedOutput, RegionMismatch
-from repairkit.representations import DEFAULT_MARKERS, InputKind, Markers, Region
+from repairkit.representations import (
+    DEFAULT_MARKERS,
+    DIFF_APPLY_FUZZ,
+    InputKind,
+    Markers,
+    OutputKind,
+    Region,
+    ReprPair,
+    clean_model_output,
+    valid_pair,
+)
 from repairkit.syntax import SourceFunction
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 _NO_NEWLINE = "\\ No newline at end of file"
+_LINE_RE = re.compile(r".*+\n|.++")
 
 
 def _indent_of(line: str) -> str:
@@ -273,3 +288,84 @@ def oracle_apply_diff(hunks: Sequence[OracleHunk], a: str, fuzz: int = 0) -> str
         cursor = end
     out.extend(src[cursor:])
     return "".join(out)
+
+
+def oracle_reconstruct(
+    fn: SourceFunction,
+    region: Region,
+    pair: ReprPair,
+    model_output: str,
+    stop_tokens: Iterable[str] = DEFAULT_STOP_TOKENS,
+) -> str:
+    return _oracle_reconstructor(fn, region, pair, tuple(stop_tokens))(model_output)
+
+
+def _oracle_reconstructor(
+    fn: SourceFunction, region: Region, pair: ReprPair, stop_tokens: tuple[str, ...]
+) -> Callable[[str], str]:
+    if not valid_pair(pair):
+        raise ValueError(f"invalid representation pair: {pair}")
+    if pair.output is OutputKind.OR1:
+        return lambda raw: clean_model_output(raw, stop_tokens)
+    if pair.output is OutputKind.OR2:
+        lines = fn.lines
+        region.validate(len(lines))
+        before, after = lines[: region.start_line - 1], lines[region.end_line :]
+
+        def into_region(raw: str) -> str:
+            text = clean_model_output(raw, stop_tokens)
+            return "\n".join(before + (text.split("\n") if text else []) + after)
+
+        return into_region
+    apply = _oracle_applier(fn.text, DIFF_APPLY_FUZZ)
+    return lambda raw: apply(UnifiedDiff.parse(clean_model_output(raw, stop_tokens)))
+
+
+def _oracle_applier(a: str, fuzz: int) -> Callable[[UnifiedDiff], str]:
+    src = _LINE_RE.findall(a)
+
+    def apply(diff: UnifiedDiff) -> str:
+        splices: list[tuple[int, int, list[str]]] = []
+        prev_end = 0
+        for index, hunk in enumerate(diff.hunks):
+            old = hunk.old_elements()
+            new = hunk.new_elements()
+            want = hunk.old_start - 1 if old else hunk.old_start
+            if not old:
+                if want < prev_end or want > len(src):
+                    raise HunkApplyFailure(index, "insertion point out of range")
+                splices.append((want, want, new))
+                prev_end = want
+                continue
+
+            def matches(pos: int) -> bool:
+                return (
+                    prev_end <= pos <= len(src) - len(old)
+                    and src[pos : pos + len(old)] == old
+                )
+
+            if matches(want):
+                found = want
+            else:
+                found = None
+                for dist in range(1, fuzz + 1):
+                    hits = [p for p in (want - dist, want + dist) if p >= 0 and matches(p)]
+                    if len(hits) > 1:
+                        raise HunkApplyFailure(index, "ambiguous context match")
+                    if hits:
+                        found = hits[0]
+                        break
+                if found is None:
+                    raise HunkApplyFailure(index)
+            splices.append((found, found + len(old), new))
+            prev_end = found + len(old)
+        out: list[str] = []
+        cursor = 0
+        for start, end, new in splices:
+            out.extend(src[cursor:start])
+            out.extend(new)
+            cursor = end
+        out.extend(src[cursor:])
+        return "".join(out)
+
+    return apply

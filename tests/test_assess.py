@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import shlex
+import shutil
 import signal
 import sys
 import tempfile
@@ -226,6 +227,16 @@ class TestCheckPlausible:
         project, _, spec = _project(tmp_path)
         with pytest.raises(SpliceError):
             check_plausible(project, FunctionLocation("Gone.java", 1, 1), GOOD, spec)
+
+    def test_a_project_that_cannot_be_copied_is_named_by_its_own_path(self, tmp_path):
+        # copytree's error lists each file with the path of its copy, which
+        # lies in a fresh temporary directory on every call.
+        project, location, spec = _project(tmp_path)
+        pipe = project / "pipe"
+        os.mkfifo(pipe)
+        with pytest.raises(shutil.Error) as info:
+            check_plausible(project, location, GOOD, spec)
+        assert str(info.value) == f"{pipe}: `{pipe}` is a named pipe"
 
 
 class TestRunner:

@@ -532,7 +532,8 @@ class TestRunBenchmark:
         ]
         assert [r.bug_id for r in records] == ["e2e-00", "e2e-01", "e2e-02", "e2e-03"]
         assert [r.error is None for r in records] == [True, False, True, True]
-        assert "is a named pipe" in records[1].error
+        pipe = Path(fifo["project_root"]) / "pipe"
+        assert records[1].error == f"Error: {pipe}: `{pipe}` is a named pipe"
         # The record names the project's path, not the random one of its copy.
         assert records[1].error == again[1].error
         assert "repairkit-plausible-" not in records[1].error

@@ -5,12 +5,14 @@ planted answers.
 gated workload at the tiny size without tracing, and repair-offline,
 repair-plausible and ratings-report traced, so that their per-layer
 counts pin what the traced spans see, the test harness's work per
-candidate and the store loads the spans time. The planted
-answers are what a
+candidate and the store loads the spans time. One more case runs all four
+traced, so that no per-layer metric reads 0 in every workload unnoticed.
+The planted answers are what a
 frontend change can break without a unit test noticing: dataset samples,
 repair verdicts and rating tables all come out of the lexer and parser.
 No timing is asserted.
 """
+import json
 import sys
 from pathlib import Path
 
@@ -43,6 +45,11 @@ def test_tiny_traced_offline_run_sees_every_candidate(tmp_path):
     assert correct and failed == 0 and attempted > 0
     assert metrics["representations.reconstruct.ok_ratio"][0] == pytest.approx(0.9)
     assert metrics["representations.reconstruct.self_s"][0] > 0
+    # The six traced batches hold two bugs each. Of a bug's ten IR1xOR3
+    # diffs, nine parse and are applied (the one whose context matches
+    # nowhere fails there, and the empty one gives the buggy method back);
+    # the one whose header counts exceed its body never gets that far.
+    assert metrics["diffs.apply_diff.calls"][0] == 6 * 2 * 9
     assert metrics["assess.classify.self_s"][0] > 0
 
 
@@ -72,3 +79,31 @@ def test_tiny_traced_ratings_run_sees_the_load_path(tmp_path):
     assert correct and failed == 0 and attempted > 0
     for name in ("bench.RecordStore.load", "assess.RatingStore.load", "bench.aggregate"):
         assert metrics[f"{name}.self_s"][0] > 0, name
+
+
+# Per-layer metrics that no tiny traced run moves off zero, and why.
+DARK_LAYERS = {
+    # Nothing in src/ calls `ast_equal`.
+    "syntax.ast_equal.calls",
+    "syntax.ast_equal.self_s",
+    # Only the cold start calls `extract_functions`, in a subprocess.
+    "syntax.extract_functions.self_s",
+    # `classify` shares a token-equal candidate's verdict, so the planted
+    # duplicate never reaches `check_plausible`.
+    "assess.duplicate_candidate_ratio",
+}
+
+
+def test_every_per_layer_metric_is_seen_by_a_tiny_traced_run(tmp_path):
+    # A metric whose spans no workload enters reads 0 on working code, and
+    # so says nothing. `trace_overhead` is not read from spans.
+    spec = json.loads((Path(run.__file__).parent.parent / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in spec["per_layer"] if metric["name"] != "trace_overhead"]
+    seen = set()
+    for name in ("dataset-corpus", "repair-offline", "ratings-report", "repair-plausible"):
+        *_, metrics, context = run.measure(name, 7, 0.05, True, "tiny", tmp_path / name)
+        assert context["problems"] == [], name
+        seen.update(key for key in names if metrics[key][0])
+    assert [key for key in names if key not in seen] == [
+        key for key in names if key in DARK_LAYERS
+    ]

@@ -714,13 +714,15 @@ class TestToolConfig:
             {"generation": {"timeout": None}},
             {"generation": {"retries": -1}},
             {"generation": {"retry_base_delay": -0.5}},
+            {"generation": {"stop_tokens": [""]}},
             {"filter": {"max_length": 0}},
             {"parallelism": 0},
             {"parallelism": -3},
         ],
         ids=["parallelism", "num_candidates", "max_new_tokens", "timeout_zero",
              "timeout_infinite", "timeout_null", "retries", "retry_base_delay",
-             "max_length_zero", "parallelism_zero", "parallelism_negative"],
+             "empty_stop_token", "max_length_zero", "parallelism_zero",
+             "parallelism_negative"],
     )
     def test_bad_values_rejected(self, tmp_path, data):
         path = tmp_path / "cfg.json"
@@ -736,7 +738,9 @@ class TestToolConfig:
             load_tool_config(str(path), env={})
 
     @pytest.mark.parametrize(
-        "generation", [{"retries": -1}, {"timeout": -1}], ids=["retries", "timeout"]
+        "generation",
+        [{"retries": -1}, {"timeout": -1}, {"stop_tokens": ["</s>", ""]}],
+        ids=["retries", "timeout", "empty_stop_token"],
     )
     def test_repair_with_a_bad_generation_value_is_an_error(
         self, bench_fixture, tmp_path, capsys, generation

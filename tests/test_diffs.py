@@ -114,6 +114,14 @@ class TestApply:
             apply_diff(diff, TEN, fuzz=2)
         assert err.value.hunk_index == 0
 
+    def test_fuzz_does_not_place_a_hunk_inside_the_one_before(self):
+        # The second hunk's line matches only at distance 2 above its stated
+        # position, on a line the first hunk already replaced.
+        diff = UnifiedDiff.parse("@@ -1,2 +1,2 @@\n-a\n-b\n+A\n+B\n@@ -4 +4 @@\n-b\n+B\n")
+        with pytest.raises(HunkApplyFailure) as err:
+            apply_diff(diff, "a\nb\nc\n", fuzz=2)
+        assert err.value.hunk_index == 1
+
     def test_all_hunks_or_nothing(self):
         b = TEN.replace("line 2", "TWO").replace("line 9", "NINE")
         diff = make_unified_diff(TEN, b, 1)

@@ -377,6 +377,12 @@ class TestRequestCandidates:
         with pytest.raises(ValueError):
             GenerationConfig(num_candidates=0)
 
+    # An empty stop token is found at offset 0 of every output, which
+    # `clean_model_output` then cuts to nothing.
+    def test_an_empty_stop_token_is_refused(self):
+        with pytest.raises(ValueError, match="^stop_tokens must not hold an empty string$"):
+            GenerationConfig(stop_tokens=("</s>", ""))
+
     # A socket timeout past 2^31-1 ms overflowed inside urllib, and the
     # OverflowError read as a server error that was retried.
     @pytest.mark.parametrize("timeout", [2147483.648, 1e10, float("inf"), float("nan")])

@@ -1,9 +1,9 @@
 """One region cut and counted hunk lengths give what the code before them
 gave: the same rendered inputs, OR2 targets and reconstructions, the same
 hunks and diff text, and the same exception class and message, checked
-against `representations_oracle.py`. `reconstruct`, which prepares each
-function once for its candidates, gives what a call that prepares it
-afresh gives."""
+against `representations_oracle.py`. `reconstruct`, which keeps the cut
+around a region and the lines a diff applies to for the candidates that
+follow, gives what the closure-building `reconstruct` before it gave."""
 import operator
 import re
 
@@ -19,11 +19,12 @@ from representations_oracle import (
     oracle_fixed_region_lines,
     oracle_make_unified_diff,
     oracle_parse,
+    oracle_reconstruct,
     oracle_reconstruct_or2,
     oracle_render,
 )
+from repairkit import diffs, representations
 from repairkit.diffs import UnifiedDiff, apply_diff, make_unified_diff
-from repairkit import representations
 from repairkit.config import DEFAULT_STOP_TOKENS
 from repairkit.errors import InvalidRegion, MalformedOutput
 from repairkit.representations import (
@@ -179,7 +180,7 @@ def _move_count(draw, lines):
     if headers:
         k = draw(st.sampled_from(headers))
         counts = [int(g) if g is not None else 1 for g in _HUNK_RE.match(lines[k]).groups()]
-        side = draw(st.sampled_from([1, 3]))
+        side = draw(st.sampled_from([0, 1, 3]))  # the old start, for fuzz to find, or a length
         counts[side] = max(0, counts[side] + draw(st.sampled_from([-1, 1])))
         lines[k] = "@@ -{},{} +{},{} @@".format(*counts)
 
@@ -253,7 +254,7 @@ def test_parse_and_apply_match_oracle(case, fuzz):
 
 
 # --------------------------------------------------------------------------
-# reconstruct, prepared once per function, against a fresh preparation
+# reconstruct, with the cut and the diffed lines kept, against a fresh preparation
 
 _PAIRS = sorted(VALID_PAIRS, key=str)
 _EVERY_PAIR = [ReprPair(i, o) for i in InputKind for o in OutputKind]
@@ -288,24 +289,37 @@ def _reconstruct_calls(draw):
     return calls
 
 
+def _clear_memos():
+    representations._cut.cache_clear()
+    diffs._source_lines.cache_clear()
+
+
 @settings(max_examples=300, deadline=None)
 @given(_reconstruct_calls())
 def test_memoised_reconstruct_matches_a_fresh_preparation(calls):
-    memoised = [_outcome(reconstruct, *call) for call in calls]
-    fresh = []
+    expected = [_outcome(oracle_reconstruct, *call) for call in calls]
+    assert [_outcome(reconstruct, *call) for call in calls] == expected  # warm memos
+    cold = []
     for call in calls:
-        representations._reconstructor.cache_clear()
-        fresh.append(_outcome(reconstruct, *call))
-    assert memoised == fresh
+        _clear_memos()
+        cold.append(_outcome(reconstruct, *call))
+    assert cold == expected
 
 
 def test_a_functions_candidates_share_one_preparation():
     fn = _fn("int f() {", "    return a - b;", "}")
     chunk = ReprPair(InputKind.IR3, OutputKind.OR2)
-    representations._reconstructor.cache_clear()
+    diff = ReprPair(InputKind.IR1, OutputKind.OR3)
+    _clear_memos()
     texts = [reconstruct(fn, Region(2, 2), chunk, f"    return a + {k};") for k in range(10)]
     assert texts[3] == "int f() {\n    return a + 3;\n}"
-    assert representations._reconstructor.cache_info()[:2] == (9, 1)  # hits, misses
+    assert representations._cut.cache_info()[:2] == (9, 1)  # hits, misses
+    texts = [
+        reconstruct(fn, Region(2, 2), diff, f"@@ -2 +2 @@\n-    return a - b;\n+    return a + {k};")
+        for k in range(10)
+    ]
+    assert texts[3] == "int f() {\n    return a + 3;\n}"
+    assert diffs._source_lines.cache_info()[:2] == (9, 1)
 
 
 @pytest.mark.parametrize(
